@@ -30,10 +30,11 @@ OpFn = Callable[[ThreadCtx, int], Generator[Any, Any, int]]
 class DispatchTimeout(Exception):
     """A timed dispatch expired *before the operation was committed*.
 
-    Raised only by :meth:`SyncPrimitive.apply_op_timed` implementations
-    that can abandon cleanly: when this escapes, the operation has
-    executed **zero** effects anywhere in the machine, so retrying it is
-    always safe (exactly-once is preserved by construction).  Primitives
+    Raised only by :meth:`SyncPrimitive.apply_op` implementations that
+    can abandon a dispatch cleanly when given a ``timeout``: when this
+    escapes, the operation has executed **zero** effects anywhere in the
+    machine, so retrying it is always safe (exactly-once is preserved by
+    construction).  Primitives
     that cannot withdraw an in-flight request never raise it -- once the
     request is committed they complete it, even past the deadline.
     ``waited`` is the cycles spent before giving up.
@@ -85,7 +86,8 @@ class SyncPrimitive:
     Life cycle: construct with the machine and an op table, call
     :meth:`start` once (spawns any dedicated server threads), then any
     number of application threads call ``yield from
-    prim.apply_op(ctx, opcode, arg)`` concurrently.
+    prim.apply_op(ctx, opcode, arg)`` concurrently -- the one dispatch
+    call, optionally under a pre-commit deadline (``timeout=``).
 
     ``service_threads`` is the number of *dedicated* (non-application)
     threads the primitive consumes -- the cost the combining approaches
@@ -98,30 +100,17 @@ class SyncPrimitive:
     #: human-readable name used in figures/legends
     name: str = "?"
 
-    #: True when :meth:`apply_op_timed` can actually abandon a dispatch
-    #: that missed its deadline (see the method docs); False means the
-    #: deadline is best-effort and admission-queue bounding is the only
-    #: overload control for this primitive
-    abortable_dispatch: bool = False
-
     def __init__(self, machine: Machine, optable: OpTable):
         self.machine = machine
         self.optable = optable
         self._started = False
-        #: application threads currently inside ``apply_op`` (the
-        #: delegation-layer queue depth: registered-but-unserved plus
-        #: in-service requests).  Pure Python bookkeeping sampled by the
-        #: open-loop driver's queue-depth series; costs no simulated
-        #: cycles and is never read by protocols.  A fail-stop crash
-        #: abandons the generator without unwinding, so a crashed
-        #: caller's increment leaks -- the gauge is a stat, not an
-        #: invariant.
-        self.inflight = 0
         #: (end_time, ops_combined) per combining session -- combiners only
         self.combining_sessions: List[Tuple[int, int]] = []
         #: core of the most recent combiner (combiners only; used by the
         #: fixed-combiner measurement of Figure 4a)
         self.current_combiner_core: Optional[int] = None
+        #: every core that has held the combiner role (combiners only)
+        self._service_cores: List[int] = []
         # start time of the combining session currently open (obs span)
         self._session_t0: Optional[int] = None
         self._session_ctx: Optional[ThreadCtx] = None
@@ -136,15 +125,12 @@ class SyncPrimitive:
     def _start(self) -> None:
         """Hook for subclasses with dedicated threads."""
 
-    def apply_op(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG) -> Generator[Any, Any, int]:
-        """Execute ``opcode(arg)`` in mutual exclusion; returns its result."""
-        raise NotImplementedError
+    def apply_op(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG,
+                 timeout: Optional[int] = None) -> Generator[Any, Any, int]:
+        """Execute ``opcode(arg)`` in mutual exclusion; returns its result.
 
-    def apply_op_timed(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG,
-                       timeout: Optional[int] = None) -> Generator[Any, Any, int]:
-        """``apply_op`` with an admission deadline (overload robustness).
-
-        Semantics contract:
+        ``timeout`` (cycles) is an admission deadline for overload
+        control.  The contract:
 
         * raises :class:`DispatchTimeout` only while abandonment is still
           side-effect free -- the op provably executed nowhere, so the
@@ -154,20 +140,25 @@ class SyncPrimitive:
           channel claimed by the server) the deadline is ignored and the
           op completes normally, however late.
 
-        The default implementation has no pre-commit wait at all
-        (combining approaches commit with one wait-free SWAP/FAA), so it
-        simply delegates to :meth:`apply_op`; bounding the *admission
-        queue* in front of the client is then the only overload control
-        (see :mod:`repro.workload.openloop`).  Server primitives override
-        this with a genuinely timed pre-commit wait.
+        The combiners commit with one wait-free SWAP/FAA and have no
+        pre-commit window, so they accept the deadline and ignore it;
+        bounding the *admission queue* in front of the client is then
+        the only overload control (see :mod:`repro.workload.openloop`).
         """
-        return (yield from self.apply_op(ctx, opcode, arg))
+        raise NotImplementedError
 
     # -- metrics hooks -----------------------------------------------------
     def servicing_cores(self) -> List[int]:
         """Core ids whose cycle counters represent the servicing thread
-        (the server core, or every app core for combining approaches)."""
-        raise NotImplementedError
+        (the server core, or every core that combined so far)."""
+        return list(self._service_cores)
+
+    def _take_combiner_role(self, ctx: ThreadCtx) -> None:
+        """Record ``ctx``'s core as the current combiner."""
+        cid = ctx.core.cid
+        if cid not in self._service_cores:
+            self._service_cores.append(cid)
+        self.current_combiner_core = cid
 
     def session_begin(self, ctx: ThreadCtx) -> None:
         """Mark ``ctx`` as opening a combining session (obs span start)."""
@@ -205,8 +196,6 @@ class DirectExec(SyncPrimitive):
     service_threads = 0
     name = "ideal"
 
-    def apply_op(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG):
+    def apply_op(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG,
+                 timeout: Optional[int] = None):
         return (yield from self.optable.execute(ctx, opcode, arg))
-
-    def servicing_cores(self) -> List[int]:
-        return []

@@ -41,7 +41,7 @@ performing almost identically.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, Optional
 
 from repro.core.api import NULL_ARG, OpTable, SyncPrimitive
 from repro.machine.machine import Machine, ThreadCtx
@@ -92,7 +92,6 @@ class CCSynch(SyncPrimitive):
         #: Python bookkeeping for observability; never read by the
         #: protocol, costs no simulated cycles)
         self._node_owner: Dict[int, int] = {}
-        self._service_cores: List[int] = []
         self._combiner_ctx = None
         if fixed_combiner_tid is not None:
             self.service_threads = 1
@@ -119,8 +118,7 @@ class CCSynch(SyncPrimitive):
     def _fixed_loop(self) -> Generator[Any, Any, None]:
         """Permanent combiner (Figure 4a): walk the list forever."""
         ctx = self._combiner_ctx
-        self._service_cores.append(ctx.core.cid)
-        self.current_combiner_core = ctx.core.cid
+        self._take_combiner_role(ctx)
         execute = self.optable.execute
         tmp = self._initial_dummy
         while True:
@@ -142,14 +140,10 @@ class CCSynch(SyncPrimitive):
                          prim=self.name, start=svc_start)
             tmp = nxt
 
-    def apply_op(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG) -> Generator[Any, Any, int]:
-        self.inflight += 1
-        try:
-            return (yield from self._apply_op(ctx, opcode, arg))
-        finally:
-            self.inflight -= 1
-
-    def _apply_op(self, ctx: ThreadCtx, opcode: int, arg: int) -> Generator[Any, Any, int]:
+    def apply_op(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG,
+                 timeout: Optional[int] = None) -> Generator[Any, Any, int]:
+        # ``timeout`` is ignored: one wait-free SWAP/FAA commits the op,
+        # so there is no pre-commit window to abandon
         mynode = self._spare_of(ctx.tid)
         # 1. prepare the new dummy and enter the queue
         yield from ctx.store(mynode + _WAIT, 1)
@@ -180,9 +174,7 @@ class CCSynch(SyncPrimitive):
 
     def _combine(self, ctx: ThreadCtx, cur: int) -> Generator[Any, Any, int]:
         execute = self.optable.execute
-        if ctx.core.cid not in self._service_cores:
-            self._service_cores.append(ctx.core.cid)
-        self.current_combiner_core = ctx.core.cid
+        self._take_combiner_role(ctx)
         self.session_begin(ctx)
         obs = ctx.sim.obs
         own_ret = 0
@@ -220,6 +212,3 @@ class CCSynch(SyncPrimitive):
         yield from ctx.store(tmp + _WAIT, 0)
         self.record_session(count)
         return own_ret
-
-    def servicing_cores(self) -> List[int]:
-        return list(self._service_cores)

@@ -29,7 +29,7 @@ Record layout (one isolated line): word 0 = active, 1 = opcode,
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List
+from typing import Any, Dict, Generator, Optional
 
 from repro.core.api import NULL_ARG, OpTable, SyncPrimitive
 from repro.machine.machine import Machine, ThreadCtx
@@ -59,7 +59,6 @@ class FlatCombining(SyncPrimitive):
         self.lock_addr = mem.alloc(1, isolated=True)
         self.head_addr = mem.alloc(1, isolated=True)
         self._record: Dict[int, int] = {}
-        self._service_cores: List[int] = []
 
     def _record_of(self, ctx: ThreadCtx) -> Generator[Any, Any, int]:
         """Get (or enlist) this thread's publication record."""
@@ -78,7 +77,9 @@ class FlatCombining(SyncPrimitive):
             if ok:
                 return rec
 
-    def apply_op(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG) -> Generator[Any, Any, int]:
+    def apply_op(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG,
+                 timeout: Optional[int] = None) -> Generator[Any, Any, int]:
+        # ``timeout`` is ignored (see SyncPrimitive.apply_op)
         rec = yield from self._record_of(ctx)
         # publish the request (same-line stores: buffer keeps them ordered)
         yield from ctx.store(rec + _OPCODE, opcode)
@@ -116,9 +117,7 @@ class FlatCombining(SyncPrimitive):
         return retval
 
     def _combine(self, ctx: ThreadCtx) -> Generator[Any, Any, None]:
-        if ctx.core.cid not in self._service_cores:
-            self._service_cores.append(ctx.core.cid)
-        self.current_combiner_core = ctx.core.cid
+        self._take_combiner_role(ctx)
         execute = self.optable.execute
         served = 0
         for _round in range(self.scan_rounds):
@@ -135,6 +134,3 @@ class FlatCombining(SyncPrimitive):
                     served += 1
                 rec = yield from ctx.load(rec + _NEXT)
         self.record_session(served)
-
-    def servicing_cores(self) -> List[int]:
-        return list(self._service_cores)

@@ -137,7 +137,6 @@ class HybComb(SyncPrimitive):
         mem.poke(self.lrc_addr, extra)
         # Line 5 (per thread): my_node <- Node{id, MAX_OPS, false}
         self._my_node: Dict[int, int] = {}
-        self._service_cores: List[int] = []
         # debug: set of threads currently inside the combiner section
         self._active_combiners: Set[int] = set()
         self.requests_sent = 0
@@ -188,8 +187,7 @@ class HybComb(SyncPrimitive):
     def _fixed_loop(self) -> Generator[Any, Any, None]:
         """Permanent combiner (Figure 4a): receive / execute / respond."""
         ctx = self._combiner_ctx
-        self._service_cores.append(ctx.core.cid)
-        self.current_combiner_core = ctx.core.cid
+        self._take_combiner_role(ctx)
         execute = self.optable.execute
         # with the lease protocol on, heartbeat between requests so idle
         # periods are not mistaken for a crash
@@ -250,14 +248,10 @@ class HybComb(SyncPrimitive):
             yield from ctx.work(self._lease_poll)
 
     # -- Algorithm 1 -----------------------------------------------------------
-    def apply_op(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG) -> Generator[Any, Any, int]:
-        self.inflight += 1
-        try:
-            return (yield from self._apply_op(ctx, opcode, arg))
-        finally:
-            self.inflight -= 1
-
-    def _apply_op(self, ctx: ThreadCtx, opcode: int, arg: int) -> Generator[Any, Any, int]:
+    def apply_op(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG,
+                 timeout: Optional[int] = None) -> Generator[Any, Any, int]:
+        # ``timeout`` is ignored: one wait-free SWAP/FAA commits the op,
+        # so there is no pre-commit window to abandon
         tid = ctx.tid
         my_node = self._node_of(tid)
         cas_failures = 0
@@ -353,9 +347,7 @@ class HybComb(SyncPrimitive):
             assert len(self._active_combiners) == 1, (
                 f"mutual exclusion violated: combiners {self._active_combiners}"
             )
-        if ctx.core.cid not in self._service_cores:
-            self._service_cores.append(ctx.core.cid)
-        self.current_combiner_core = ctx.core.cid
+        self._take_combiner_role(ctx)
         self.session_begin(ctx)
         execute = self.optable.execute
         if self._recovery:
@@ -436,6 +428,3 @@ class HybComb(SyncPrimitive):
         if first_timeout_at is not None:
             self.recoveries.append((tid, self.machine.now - first_timeout_at))
         return retval                                     # line 43
-
-    def servicing_cores(self) -> List[int]:
-        return list(self._service_cores)

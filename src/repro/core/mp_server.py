@@ -117,9 +117,6 @@ class MPServer(SyncPrimitive):
             raise ValueError("a backup server requires request_timeout "
                              "(clients fail over on timeout)")
         self.fault_tolerant = request_timeout is not None
-        # the legacy protocol can withdraw an un-injected request cleanly;
-        # an FT retry relies on the dedup table instead (see apply_op_timed)
-        self.abortable_dispatch = not self.fault_tolerant
         self.request_timeout = request_timeout
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
@@ -239,50 +236,37 @@ class MPServer(SyncPrimitive):
                 obs.emit("server.done", core=ctx.core.cid, client=sender,
                          prim=self.name, start=svc_start)
 
-    def apply_op(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG) -> Generator[Any, Any, int]:
-        self.inflight += 1
-        try:
-            if not self.fault_tolerant:
-                yield from ctx.send(self.server_tid, [ctx.tid, opcode, arg])
-                words = yield from ctx.receive(1)
-                return words[0]
-            return (yield from self._ft_apply_op(ctx, opcode, arg))
-        finally:
-            self.inflight -= 1
+    def apply_op(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG,
+                 timeout: Optional[int] = None) -> Generator[Any, Any, int]:
+        """Send the request, block on the response.
 
-    def apply_op_timed(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG,
-                       timeout: Optional[int] = None) -> Generator[Any, Any, int]:
-        """Timed dispatch: the deadline bounds *injection*, not service.
+        ``timeout`` bounds *injection*, not service.  Under overload the
+        choke point of MP-SERVER is backpressure on the server's hardware
+        buffer -- the send blocks until space frees.  A timed send that
+        expires withdraws from the reservation FIFO with zero side
+        effects (:class:`~repro.udn.udn.SendTimeout` semantics), so the
+        op provably never reached the server and :class:`DispatchTimeout`
+        is safe to retry.  Once injected the request *will* be served
+        FIFO from a bounded hardware queue, so the response wait stays
+        untimed: injection is the commit point.
 
-        Under overload the choke point of MP-SERVER is backpressure on
-        the server's hardware buffer -- the send blocks until space
-        frees.  A timed send that expires withdraws from the reservation
-        FIFO with zero side effects (:class:`~repro.udn.udn.SendTimeout`
-        semantics), so the op provably never reached the server and
-        :class:`DispatchTimeout` is safe to retry.  Once injected the
-        request *will* be served FIFO from a bounded hardware queue, so
-        the response wait stays untimed: injection is the commit point.
-
-        The fault-tolerant mode keeps its own per-attempt timeout /
-        backoff / failover machinery (an FT retry may re-send an op that
-        already executed and rely on the dedup table instead).
+        The fault-tolerant mode ignores ``timeout`` and keeps its own
+        per-attempt timeout / backoff / failover machinery (an FT retry
+        may re-send an op that already executed and rely on the dedup
+        table instead).
         """
-        if timeout is None or self.fault_tolerant:
-            return (yield from self.apply_op(ctx, opcode, arg))
-        self.inflight += 1
+        if self.fault_tolerant:
+            return (yield from self._ft_apply_op(ctx, opcode, arg))
         try:
-            try:
-                yield from ctx.send(self.server_tid, [ctx.tid, opcode, arg],
-                                    timeout=timeout)
-            except SendTimeout as exc:
-                raise DispatchTimeout(
-                    f"thread {ctx.tid}: request injection backpressured for "
-                    f"{exc.waited} cycles (server hardware queue full)",
-                    exc.waited) from None
-            words = yield from ctx.receive(1)
-            return words[0]
-        finally:
-            self.inflight -= 1
+            yield from ctx.send(self.server_tid, [ctx.tid, opcode, arg],
+                                timeout=timeout)
+        except SendTimeout as exc:
+            raise DispatchTimeout(
+                f"thread {ctx.tid}: request injection backpressured for "
+                f"{exc.waited} cycles (server hardware queue full)",
+                exc.waited) from None
+        words = yield from ctx.receive(1)
+        return words[0]
 
     def _ft_apply_op(self, ctx: ThreadCtx, opcode: int, arg: int) -> Generator[Any, Any, int]:
         tid = ctx.tid

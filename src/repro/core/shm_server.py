@@ -43,7 +43,7 @@ CASes nothing extra and is cycle-identical to the paper's protocol.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from repro.core.api import DispatchTimeout, NULL_ARG, OpTable, SyncPrimitive
 from repro.machine.machine import Machine, ThreadCtx
@@ -80,7 +80,6 @@ class ShmServer(SyncPrimitive):
         #: opt-in withdrawable-request protocol (see the module docs);
         #: off by default so the baseline stays cycle-identical
         self.cancellable = cancellable
-        self.abortable_dispatch = cancellable
         #: requests withdrawn by a timed-out client before the server
         #: claimed them (cancellable mode only)
         self.requests_cancelled = 0
@@ -167,13 +166,26 @@ class ShmServer(SyncPrimitive):
             # loop-closing branch of the scan
             yield from ctx.work(1)
 
-    def _post_request(self, ctx: ThreadCtx, opcode: int, arg: int) -> Generator[Any, Any, "Tuple[int, int]"]:
-        """Publish a request on the caller's channel; returns ``(ch, seq)``.
+    def apply_op(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG,
+                 timeout: Optional[int] = None) -> Generator[Any, Any, int]:
+        """Post the request on the caller's channel, spin locally on the
+        response.  All the request stores share the channel line, so the
+        merging store buffer keeps the sequence bump ordered after the
+        payload without a fence.
 
-        All the stores share the channel line, so the merging store
-        buffer keeps the sequence bump ordered after the payload without
-        a fence.
+        In cancellable mode ``timeout`` withdraws the request if the
+        server does not claim it within that many cycles; otherwise it
+        is ignored.  The deadline bounds the *unclaimed* wait only.  When
+        it expires the client races the server for the claim word:
+        winning proves the request never executed
+        (:class:`DispatchTimeout`); losing means the server committed, so
+        the client finishes the spin and returns the (late) result -- the
+        op happened, dropping it now would double-execute on retry.
         """
+        if not self.cancellable:
+            timeout = None
+        elif timeout is not None and timeout < 1:
+            raise ValueError("timeout must be >= 1 cycle")
         tid = ctx.tid
         ch = self._channels.get(tid)
         if ch is None:
@@ -187,64 +199,32 @@ class ShmServer(SyncPrimitive):
             # it always sees this request's own sequence number
             yield from ctx.store(ch + _CLAIM, seq)
         yield from ctx.store(ch + _REQ_SEQ, seq)
-        return ch, seq
-
-    def apply_op(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG) -> Generator[Any, Any, int]:
-        self.inflight += 1
+        sim = ctx.sim
+        t0 = sim.now
+        timer = (WaitTimer(sim, sim.current, t0 + timeout)
+                 if timeout is not None else None)
         try:
-            ch, seq = yield from self._post_request(ctx, opcode, arg)
             # local spin until the server's response sequence catches up
             yield from ctx.spin_until(ch + _RESP_SEQ, lambda v: v == seq)
-            retval = yield from ctx.load(ch + _RETVAL)
-            return retval
+        except Interrupt as exc:
+            if timer is None or exc.cause is not timer:
+                raise
+            waited = sim.now - t0
+            gone = yield from ctx.cas(ch + _CLAIM, seq, _GONE + seq)
+            if gone:
+                obs = sim.obs
+                if obs is not None:
+                    obs.emit("dispatch.timeout", core=ctx.core.cid,
+                             tid=ctx.tid, prim=self.name, waited=waited)
+                raise DispatchTimeout(
+                    f"thread {ctx.tid}: request unclaimed by the server "
+                    f"after {waited} cycles", waited) from None
+            # lost the race: the server owns the request; see it through
+            yield from ctx.spin_until(ch + _RESP_SEQ, lambda v: v == seq)
         finally:
-            self.inflight -= 1
-
-    def apply_op_timed(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG,
-                       timeout: Optional[int] = None) -> Generator[Any, Any, int]:
-        """Timed dispatch: withdraw the request if the server does not
-        claim it within ``timeout`` cycles.
-
-        The deadline bounds the *unclaimed* wait only.  When it expires
-        the client races the server for the claim word: winning proves
-        the request never executed (:class:`DispatchTimeout`); losing
-        means the server committed, so the client finishes the spin and
-        returns the (late) result -- the op happened, dropping it now
-        would double-execute on retry.
-        """
-        if timeout is None or not self.cancellable:
-            return (yield from self.apply_op(ctx, opcode, arg))
-        if timeout < 1:
-            raise ValueError("timeout must be >= 1 cycle")
-        self.inflight += 1
-        try:
-            ch, seq = yield from self._post_request(ctx, opcode, arg)
-            sim = ctx.sim
-            t0 = sim.now
-            timer = WaitTimer(sim, sim.current, t0 + timeout)
-            try:
-                yield from ctx.spin_until(ch + _RESP_SEQ, lambda v: v == seq)
-            except Interrupt as exc:
-                if exc.cause is not timer:
-                    raise
-                waited = sim.now - t0
-                gone = yield from ctx.cas(ch + _CLAIM, seq, _GONE + seq)
-                if gone:
-                    obs = sim.obs
-                    if obs is not None:
-                        obs.emit("dispatch.timeout", core=ctx.core.cid,
-                                 tid=ctx.tid, prim=self.name, waited=waited)
-                    raise DispatchTimeout(
-                        f"thread {ctx.tid}: request unclaimed by the server "
-                        f"after {waited} cycles", waited) from None
-                # lost the race: the server owns the request; see it through
-                yield from ctx.spin_until(ch + _RESP_SEQ, lambda v: v == seq)
-            finally:
+            if timer is not None:
                 timer.disarm()
-            retval = yield from ctx.load(ch + _RETVAL)
-            return retval
-        finally:
-            self.inflight -= 1
+        return (yield from ctx.load(ch + _RETVAL))
 
     def servicing_cores(self) -> List[int]:
         return [self.server_ctx.core.cid]

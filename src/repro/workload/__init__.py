@@ -14,13 +14,16 @@ deterministic given a seed, averaging over ten wall-clock seconds is
 replaced by one sufficiently long window per seed (and multiple seeds
 where variance matters).
 
-* :mod:`repro.workload.driver` -- the benchmark loop and window logic.
+* :mod:`repro.workload.driver` -- the measurement window both loops
+  share (warm-up, measure, the common result fields) and the closed
+  benchmark loop.
 * :mod:`repro.workload.metrics` -- the :class:`RunResult` record with
   throughput, latency, fairness, stall breakdowns, combining rate and
   atomic-instruction rates.
 * :mod:`repro.workload.openloop` -- open-loop arrival processes,
-  bounded admission queues with drop/retry/circuit-breaker policies,
-  and the overload-degradation metrics (goodput, p99.9, time-in-SLO).
+  bounded admission queues with drop/retry/circuit-breaker policies
+  (the one dispatch path, through ``apply_op(..., timeout=)``), and the
+  overload-degradation metrics (goodput, p99.9, time-in-SLO).
 * :mod:`repro.workload.scenarios` -- assembled experiments (counter /
   queue / stack / variable-length CS) on any approach; these are the
   entry points the figures and the public quickstart use.

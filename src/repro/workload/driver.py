@@ -1,14 +1,19 @@
-"""The benchmark loop: warm-up window, measurement window, counters.
+"""The workload driver: one measurement window, closed-loop benchmark.
 
-``run_workload`` drives a set of application threads through the
-Section 5.2 loop (operation + up to 50 random empty loop iterations)
-for ``warmup_cycles`` then ``measure_cycles`` of simulated time, and
-assembles a :class:`~repro.workload.metrics.RunResult` from counter
-deltas over the measurement window.
+Both workload modes run through :class:`Window` (Section 5.2): warm up,
+measure one window, report throughput and latency.  The window owns the
+per-client op counts, the latency samples, the ``op.begin``/``op.end``
+emission, the run label, the goodput sampler and the assembly of the
+common :class:`~repro.workload.metrics.RunResult` fields (latency,
+recovery, telemetry, host provenance).  Each mode adds one hook, opened
+when the window opens and closed -- with the result -- when it closes.
 
-The op to execute is supplied as a factory ``make_op(ctx) ->
-callable(k) -> generator`` so scenarios can give each thread its own
+``run_workload`` is the closed loop: a set of application threads
+drives the Section 5.2 loop (operation + up to 50 random empty loop
+iterations).  The op to execute is supplied as a factory ``make_op(ctx)
+-> callable(k) -> generator`` so scenarios can give each thread its own
 closure (e.g. alternating enqueue/dequeue with thread-unique values).
+The open loop lives in :mod:`repro.workload.openloop`.
 """
 
 from __future__ import annotations
@@ -27,6 +32,21 @@ from repro.workload.metrics import RunResult
 __all__ = ["WorkloadSpec", "run_ops", "run_workload"]
 
 
+def validate_window(spec: Any) -> None:
+    """The checks every spec with a window and a seed shares."""
+    if spec.warmup_cycles < 0:
+        raise ValueError(
+            f"warmup_cycles must be >= 0, got {spec.warmup_cycles}")
+    if spec.measure_cycles < 1:
+        raise ValueError(
+            "measure_cycles must be >= 1 (an empty measurement window "
+            f"measures nothing), got {spec.measure_cycles}")
+    if not isinstance(spec.seed, int) or isinstance(spec.seed, bool):
+        raise ValueError(f"seed must be an integer, got {spec.seed!r}")
+    if spec.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {spec.seed}")
+
+
 @dataclass
 class WorkloadSpec:
     """Timing parameters of one benchmark run.
@@ -43,21 +63,11 @@ class WorkloadSpec:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if self.warmup_cycles < 0:
-            raise ValueError(
-                f"warmup_cycles must be >= 0, got {self.warmup_cycles}")
-        if self.measure_cycles < 1:
-            raise ValueError(
-                "measure_cycles must be >= 1 (an empty measurement window "
-                f"measures nothing), got {self.measure_cycles}")
+        validate_window(self)
         if self.think_max_iterations < 0:
             raise ValueError(
                 "think_max_iterations must be >= 0 (0 disables think time), "
                 f"got {self.think_max_iterations}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def quick(cls) -> "WorkloadSpec":
@@ -66,6 +76,106 @@ class WorkloadSpec:
     @classmethod
     def full(cls) -> "WorkloadSpec":
         return cls(warmup_cycles=100_000, measure_cycles=600_000)
+
+
+class Window:
+    """One warm-up plus one measurement window over ``n`` clients.
+
+    Op loops call :meth:`begin`/:meth:`end` around an op only when the
+    observability bus ``sim.obs`` is set (run-unique op ids let the
+    causal tracer follow one operation across cores), and
+    :meth:`complete` for an op that finishes while :attr:`on`.
+    """
+
+    def __init__(self, machine: Machine, n: int, spec: Any, *, name: str,
+                 prim: Optional[SyncPrimitive]):
+        self.host_t0 = time.perf_counter()
+        self.host_ev0 = machine.sim.events_processed
+        self.machine, self.n, self.spec = machine, n, spec
+        self.name, self.prim = name, prim
+        self.on = False
+        self.ops_done = [0] * n
+        self.latencies: List[int] = []
+        self._op_ids = itertools.count()
+
+    def begin(self, obs: Any, ctx: ThreadCtx) -> int:
+        op_id = next(self._op_ids)
+        obs.emit("op.begin", core=ctx.core.cid, tid=ctx.tid, op=op_id,
+                 prim=self.name)
+        return op_id
+
+    def end(self, obs: Any, ctx: ThreadCtx, op_id: int, start: int) -> None:
+        obs.emit("op.end", core=ctx.core.cid, tid=ctx.tid, op=op_id,
+                 start=start, measured=self.on)
+
+    def complete(self, i: int, latency: int) -> None:
+        self.ops_done[i] += 1
+        self.latencies.append(latency)
+
+    def run(self, open_hook: Callable[[], Callable[[RunResult], None]]
+            ) -> RunResult:
+        """Warm up, measure, and assemble the result.
+
+        ``open_hook()`` runs as the window opens and returns the mode's
+        closing hook, which fills the mode's own fields of the result.
+        """
+        machine, spec, obs = self.machine, self.spec, self.machine.obs
+        # the run label is set up front so incident bundles dumped mid-run
+        # already carry it; the goodput series exists only when an
+        # observability session enabled sampling
+        sampler = obs.sampler if obs is not None else None
+        if obs is not None:
+            obs.label = f"{self.name} T={self.n}"
+        if sampler is not None:
+            sampler.register("goodput", lambda: sum(self.ops_done),
+                             kind="counter", unit="ops", replace=True)
+
+        machine.run(until=spec.warmup_cycles)
+        self.on = True
+        close_hook = open_hook()
+        machine.run(until=spec.warmup_cycles + spec.measure_cycles)
+        self.on = False
+
+        result = RunResult(name=self.name, num_threads=self.n,
+                           window_cycles=spec.measure_cycles,
+                           ops=sum(self.ops_done),
+                           clock_mhz=machine.cfg.clock_mhz,
+                           per_thread_ops=list(self.ops_done))
+        result.latency_samples = self.latencies
+        if self.latencies:
+            arr = np.asarray(self.latencies)
+            result.mean_latency_cycles = float(arr.mean())
+            result.p50_latency_cycles = float(np.percentile(arr, 50))
+            result.p95_latency_cycles = float(np.percentile(arr, 95))
+            result.p99_latency_cycles = float(np.percentile(arr, 99))
+        close_hook(result)
+
+        # recovery metrics (fault-injection runs): primitives expose
+        # ``recovery_stats`` when a fault-tolerance mode is enabled
+        stats = getattr(self.prim, "recovery_stats", None)
+        if stats:
+            ttr = stats.get("time_to_recovery")
+            result.time_to_recovery_cycles = (
+                float(ttr) if ttr is not None else None)
+            result.ops_retried = int(stats.get("ops_retried", 0))
+            result.duplicates_suppressed = int(
+                stats.get("duplicates_suppressed", 0))
+            result.failovers = int(stats.get("failovers", 0))
+            result.takeovers = int(stats.get("takeovers", 0))
+
+        # continuous-telemetry summary and host-perf provenance: both are
+        # excluded from figure fingerprints as fields and never feed back
+        # into simulated results
+        if sampler is not None:
+            result.telemetry = sampler.summary()
+        if obs is not None and getattr(obs, "spatial", None) is not None:
+            if result.telemetry is None:
+                result.telemetry = {}
+            result.telemetry["spatial"] = obs.spatial.summary()
+        result.host_wall_seconds = time.perf_counter() - self.host_t0
+        result.host_events_processed = (
+            machine.sim.events_processed - self.host_ev0)
+        return result
 
 
 def run_ops(
@@ -123,42 +233,28 @@ def run_workload(
     the string ``"current"`` selects the combiner active at the end of
     warm-up (the fixed-combiner methodology of the paper's footnote 4).
     """
-    host_t0 = time.perf_counter()
-    host_ev0 = machine.sim.events_processed
     if not ctxs:
         raise ValueError("run_workload needs at least one application thread "
                          "(got an empty ctxs sequence)")
+    window = Window(machine, len(ctxs), spec, name=name, prim=prim)
     rng = np.random.default_rng(spec.seed)
     think_unit = machine.cfg.work_cycles_per_iteration
-    n = len(ctxs)
-
-    ops_done = [0] * n
-    latencies: List[int] = []
-    in_window = {"on": False}
-    # run-unique op ids shared by every app thread (tags ``op.begin`` /
-    # ``op.end`` events so the causal tracer can follow one operation
-    # across cores -- pure observability, no simulated cost)
-    next_op_id = itertools.count()
+    sim = machine.sim
 
     def app_thread(i: int, ctx: ThreadCtx, thinks: np.ndarray) -> Generator:
         op = make_op(ctx)
         k = 0
         nthinks = len(thinks)
-        sim = machine.sim
         while True:
             obs = sim.obs
             t0 = sim.now
             if obs is not None:
-                op_id = next(next_op_id)
-                obs.emit("op.begin", core=ctx.core.cid, tid=ctx.tid,
-                         op=op_id, prim=name)
+                op_id = window.begin(obs, ctx)
             yield from op(k)
             if obs is not None:
-                obs.emit("op.end", core=ctx.core.cid, tid=ctx.tid,
-                         op=op_id, start=t0, measured=in_window["on"])
-            if in_window["on"]:
-                ops_done[i] += 1
-                latencies.append(sim.now - t0)
+                window.end(obs, ctx, op_id, t0)
+            if window.on:
+                window.complete(i, sim.now - t0)
             k += 1
             t = int(thinks[k % nthinks]) * think_unit
             if t:
@@ -168,20 +264,21 @@ def run_workload(
         thinks = rng.integers(0, spec.think_max_iterations + 1, size=4096)
         machine.spawn(ctx, app_thread(i, ctx, thinks), name=f"app-{ctx.tid}")
 
-    # continuous telemetry: completed-op counter for the goodput series
-    # (registered only when the observability sampler is enabled); the
-    # run label is set up front so incident bundles dumped mid-run
-    # already carry it
-    if machine.obs is not None:
-        machine.obs.label = f"{name} T={n}"
-    sampler = machine.obs.sampler if machine.obs is not None else None
-    if sampler is not None:
-        sampler.register("goodput", lambda: sum(ops_done), kind="counter",
-                         unit="ops", replace=True)
+    return window.run(
+        lambda: _closed_loop_stats(machine, ctxs, prim, service_core_ids))
 
-    # warm up, then snapshot and measure
-    machine.run(until=spec.warmup_cycles)
-    in_window["on"] = True
+
+def _closed_loop_stats(
+    machine: Machine,
+    ctxs: Sequence[ThreadCtx],
+    prim: Optional[SyncPrimitive],
+    service_core_ids: "Optional[Sequence[int] | str]",
+) -> Callable[[RunResult], None]:
+    """The closed loop's window hook: snapshot at open, fill at close.
+
+    Fills the servicing-thread breakdown, the atomic rates, the
+    combining rate and the ``obs.*`` extras.
+    """
     if service_core_ids == "current":
         # fixed-combiner measurement (Figure 4a): the thread combining at
         # the end of warm-up holds the role for the whole window when
@@ -207,109 +304,68 @@ def run_workload(
     obs = machine.obs
     obs_before = obs.counters.snapshot() if obs is not None else None
 
-    machine.run(until=spec.warmup_cycles + spec.measure_cycles)
-    in_window["on"] = False
-
-    total_ops = sum(ops_done)
-    result = RunResult(
-        name=name,
-        num_threads=n,
-        window_cycles=spec.measure_cycles,
-        ops=total_ops,
-        clock_mhz=machine.cfg.clock_mhz,
-        per_thread_ops=list(ops_done),
-    )
-    result.latency_samples = latencies
-    if latencies:
-        arr = np.asarray(latencies)
-        result.mean_latency_cycles = float(arr.mean())
-        result.p50_latency_cycles = float(np.percentile(arr, 50))
-        result.p95_latency_cycles = float(np.percentile(arr, 95))
-        result.p99_latency_cycles = float(np.percentile(arr, 99))
-
-    # servicing-thread breakdown (Figure 4a):  For server approaches the
-    # service core set is fixed; for combiners it is every core that
-    # combined -- but only combining work runs there beyond the app loop,
-    # so the meaningful per-op number needs the fixed-combiner variant
-    # (MAX_OPS = inf), exactly as the paper's footnote 4 does.
-    if service_ids and total_ops:
-        busy = stall = 0
-        for cid in service_ids:
-            delta = machine.cores[cid].delta(snapshots[cid])
-            busy += delta["busy"]
-            stall += delta["stall_mem"] + delta["stall_atomic"] + delta["stall_fence"]
-        result.service_cycles_per_op = (busy + stall) / total_ops
-        result.service_stall_per_op = stall / total_ops
-
-    # atomic-instruction rates across application threads
-    if total_ops:
-        cas = cas_fail = atomics = 0
-        for ctx, snap in zip(ctxs, app_snapshots):
-            delta = ctx.core.delta(snap)
-            cas += delta["cas_ops"]
-            cas_fail += delta["cas_failures"]
-            atomics += delta["atomic_ops"]
-        result.cas_per_op = cas / total_ops
-        result.cas_failures_per_op = cas_fail / total_ops
-        result.atomics_per_op = atomics / total_ops
-
-    # combining rate (Figure 4b): mean ops per session closed in-window
-    if prim is not None:
-        window_sessions = [
-            ops for (t, ops) in prim.combining_sessions[sessions_before:]
-        ]
-        if window_sessions:
-            result.combining_rate = float(np.mean(window_sessions))
-
-    # recovery metrics (fault-injection runs): primitives expose
-    # ``recovery_stats`` when a fault-tolerance mode is enabled
-    stats = getattr(prim, "recovery_stats", None) if prim is not None else None
-    if stats:
-        ttr = stats.get("time_to_recovery")
-        result.time_to_recovery_cycles = float(ttr) if ttr is not None else None
-        result.ops_retried = int(stats.get("ops_retried", 0))
-        result.duplicates_suppressed = int(stats.get("duplicates_suppressed", 0))
-        result.failovers = int(stats.get("failovers", 0))
-        result.takeovers = int(stats.get("takeovers", 0))
-
-    # observability: reconstruct the same numbers from the perf counter
-    # file and attach window totals to the result (``obs.*`` extras)
-    if obs is not None:
-        obs.label = f"{name} T={n}"
-        delta = obs.counters.delta(obs_before)
+    def close(result: RunResult) -> None:
+        total_ops = result.ops
+        # servicing-thread breakdown (Figure 4a):  For server approaches
+        # the service core set is fixed; for combiners it is every core
+        # that combined -- but only combining work runs there beyond the
+        # app loop, so the meaningful per-op number needs the
+        # fixed-combiner variant (MAX_OPS = inf), exactly as the paper's
+        # footnote 4 does.
         if service_ids and total_ops:
-            bd = obs.counters.service_breakdown(service_ids, obs_before)
-            result.extra["obs.service_cycles_per_op"] = (
-                (bd["busy"] + bd["stall"]) / total_ops)
-            result.extra["obs.service_stall_per_op"] = bd["stall"] / total_ops
-        cores = delta["core"].values()
-        result.extra["obs.misses"] = float(
-            sum(c.get("misses", 0) for c in cores))
-        result.extra["obs.invalidations"] = float(
-            sum(c.get("invalidations_received", 0) for c in cores))
-        result.extra["obs.udn_words_sent"] = float(
-            sum(c.get("udn_words_sent", 0) for c in cores))
-        result.extra["obs.flit_cycles"] = float(
-            sum(lk.get("flit_cycles", 0) for lk in delta["link"].values()))
-        if delta["line"]:
-            hot_line, hot = max(delta["line"].items(),
-                                key=lambda kv: kv[1].get("stall_cycles", 0))
-            result.extra["obs.hottest_line"] = float(hot_line)
-            result.extra["obs.hottest_line_stall_cycles"] = float(
-                hot.get("stall_cycles", 0))
+            busy = stall = 0
+            for cid in service_ids:
+                delta = machine.cores[cid].delta(snapshots[cid])
+                busy += delta["busy"]
+                stall += (delta["stall_mem"] + delta["stall_atomic"]
+                          + delta["stall_fence"])
+            result.service_cycles_per_op = (busy + stall) / total_ops
+            result.service_stall_per_op = stall / total_ops
 
-    # continuous-telemetry summary (excluded from figure fingerprints as
-    # a field, like the host-perf provenance below)
-    if sampler is not None:
-        result.telemetry = sampler.summary()
-    if obs is not None and getattr(obs, "spatial", None) is not None:
-        if result.telemetry is None:
-            result.telemetry = {}
-        result.telemetry["spatial"] = obs.spatial.summary()
+        # atomic-instruction rates across application threads
+        if total_ops:
+            cas = cas_fail = atomics = 0
+            for ctx, snap in zip(ctxs, app_snapshots):
+                delta = ctx.core.delta(snap)
+                cas += delta["cas_ops"]
+                cas_fail += delta["cas_failures"]
+                atomics += delta["atomic_ops"]
+            result.cas_per_op = cas / total_ops
+            result.cas_failures_per_op = cas_fail / total_ops
+            result.atomics_per_op = atomics / total_ops
 
-    # host-perf provenance (wall time / engine event rate); see the
-    # RunResult field docs -- never feeds back into simulated results
-    result.host_wall_seconds = time.perf_counter() - host_t0
-    result.host_events_processed = machine.sim.events_processed - host_ev0
+        # combining rate (Figure 4b): mean ops per session closed in-window
+        if prim is not None:
+            window_sessions = [
+                ops for (t, ops) in prim.combining_sessions[sessions_before:]
+            ]
+            if window_sessions:
+                result.combining_rate = float(np.mean(window_sessions))
 
-    return result
+        # observability: reconstruct the same numbers from the perf
+        # counter file and attach window totals (``obs.*`` extras)
+        if obs is not None:
+            delta = obs.counters.delta(obs_before)
+            if service_ids and total_ops:
+                bd = obs.counters.service_breakdown(service_ids, obs_before)
+                result.extra["obs.service_cycles_per_op"] = (
+                    (bd["busy"] + bd["stall"]) / total_ops)
+                result.extra["obs.service_stall_per_op"] = (
+                    bd["stall"] / total_ops)
+            cores = delta["core"].values()
+            result.extra["obs.misses"] = float(
+                sum(c.get("misses", 0) for c in cores))
+            result.extra["obs.invalidations"] = float(
+                sum(c.get("invalidations_received", 0) for c in cores))
+            result.extra["obs.udn_words_sent"] = float(
+                sum(c.get("udn_words_sent", 0) for c in cores))
+            result.extra["obs.flit_cycles"] = float(
+                sum(lk.get("flit_cycles", 0) for lk in delta["link"].values()))
+            if delta["line"]:
+                hot_line, hot = max(delta["line"].items(),
+                                    key=lambda kv: kv[1].get("stall_cycles", 0))
+                result.extra["obs.hottest_line"] = float(hot_line)
+                result.extra["obs.hottest_line_stall_cycles"] = float(
+                    hot.get("stall_cycles", 0))
+
+    return close

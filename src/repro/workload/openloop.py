@@ -53,6 +53,7 @@ from repro.core.api import NULL_ARG, DispatchTimeout, SyncPrimitive
 from repro.machine.machine import Machine, ThreadCtx
 from repro.obs.timeseries import TimeSeries
 from repro.sim.resources import Condition
+from repro.workload.driver import Window, validate_window
 from repro.workload.metrics import RunResult
 
 __all__ = [
@@ -235,16 +236,7 @@ class OpenLoopSpec:
     depth_sample_cycles: int = 1_000
 
     def __post_init__(self) -> None:
-        if self.warmup_cycles < 0:
-            raise ValueError(
-                f"warmup_cycles must be >= 0, got {self.warmup_cycles}")
-        if self.measure_cycles < 1:
-            raise ValueError(
-                f"measure_cycles must be >= 1, got {self.measure_cycles}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        validate_window(self)
         if self.depth_sample_cycles < 1:
             raise ValueError("depth_sample_cycles must be >= 1, got "
                              f"{self.depth_sample_cycles}")
@@ -318,81 +310,97 @@ def _breaker_state() -> Dict[str, Any]:
     return {"consecutive": 0, "open_until": None, "half_open": False}
 
 
-def _dispatch(
-    ctx: ThreadCtx,
-    prim: SyncPrimitive,
-    opcode: int,
-    arg: int,
-    adm: AdmissionSpec,
-    state: Dict[str, Any],
-    counters: Dict[str, int],
-) -> Generator[Any, Any, Tuple[bool, Optional[int]]]:
-    """One admitted op through the policy; returns ``(completed, retval)``.
+class _Dispatcher:
+    """Admitted ops of one run through ``prim`` under the policy.
 
-    ``(False, None)`` means the op was dropped after exhausting its
-    retries -- every attempt ended in a pre-commit
-    :class:`DispatchTimeout`, so the op provably never executed.
+    Owns the run's in-flight gauge -- ops inside ``prim.apply_op`` right
+    now, registered-but-unserved plus in-service -- which the depth
+    series adds to the admission-queue lengths.  A fail-stop crash
+    abandons the caller without unwinding, so a crashed caller's
+    increment leaks: the gauge is a stat, not an invariant.
     """
-    if adm.policy != "retry":
-        retval = yield from prim.apply_op(ctx, opcode, arg)
-        return True, retval
-    sim = ctx.sim
-    attempt = 0
-    while True:
-        if state["open_until"] is not None:
-            # breaker open: local-spin fallback -- burn the cooldown on
-            # the client's own core instead of hammering the shared path,
-            # then half-open with the next dispatch as the probe
-            remaining = state["open_until"] - sim.now
-            if remaining > 0:
-                yield from ctx.work(remaining)
-            state["open_until"] = None
-            state["half_open"] = True
-        try:
-            retval = yield from prim.apply_op_timed(
-                ctx, opcode, arg, timeout=adm.dispatch_timeout_cycles)
-        except DispatchTimeout:
-            counters["timeouts"] += 1
-            state["consecutive"] += 1
-            tripped = adm.breaker_threshold is not None and (
-                state["half_open"]
-                or state["consecutive"] >= adm.breaker_threshold)
-            if state["half_open"]:
-                state["half_open"] = False
-            obs = sim.obs
-            if tripped:
-                state["open_until"] = sim.now + adm.breaker_cooldown_cycles
-                counters["breaker_trips"] += 1
-                if obs is not None:
-                    obs.emit("admit.breaker", tid=ctx.tid, state="open",
-                             until=state["open_until"])
-            if attempt >= adm.max_retries:
-                counters["retry_shed"] += 1
-                if obs is not None:
-                    obs.emit("admit.shed", tid=ctx.tid, op=-1, depth=0,
-                             reason="timeout")
-                return False, None
-            attempt += 1
-            counters["retries"] += 1
-            backoff = min(adm.backoff_cap_cycles,
-                          adm.backoff_base_cycles << (attempt - 1))
-            if obs is not None:
-                obs.emit("admit.retry", tid=ctx.tid, attempt=attempt,
-                         backoff=backoff)
-            yield from ctx.work(backoff)
-        else:
-            state["consecutive"] = 0
-            if state["half_open"]:
+
+    def __init__(self, prim: SyncPrimitive, opcode: int, adm: AdmissionSpec):
+        self.prim = prim
+        self.opcode = opcode
+        self.adm = adm
+        self.inflight = 0
+        self.counters: Dict[str, int] = {"timeouts": 0, "retries": 0,
+                                         "retry_shed": 0, "breaker_trips": 0}
+
+    def dispatch(self, ctx: ThreadCtx, arg: int, state: Dict[str, Any]
+                 ) -> Generator[Any, Any, Tuple[bool, Optional[int]]]:
+        """One admitted op; returns ``(completed, retval)``.
+
+        ``(False, None)`` means the op was dropped after exhausting its
+        retries -- every attempt ended in a pre-commit
+        :class:`DispatchTimeout`, so the op provably never executed.
+        Without the retry policy there is no deadline, so the first
+        attempt always completes.
+        """
+        adm, counters = self.adm, self.counters
+        sim = ctx.sim
+        attempt = 0
+        while True:
+            if state["open_until"] is not None:
+                # breaker open: local-spin fallback -- burn the cooldown on
+                # the client's own core instead of hammering the shared
+                # path, then half-open with the next dispatch as the probe
+                remaining = state["open_until"] - sim.now
+                if remaining > 0:
+                    yield from ctx.work(remaining)
+                state["open_until"] = None
+                state["half_open"] = True
+            try:
+                self.inflight += 1
+                try:
+                    retval = yield from self.prim.apply_op(
+                        ctx, self.opcode, arg,
+                        timeout=adm.dispatch_timeout_cycles)
+                finally:
+                    self.inflight -= 1
+            except DispatchTimeout:
+                counters["timeouts"] += 1
+                state["consecutive"] += 1
+                tripped = adm.breaker_threshold is not None and (
+                    state["half_open"]
+                    or state["consecutive"] >= adm.breaker_threshold)
                 state["half_open"] = False
                 obs = sim.obs
+                if tripped:
+                    state["open_until"] = sim.now + adm.breaker_cooldown_cycles
+                    counters["breaker_trips"] += 1
+                    if obs is not None:
+                        obs.emit("admit.breaker", tid=ctx.tid, state="open",
+                                 until=state["open_until"])
+                if attempt >= adm.max_retries:
+                    counters["retry_shed"] += 1
+                    if obs is not None:
+                        obs.emit("admit.shed", tid=ctx.tid, op=-1, depth=0,
+                                 reason="timeout")
+                    return False, None
+                attempt += 1
+                counters["retries"] += 1
+                backoff = min(adm.backoff_cap_cycles,
+                              adm.backoff_base_cycles << (attempt - 1))
                 if obs is not None:
-                    obs.emit("admit.breaker", tid=ctx.tid, state="closed",
-                             until=0)
-            return True, retval
+                    obs.emit("admit.retry", tid=ctx.tid, attempt=attempt,
+                             backoff=backoff)
+                yield from ctx.work(backoff)
+            else:
+                state["consecutive"] = 0
+                if state["half_open"]:
+                    state["half_open"] = False
+                    obs = sim.obs
+                    if obs is not None:
+                        obs.emit("admit.breaker", tid=ctx.tid, state="closed",
+                                 until=0)
+                return True, retval
 
 
 # ---------------------------------------------------------------------------
-# bounded scripts (correctness tools: history recording, exploration)
+# sources and workers (bounded for the correctness tools, unbounded under
+# the windowed driver)
 # ---------------------------------------------------------------------------
 
 def bounded_source(
@@ -400,15 +408,16 @@ def bounded_source(
     queue: AdmissionQueue,
     arrivals: ArrivalSpec,
     rng: np.random.Generator,
-    n_ops: int,
+    n_ops: Optional[int],
 ) -> Generator[Any, Any, None]:
-    """Offer exactly ``n_ops`` arrivals, then close the queue.
+    """Offer ``n_ops`` arrivals (forever when None), then close the queue.
 
     The gaps are pure simulated-time delays (``yield gap``), not core
     work: the source models the outside world, so it charges nothing to
     any core's counters.
     """
-    for k, gap in zip(range(n_ops), arrivals.gaps(rng)):
+    ks = itertools.count() if n_ops is None else range(n_ops)
+    for k, gap in zip(ks, arrivals.gaps(rng)):
         yield gap
         queue.offer(k)
     queue.close()
@@ -431,22 +440,43 @@ def bounded_worker(
     completed op (the hook the linearizability scenarios use to record
     history); ``on_shed(ctx, k)`` for every retry-shed one.
     """
+    def done(k: int, ok: bool, retval: Optional[int], t_arr: int,
+             t_take: int) -> None:
+        if ok and on_result is not None:
+            on_result(ctx, k, retval, t_take, ctx.sim.now)
+        elif not ok and on_shed is not None:
+            on_shed(ctx, k)
+
+    return _worker(ctx, queue, _Dispatcher(prim, opcode, adm), arg_of, done)
+
+
+def _worker(
+    ctx: ThreadCtx,
+    queue: AdmissionQueue,
+    dispatcher: _Dispatcher,
+    arg_of: Optional[Callable[[ThreadCtx, int], int]],
+    done: Callable[[int, bool, Optional[int], int, int], None],
+    window: Optional[Window] = None,
+) -> Generator[Any, Any, None]:
+    """The one worker body: take, dispatch, ``done(k, ok, retval, t_arr,
+    t_take)``.  Under a ``window`` each op is an ``op.begin``/``op.end``
+    span from arrival to completion."""
     state = _breaker_state()
-    counters: Dict[str, int] = {"timeouts": 0, "retries": 0,
-                                "retry_shed": 0, "breaker_trips": 0}
+    sim = ctx.sim
     while True:
         item = yield from queue.take()
         if item is None:
             return
-        k, _t_arr = item
-        arg = arg_of(ctx, k) if arg_of is not None else NULL_ARG
-        t0 = ctx.sim.now
-        ok, retval = yield from _dispatch(ctx, prim, opcode, arg, adm,
-                                          state, counters)
-        if ok and on_result is not None:
-            on_result(ctx, k, retval, t0, ctx.sim.now)
-        elif not ok and on_shed is not None:
-            on_shed(ctx, k)
+        k, t_arr = item
+        t_take = sim.now
+        obs = sim.obs if window is not None else None
+        if obs is not None:
+            op_id = window.begin(obs, ctx)
+        ok, retval = yield from dispatcher.dispatch(
+            ctx, arg_of(ctx, k) if arg_of is not None else NULL_ARG, state)
+        if obs is not None:
+            window.end(obs, ctx, op_id, t_arr)
+        done(k, ok, retval, t_arr, t_take)
 
 
 # ---------------------------------------------------------------------------
@@ -475,21 +505,15 @@ def run_openloop_workload(
     if not ctxs:
         raise ValueError("run_openloop_workload needs at least one client "
                          "thread (got an empty ctxs sequence)")
+    window = Window(machine, len(ctxs), spec, name=name, prim=prim)
     adm = spec.admission
     sim = machine.sim
-    n = len(ctxs)
-
+    dispatcher = _Dispatcher(prim, opcode, adm)
     queues = [AdmissionQueue(machine, ctx.tid, adm.capacity) for ctx in ctxs]
-    in_window = {"on": False}
     window_t0 = spec.warmup_cycles
     slice_len = max(1, spec.measure_cycles // _SLO_SLICES)
 
-    ops_done = [0] * n
-    latencies: List[int] = []          # sojourn = completion - arrival
     admit_waits: List[int] = []        # take - arrival
-    offered_w = {"n": 0}
-    counters: Dict[str, int] = {"timeouts": 0, "retries": 0,
-                                "retry_shed": 0, "breaker_trips": 0}
     # per-slice SLO accounting (completions, violations, max depth seen)
     slice_completions = [0] * _SLO_SLICES
     slice_violations = [0] * _SLO_SLICES
@@ -501,59 +525,31 @@ def run_openloop_workload(
     depth_ts = TimeSeries("admit.qdepth", kind="gauge", buckets=512,
                           bucket_cycles=spec.depth_sample_cycles,
                           t0=window_t0, unit="reqs")
-    next_op_id = itertools.count()
 
     def _slice_of(t: int) -> int:
         return min(_SLO_SLICES - 1, (t - window_t0) // slice_len)
 
-    def source(i: int, ctx: ThreadCtx, q: AdmissionQueue) -> Generator:
-        rng = np.random.default_rng([spec.seed, ctx.tid])
-        k = 0
-        for gap in spec.arrivals.gaps(rng):
-            yield gap
-            if in_window["on"]:
-                offered_w["n"] += 1
-            q.offer(k)
-            k += 1
-
-    def worker(i: int, ctx: ThreadCtx, q: AdmissionQueue) -> Generator:
-        state = _breaker_state()
-        while True:
-            item = yield from q.take()
-            if item is None:
-                return
-            k, t_arr = item
-            t_take = sim.now
-            obs = sim.obs
-            if obs is not None:
-                op_id = next(next_op_id)
-                obs.emit("op.begin", core=ctx.core.cid, tid=ctx.tid,
-                         op=op_id, prim=name)
-            ok, _retval = yield from _dispatch(ctx, prim, opcode,
-                                               arg_of(ctx, k) if arg_of
-                                               else NULL_ARG,
-                                               adm, state, counters)
-            t_done = sim.now
-            if obs is not None:
-                obs.emit("op.end", core=ctx.core.cid, tid=ctx.tid,
-                         op=op_id, start=t_arr, measured=in_window["on"])
-            if ok and in_window["on"]:
-                ops_done[i] += 1
+    def done_of(i: int) -> Callable[[int, bool, Optional[int], int, int], None]:
+        def done(k: int, ok: bool, retval: Optional[int], t_arr: int,
+                 t_take: int) -> None:
+            if ok and window.on:
+                t_done = sim.now
                 sojourn = t_done - t_arr
-                latencies.append(sojourn)
+                window.complete(i, sojourn)    # latency = sojourn
                 admit_waits.append(t_take - t_arr)
                 s = _slice_of(t_done)
                 slice_completions[s] += 1
                 if adm.slo_cycles is not None and sojourn > adm.slo_cycles:
                     slice_violations[s] += 1
+        return done
 
     def _depth() -> int:
-        return sum(len(q) for q in queues) + prim.inflight
+        return sum(len(q) for q in queues) + dispatcher.inflight
 
     def depth_sampler() -> Generator:
         while True:
             yield spec.depth_sample_cycles
-            if in_window["on"]:
+            if window.on:
                 depth = _depth()
                 depth_ts.record(sim.now, depth)
                 s = _slice_of(sim.now)
@@ -561,105 +557,65 @@ def run_openloop_workload(
                     slice_depth_max[s] = depth
 
     for i, (ctx, q) in enumerate(zip(ctxs, queues)):
-        machine.spawn(ctx, source(i, ctx, q), name=f"source-{ctx.tid}")
-        machine.spawn(ctx, worker(i, ctx, q), name=f"worker-{ctx.tid}")
+        rng = np.random.default_rng([spec.seed, ctx.tid])
+        machine.spawn(ctx, bounded_source(ctx, q, spec.arrivals, rng, None),
+                      name=f"source-{ctx.tid}")
+        machine.spawn(ctx, _worker(ctx, q, dispatcher, arg_of, done_of(i),
+                                   window),
+                      name=f"worker-{ctx.tid}")
     sim.spawn(depth_sampler(), name="qdepth-sampler", daemon=True)
 
-    # continuous telemetry: expose the admission depth and completed-op
-    # count to the machine's sampler (pure observation -- registered only
-    # when an observability session enabled timeseries sampling); the
-    # run label is set up front so incident bundles dumped mid-run
-    # already carry it
+    def open_window() -> Callable[[RunResult], None]:
+        shed0 = sum(q.shed for q in queues)
+        enq0 = sum(q.enqueued for q in queues)
+        counters = dispatcher.counters
+        counters0 = dict(counters)
+
+        def close(result: RunResult) -> None:
+            x = result.extra
+            clock = result.clock_mhz
+            if admit_waits:
+                x["ol.p999_latency"] = float(
+                    np.percentile(np.asarray(window.latencies), 99.9))
+                x["ol.mean_admit_wait"] = float(np.mean(admit_waits))
+            queue_shed = sum(q.shed for q in queues) - shed0
+            admitted = sum(q.enqueued for q in queues) - enq0
+            retry_shed = counters["retry_shed"] - counters0["retry_shed"]
+            # every arrival offered in the window was admitted or shed
+            x["ol.offered_mops"] = ((admitted + queue_shed) * clock
+                                    / spec.measure_cycles)
+            x["ol.goodput_mops"] = result.ops * clock / spec.measure_cycles
+            x["ol.admitted"] = float(admitted)
+            x["ol.shed"] = float(queue_shed + retry_shed)
+            x["ol.shed_queue"] = float(queue_shed)
+            x["ol.shed_timeout"] = float(retry_shed)
+            for key in ("timeouts", "retries", "breaker_trips"):
+                x[f"ol.{key}"] = float(counters[key] - counters0[key])
+
+            result.queue_depth_series = [[t, v] for t, v in depth_ts.points()]
+            if depth_ts.samples:
+                # exact under any number of ring wraps: max composes, the
+                # mean is total-sum / total-count, and the final value is
+                # tracked directly
+                x["ol.qdepth_max"] = float(depth_ts.peak())
+                x["ol.qdepth_mean"] = float(depth_ts.mean())
+                x["ol.qdepth_final"] = float(depth_ts.last_value)
+
+            if adm.slo_cycles is not None:
+                # a slice is in-SLO when nothing completed over target in
+                # it and it was not silently starved (no completions while
+                # work queued)
+                good = sum(
+                    1 for s in range(_SLO_SLICES)
+                    if not slice_violations[s]
+                    and (slice_completions[s] > 0 or slice_depth_max[s] == 0))
+                x["ol.time_in_slo"] = good / _SLO_SLICES
+        return close
+
+    # continuous telemetry: the admission depth beside the window's
+    # completed-op count (registered only when sampling is enabled)
     ob = machine.obs
-    if ob is not None:
-        ob.label = f"{name} T={len(ctxs)}"
-    sampler = ob.sampler if ob is not None else None
-    if sampler is not None:
-        sampler.register("admit.qdepth", _depth, kind="gauge", unit="reqs",
-                         replace=True)
-        sampler.register("goodput", lambda: sum(ops_done), kind="counter",
-                         unit="ops", replace=True)
-
-    machine.run(until=spec.warmup_cycles)
-    in_window["on"] = True
-    shed0 = sum(q.shed for q in queues)
-    enq0 = sum(q.enqueued for q in queues)
-    counters0 = dict(counters)
-
-    machine.run(until=spec.warmup_cycles + spec.measure_cycles)
-    in_window["on"] = False
-
-    total_ops = sum(ops_done)
-    clock = machine.cfg.clock_mhz
-    result = RunResult(
-        name=name,
-        num_threads=n,
-        window_cycles=spec.measure_cycles,
-        ops=total_ops,
-        clock_mhz=clock,
-        per_thread_ops=list(ops_done),
-    )
-    result.latency_samples = latencies
-    if latencies:
-        arr = np.asarray(latencies)
-        result.mean_latency_cycles = float(arr.mean())
-        result.p50_latency_cycles = float(np.percentile(arr, 50))
-        result.p95_latency_cycles = float(np.percentile(arr, 95))
-        result.p99_latency_cycles = float(np.percentile(arr, 99))
-        result.extra["ol.p999_latency"] = float(np.percentile(arr, 99.9))
-        result.extra["ol.mean_admit_wait"] = float(np.mean(admit_waits))
-
-    queue_shed = sum(q.shed for q in queues) - shed0
-    retry_shed = counters["retry_shed"] - counters0["retry_shed"]
-    result.extra["ol.offered_mops"] = (
-        offered_w["n"] * clock / spec.measure_cycles)
-    result.extra["ol.goodput_mops"] = total_ops * clock / spec.measure_cycles
-    result.extra["ol.admitted"] = float(sum(q.enqueued for q in queues) - enq0)
-    result.extra["ol.shed"] = float(queue_shed + retry_shed)
-    result.extra["ol.shed_queue"] = float(queue_shed)
-    result.extra["ol.shed_timeout"] = float(retry_shed)
-    result.extra["ol.timeouts"] = float(
-        counters["timeouts"] - counters0["timeouts"])
-    result.extra["ol.retries"] = float(
-        counters["retries"] - counters0["retries"])
-    result.extra["ol.breaker_trips"] = float(
-        counters["breaker_trips"] - counters0["breaker_trips"])
-
-    result.queue_depth_series = [[t, v] for t, v in depth_ts.points()]
-    if depth_ts.samples:
-        # exact under any number of ring wraps: max composes, the mean is
-        # total-sum / total-count, and the final value is tracked directly
-        result.extra["ol.qdepth_max"] = float(depth_ts.peak())
-        result.extra["ol.qdepth_mean"] = float(depth_ts.mean())
-        result.extra["ol.qdepth_final"] = float(depth_ts.last_value)
-    if sampler is not None:
-        result.telemetry = sampler.summary()
-    if ob is not None and getattr(ob, "spatial", None) is not None:
-        if result.telemetry is None:
-            result.telemetry = {}
-        result.telemetry["spatial"] = ob.spatial.summary()
-
-    if adm.slo_cycles is not None:
-        # a slice is in-SLO when nothing completed over target in it and
-        # it was not silently starved (no completions while work queued)
-        good = 0
-        for s in range(_SLO_SLICES):
-            if slice_violations[s]:
-                continue
-            if slice_completions[s] > 0 or slice_depth_max[s] == 0:
-                good += 1
-        result.extra["ol.time_in_slo"] = good / _SLO_SLICES
-
-    # recovery metrics, as in the closed-loop driver (fault-injection runs)
-    stats = getattr(prim, "recovery_stats", None)
-    if stats:
-        ttr = stats.get("time_to_recovery")
-        result.time_to_recovery_cycles = (
-            float(ttr) if ttr is not None else None)
-        result.ops_retried = int(stats.get("ops_retried", 0))
-        result.duplicates_suppressed = int(
-            stats.get("duplicates_suppressed", 0))
-        result.failovers = int(stats.get("failovers", 0))
-        result.takeovers = int(stats.get("takeovers", 0))
-
-    return result
+    if ob is not None and ob.sampler is not None:
+        ob.sampler.register("admit.qdepth", _depth, kind="gauge",
+                            unit="reqs", replace=True)
+    return window.run(open_window)

@@ -19,7 +19,7 @@ Implementation labels follow the paper's legends:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core import CCSynch, HybComb, MPServer, OpTable, ShmServer
 from repro.core.api import SyncPrimitive
@@ -103,6 +103,34 @@ def _fresh_machine(cfg: Optional[MachineConfig]) -> Machine:
     return Machine(cfg if cfg is not None else tile_gx())
 
 
+def _increments(counter: LockedCounter):
+    """``make_op`` for the counter benchmarks: every op is one increment."""
+    def make_op(ctx: ThreadCtx):
+        def op(k: int):
+            yield from counter.increment(ctx)
+        return op
+    return make_op
+
+
+def _alternating(push, pop, empties: Dict[str, int]):
+    """``make_op`` for balanced load: even ops push a thread-unique
+    value, odd ops pop; ``empties["n"]`` counts pops that found nothing.
+    Values stay below 2^31 so the same workload drives LCRQ (the paper's
+    32-bit port)."""
+    def make_op(ctx: ThreadCtx):
+        vbase = (ctx.tid + 1) << 16
+
+        def op(k: int):
+            if k % 2 == 0:
+                yield from push(ctx, vbase | (k // 2 & 0xFFFF))
+            else:
+                v = yield from pop(ctx)
+                if v == EMPTY:
+                    empties["n"] += 1
+        return op
+    return make_op
+
+
 # ---------------------------------------------------------------------------
 # counter (Figures 3a, 3b, 3c, 4a, 4b)
 # ---------------------------------------------------------------------------
@@ -143,13 +171,8 @@ def run_counter_benchmark(
     ctxs = [machine.thread(tid) for tid in tids]
     if fault_plan is not None and fault_plan:
         FaultInjector(machine, fault_plan).install()
-
-    def make_op(ctx: ThreadCtx):
-        def op(k: int):
-            yield from counter.increment(ctx)
-        return op
-
-    return run_workload(machine, ctxs, make_op, spec, name=approach, prim=prim)
+    return run_workload(machine, ctxs, _increments(counter), spec,
+                        name=approach, prim=prim)
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +210,9 @@ def run_fault_recovery_benchmark(
     ctxs = [machine.thread(tid) for tid in range(2, num_clients + 2)]
     if fault_plan is not None and fault_plan:
         FaultInjector(machine, fault_plan).install()
-
-    def make_op(ctx: ThreadCtx):
-        def op(k: int):
-            yield from counter.increment(ctx)
-        return op
-
     name = "mp-server-ft" + ("-faulty" if fault_plan else "")
-    return run_workload(machine, ctxs, make_op, spec, name=name, prim=prim)
+    return run_workload(machine, ctxs, _increments(counter), spec, name=name,
+                        prim=prim)
 
 
 def run_cs_length_benchmark(
@@ -241,8 +259,6 @@ def run_queue_benchmark(
 
     Balanced load: every client alternates enqueue and dequeue, so over
     any window enqueues and dequeues are issued in equal numbers.
-    Values are kept below 2^31 so the same workload drives LCRQ (the
-    paper's 32-bit port).
     """
     spec = spec or WorkloadSpec()
     machine = _fresh_machine(cfg)
@@ -272,21 +288,7 @@ def run_queue_benchmark(
 
     ctxs = [machine.thread(tid) for tid in tids]
     empties = {"n": 0}
-
-    def make_op(ctx: ThreadCtx):
-        state = {"k": 0}
-        vbase = (ctx.tid + 1) << 16
-
-        def op(k: int):
-            if state["k"] % 2 == 0:
-                yield from queue.enqueue(ctx, vbase | (state["k"] // 2 & 0xFFFF))
-            else:
-                v = yield from queue.dequeue(ctx)
-                if v == EMPTY:
-                    empties["n"] += 1
-            state["k"] += 1
-        return op
-
+    make_op = _alternating(queue.enqueue, queue.dequeue, empties)
     result = run_workload(machine, ctxs, make_op, spec, name=impl, prim=prim)
     result.extra["empty_dequeues"] = empties["n"]
     return result
@@ -322,21 +324,7 @@ def run_stack_benchmark(
 
     ctxs = [machine.thread(tid) for tid in tids]
     empties = {"n": 0}
-
-    def make_op(ctx: ThreadCtx):
-        state = {"k": 0}
-        vbase = (ctx.tid + 1) << 16
-
-        def op(k: int):
-            if state["k"] % 2 == 0:
-                yield from stack.push(ctx, vbase | (state["k"] // 2 & 0xFFFF))
-            else:
-                v = yield from stack.pop(ctx)
-                if v == EMPTY:
-                    empties["n"] += 1
-            state["k"] += 1
-        return op
-
+    make_op = _alternating(stack.push, stack.pop, empties)
     result = run_workload(machine, ctxs, make_op, spec, name=impl, prim=prim)
     result.extra["empty_pops"] = empties["n"]
     return result

@@ -9,10 +9,13 @@ and the windowed driver's unbounded-vs-bounded degradation contrast.
 import numpy as np
 import pytest
 
+from repro.analysis.series import FigureData
 from repro.core import MPServer, OpTable, ShmServer
 from repro.core.api import DispatchTimeout
 from repro.machine import Machine, tile_gx
 from repro.objects import LockedCounter
+from repro.workload import APPROACH_BUILDERS, WorkloadSpec
+from repro.workload.driver import run_ops
 from repro.workload.metrics import RunResult
 from repro.workload.openloop import (
     AdmissionQueue,
@@ -21,8 +24,11 @@ from repro.workload.openloop import (
     OpenLoopSpec,
     bounded_source,
     bounded_worker,
+    _breaker_state,
+    _Dispatcher,
     run_openloop_workload,
 )
+from repro.workload.scenarios import build_approach
 
 
 # -- arrival processes ------------------------------------------------------
@@ -128,10 +134,25 @@ def test_admission_spec_rejects_inconsistent_combos(kw):
 @pytest.mark.parametrize("kw", [
     {"warmup_cycles": -1}, {"measure_cycles": 0}, {"seed": -1},
     {"seed": True}, {"seed": 1.5}, {"depth_sample_cycles": 0},
+    {"measure_cycles": -100}, {"seed": "42"},
 ])
 def test_openloop_spec_rejects_bad_timing(kw):
     with pytest.raises(ValueError):
         OpenLoopSpec(**kw)
+
+
+@pytest.mark.parametrize("kw", [
+    {"warmup_cycles": -1}, {"measure_cycles": 0}, {"measure_cycles": -100},
+    {"seed": -1}, {"seed": True}, {"seed": 1.5}, {"seed": "42"},
+])
+def test_window_and_seed_checks_shared_by_both_specs(kw):
+    """An empty window or a bad seed reads the same for either loop."""
+    messages = []
+    for spec_cls in (WorkloadSpec, OpenLoopSpec):
+        with pytest.raises(ValueError) as exc:
+            spec_cls(**kw)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
 
 
 # -- admission queue --------------------------------------------------------
@@ -284,18 +305,23 @@ def _unclaimed_shm(n_clients=1):
 
 def test_dispatch_timeout_is_side_effect_free_and_restores_inflight():
     m, prim, ctr, (ctx,) = _unclaimed_shm()
+    adm = AdmissionSpec(policy="retry", capacity=1,
+                        dispatch_timeout_cycles=400, max_retries=0)
+    d = _Dispatcher(prim, ctr._op_inc, adm)
 
     def client(c):
         try:
-            yield from prim.apply_op_timed(c, ctr._op_inc, timeout=400)
+            yield from prim.apply_op(c, ctr._op_inc, timeout=400)
         except DispatchTimeout as exc:
-            return ("timeout", exc.waited >= 400)
+            waited = exc.waited
+        ok, _ = yield from d.dispatch(c, 0, _breaker_state())
+        return ("timeout", waited >= 400, ok)
 
     p = m.spawn(ctx, client(ctx))
     m.run()
-    assert p.result == ("timeout", True)
+    assert p.result == ("timeout", True, False)
     assert ctr.value() == 0
-    assert prim.inflight == 0
+    assert d.inflight == 0
 
 
 def test_retry_policy_exhausts_and_sheds_with_backoff():
@@ -328,9 +354,7 @@ def test_circuit_breaker_trips_and_half_open_reprobe_retrips():
         q.offer(k)
     q.close()
     shed = []
-    from repro.workload.openloop import _breaker_state, _dispatch
-    counters = {"timeouts": 0, "retries": 0, "retry_shed": 0,
-                "breaker_trips": 0}
+    d = _Dispatcher(prim, ctr._op_inc, adm)
     state = _breaker_state()
 
     def worker(c):
@@ -338,17 +362,16 @@ def test_circuit_breaker_trips_and_half_open_reprobe_retrips():
             item = yield from q.take()
             if item is None:
                 return
-            ok, _ = yield from _dispatch(c, prim, ctr._op_inc, 0, adm,
-                                         state, counters)
+            ok, _ = yield from d.dispatch(c, 0, state)
             if not ok:
                 shed.append(item[0])
 
     m.spawn(ctx, worker(ctx))
     m.run()
     assert shed == [0, 1, 2]
-    assert counters["timeouts"] == 6           # 2 attempts per op
+    assert d.counters["timeouts"] == 6         # 2 attempts per op
     # trips at the threshold, then every half-open probe re-trips
-    assert counters["breaker_trips"] >= 3
+    assert d.counters["breaker_trips"] >= 3
     # cooldowns were actually served as local spin (no shared-path hammering)
     assert m.now >= 3 * adm.breaker_cooldown_cycles
 
@@ -402,8 +425,7 @@ def test_shm_cancellable_timeout_then_success_after_server_starts():
         timeouts = 0
         while True:
             try:
-                v = yield from prim.apply_op_timed(c, ctr._op_inc,
-                                                   timeout=600)
+                v = yield from prim.apply_op(c, ctr._op_inc, timeout=600)
                 return timeouts, v
             except DispatchTimeout:
                 timeouts += 1
@@ -428,7 +450,7 @@ def test_shm_server_skips_withdrawn_claim_of_abandoned_request():
 
     def client(c):
         try:
-            yield from prim.apply_op_timed(c, ctr._op_inc, timeout=600)
+            yield from prim.apply_op(c, ctr._op_inc, timeout=600)
         except DispatchTimeout:
             return "gave-up"
 
@@ -442,6 +464,59 @@ def test_shm_server_skips_withdrawn_claim_of_abandoned_request():
     assert p.result == "gave-up"
     assert ctr.value() == 0              # the abandoned op never executed
     assert prim.requests_cancelled == 1  # and the server saw the withdrawal
+
+
+@pytest.mark.parametrize("approach",
+                         APPROACH_BUILDERS + ("shm-server-cancellable",))
+def test_timed_apply_op_completes_or_times_out_untouched(approach):
+    """The dispatch contract: ``apply_op(timeout=T)`` either completes or
+    raises DispatchTimeout having executed nothing; the combiners never
+    raise it; and the driver's in-flight gauge drains back to 0.
+
+    Servers start late, so requests pile up (a full hardware buffer for
+    mp-server, unclaimed channels for shm-server) and deadlines expire.
+    """
+    m = Machine(tile_gx(udn_buffer_words=12))
+    ot = OpTable()
+    if approach == "shm-server-cancellable":
+        tids = range(1, 7)
+        prim = ShmServer(m, ot, server_tid=0, client_tids=tids,
+                         cancellable=True)
+    else:
+        prim, tids = build_approach(approach, m, ot, 6)
+    ctr = LockedCounter(prim)
+    adm = AdmissionSpec(policy="retry", capacity=1,
+                        dispatch_timeout_cycles=300, max_retries=0)
+    d = _Dispatcher(prim, ctr._op_inc, adm)
+    done = []
+
+    def client(c):
+        state = _breaker_state()
+        for _ in range(10):
+            ok, v = yield from d.dispatch(c, 0, state)
+            if ok:
+                done.append(v)
+
+    def late_start():
+        yield 3_000
+        prim.start()
+
+    if prim.service_threads:
+        m.sim.spawn(late_start(), name="late-start")
+    else:
+        prim.start()
+    ctxs = [m.thread(t) for t in tids]
+    run_ops(m, [(c, client(c)) for c in ctxs], prims=[prim])
+
+    timeouts = d.counters["timeouts"]
+    assert len(done) + timeouts == 10 * len(ctxs)
+    assert ctr.value() == len(done)          # a timed-out op ran nowhere
+    assert sorted(done) == list(range(len(done)))
+    if approach in ("mp-server", "shm-server-cancellable"):
+        assert timeouts > 0
+    else:
+        assert timeouts == 0                 # no abortable window
+    assert d.inflight == 0
 
 
 # -- the windowed open-loop driver ------------------------------------------
@@ -498,6 +573,18 @@ def test_openloop_driver_same_seed_bit_identical():
     assert a.latency_samples == b.latency_samples
     assert a.extra == b.extra
     assert a.queue_depth_series == b.queue_depth_series
+
+
+def test_openloop_result_carries_host_provenance():
+    """Open-loop points report host cost like closed-loop ones, and the
+    figure fingerprint ignores it."""
+    r, _ = _run_point("drop")
+    assert r.host_wall_seconds > 0 and r.host_events_processed > 0
+    fig = FigureData("host", "t", "x", "y")
+    fig.add_point("drop", 1, r)
+    before = fig.fingerprint()
+    r.host_wall_seconds, r.host_events_processed = 0.0, 0
+    assert fig.fingerprint() == before
 
 
 def test_openloop_driver_poisson_seed_changes_traffic():
