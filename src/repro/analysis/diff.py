@@ -81,6 +81,16 @@ _DIRECTION: Dict[str, int] = {
     # (the generic events_per_sec above stays informational); gated with
     # a generous threshold since it measures the CI host too
     "scale_events_per_sec": 1,
+    # BENCH_e2e: ok_frac and the deterministic per-layer counts gate as
+    # BENCHMARK.json declares (the wait/stall/backpressure/qdepth/timeout
+    # counts by the heuristics below); host timings and layer.* stay neutral
+    "ok_frac": 1, "fail_frac": -1, "core.combining_rate": 1,
+    **dict.fromkeys((
+        "sim.events_per_op machine.busy_cycles_per_op mem.loads_per_op "
+        "mem.stores_per_op mem.rmr_per_op mem.atomics_per_op mem.cas_fail_ratio "
+        "mem.dir_peak_entries mem.dir_nominal_bytes udn.msgs_per_op "
+        "noc.packets_per_op noc.flit_cycles_per_op core.service_cycles_per_op "
+        "obs.bus_events_per_op").split(), -1),
 }
 
 #: substring heuristics for metrics not in the explicit table (extras
@@ -96,7 +106,7 @@ def metric_direction(name: str) -> int:
     if d is not None:
         return d
     low = name.lower()
-    if low.startswith(("blame.", "ts.", "host")):
+    if low.startswith(("blame.", "ts.", "host", "layer.", "trace.")):
         return 0
     for pat in _HIGHER:
         if pat in low:

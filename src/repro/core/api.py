@@ -62,9 +62,6 @@ class OpTable:
         self._ops.append((name or fn.__name__, fn))
         return opcode
 
-    def name_of(self, opcode: int) -> str:
-        return self._ops[opcode][0]
-
     def __len__(self) -> int:
         return len(self._ops)
 

@@ -105,6 +105,3 @@ class FaultPlan:
 
     def __bool__(self) -> bool:
         return bool(self.faults)
-
-    def of_type(self, kind: type) -> Tuple[Fault, ...]:
-        return tuple(f for f in self.faults if isinstance(f, kind))

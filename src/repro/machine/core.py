@@ -67,10 +67,5 @@ class Core:
     def stall_total(self) -> int:
         return self.stall_mem + self.stall_atomic + self.stall_fence
 
-    @property
-    def cycles_total(self) -> int:
-        """Cycles attributable to this core's work (excludes idle waiting)."""
-        return self.busy + self.stall_total
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Core(cid={self.cid}, node={self.node}, busy={self.busy}, stall={self.stall_total})"

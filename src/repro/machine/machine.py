@@ -180,43 +180,43 @@ class ThreadCtx:
             self.core.wait += delay
             yield delay
 
-    # -- coherent shared memory -------------------------------------------
+    # -- coherent shared memory (these hand back the layer's generator) ---
     def load(self, addr: int) -> Generator[Any, Any, int]:
-        return (yield from self.mem.load(self.core, addr))
+        return self.mem.load(self.core, addr)
 
     def store(self, addr: int, value: int) -> Generator[Any, Any, None]:
-        yield from self.mem.store(self.core, addr, value)
+        return self.mem.store(self.core, addr, value)
 
     def faa(self, addr: int, delta: int) -> Generator[Any, Any, int]:
-        return (yield from self.mem.faa(self.core, addr, delta))
+        return self.mem.faa(self.core, addr, delta)
 
     def swap(self, addr: int, value: int) -> Generator[Any, Any, int]:
-        return (yield from self.mem.swap(self.core, addr, value))
+        return self.mem.swap(self.core, addr, value)
 
     def cas(self, addr: int, expected: int, new: int) -> Generator[Any, Any, bool]:
-        return (yield from self.mem.cas(self.core, addr, expected, new))
+        return self.mem.cas(self.core, addr, expected, new)
 
     def fence(self) -> Generator[Any, Any, None]:
-        yield from self.mem.fence(self.core)
+        return self.mem.fence(self.core)
 
     def prefetch(self, addr: int) -> Generator[Any, Any, None]:
         """Non-blocking software prefetch of ``addr``'s cache line."""
-        yield from self.mem.prefetch(self.core, addr)
+        return self.mem.prefetch(self.core, addr)
 
     def spin_until(self, addr: int, pred: Callable[[int], bool]) -> Generator[Any, Any, int]:
-        return (yield from self.mem.spin_until(self.core, addr, pred))
+        return self.mem.spin_until(self.core, addr, pred)
 
     # -- hardware message passing -------------------------------------------
     def send(self, dst_tid: int, words: Sequence[int],
              timeout: Optional[int] = None) -> Generator[Any, Any, None]:
-        yield from self._udn().send(self.core, dst_tid, words, timeout=timeout)
+        return self._udn().send(self.core, dst_tid, words, timeout)
 
     def receive(self, k: int = 1,
                 timeout: Optional[int] = None) -> Generator[Any, Any, List[int]]:
-        return (yield from self._udn().receive(self.core, self.tid, k, timeout=timeout))
+        return self._udn().receive(self.core, self.tid, k, timeout)
 
     def is_queue_empty(self) -> Generator[Any, Any, bool]:
-        return (yield from self._udn().is_queue_empty(self.core, self.tid))
+        return self._udn().is_queue_empty(self.core, self.tid)
 
     def _udn(self) -> UdnFabric:
         if self.udn is None:

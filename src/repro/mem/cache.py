@@ -545,9 +545,6 @@ class CoherentMemory:
         if entry is not None:
             entry.notify()
 
-    def line_resource(self, line_no: int) -> Resource:
-        return self._line(line_no).res
-
     def cached_state(self, cid: int, addr: int) -> Optional[str]:
         """This core's state for the line of ``addr`` (None = Invalid)."""
         entry = self._lines.get(self.line_of(addr))

@@ -78,7 +78,3 @@ class Allocator:
     def alloc_line(self) -> int:
         """Allocate one full isolated cache line; return its first address."""
         return self.alloc(self.line_words, isolated=True)
-
-    @property
-    def words_used(self) -> int:
-        return self._next

@@ -16,7 +16,7 @@ memory-controller serialization, never to NoC congestion).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Tuple
+from typing import Any, Dict, Generator
 
 from repro.noc.topology import Mesh
 from repro.sim.engine import Simulator
@@ -32,7 +32,9 @@ class ContendedMesh:
         self.sim = sim
         self.mesh = mesh
         self.link_occupancy = link_occupancy
-        self._links: Dict[Tuple[int, int], Resource] = {}
+        #: one FIFO per directed link ``a -> b``, created on first use and
+        #: keyed ``a * num_nodes + b`` (no tuple to build and hash per hop)
+        self._links: Dict[int, Resource] = {}
         #: total packets fully delivered (stats)
         self.packets_delivered = 0
         #: total cycles packets spent queued at links (stats)
@@ -41,13 +43,6 @@ class ContendedMesh:
         #: gauge: a running aggregate of the per-link ``flit_cycles``
         #: perf-counter registers, maintained whether or not obs is on)
         self.total_flit_cycles = 0
-
-    def _link(self, a: int, b: int) -> Resource:
-        res = self._links.get((a, b))
-        if res is None:
-            res = Resource(self.sim, capacity=1)
-            self._links[(a, b)] = res
-        return res
 
     def transit(self, src: int, dst: int, words: int = 1,
                 msg_id: Any = None) -> Generator[Any, Any, int]:
@@ -60,35 +55,48 @@ class ContendedMesh:
         spatial atlas can attribute per-hop queueing back to one UDN
         message; protocols never read it.
         """
-        t0 = self.sim.now
+        sim = self.sim
         mesh = self.mesh
+        t0 = sim.now
         if src != dst:
+            per_hop = mesh.per_hop
             occupancy = self.link_occupancy * words
-            for hop, (a, b) in enumerate(mesh.links(src, dst)):
-                link = self._link(a, b)
-                w0 = self.sim.now
-                yield from link.acquire()
-                wait = self.sim.now - w0
-                self.total_link_wait += wait
-                self.total_flit_cycles += max(occupancy, mesh.per_hop)
-                obs = self.sim.obs
+            busy = max(occupancy, per_hop)
+            # The link stays busy while the packet body streams through.
+            tail = occupancy - per_hop
+            links = self._links
+            nodes = mesh.num_nodes
+            path = mesh.route(src, dst)
+            a = src
+            for hop in range(len(path) - 1):
+                b = path[hop + 1]
+                link = links.get(a * nodes + b)
+                if link is None:
+                    link = links[a * nodes + b] = Resource(sim)
+                wait = 0
+                if not link.try_acquire():
+                    w0 = sim.now
+                    yield from link.acquire()
+                    wait = sim.now - w0
+                    self.total_link_wait += wait
+                self.total_flit_cycles += busy
+                obs = sim.obs
                 if obs is not None:
-                    obs.emit("noc.link", a=a, b=b, wait=wait,
-                             busy=max(occupancy, mesh.per_hop),
+                    obs.emit("noc.link", a=a, b=b, wait=wait, busy=busy,
                              hop=hop, msg_id=msg_id)
                 try:
-                    yield mesh.per_hop
+                    yield per_hop
                 finally:
-                    # The link stays busy while the packet body streams through.
-                    if occupancy > mesh.per_hop:
-                        self.sim.call_after(occupancy - mesh.per_hop, link.release)
+                    if tail > 0:
+                        sim.call_after(tail, link.release)
                     else:
                         link.release()
+                a = b
         # Router pipeline / injection+ejection overhead.
         yield mesh.base + mesh.per_word * (words - 1)
         self.packets_delivered += 1
-        obs = self.sim.obs
+        obs = sim.obs
         if obs is not None:
             obs.emit("noc.packet", src=src, dst=dst, words=words,
-                     cycles=self.sim.now - t0)
-        return self.sim.now - t0
+                     cycles=sim.now - t0)
+        return sim.now - t0

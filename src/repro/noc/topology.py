@@ -77,17 +77,17 @@ class Mesh:
         return self.base + self.per_hop * self.hops(src, dst) + self.per_word * (words - 1)
 
     def route(self, src: int, dst: int) -> List[int]:
-        """XY route as the list of nodes visited, inclusive of endpoints."""
-        sx, sy = self.coords(src)
-        dx, dy = self.coords(dst)
-        path = [self.node_at(sx, sy)]
-        x, y = sx, sy
-        while x != dx:
-            x += 1 if dx > x else -1
-            path.append(self.node_at(x, y))
-        while y != dy:
-            y += 1 if dy > y else -1
-            path.append(self.node_at(x, y))
+        """XY route as the list of nodes visited, inclusive of endpoints:
+        consecutive ids to the corner ``(dst_x, src_y)``, then stride ``width``."""
+        w = self.width
+        n = w * self.height
+        if not (0 <= src < n and 0 <= dst < n):
+            self._check(src)
+            self._check(dst)
+        corner = src + dst % w - src % w
+        path = list(range(src, corner, 1 if corner > src else -1))
+        step = w if dst >= corner else -w
+        path.extend(range(corner, dst + step, step))
         return path
 
     def links(self, src: int, dst: int) -> Iterator[Tuple[int, int]]:

@@ -411,11 +411,6 @@ class SpatialAtlas:
         return sorted(s["links"].items(),
                       key=lambda kv: (-kv[1]["share"], kv[0]))[:k]
 
-    def top_tiles(self, k: int = 5) -> List[Tuple[str, Dict[str, Any]]]:
-        s = self.summary()
-        return sorted(s["tiles"].items(),
-                      key=lambda kv: (-kv[1]["share"], int(kv[0])))[:k]
-
 
 def merge_spatial_summaries(summaries) -> Optional[Dict[str, Any]]:
     """Sum atlas summaries of same-shaped meshes (a sweep's machines).

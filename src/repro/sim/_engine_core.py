@@ -569,17 +569,29 @@ class Simulator:
     def call_at(self, when: int, fn: Callable[[], None]) -> None:
         """Run plain callback ``fn`` at absolute cycle ``when`` (>= now)."""
         now = self.now
-        if when < now:
-            raise ValueError(f"cannot schedule in the past ({when} < {now})")
-        cb = _Callback(self, fn)
-        if when == now:
-            self._fast.append(cb)
+        if when <= now:
+            if when < now:
+                raise ValueError(f"cannot schedule in the past ({when} < {now})")
+            self._fast.append(_Callback(self, fn))
+            return
+        b = self._buckets.get(when)
+        if b is None:
+            self._buckets[when] = [_Callback(self, fn)]
+            heapq.heappush(self._heap, when)
         else:
-            self._bucket_push(when, cb)
+            b.append(_Callback(self, fn))
 
     def call_after(self, delay: int, fn: Callable[[], None]) -> None:
         """Run plain callback ``fn`` after ``delay`` cycles."""
-        self.call_at(self.now + delay, fn)
+        when = self.now + delay
+        if delay <= 0:
+            return self.call_at(when, fn)  # same cycle, or an error
+        b = self._buckets.get(when)
+        if b is None:
+            self._buckets[when] = [_Callback(self, fn)]
+            heapq.heappush(self._heap, when)
+        else:
+            b.append(_Callback(self, fn))
 
     def set_sample_hook(self, every: int, fn: Callable[[int], None]) -> None:
         """Call ``fn(cycle)`` whenever the clock crosses an ``every``-cycle

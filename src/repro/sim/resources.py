@@ -62,11 +62,19 @@ class Resource:
     def queue_length(self) -> int:
         return len(self._waiters)
 
-    def acquire(self) -> Generator[Any, Any, None]:
-        self.total_acquisitions += 1
+    def try_acquire(self) -> bool:
+        """Take a free slot now (no generator); False, with nothing held or
+        counted, when the caller must queue: ``yield from res.acquire()``."""
         if self.in_use < self.capacity and not self._waiters:
             self.in_use += 1
+            self.total_acquisitions += 1
+            return True
+        return False
+
+    def acquire(self) -> Generator[Any, Any, None]:
+        if self.try_acquire():
             return
+        self.total_acquisitions += 1
         ev = Event(self.sim)
         self._waiters.append(ev)
         t0 = self.sim.now
@@ -87,9 +95,7 @@ class Resource:
         """
         if timeout < 1:
             raise ValueError("timeout must be >= 1 cycle")
-        if self.in_use < self.capacity and not self._waiters:
-            self.total_acquisitions += 1
-            self.in_use += 1
+        if self.try_acquire():
             return True
         ev = Event(self.sim)
         self._waiters.append(ev)
@@ -150,9 +156,14 @@ class Condition:
         return len(self._waiters)
 
     def wait(self) -> Generator[Any, Any, None]:
+        yield self.arm()
+
+    def arm(self) -> Event:
+        """Join the next :meth:`notify_all` and return the event to yield
+        (what ``wait`` does, for hot callers that park without its frame)."""
         ev = Event(self.sim, label=self.label)
         self._waiters.append(ev)
-        yield ev
+        return ev
 
     def notify_all(self) -> None:
         waiters, self._waiters = self._waiters, []

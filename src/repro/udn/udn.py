@@ -87,10 +87,17 @@ class _CoreBuffer:
         # each entry: [event, words_needed, granted?]
         self._waiters: Deque[list] = deque()
 
-    def reserve(self, n: int) -> Generator[Any, Any, None]:
-        """Acquire ``n`` words of buffer space, FIFO among blocked senders."""
+    def try_reserve(self, n: int) -> bool:
+        """Take ``n`` words now if no sender is queued; False (nothing
+        held) when the caller must queue via :meth:`reserve`."""
         if not self._waiters and self.free_words >= n:
             self.free_words -= n
+            return True
+        return False
+
+    def reserve(self, n: int) -> Generator[Any, Any, None]:
+        """Acquire ``n`` words of buffer space, FIFO among blocked senders."""
+        if self.try_reserve(n):
             return
         entry = [Event(self.sim, label=self.label), n, False]
         self._waiters.append(entry)
@@ -148,8 +155,9 @@ class UdnFabric:
             ]
             for c in cores
         ]
-        # thread id -> (core id, demux queue index)
+        # thread id -> (core id, demux queue index), and the inverse
         self._endpoints: Dict[int, Tuple[int, int]] = {}
+        self._owners: Dict[Tuple[int, int], int] = {}
         #: monotonically increasing message id (tags ``udn.send`` /
         #: ``udn.deliver`` events so the causal tracer can match a send to
         #: its delivery -- pure observability, never read by protocols)
@@ -208,16 +216,21 @@ class UdnFabric:
             raise ValueError(f"no core {core_id}")
         if not (0 <= demux < self.cfg.udn_demux_queues):
             raise ValueError(f"demux queue {demux} out of range")
-        for other_tid, (c, d) in self._endpoints.items():
-            if other_tid != tid and (c, d) == (core_id, demux):
-                raise ValueError(f"queue ({core_id},{demux}) already registered to thread {other_tid}")
-        self._endpoints[tid] = (core_id, demux)
+        queue = (core_id, demux)
+        other_tid = self._owners.get(queue, tid)
+        if other_tid != tid:
+            raise ValueError(f"queue ({core_id},{demux}) already registered to thread {other_tid}")
+        old = self._endpoints.get(tid)
+        if old is not None:
+            del self._owners[old]  # re-registration moves the thread
+        self._endpoints[tid] = queue
+        self._owners[queue] = tid
 
     def unregister(self, tid: int) -> None:
         q = self._queue_of(tid)
         if q.words:
             raise RuntimeError(f"thread {tid} unregistering with {len(q.words)} words pending")
-        del self._endpoints[tid]
+        del self._owners[self._endpoints.pop(tid)]
 
     def endpoint(self, tid: int) -> Tuple[int, int]:
         try:
@@ -258,7 +271,8 @@ class UdnFabric:
         # into the network and stall the sender).  FIFO among senders.
         t0 = self.sim.now
         if timeout is None:
-            yield from buf.reserve(n)
+            if not buf.try_reserve(n):
+                yield from buf.reserve(n)
         else:
             if timeout < 1:
                 raise ValueError("timeout must be >= 1 cycle")
@@ -387,18 +401,19 @@ class UdnFabric:
         """
         if k < 1:
             raise ValueError("must receive at least one word")
-        q = self._queue_of(tid)
+        core_id, demux = self.endpoint(tid)
+        q = self._queues[core_id][demux]
         t0 = self.sim.now
         if timeout is None:
             while len(q.words) < k:
-                yield from q.arrival_cond.wait()
+                yield q.arrival_cond.arm()
         else:
             if timeout < 1:
                 raise ValueError("timeout must be >= 1 cycle")
             timer = WaitTimer(self.sim, self.sim.current, self.sim.now + timeout)
             try:
                 while len(q.words) < k:
-                    yield from q.arrival_cond.wait()
+                    yield q.arrival_cond.arm()
             except Interrupt as exc:
                 if exc.cause is timer:
                     waited = self.sim.now - t0
@@ -428,7 +443,6 @@ class UdnFabric:
         out = [q.words.popleft() for _ in range(k)]
         # space frees at the *core buffer* of the receiving endpoint and is
         # handed to blocked senders in FIFO order
-        core_id, _ = self.endpoint(tid)
         self._buffers[core_id].release(k)
         return out
 

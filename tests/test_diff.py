@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +65,30 @@ def test_metric_direction_table():
 
 
 # -- diffing ---------------------------------------------------------------
+
+#: BENCH_e2e metrics that measure the host, not the simulated program
+_E2E_HOST = {"run_s", "setup_s", "wall_s", "host_speed", "peak_rss_mb",
+             "sim.ns_per_event", "trace.overhead"}
+
+
+def test_benchmark_json_directions():
+    """Deterministic e2e counts and ok_frac gate in the direction
+    BENCHMARK.json declares; host timings and layer.* shares never gate."""
+    root = Path(__file__).resolve().parents[1]
+    doc = json.loads((root / "BENCHMARK.json").read_text())
+    sign = {"higher": 1, "lower": -1}
+    gated = 0
+    for m in doc["end_to_end"] + doc["per_layer"]:
+        name = m["name"]
+        if name in _E2E_HOST or name.startswith("layer."):
+            assert metric_direction(name) == 0, name
+        else:
+            assert metric_direction(name) == sign[m["better"]], name
+            gated += 1
+    assert gated == 29  # 4 simulated end-to-end + 25 per-layer counts
+    for name in ("wall_s", "host_speed"):
+        assert metric_direction(name) == 0
+
 
 def test_self_diff_is_unchanged():
     a = record_from_bench(_bench_doc(), label="a")

@@ -153,3 +153,80 @@ def test_contended_same_node_transit():
     p = sim.spawn(proc())
     sim.run()
     assert p.result == 3  # just the router base
+
+
+# -- arithmetic XY route: differential against a node-by-node walk ----------
+
+
+def _walk_route(m, src, dst):
+    """Reference XY route, one checked node at a time through coords/node_at."""
+    (x, y), (dx, dy) = m.coords(src), m.coords(dst)
+    path = [m.node_at(x, y)]
+    while x != dx:
+        x += 1 if dx > x else -1
+        path.append(m.node_at(x, y))
+    while y != dy:
+        y += 1 if dy > y else -1
+        path.append(m.node_at(x, y))
+    return path
+
+
+@pytest.mark.parametrize("w,h", [(6, 6), (3, 5), (5, 3), (1, 4), (4, 1)])
+def test_route_and_links_equal_node_walk_on_every_pair(w, h):
+    m = Mesh(w, h)
+    for src in range(w * h):
+        for dst in range(w * h):
+            ref = _walk_route(m, src, dst)
+            assert m.route(src, dst) == ref
+            assert list(m.links(src, dst)) == list(zip(ref, ref[1:]))
+
+
+@given(st.integers(0, 1023), st.integers(0, 1023))
+def test_route_equals_node_walk_on_32x32(src, dst):
+    m = Mesh(32, 32)
+    assert m.route(src, dst) == _walk_route(m, src, dst)
+
+
+@pytest.mark.parametrize("src,dst", [(-1, 0), (0, -1), (15, 0), (0, 15), (99, 99)])
+def test_route_rejects_nodes_off_the_mesh(src, dst):
+    m = Mesh(3, 5)
+    with pytest.raises(ValueError, match="outside mesh of 15 nodes"):
+        m.route(src, dst)
+    with pytest.raises(ValueError):
+        m.links(src, dst)
+
+
+def test_contended_mesh_counts_pinned():
+    """Many-to-two UDN traffic over the contended 6x6 mesh.  Messages of
+    1-3 words queue at shared links and release them late (occupancy >
+    per-hop), so this pins the link-wait, flit and per-link register sums
+    the hop loop maintains."""
+    from repro.machine import Machine, tile_gx
+
+    sinks = (0, 21)
+    m = Machine(tile_gx(contended_noc=True))
+    ctxs = [m.thread(t) for t in range(36)]
+    expect = dict.fromkeys(sinks, 0)
+
+    def sender(ctx):
+        for i in range(6):
+            yield from ctx.send(sinks[i % 2], list(range(1 + (ctx.tid + i) % 3)))
+
+    def sink(ctx, words):
+        for _ in range(words):
+            yield from ctx.receive(1)
+
+    for ctx in ctxs:
+        if ctx.tid not in sinks:
+            for i in range(6):
+                expect[sinks[i % 2]] += 1 + (ctx.tid + i) % 3
+            m.spawn(ctx, sender(ctx))
+    for s in sinks:
+        m.spawn(ctxs[s], sink(ctxs[s], expect[s]))
+    m.run()
+    cm = m.contended_mesh
+    links = cm._links.values()
+    assert (cm.packets_delivered, cm.total_link_wait, cm.total_flit_cycles) == (204, 4240, 1656)
+    assert sum(r.total_acquisitions for r in links) == 828
+    assert sum(r.total_wait_cycles for r in links) == 4240
+    assert (m.sim.now, m.sim.events_processed) == (421, 2885)

@@ -317,3 +317,54 @@ def test_barrier_validates_parties():
     from repro.sim import Barrier
     with pytest.raises(ValueError):
         Barrier(Simulator(), parties=0)
+
+
+@pytest.mark.parametrize("capacity", [1, 2])
+def test_try_acquire_and_acquire_agree_under_a_queued_waiter(capacity):
+    """The non-generator fast path and the generator path grant the same
+    slots in the same FIFO order with the same counts; a refused
+    try_acquire holds and counts nothing."""
+
+    def scenario(fast_path):
+        sim = Simulator()
+        res = Resource(sim, capacity=capacity)
+        order, refused = [], []
+
+        def user(name, start, hold):
+            yield start
+            if fast_path:
+                if not res.try_acquire():
+                    refused.append((name, res.in_use))
+                    yield from res.acquire()
+            else:
+                yield from res.acquire()
+            order.append((name, sim.now))
+            yield hold
+            res.release()
+
+        for i, name in enumerate("abcdef"):
+            sim.spawn(user(name, i // 2, 5 + i))
+        sim.run()
+        assert res.in_use == 0 and res.queue_length == 0
+        return order, res.total_acquisitions, res.total_wait_cycles, refused
+
+    slow = scenario(False)
+    fast = scenario(True)
+    assert fast[:3] == slow[:3]
+    assert fast[1] == 6 and fast[2] > 0
+    # exactly the users that queued were refused, each at a full resource
+    assert [n for n, _ in fast[3]] == [n for n, _ in fast[0][capacity:]]
+    assert all(in_use == capacity for _, in_use in fast[3])
+
+
+def test_try_acquire_refuses_without_side_effects_while_held():
+    sim = Simulator()
+    res = Resource(sim)
+    assert res.try_acquire()
+    sim.spawn(res.acquire(), daemon=True)  # queues behind the holder
+    sim.run()
+    assert not res.try_acquire()
+    assert (res.in_use, res.queue_length, res.total_acquisitions) == (1, 1, 2)
+    res.release()  # the slot passes straight to the queued waiter
+    assert (res.in_use, res.queue_length) == (1, 0)
+    assert not res.try_acquire()

@@ -265,6 +265,52 @@ def test_demux_queue_collision_rejected():
         m.thread(4, core_id=3, demux=0)
 
 
+def test_1024_registrations_on_a_32x32_mesh():
+    from repro.machine import mesh_profile
+
+    m = Machine(mesh_profile(32, 32))
+    for tid in range(1024):
+        m.thread(tid)
+    assert m.udn.endpoint(1023) == (1023, 0)
+    with pytest.raises(ValueError,
+                       match=r"^queue \(517,0\) already registered to thread 517$"):
+        m.udn.register(5000, 517)
+    m.udn.register(5000, 517, demux=3)
+    assert m.udn.endpoint(5000) == (517, 3)
+
+
+def test_reregistered_thread_moves_queues_and_frees_the_old_one():
+    m = make_machine()
+    udn = m.udn
+    udn.register(7, 2, 0)
+    udn.register(7, 2, 0)  # same queue again: allowed
+    udn.register(7, 4, 1)  # moves
+    assert udn.endpoint(7) == (4, 1)
+    udn.register(8, 2, 0)  # the old queue is free
+    with pytest.raises(ValueError, match=r"queue \(4,1\) already registered to thread 7"):
+        udn.register(9, 4, 1)
+    udn.unregister(7)
+    udn.register(9, 4, 1)  # unregistering frees the queue too
+    assert udn.endpoint(9) == (4, 1)
+    with pytest.raises(KeyError, match="thread 7 is not registered"):
+        udn.endpoint(7)
+
+
+@pytest.mark.parametrize("call", [
+    lambda c: c.send(1, [1]), lambda c: c.receive(1), lambda c: c.is_queue_empty()])
+def test_no_udn_profile_message_calls_name_the_profile(call):
+    m = Machine(x86_like())
+    ctx = m.thread(0)
+
+    def prog():
+        yield from call(ctx)
+
+    m.spawn(ctx, prog())
+    with pytest.raises(RuntimeError,
+                       match=f"profile {m.cfg.name!r} has no hardware message passing"):
+        m.run()
+
+
 def test_x86_profile_has_no_udn():
     m = Machine(x86_like())
     ctx = m.thread(0)
