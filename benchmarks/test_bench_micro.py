@@ -49,6 +49,37 @@ def test_cache_hit_loop(benchmark):
     assert benchmark(run) == 5_000
 
 
+def test_coherence_miss_pingpong(benchmark):
+    """Two cores alternately store to one line while a third spins on it:
+    every store misses (a background ownership transaction invalidating
+    the other two copies) and every invalidation wakes the spinner."""
+    rounds = 500
+
+    def run():
+        m = Machine(tile_gx())
+        a = m.mem.alloc(1, isolated=True)
+
+        def writer(ctx, parity):
+            for _ in range(rounds):
+                v = yield from ctx.spin_until(a, lambda v: v % 2 == parity)
+                yield from ctx.store(a, v + 1)
+
+        def spinner(ctx):
+            return (yield from ctx.spin_until(a, lambda v: v == 2 * rounds))
+
+        for tid, parity in ((0, 0), (1, 1)):
+            ctx = m.thread(tid, core_id=7 * tid)
+            m.spawn(ctx, writer(ctx, parity))
+        ctx = m.thread(2, core_id=35)
+        p = m.spawn(ctx, spinner(ctx))
+        m.run()
+        return p.result, m.mem.peek(a), m.sim.events_processed
+
+    # events pinned before the mem fast paths: a host-only speed-up must
+    # not add or drop a single simulator event
+    assert benchmark(run) == (2 * rounds, 2 * rounds, 12_998)
+
+
 def test_udn_message_round_trips(benchmark):
     """Request/response ping-pong through the hardware message queues."""
 

@@ -75,15 +75,16 @@ class ControllerAtomics:
     def rmw(self, core: Core, addr: int, op: Callable[[int], int]) -> Generator[Any, Any, int]:
         cfg = self.cfg
         core.atomic_ops += 1
+        line_no = addr // cfg.line_words
         if not cfg.has_coherent_shm:
             # private memory: the RMW is a local operation
-            self.mem._private_check(core, addr // cfg.line_words, "atomic")
+            self.mem._private_check(core, line_no, "atomic")
             core.busy += cfg.c_atomic_local
             yield cfg.c_atomic_local
             backing = self.mem.store_backing
             old = backing.read(addr)
             backing.write(addr, op(old))
-            self.mem.wake_line(addr // cfg.line_words)
+            self.mem.wake_line(line_no)
             return old
         # issue overhead at the core
         core.busy += cfg.c_atomic_issue
@@ -108,14 +109,14 @@ class ControllerAtomics:
             ctrl.ops += 1
             obs = self.sim.obs
             if obs is not None:
-                obs.emit("atomic.exec", core=core.cid, line=addr // cfg.line_words,
+                obs.emit("atomic.exec", core=core.cid, line=line_no,
                          ctrl=ctrl.node, cold=cold, service=service)
             yield service
             backing = self.mem.store_backing
             old = backing.read(addr)
             backing.write(addr, op(old))
             # the controller invalidates every cached copy of the line
-            self.mem.invalidate_all(addr // cfg.line_words)
+            self.mem.invalidate_all(line_no)
         finally:
             ctrl.res.release()
         # travel back with the old value
@@ -126,7 +127,7 @@ class ControllerAtomics:
         obs = self.sim.obs
         if obs is not None:
             obs.emit("atomic.stall", core=core.cid, cycles=stalled,
-                     line=addr // cfg.line_words, start=t0)
+                     line=line_no, start=t0)
         return old
 
 
@@ -152,7 +153,7 @@ class CacheAtomics:
             if entry.owner != cid:
                 # bring the line in exclusively (RMR)
                 core.rmr += 1
-                latency = mem._store_latency(entry, line_no, cid)
+                latency = mem._miss_latency(entry, line_no, cid, True)
                 obs = self.sim.obs
                 if obs is not None:
                     obs.emit("cache.miss", core=cid, line=line_no, op="atomic",

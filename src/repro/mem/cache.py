@@ -98,20 +98,27 @@ class CoherentMemory:
     def __init__(self, sim: Simulator, cfg: MachineConfig, mesh: Mesh, cores: List[Core]):
         self.sim = sim
         self.cfg = cfg
-        self.mesh = mesh
-        self.cores = cores
         self.store_backing = BackingStore()
         self.allocator = Allocator(line_words=cfg.line_words)
         self._lines: Dict[int, _Line] = {}
         # shared coordinate geometry for every line's sparse sharer set
-        self._geo = MeshGeometry(mesh.width, [c.node for c in cores],
-                                 mesh.num_nodes)
+        core_nodes = [c.node for c in cores]
+        self._geo = MeshGeometry(mesh.width, core_nodes, mesh.num_nodes)
         #: high-water mark of live directory entries (footprint metric)
         self.peak_entries = 0
         # atomics executor is attached by the Machine (controller or cache mode)
         self.atomics = None
-        #: number of mesh nodes, for line homing
+        #: number of mesh nodes, for line homing (line % nodes)
         self._num_nodes = mesh.num_nodes
+        # hot-path constants: a MachineConfig is never mutated once its
+        # Machine is built, and cores never move between nodes
+        self._line_words = cfg.line_words
+        self._c_hit = cfg.c_hit
+        self._coherent = cfg.has_coherent_shm
+        self._debug_checks = cfg.debug_checks
+        self._node_x, self._node_y = mesh.xs, mesh.ys
+        self._core_x = [mesh.xs[n] for n in core_nodes]
+        self._core_y = [mesh.ys[n] for n in core_nodes]
         # in-flight software prefetches: (core id, line) -> completion Event
         self._prefetches: Dict[Tuple[int, int], Event] = {}
         # one-entry store buffers: core id -> draining line / completion Event
@@ -170,11 +177,7 @@ class CoherentMemory:
 
     # -- address helpers ---------------------------------------------------
     def line_of(self, addr: int) -> int:
-        return addr // self.cfg.line_words
-
-    def home_node(self, line: int) -> int:
-        """The mesh node homing this line's directory entry (hashed)."""
-        return line % self._num_nodes
+        return addr // self._line_words
 
     def _line(self, line: int) -> _Line:
         entry = self._lines.get(line)
@@ -210,26 +213,27 @@ class CoherentMemory:
     def load(self, core: Core, addr: int) -> Generator[Any, Any, int]:
         """Coherent 64-bit load; returns the value."""
         core.loads += 1
-        if not self.cfg.has_coherent_shm:
-            self._private_check(core, self.line_of(addr), "load")
-            core.busy += self.cfg.c_hit
-            yield self.cfg.c_hit
+        line_no = addr // self._line_words
+        if not self._coherent:
+            self._private_check(core, line_no, "load")
+            core.busy += self._c_hit
+            yield self._c_hit
             return self.store_backing.read(addr)
-        line_no = self.line_of(addr)
         entry = self._lines.get(line_no)
         cid = core.cid
         # join an in-flight prefetch for this line, if any (MSHR hit):
         # stall only for the remaining transfer time
-        pending = self._prefetches.get((cid, line_no))
-        if pending is not None and not pending.triggered:
-            t0 = self.sim.now
-            yield pending
-            self._charge_stall_mem(core, self.sim.now - t0, line_no, "mshr")
-            entry = self._lines.get(line_no)
+        if self._prefetches:
+            pending = self._prefetches.get((cid, line_no))
+            if pending is not None and not pending.triggered:
+                t0 = self.sim.now
+                yield pending
+                self._charge_stall_mem(core, self.sim.now - t0, line_no, "mshr")
+                entry = self._lines.get(line_no)
         if entry is not None and (entry.owner == cid or cid in entry.sharers):
             # cache hit
-            core.busy += self.cfg.c_hit
-            yield self.cfg.c_hit
+            core.busy += self._c_hit
+            yield self._c_hit
             return self.store_backing.read(addr)
         # miss: RMR
         entry = self._line(line_no)
@@ -242,7 +246,7 @@ class CoherentMemory:
             if entry.owner == cid or cid in entry.sharers:
                 latency = occupancy = 0
             else:
-                latency = self._load_latency(entry, line_no, cid)
+                latency = self._miss_latency(entry, line_no, cid, False)
                 obs = self.sim.obs
                 if obs is not None:
                     obs.emit("cache.miss", core=cid, line=line_no, op="load",
@@ -270,7 +274,8 @@ class CoherentMemory:
         # consistent with any wakeup notifications fired in between
         value = self.store_backing.read(addr)
         self._charge_stall_mem(core, self.sim.now - t0, line_no, "load")
-        self._check_swmr(entry)
+        if self._debug_checks:
+            self._check_swmr(entry)
         return value
 
     def prefetch(self, core: Core, addr: int) -> Generator[Any, Any, None]:
@@ -284,9 +289,9 @@ class CoherentMemory:
         """
         core.busy += 1
         yield 1
-        if not self.cfg.has_coherent_shm:
+        if not self._coherent:
             return  # private memory is always local; nothing to fetch
-        line_no = self.line_of(addr)
+        line_no = addr // self._line_words
         entry = self._lines.get(line_no)
         cid = core.cid
         if entry is not None and (entry.owner == cid or cid in entry.sharers):
@@ -305,7 +310,7 @@ class CoherentMemory:
             if entry.owner == cid or cid in entry.sharers:
                 latency = occupancy = 0
             else:
-                latency = self._load_latency(entry, line_no, cid)
+                latency = self._miss_latency(entry, line_no, cid, False)
                 obs = self.sim.obs
                 if obs is not None:
                     obs.emit("cache.miss", core=cid, line=line_no, op="prefetch",
@@ -326,21 +331,35 @@ class CoherentMemory:
         del self._prefetches[(cid, line_no)]
         done.trigger()
 
-    def _load_latency(self, entry: _Line, line_no: int, cid: int) -> int:
+    def _miss_latency(self, entry: _Line, line_no: int, cid: int, store: bool) -> int:
+        """Cycles for ``cid``'s load (or store) miss on this line.
+
+        Each requester -> home, home -> owner and owner -> requester
+        distance is computed once, from the coordinate arrays; the
+        line's home node is ``line % nodes``.
+        """
         cfg = self.cfg
-        mesh = self.mesh
-        node = self.cores[cid].node
-        home = self.home_node(line_no)
-        if entry.owner is not None and entry.owner != cid:
+        home = line_no % self._num_nodes
+        hx, hy = self._node_x[home], self._node_y[home]
+        x, y = self._core_x[cid], self._core_y[cid]
+        to_home = abs(x - hx) + abs(y - hy)
+        owner = entry.owner
+        if owner is not None and owner != cid:
             # 3-hop: requester -> home -> owner -> requester
-            owner_node = self.cores[entry.owner].node
-            hops = mesh.hops(node, home) + mesh.hops(home, owner_node) + mesh.hops(owner_node, node)
+            ox, oy = self._core_x[owner], self._core_y[owner]
+            hops = to_home + abs(hx - ox) + abs(hy - oy) + abs(ox - x) + abs(oy - y)
             return cfg.c_remote_base + cfg.noc_per_hop * hops
-        if entry.sharers:
-            # clean copy at home/L3
-            return cfg.c_remote_base + cfg.noc_per_hop * 2 * mesh.hops(node, home)
+        sharers = entry.sharers
+        if store and sharers.others(cid):
+            # invalidate sharers: round trip to home + farthest sharer ack
+            far = sharers.farthest_hop(home, exclude=cid)
+            return cfg.c_remote_base + cfg.noc_per_hop * (2 * to_home + far)
+        if sharers:
+            # clean copy at home/L3 (a load), or a store's S -> M upgrade
+            # (the requester is the only sharer): a round trip to home
+            return cfg.c_remote_base + cfg.noc_per_hop * 2 * to_home
         # from memory
-        return cfg.c_mem_base + cfg.noc_per_hop * 2 * mesh.hops(node, home)
+        return cfg.c_mem_base + cfg.noc_per_hop * 2 * to_home
 
     def store(self, core: Core, addr: int, value: int) -> Generator[Any, Any, None]:
         """Coherent 64-bit store through a one-entry merging store buffer.
@@ -355,11 +374,12 @@ class CoherentMemory:
         fence has to wait for.
         """
         core.stores += 1
-        line_no = self.line_of(addr)
-        if not self.cfg.has_coherent_shm:
+        line_no = addr // self._line_words
+        c_hit = self._c_hit
+        if not self._coherent:
             self._private_check(core, line_no, "store")
-            core.busy += self.cfg.c_hit
-            yield self.cfg.c_hit
+            core.busy += c_hit
+            yield c_hit
             self.store_backing.write(addr, value)
             self.wake_line(line_no)  # wake same-core siblings
             return
@@ -367,8 +387,8 @@ class CoherentMemory:
         cid = core.cid
         if entry is not None and entry.owner == cid:
             # write hit in M
-            core.busy += self.cfg.c_hit
-            yield self.cfg.c_hit
+            core.busy += c_hit
+            yield c_hit
             self.store_backing.write(addr, value)
             entry.notify()
             return
@@ -379,8 +399,8 @@ class CoherentMemory:
             if self._sb_line.get(cid) == line_no:
                 # merge into the draining entry (its transaction will
                 # publish this value's visibility when it completes)
-                core.busy += self.cfg.c_hit
-                yield self.cfg.c_hit
+                core.busy += c_hit
+                yield c_hit
                 self.store_backing.write(addr, value)
                 return
             # buffer full with another line: wait for the drain, then
@@ -390,8 +410,8 @@ class CoherentMemory:
             yield pending
             self._charge_stall_mem(core, self.sim.now - t0, line_no, "store_buffer")
         core.rmr += 1
-        core.busy += self.cfg.c_hit
-        yield self.cfg.c_hit
+        core.busy += c_hit
+        yield c_hit
         self.store_backing.write(addr, value)
         done = Event(self.sim)
         self._sb_line[cid] = line_no
@@ -411,7 +431,7 @@ class CoherentMemory:
         yield from entry.res.acquire()
         try:
             if entry.owner != cid:
-                latency = self._store_latency(entry, line_no, cid)
+                latency = self._miss_latency(entry, line_no, cid, True)
                 obs = self.sim.obs
                 if obs is not None:
                     obs.emit("cache.miss", core=cid, line=line_no, op="store",
@@ -426,7 +446,8 @@ class CoherentMemory:
             entry.res.release()
         done.trigger()
         entry.notify()
-        self._check_swmr(entry)
+        if self._debug_checks:
+            self._check_swmr(entry)
 
     def drain_store_buffer(self, core: Core) -> Generator[Any, Any, None]:
         """Block until the core's store buffer is empty (fence helper)."""
@@ -436,30 +457,9 @@ class CoherentMemory:
             yield pending
             self._charge_stall_fence(core, self.sim.now - t0, "drain")
 
-    def _store_latency(self, entry: _Line, line_no: int, cid: int) -> int:
-        cfg = self.cfg
-        mesh = self.mesh
-        node = self.cores[cid].node
-        home = self.home_node(line_no)
-        if entry.owner is not None and entry.owner != cid:
-            owner_node = self.cores[entry.owner].node
-            hops = mesh.hops(node, home) + mesh.hops(home, owner_node) + mesh.hops(owner_node, node)
-            return cfg.c_remote_base + cfg.noc_per_hop * hops
-        if entry.sharers.others(cid):
-            # invalidate sharers: round trip to home + farthest sharer ack
-            far = entry.sharers.farthest_hop(home, exclude=cid)
-            return cfg.c_remote_base + cfg.noc_per_hop * (2 * mesh.hops(node, home) + far)
-        if cid in entry.sharers:
-            # upgrade S -> M: permission round trip to home only
-            return cfg.c_remote_base + cfg.noc_per_hop * 2 * mesh.hops(node, home)
-        return cfg.c_mem_base + cfg.noc_per_hop * 2 * mesh.hops(node, home)
-
     def fence(self, core: Core) -> Generator[Any, Any, None]:
-        """Memory fence: fixed pipeline cost plus a store-buffer drain."""
-        if not self.cfg.has_coherent_shm:
-            yield self.cfg.c_fence
-            self._charge_stall_fence(core, self.cfg.c_fence, "fence")
-            return
+        """Memory fence: fixed pipeline cost plus a store-buffer drain
+        (always empty without coherent shared memory)."""
         c = self.cfg.c_fence
         yield c
         self._charge_stall_fence(core, c, "fence")
@@ -477,9 +477,9 @@ class CoherentMemory:
         """
         value = yield from self.load(core, addr)
         while not pred(value):
-            entry = self._line(self.line_of(addr))
+            entry = self._line(addr // self._line_words)
             t0 = self.sim.now
-            yield from entry.wait_cond(self.sim).wait()
+            yield entry.wait_cond(self.sim).arm()
             core.wait += self.sim.now - t0
             value = yield from self.load(core, addr)
         return value
@@ -500,22 +500,16 @@ class CoherentMemory:
     def cas(self, core: Core, addr: int, expected: int, new: int) -> Generator[Any, Any, bool]:
         """Compare-and-set; returns True on success (the boolean variant)."""
         core.cas_ops += 1
-        box = {}
-
-        def op(v: int) -> int:
-            if v == (expected & WORD_MASK):
-                box["ok"] = True
-                return new & WORD_MASK
-            box["ok"] = False
-            return v
-
-        yield from self.atomics.rmw(core, addr, op)
-        if not box["ok"]:
-            core.cas_failures += 1
-            obs = self.sim.obs
-            if obs is not None:
-                obs.emit("atomic.cas_fail", core=core.cid, line=self.line_of(addr))
-        return box["ok"]
+        expected &= WORD_MASK
+        new &= WORD_MASK
+        old = yield from self.atomics.rmw(core, addr, lambda v: new if v == expected else v)
+        if old == expected:
+            return True
+        core.cas_failures += 1
+        obs = self.sim.obs
+        if obs is not None:
+            obs.emit("atomic.cas_fail", core=core.cid, line=self.line_of(addr))
+        return False
 
     # -- hooks used by the atomics executor ---------------------------------
     def invalidate_all(self, line_no: int) -> None:
@@ -582,10 +576,9 @@ class CoherentMemory:
 
     # -- invariants ----------------------------------------------------------
     def _check_swmr(self, entry: _Line) -> None:
-        if self.cfg.debug_checks:
-            assert not (entry.owner is not None and entry.sharers), (
-                "SWMR violated: owner and sharers coexist"
-            )
+        assert not (entry.owner is not None and entry.sharers), (
+            "SWMR violated: owner and sharers coexist"
+        )
 
     def check_all_swmr(self) -> None:
         """Assert the SWMR invariant over every line (test hook)."""

@@ -14,23 +14,24 @@ operations (``add``, ``clear``, membership, :meth:`others`,
 
 * **few-members mode** -- up to :data:`FEW_MAX` core ids in a sorted
   list; covers the overwhelming majority of lines (a line is usually
-  shared by a requester and a server, not the whole chip);
+  shared by a requester and a server, not the whole chip).  It keeps no
+  geometry: :meth:`farthest_hop` scans the at most ``FEW_MAX`` members;
 * **bitmap mode** -- an arbitrary-precision int used as a bitmask once
   the line is widely shared; O(1) add/membership, one bit per sharing
   core rather than a hash-table slot;
-* **corner aggregates** -- the Manhattan distance on a mesh decomposes
-  as ``|hx-sx| + |hy-sy| = max(u_h-u_s, u_s-u_h, v_h-v_s, v_s-v_h)``
-  with ``u = x+y`` and ``v = x-y``, so the farthest sharer from any
-  home node needs only the four extremes ``min/max u`` and ``min/max
-  v`` over the sharers.  Each extreme tracks its best *two* (value,
-  cid) entries, so excluding the requesting core from the max (the
-  ``s != cid`` filter in the store-invalidation latency) stays O(1)
-  too.
+* **corner aggregates** (bitmap mode only) -- the Manhattan distance on
+  a mesh decomposes as ``|hx-sx| + |hy-sy| = max(u_h-u_s, u_s-u_h,
+  v_h-v_s, v_s-v_h)`` with ``u = x+y`` and ``v = x-y``, so the farthest
+  sharer from any home node needs only the four extremes ``min/max u``
+  and ``min/max v`` over the sharers.  Each extreme tracks its best
+  *two* (value, cid) entries, so excluding the requesting core from the
+  max (the ``s != cid`` filter in the store-invalidation latency) stays
+  O(1) too.
 
-``add``/``clear`` maintain the aggregates incrementally.  ``discard``
-(only used by tests and future protocol extensions -- the coherence hot
-path never removes a single sharer) marks the aggregates dirty and the
-next geometry query rebuilds them in one O(sharers) pass.
+The aggregates are lazy: converting to bitmap mode, or a ``discard``
+that removes a tracked extreme, drops them, and the next geometry query
+rebuilds them in one O(sharers) pass; ``add`` keeps built aggregates up
+to date and ``clear`` (back to few mode) drops them without allocating.
 
 Iteration yields core ids in ascending order in both modes, making
 runs on the sparse directory deterministic without depending on hash
@@ -39,7 +40,7 @@ ordering.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 __all__ = ["ENTRY_BASE_BYTES", "FEW_MAX", "MeshGeometry", "SparseSharerSet"]
 
@@ -53,7 +54,9 @@ FEW_MAX = 8
 #: representation fundamentally needs
 ENTRY_BASE_BYTES = 64          # owner + res/cond slots + dict slot
 _FEW_MEMBER_BYTES = 8           # one 64-bit id per few-mode member
-_AGG_BYTES = 64                 # 4 corner aggregates x top-2 (val, cid)
+# 4 corner aggregates x top-2 (val, cid); charged in both modes, since
+# the model prices the O(1) query's state, built lazily or not
+_AGG_BYTES = 64
 
 
 class MeshGeometry:
@@ -113,19 +116,15 @@ class _Top2:
 class SparseSharerSet:
     """The sharer set of one directory entry (see module docstring)."""
 
-    __slots__ = ("_geo", "_few", "_bits", "_n",
-                 "_max_u", "_min_u", "_max_v", "_min_v", "_dirty")
+    __slots__ = ("_geo", "_few", "_bits", "_n", "_aggs")
 
     def __init__(self, geo: MeshGeometry):
         self._geo = geo
         self._few: Optional[List[int]] = []   # None once in bitmap mode
         self._bits = 0
         self._n = 0
-        self._max_u = _Top2(+1)
-        self._min_u = _Top2(-1)
-        self._max_v = _Top2(+1)
-        self._min_v = _Top2(-1)
-        self._dirty = False
+        # bitmap mode's (max u, min u, max v, min v); None = not built
+        self._aggs: Optional[Tuple[_Top2, _Top2, _Top2, _Top2]] = None
 
     # -- set protocol ------------------------------------------------------
     def __len__(self) -> int:
@@ -178,70 +177,67 @@ class SparseSharerSet:
                     i -= 1
                 few.insert(i, cid)
             else:
+                # to bitmap mode; the aggregates are built on first query
                 bits = 0
                 for m in few:
                     bits |= 1 << m
                 self._bits = bits | (1 << cid)
                 self._few = None
-        else:
-            bit = 1 << cid
-            if self._bits & bit:
-                return
-            self._bits |= bit
+            self._n += 1
+            return
+        bit = 1 << cid
+        if self._bits & bit:
+            return
+        self._bits |= bit
         self._n += 1
-        if not self._dirty:
+        aggs = self._aggs
+        if aggs is not None:
             geo = self._geo
             u, v = geo.core_u[cid], geo.core_v[cid]
-            self._max_u.add(u, cid)
-            self._min_u.add(u, cid)
-            self._max_v.add(v, cid)
-            self._min_v.add(v, cid)
+            aggs[0].add(u, cid)
+            aggs[1].add(u, cid)
+            aggs[2].add(v, cid)
+            aggs[3].add(v, cid)
 
     def discard(self, cid: int) -> None:
         few = self._few
         if few is not None:
-            if cid not in few:
-                return
-            few.remove(cid)
-        else:
-            bit = 1 << cid
-            if not self._bits & bit:
-                return
-            self._bits ^= bit
+            if cid in few:
+                few.remove(cid)
+                self._n -= 1
+            return
+        bit = 1 << cid
+        if not self._bits & bit:
+            return
+        self._bits ^= bit
         self._n -= 1
-        if self._n == 0:
-            self._reset_aggregates()
-        elif not self._dirty and (
-            self._max_u.involves(cid) or self._min_u.involves(cid)
-            or self._max_v.involves(cid) or self._min_v.involves(cid)
-        ):
-            self._dirty = True
+        aggs = self._aggs
+        if aggs is not None and any(agg.involves(cid) for agg in aggs):
+            self._aggs = None
 
     def clear(self) -> None:
         if self._few is None:
             self._few = []
+            self._bits = 0
+            self._aggs = None
         else:
             self._few.clear()
-        self._bits = 0
         self._n = 0
-        self._reset_aggregates()
 
-    def _reset_aggregates(self) -> None:
-        self._max_u = _Top2(+1)
-        self._min_u = _Top2(-1)
-        self._max_v = _Top2(+1)
-        self._min_v = _Top2(-1)
-        self._dirty = False
-
-    def _rebuild(self) -> None:
-        self._reset_aggregates()
-        geo = self._geo
-        for cid in self:
-            u, v = geo.core_u[cid], geo.core_v[cid]
-            self._max_u.add(u, cid)
-            self._min_u.add(u, cid)
-            self._max_v.add(v, cid)
-            self._min_v.add(v, cid)
+    def _aggregates(self) -> Tuple[_Top2, _Top2, _Top2, _Top2]:
+        """Bitmap mode's corner aggregates, rebuilt in one pass if dropped."""
+        aggs = self._aggs
+        if aggs is None:
+            max_u, min_u, max_v, min_v = aggs = self._aggs = (
+                _Top2(+1), _Top2(-1), _Top2(+1), _Top2(-1))
+            geo = self._geo
+            for cid in self._iter_bits():
+                u, v = geo.core_u[cid], geo.core_v[cid]
+                max_u.add(u, cid)
+                min_u.add(u, cid)
+                max_v.add(v, cid)
+                min_v.add(v, cid)
+        return aggs
 
     # -- O(1) queries used by the coherence hot path -----------------------
     def others(self, cid: int) -> bool:
@@ -261,31 +257,29 @@ class SparseSharerSet:
         The caller guarantees a qualifying member exists (checked via
         :meth:`others`).
         """
-        if self._dirty:
-            self._rebuild()
         geo = self._geo
         hu = geo.node_u[home_node]
         hv = geo.node_v[home_node]
-        best = None
-        mu = self._max_u.value_excluding(exclude)
-        if mu is not None:
-            best = mu - hu
-        mu = self._min_u.value_excluding(exclude)
-        if mu is not None:
-            d = hu - mu
-            if best is None or d > best:
-                best = d
-        mv = self._max_v.value_excluding(exclude)
-        if mv is not None:
-            d = mv - hv
-            if best is None or d > best:
-                best = d
-        mv = self._min_v.value_excluding(exclude)
-        if mv is not None:
-            d = hv - mv
-            if best is None or d > best:
-                best = d
-        if best is None:
+        best = -1
+        few = self._few
+        if few is not None:
+            core_u, core_v = geo.core_u, geo.core_v
+            for cid in few:
+                if cid != exclude:
+                    d = abs(core_u[cid] - hu)
+                    dv = abs(core_v[cid] - hv)
+                    if dv > d:
+                        d = dv
+                    if d > best:
+                        best = d
+        else:
+            max_u, min_u, max_v, min_v = self._aggregates()
+            for agg, h, sign in ((max_u, hu, 1), (min_u, hu, -1),
+                                 (max_v, hv, 1), (min_v, hv, -1)):
+                val = agg.value_excluding(exclude)
+                if val is not None and sign * (val - h) > best:
+                    best = sign * (val - h)
+        if best < 0:
             raise ValueError("farthest_hop on an empty (post-exclusion) set")
         return best
 

@@ -26,7 +26,7 @@ __all__ = ["Mesh"]
 class Mesh:
     """A ``width x height`` mesh of nodes with XY routing."""
 
-    __slots__ = ("width", "height", "base", "per_hop", "per_word", "_x", "_y")
+    __slots__ = ("width", "height", "base", "per_hop", "per_word", "xs", "ys")
 
     def __init__(self, width: int, height: int, *, base: int = 4, per_hop: int = 1, per_word: int = 1):
         if width < 1 or height < 1:
@@ -36,13 +36,14 @@ class Mesh:
         self.base = base
         self.per_hop = per_hop
         self.per_word = per_word
-        # hops() sits on the hot path of every memory/atomic/message
-        # latency computation, but a precomputed N x N distance table is
-        # O(n^2) memory -- 1 M entries at 1024 nodes.  Per-node coordinate
-        # arrays keep the lookup allocation-free and O(n) total.
+        # hops() sits on the hot path of every atomic/message latency
+        # computation (the coherence model reads these arrays directly),
+        # but a precomputed N x N distance table is O(n^2) memory -- 1 M
+        # entries at 1024 nodes.  Per-node coordinate arrays keep the
+        # lookup allocation-free and O(n) total.
         n = width * height
-        self._x = [a % width for a in range(n)]
-        self._y = [a // width for a in range(n)]
+        self.xs = [a % width for a in range(n)]
+        self.ys = [a // width for a in range(n)]
 
     @property
     def num_nodes(self) -> int:
@@ -63,7 +64,7 @@ class Mesh:
         if src < 0 or dst < 0:
             raise ValueError(f"node ids must be non-negative: {src}, {dst}")
         try:
-            x, y = self._x, self._y
+            x, y = self.xs, self.ys
             return abs(x[src] - x[dst]) + abs(y[src] - y[dst])
         except IndexError:
             self._check(src)

@@ -173,6 +173,105 @@ def test_sharers_long_random_walk():
         _assert_same_observable(sp, ref, width, height)
 
 
+def _check_farthest(sp, ref, n, excludes=(-1,)):
+    """Every home node, under each exclusion that leaves a member."""
+    for exclude in excludes:
+        if ref.others(exclude):
+            for home in range(n):
+                assert sp.farthest_hop(home, exclude) == \
+                    ref.farthest_hop(home, exclude)
+
+
+def test_lazy_aggregates_across_mode_changes():
+    """Few mode keeps no aggregates; bitmap mode builds them on the first
+    query.  Grow past FEW_MAX, clear back to few mode, regrow, and drop
+    the current extreme: every step must still answer like the model."""
+    sp = SparseSharerSet(_identity_geo(6, 6))
+    ref = DenseModel(6)
+    members = [14, 0, 35, 7, 21, 5, 30, 9, 17, 28]      # FEW_MAX + 2
+    for cid in members:
+        sp.add(cid)
+        ref.add(cid)
+        _check_farthest(sp, ref, 36, excludes=(-1, cid))
+    assert sp._few is None
+    sp.clear()
+    ref.clear()
+    assert sp._few == [] and sp._aggs is None
+    for cid in reversed(members):
+        sp.add(cid)
+        ref.add(cid)
+    _check_farthest(sp, ref, 36, excludes=(-1, 0, 35))
+    # 0 (x+y = 0) and 35 (x+y = 10) are the u extremes: dropping each
+    # must force a rebuild rather than answer from a stale corner
+    for cid in (0, 35):
+        sp.discard(cid)
+        ref.discard(cid)
+        assert sp._aggs is None
+        _check_farthest(sp, ref, 36, excludes=(-1, 5, 30))
+        _assert_same_observable(sp, ref, 6, 6)
+
+
+def test_few_mode_excludes_sole_farthest_member():
+    """Excluding the one farthest member in few mode must fall back to
+    the next-farthest, not report the excluded core's distance."""
+    sp = SparseSharerSet(_identity_geo(6, 6))
+    ref = DenseModel(6)
+    for cid in (0, 7, 8):                  # 0 is alone in the far corner
+        sp.add(cid)
+        ref.add(cid)
+    assert sp._few is not None
+    assert sp.farthest_hop(35, exclude=0) == ref.farthest_hop(35, exclude=0) == 8
+    assert sp.farthest_hop(35) == 10
+    _check_farthest(sp, ref, 36, excludes=(-1, 0, 7, 8))
+
+
+class _SpreadModel(DenseModel):
+    """DenseModel for cores placed on every ``stride``-th node."""
+
+    def __init__(self, width, stride):
+        super().__init__(width)
+        self.stride = stride
+
+    def farthest_hop(self, home_node, exclude=-1):
+        cand = [c for c in self.s if c != exclude]
+        if not cand:
+            raise ValueError("empty")
+        hx, hy = home_node % self.width, home_node // self.width
+        return max(abs(c * self.stride % self.width - hx)
+                   + abs(c * self.stride // self.width - hy) for c in cand)
+
+
+def test_sharers_on_spread_placement():
+    """scale-1024's placement: a 32x32 mesh with a core on every 4th
+    node, so a core's rotated coordinates differ from its node id's."""
+    geo = MeshGeometry(32, [4 * c for c in range(256)], 1024)
+    assert geo.core_u[1] != geo.node_u[1]
+    rng = random.Random(1024)
+    sp = SparseSharerSet(geo)
+    ref = _SpreadModel(32, 4)
+    saw_bitmap = False
+    for step in range(600):
+        saw_bitmap = saw_bitmap or sp._few is None
+        cid = rng.randrange(256)
+        r = rng.random()
+        if r < 0.6:
+            sp.add(cid)
+            ref.add(cid)
+        elif r < 0.75:
+            sp.discard(cid)
+            ref.discard(cid)
+        elif r < 0.8:
+            sp.clear()
+            ref.clear()
+        home = rng.randrange(1024)
+        for exclude in (-1, cid):
+            if ref.others(exclude):
+                assert sp.farthest_hop(home, exclude) == \
+                    ref.farthest_hop(home, exclude), step
+    assert len(sp) == len(ref.s)
+    assert saw_bitmap
+
+
 # -- machine-level differential trace harness ------------------------------
 
 
