@@ -113,12 +113,16 @@ def test_obs_overhead(benchmark, quick):
     marginal = min(paired)
     best = {m: max(vs) for m, vs in ev.items()}
     full_marginal = 1.0 - best["full"] / best["obs"]
+    # the absolute price of turning observability on at all: the bus
+    # plus the counter file, relative to no observability (informational)
+    obs_off = best["obs"] / best["off"]
     print(f"\nengine speed (best of {REPS}): "
           + "  ".join(f"{m}={best[m] / 1e6:.2f}M ev/s" for m in MODES))
     print(f"sampling overhead per pair: "
           + "  ".join(f"{p:+.1%}" for p in paired)
           + f"  -> gated min {marginal:+.1%}"
-          f"  (full stack {full_marginal:+.1%}, not gated)")
+          f"  (full stack {full_marginal:+.1%}, not gated)"
+          f"  obs/off engine speed {obs_off:.2f} (not gated)")
     assert marginal <= OVERHEAD_BUDGET, (
         f"time-series sampling costs {marginal:.1%} engine speed over "
         f"plain bus+counters in every one of {REPS} paired runs "
@@ -134,6 +138,7 @@ def test_obs_overhead(benchmark, quick):
                       max(runs[m], key=lambda r: r.host_events_per_sec))
     fig.note(f"sampling overhead {marginal:+.1%} vs obs "
              f"(cleanest of {REPS} pairs, budget {OVERHEAD_BUDGET:.0%}); "
-             f"full telemetry stack {full_marginal:+.1%}")
+             f"full telemetry stack {full_marginal:+.1%}; "
+             f"obs/off engine speed {obs_off:.2f}")
     print_figure(fig)
     write_bench_json(fig, "BENCH_obs.json")

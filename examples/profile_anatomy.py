@@ -3,17 +3,14 @@
 
 The paper's Figure 4a breaks the servicing thread's per-operation time
 into execution vs. coherence stalls, read from the TILE-Gx hardware
-performance counters.  This example reproduces that methodology twice
-for each approach (MP-SERVER and the fixed-combiner CC-SYNCH):
-
-* the driver's own accounting (core cycle-register deltas over the
-  measurement window) -- what ``run_counter_benchmark`` reports;
-* the ``repro.obs`` perf counter file, rebuilt purely from bus events.
-
-The two must agree exactly: every stall charged to a core register also
-flows onto the event bus.  The same counters then give what the driver
-alone cannot -- *which cache lines* the stalls concentrate on, and the
-UDN delivery-latency distribution.
+performance counters.  This example follows that methodology for each
+approach (MP-SERVER and the fixed-combiner CC-SYNCH) with the
+``repro.obs`` perf counter file, which the hardware models write
+directly while they run: its busy and stall registers are the cores'
+own cycle registers, so the breakdown is the one ``run_counter_benchmark``
+reports.  The same file then gives what the cycle registers alone
+cannot -- *which cache lines* the stalls concentrate on, and the UDN
+delivery-latency distribution.
 
 Run:  python examples/profile_anatomy.py
 """
@@ -34,10 +31,7 @@ def profile(approach: str, num_threads: int = 14) -> None:
           f"latency p50/p99: {result.p50_latency_cycles:.0f}/"
           f"{result.p99_latency_cycles:.0f} cyc")
     print("Figure 4a breakdown (cycles per op on the servicing core):")
-    print(f"  driver accounting : total={result.service_cycles_per_op:7.1f}"
-          f"  stalled={result.service_stall_per_op:6.1f}")
-    print(f"  obs perf counters : total="
-          f"{result.extra['obs.service_cycles_per_op']:7.1f}"
+    print(f"  total={result.extra['obs.service_cycles_per_op']:7.1f}"
           f"  stalled={result.extra['obs.service_stall_per_op']:6.1f}")
     print()
     print(render_line_heatmap(agg.get("line", {}), top=8,

@@ -171,6 +171,7 @@ class SyncPrimitive:
         obs = self.machine.sim.obs
         if obs is not None and self._session_ctx is not None:
             ctx = self._session_ctx
+            obs.counters.combined(ops)
             obs.emit("combiner.close", core=ctx.core.cid, tid=ctx.tid,
                      prim=self.name, ops=ops,
                      start=self._session_t0 if self._session_t0 is not None

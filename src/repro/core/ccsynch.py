@@ -129,6 +129,7 @@ class CCSynch(SyncPrimitive):
             obs = ctx.sim.obs
             client = self._node_owner.get(tmp)
             if obs is not None:
+                obs.counters.served(ctx.core.cid)
                 obs.emit("server.req", core=ctx.core.cid, client=client,
                          prim=self.name)
             ret = yield from execute(ctx, op, a)
@@ -136,6 +137,7 @@ class CCSynch(SyncPrimitive):
             yield from ctx.store(tmp + _COMPLETED, 1)
             yield from ctx.store(tmp + _WAIT, 0)
             if obs is not None:
+                obs.counters.service(ctx.core.cid, ctx.sim.now - svc_start)
                 obs.emit("server.done", core=ctx.core.cid, client=client,
                          prim=self.name, start=svc_start)
             tmp = nxt
@@ -201,6 +203,7 @@ class CCSynch(SyncPrimitive):
                 yield from ctx.store(tmp + _COMPLETED, 1)
             yield from ctx.store(tmp + _WAIT, 0)
             if obs is not None:
+                obs.counters.service(ctx.core.cid, ctx.sim.now - svc_start)
                 obs.emit("server.done", core=ctx.core.cid,
                          client=self._node_owner.get(tmp),
                          prim=self.name, start=svc_start)

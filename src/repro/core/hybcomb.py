@@ -205,11 +205,13 @@ class HybComb(SyncPrimitive):
             svc_start = self.machine.now
             obs = ctx.sim.obs
             if obs is not None:
+                obs.counters.served(ctx.core.cid)
                 obs.emit("server.req", core=ctx.core.cid, client=sender,
                          prim=self.name)
             r = yield from execute(ctx, fp, farg)
             yield from ctx.send(sender, [r])
             if obs is not None:
+                obs.counters.service(ctx.core.cid, self.machine.now - svc_start)
                 obs.emit("server.done", core=ctx.core.cid, client=sender,
                          prim=self.name, start=svc_start)
 
@@ -241,6 +243,7 @@ class HybComb(SyncPrimitive):
                 self.takeovers += 1
                 obs = ctx.sim.obs
                 if obs is not None:
+                    obs.counters.count("takeovers")
                     obs.emit("fault.takeover", core=ctx.core.cid, tid=ctx.tid,
                              prim=self.name)
                 return
@@ -285,6 +288,7 @@ class HybComb(SyncPrimitive):
                             self.ops_retried += 1
                             obs = ctx.sim.obs
                             if obs is not None:
+                                obs.counters.count("ops_retried")
                                 obs.emit("fault.retry", core=ctx.core.cid,
                                          tid=tid, prim=self.name)
                             if first_timeout_at is None:
@@ -307,6 +311,7 @@ class HybComb(SyncPrimitive):
                     self.ops_retried += 1
                     obs = ctx.sim.obs
                     if obs is not None:
+                        obs.counters.count("ops_retried")
                         obs.emit("fault.retry", core=ctx.core.cid,
                                  tid=tid, prim=self.name)
                     if first_timeout_at is None:
@@ -358,6 +363,7 @@ class HybComb(SyncPrimitive):
         retval = yield from execute(ctx, opcode, arg)
         self.self_combined += 1
         if obs is not None:
+            obs.counters.service(ctx.core.cid, self.machine.now - svc_start)
             obs.emit("server.done", core=ctx.core.cid, client=tid,
                      prim=self.name, start=svc_start)
         if ctx.sim.policy is not None:
@@ -376,6 +382,7 @@ class HybComb(SyncPrimitive):
             yield from ctx.send(sender, [r])
             ops_completed += 1
             if obs is not None:
+                obs.counters.service(ctx.core.cid, self.machine.now - svc_start)
                 obs.emit("server.done", core=ctx.core.cid, client=sender,
                          prim=self.name, start=svc_start)
             if self._recovery:
@@ -401,6 +408,7 @@ class HybComb(SyncPrimitive):
             yield from ctx.send(sender, [r])
             ops_completed += 1
             if obs is not None:
+                obs.counters.service(ctx.core.cid, self.machine.now - svc_start)
                 obs.emit("server.done", core=ctx.core.cid, client=sender,
                          prim=self.name, start=svc_start)
             if self._recovery:

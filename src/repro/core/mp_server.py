@@ -187,12 +187,14 @@ class MPServer(SyncPrimitive):
             svc_start = ctx.sim.now
             obs = ctx.sim.obs
             if obs is not None:
+                obs.counters.served(ctx.core.cid)
                 obs.emit("server.req", core=ctx.core.cid, client=sender,
                          prim=self.name)
             retval = yield from execute(ctx, opcode, arg)
             yield from ctx.send(sender, [retval])
             self.requests_served += 1
             if obs is not None:
+                obs.counters.service(ctx.core.cid, ctx.sim.now - svc_start)
                 obs.emit("server.done", core=ctx.core.cid, client=sender,
                          prim=self.name, start=svc_start)
 
@@ -209,6 +211,7 @@ class MPServer(SyncPrimitive):
             svc_start = ctx.sim.now
             obs = ctx.sim.obs
             if obs is not None:
+                obs.counters.served(ctx.core.cid)
                 obs.emit("server.req", core=ctx.core.cid, client=sender,
                          prim=self.name)
             slot = self._slot_for(sender)
@@ -233,6 +236,7 @@ class MPServer(SyncPrimitive):
             yield from ctx.send(sender, [seq, retval])
             self.requests_served += 1
             if obs is not None:
+                obs.counters.service(ctx.core.cid, ctx.sim.now - svc_start)
                 obs.emit("server.done", core=ctx.core.cid, client=sender,
                          prim=self.name, start=svc_start)
 
@@ -295,6 +299,7 @@ class MPServer(SyncPrimitive):
                 self.ops_retried += 1
                 obs = ctx.sim.obs
                 if obs is not None:
+                    obs.counters.count("ops_retried")
                     obs.emit("fault.retry", core=ctx.core.cid, tid=tid,
                              prim=self.name)
                 if first_timeout_at is None:
@@ -309,6 +314,7 @@ class MPServer(SyncPrimitive):
                         self._client_server[tid] + 1) % len(servers)
                     self.failovers += 1
                     if obs is not None:
+                        obs.counters.count("failovers")
                         obs.emit("fault.failover", core=ctx.core.cid, tid=tid,
                                  prim=self.name)
                 backoff = min(self.backoff_base << (attempt - 1), self.backoff_cap)

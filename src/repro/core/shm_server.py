@@ -146,6 +146,7 @@ class ShmServer(SyncPrimitive):
                 arg = yield from ctx.load(ch + _ARG)
                 obs = ctx.sim.obs
                 if obs is not None:
+                    obs.counters.served(ctx.core.cid)
                     obs.emit("server.req", core=ctx.core.cid, client=tid,
                              prim=self.name)
                 # software-pipeline the next channel read behind this CS
@@ -161,6 +162,7 @@ class ShmServer(SyncPrimitive):
                 served[tid] = seq
                 self.requests_served += 1
                 if obs is not None:
+                    obs.counters.service(ctx.core.cid, ctx.sim.now - svc_start)
                     obs.emit("server.done", core=ctx.core.cid, client=tid,
                              prim=self.name, start=svc_start)
             # loop-closing branch of the scan

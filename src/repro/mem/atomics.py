@@ -109,6 +109,7 @@ class ControllerAtomics:
             ctrl.ops += 1
             obs = self.sim.obs
             if obs is not None:
+                obs.counters.atomic(core.cid, line_no, cold, service)
                 obs.emit("atomic.exec", core=core.cid, line=line_no,
                          ctrl=ctrl.node, cold=cold, service=service)
             yield service
@@ -126,6 +127,7 @@ class ControllerAtomics:
         core.stall_atomic += stalled
         obs = self.sim.obs
         if obs is not None:
+            obs.counters.stall(line_no, stalled)
             obs.emit("atomic.stall", core=core.cid, cycles=stalled,
                      line=line_no, start=t0)
         return old
@@ -156,9 +158,10 @@ class CacheAtomics:
                 latency = mem._miss_latency(entry, line_no, cid, True)
                 obs = self.sim.obs
                 if obs is not None:
+                    transition = mem._store_transition(entry, cid)
+                    obs.counters.miss(cid, line_no, "atomic", transition, latency)
                     obs.emit("cache.miss", core=cid, line=line_no, op="atomic",
-                             transition=mem._store_transition(entry, cid),
-                             latency=latency)
+                             transition=transition, latency=latency)
                     mem._emit_invals(obs, entry, line_no, cid)
                 if latency:
                     yield latency
@@ -175,8 +178,11 @@ class CacheAtomics:
         core.stall_atomic += stalled
         obs = self.sim.obs
         if obs is not None:
+            counters = obs.counters
+            counters.atomic(cid, line_no, False, cfg.c_atomic_local)
             obs.emit("atomic.exec", core=cid, line=line_no, ctrl=None,
                      cold=False, service=cfg.c_atomic_local)
+            counters.stall(line_no, stalled)
             obs.emit("atomic.stall", core=cid, cycles=stalled,
                      line=line_no, start=t0)
         entry.notify()

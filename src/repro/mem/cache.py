@@ -130,15 +130,16 @@ class CoherentMemory:
 
     # -- stall accounting --------------------------------------------------
     # Every coherence stall charged to a core flows through these two
-    # helpers, which keep the core's hardware register and the obs event
-    # stream in lockstep -- the counter-derived Figure 4a breakdown must
-    # match the register-derived one exactly (guarded by a test).
+    # helpers.  The core's hardware register is the one count (the perf
+    # counter file reads it back); observed runs add the per-line stall
+    # register and narrate the span on the bus.
     def _charge_stall_mem(self, core: Core, cycles: int, line_no: int, why: str) -> None:
         if cycles <= 0:
             return
         core.stall_mem += cycles
         obs = self.sim.obs
         if obs is not None:
+            obs.counters.stall(line_no, cycles)
             obs.emit("cache.stall", core=core.cid, cycles=cycles, line=line_no,
                      why=why, start=self.sim.now - cycles)
 
@@ -168,11 +169,14 @@ class CoherentMemory:
         return "mem->M"
 
     def _emit_invals(self, obs, entry: _Line, line_no: int, by) -> None:
-        """Publish one ``cache.inval`` per core losing its copy."""
+        """Count and publish one ``cache.inval`` per core losing its copy."""
+        counters = obs.counters
         if entry.owner is not None and entry.owner != by:
+            counters.inval(entry.owner, line_no)
             obs.emit("cache.inval", core=entry.owner, line=line_no, by=by)
         for s in entry.sharers:
             if s != by:
+                counters.inval(s, line_no)
                 obs.emit("cache.inval", core=s, line=line_no, by=by)
 
     # -- address helpers ---------------------------------------------------
@@ -249,9 +253,10 @@ class CoherentMemory:
                 latency = self._miss_latency(entry, line_no, cid, False)
                 obs = self.sim.obs
                 if obs is not None:
+                    transition = self._load_transition(entry, cid)
+                    obs.counters.miss(cid, line_no, "load", transition, latency)
                     obs.emit("cache.miss", core=cid, line=line_no, op="load",
-                             transition=self._load_transition(entry, cid),
-                             latency=latency)
+                             transition=transition, latency=latency)
                 # The directory orders the read and answers quickly; the
                 # data transfer itself is pipelined, so the read holds
                 # the entry only briefly and concurrent readers do not
@@ -313,9 +318,10 @@ class CoherentMemory:
                 latency = self._miss_latency(entry, line_no, cid, False)
                 obs = self.sim.obs
                 if obs is not None:
+                    transition = self._load_transition(entry, cid)
+                    obs.counters.miss(cid, line_no, "prefetch", transition, latency)
                     obs.emit("cache.miss", core=cid, line=line_no, op="prefetch",
-                             transition=self._load_transition(entry, cid),
-                             latency=latency)
+                             transition=transition, latency=latency)
                 occupancy = min(self.cfg.c_dir_read_occupancy, latency)
                 if occupancy:
                     yield occupancy
@@ -434,9 +440,10 @@ class CoherentMemory:
                 latency = self._miss_latency(entry, line_no, cid, True)
                 obs = self.sim.obs
                 if obs is not None:
+                    transition = self._store_transition(entry, cid)
+                    obs.counters.miss(cid, line_no, "store", transition, latency)
                     obs.emit("cache.miss", core=cid, line=line_no, op="store",
-                             transition=self._store_transition(entry, cid),
-                             latency=latency)
+                             transition=transition, latency=latency)
                     self._emit_invals(obs, entry, line_no, cid)
                 if latency:
                     yield latency
@@ -508,7 +515,9 @@ class CoherentMemory:
         core.cas_failures += 1
         obs = self.sim.obs
         if obs is not None:
-            obs.emit("atomic.cas_fail", core=core.cid, line=self.line_of(addr))
+            line_no = self.line_of(addr)
+            obs.counters.cas_fail(line_no)
+            obs.emit("atomic.cas_fail", core=core.cid, line=line_no)
         return False
 
     # -- hooks used by the atomics executor ---------------------------------

@@ -82,6 +82,7 @@ class ContendedMesh:
                 self.total_flit_cycles += busy
                 obs = sim.obs
                 if obs is not None:
+                    obs.counters.link_busy(a, b, busy, wait)
                     obs.emit("noc.link", a=a, b=b, wait=wait, busy=busy,
                              hop=hop, msg_id=msg_id)
                 try:
@@ -97,6 +98,8 @@ class ContendedMesh:
         self.packets_delivered += 1
         obs = sim.obs
         if obs is not None:
+            cycles = sim.now - t0
+            obs.counters.packet(cycles)
             obs.emit("noc.packet", src=src, dst=dst, words=words,
-                     cycles=sim.now - t0)
+                     cycles=cycles)
         return sim.now - t0

@@ -7,7 +7,8 @@ Layers (see DESIGN.md §9 and §14):
   zero overhead when off.
 * :class:`~repro.obs.counters.PerfCounters` -- the "perf counter file":
   per-core / per-cache-line / per-link registers and a UDN latency
-  histogram, queryable as before/after snapshots.
+  histogram, written directly by the hardware models and queryable as
+  before/after snapshots.
 * :class:`~repro.obs.perfetto.TraceCollector` -- Chrome/Perfetto trace
   recording (open the exported ``trace.json`` in
   https://ui.perfetto.dev or ``chrome://tracing``).
@@ -99,8 +100,8 @@ class Observability:
         #: free-form run label (process name in merged traces)
         self.label = label or machine.cfg.name
         self.bus = EventBus(machine.sim)
-        self.counters = PerfCounters(machine)
-        self.bus.subscribe(self.counters.on_event)
+        # written directly by the hardware models; subscribes to nothing
+        self.counters = self.bus.counters = PerfCounters(machine)
         self.trace: Optional[TraceCollector] = None
         if trace:
             self.trace = TraceCollector(num_cores=len(machine.cores),

@@ -13,6 +13,10 @@ observability was enabled, and every publish site guards with::
 so a run without observability pays exactly one attribute load and a
 ``None`` comparison per would-be event -- no allocation, no call.
 
+The bus narrates; it does not count.  Publish sites write the perf
+counter file (:attr:`EventBus.counters`) themselves, inside the same
+guard and just before the ``emit``.
+
 Event taxonomy
 --------------
 Events are ``(cycle, kind, fields)`` triples.  ``kind`` is a dotted
@@ -94,11 +98,13 @@ Subscriber = Callable[[int, str, Dict[str, Any]], None]
 class EventBus:
     """Fan-out of structured observability events to subscribers."""
 
-    __slots__ = ("sim", "events_emitted", "_subs", "recent",
+    __slots__ = ("sim", "counters", "events_emitted", "_subs", "recent",
                  "_recent_append", "_kind_subs")
 
     def __init__(self, sim):
         self.sim = sim
+        #: the machine's PerfCounters (set by Observability)
+        self.counters = None
         #: total events published (cheap health metric)
         self.events_emitted = 0
         self._subs: List[Subscriber] = []

@@ -1,9 +1,11 @@
-"""Hardware performance counters derived from the observability bus.
+"""Hardware performance counters: the simulated chip's perf counter file.
 
 :class:`PerfCounters` is the "perf counter file" of the simulated chip:
-a set of monotonically increasing registers maintained from
-:class:`~repro.obs.bus.EventBus` events plus the cores' own cycle
-registers.  Like real PMUs it is queried with before/after snapshots::
+a set of monotonically increasing registers written directly by the
+hardware models (cache directory, atomics executors, UDN fabric, NoC
+links, delegation cores, engine) plus the cores' own cycle registers.
+The event bus only narrates; nothing here listens to it.  Like real
+PMUs the file is queried with before/after snapshots::
 
     before = machine.obs.counters.snapshot()
     ...  # run a measurement window
@@ -13,13 +15,18 @@ registers.  Like real PMUs it is queried with before/after snapshots::
     delta["link"]["4->5"]["flit_cycles"] # mesh link occupancy
     delta["udn_hist"][6]                 # deliveries with latency in [32,64)
 
+Every site that publishes a counted event first calls one write method
+below, inside its ``if obs is not None:`` guard and before the ``emit``
+(a flight-recorder dump the event triggers must see it counted).
+Unobserved runs therefore write nothing.
+
 Register groups
 ---------------
 ``core``      per-core: misses by transition (``miss.load.M->S``,
               ``miss.store.inv``, ...), ``invalidations_received``,
-              ``cas_failures``, event-derived stall cycles
-              (``stall_mem`` / ``stall_atomic`` / ``stall_fence``), UDN
-              words/messages sent and received, backpressure cycles.
+              ``cas_failures``, stall cycles (``stall_mem`` /
+              ``stall_atomic`` / ``stall_fence``), UDN words/messages
+              sent and received, backpressure cycles.
 ``line``      per-cache-line: ``misses``, ``invalidations``,
               ``stall_cycles``, ``atomics``, ``cas_failures`` -- the raw
               material of the contention heatmap.
@@ -37,17 +44,17 @@ Register groups
 ``source``    externally registered scalar sources
               (:meth:`PerfCounters.register_source`).
 
+``core`` registers the cores already keep (``stall_*``, ``cas_failures``,
+``udn_msgs_sent`` / ``udn_msgs_received``) are read from ``hw``, not
+counted twice, and appear only when non-zero.  ``backpressure_cycles``
+is counted here: the fabric's per-sender total also holds timed-out sends.
+
 Every register group is **baselined at enable time**: the ``hw``
 registers subtract the core snapshots taken when this PerfCounters was
 constructed, and a ``source`` registered mid-run subtracts its value at
 registration.  Without that, observability enabled after warm-up (or a
 source registered after the first snapshot) would fold pre-enable
 totals into the first window's delta -- a garbage baseline.
-
-The event-derived ``stall_*`` registers in ``core`` must always equal
-the ``hw`` stall registers: both are incremented at the same sites with
-the same values, and a test holds them together (the guard against
-double-counting when the accounting is refactored).
 """
 
 from __future__ import annotations
@@ -55,25 +62,12 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Any, Callable, Dict
 
-import numpy as np
-
 __all__ = ["PerfCounters", "counters_csv", "merge_counters", "latency_bucket"]
 
-# Fixed register slots for the UDN event handlers -- the four
-# highest-frequency bus events under the Figure 3 workloads (every
-# message send/deliver/receive fires one).  These registers live in a
-# (cores x slots) int64 array instead of the nested str-keyed dicts the
-# cold handlers use: a fixed-slot write with no string hashing, and a
-# layout the compiled engine core's hook can feed without boxing.
-# snapshot() folds them back into the plain-dict register shape, so the
-# query surface is unchanged.
-(_U_MSGS_SENT, _U_WORDS_SENT, _U_MSGS_RECV, _U_WORDS_RECV,
- _U_WAIT, _U_BP_CYCLES, _U_BP_EVENTS) = range(7)
-_U_SLOTS = 7
-
-#: udn_hist buckets; bucket k is latency bit_length (64-bit cycle
-#: counts fit with room to spare)
-_U_HIST = 80
+#: ``core`` registers read from the ``hw`` group: (core name, hw name)
+_HW_CORE_REGS = (("stall_mem", "stall_mem"), ("stall_atomic", "stall_atomic"),
+                 ("stall_fence", "stall_fence"), ("cas_failures", "cas_failures"),
+                 ("udn_msgs_sent", "msgs_sent"), ("udn_msgs_received", "msgs_received"))
 
 
 def latency_bucket(latency: int) -> int:
@@ -103,7 +97,7 @@ def merge_counters(into: Dict[str, Any], frm: Dict[str, Any]) -> Dict[str, Any]:
 
 
 class PerfCounters:
-    """Monotonic counter registers fed by bus events (see module docs)."""
+    """Monotonic counter registers written by the hardware models."""
 
     def __init__(self, machine):
         self.machine = machine
@@ -111,11 +105,7 @@ class PerfCounters:
         self.line = _nested()       # line no -> register -> value
         self.link = _nested()       # "a->b" -> register -> value
         self.global_: Dict[str, int] = defaultdict(int)
-        # hot UDN registers: numpy-backed, folded into the dict shape at
-        # snapshot time (see the slot constants at module top)
-        ncores = 1 + max((c.cid for c in machine.cores), default=-1)
-        self._udn_core = np.zeros((ncores, _U_SLOTS), dtype=np.int64)
-        self._udn_hist = np.zeros(_U_HIST, dtype=np.int64)
+        self.udn_hist: Dict[int, int] = defaultdict(int)  # bucket -> count
         # hw registers are reported relative to enable time: without the
         # baseline, enabling observability mid-run would make the first
         # delta() include every pre-enable cycle
@@ -135,145 +125,95 @@ class PerfCounters:
         self._sources[name] = fn
         self._source_base[name] = fn()
 
-    # -- event ingestion ----------------------------------------------------
-    def on_event(self, t: int, kind: str, f: Dict[str, Any]) -> None:
-        handler = _HANDLERS.get(kind)
-        if handler is not None:
-            handler(self, t, f)
-
-    def _on_cache_miss(self, t, f):
-        c = self.core[f["core"]]
-        c["miss." + f["op"] + "." + f["transition"]] += 1
+    # -- writes: one call per counted event, named in the comment ---------
+    def miss(self, cid, line, op, transition, latency):  # cache.miss
+        c = self.core[cid]
+        c["miss." + op + "." + transition] += 1
         c["misses"] += 1
-        ln = self.line[f["line"]]
+        ln = self.line[line]
         ln["misses"] += 1
-        ln["miss_latency_cycles"] += f["latency"]
+        ln["miss_latency_cycles"] += latency
 
-    def _on_cache_stall(self, t, f):
-        self.core[f["core"]]["stall_mem"] += f["cycles"]
-        line = f.get("line")
-        if line is not None:
-            self.line[line]["stall_cycles"] += f["cycles"]
+    def stall(self, line, cycles):  # cache.stall, atomic.stall
+        self.line[line]["stall_cycles"] += cycles
 
-    def _on_cache_inval(self, t, f):
-        self.core[f["core"]]["invalidations_received"] += 1
-        self.line[f["line"]]["invalidations"] += 1
+    def inval(self, cid, line):  # cache.inval (cid = the victim)
+        self.core[cid]["invalidations_received"] += 1
+        self.line[line]["invalidations"] += 1
 
-    def _on_fence_stall(self, t, f):
-        self.core[f["core"]]["stall_fence"] += f["cycles"]
-
-    def _on_atomic_exec(self, t, f):
-        c = self.core[f["core"]]
+    def atomic(self, cid, line, cold, service):  # atomic.exec
+        c = self.core[cid]
         c["atomics"] += 1
-        if f.get("cold"):
+        if cold:
             c["atomics_cold"] += 1
-        ln = self.line[f["line"]]
-        ln["atomics"] += 1
-        self.global_["atomic_service_cycles"] += f.get("service", 0)
+        self.line[line]["atomics"] += 1
+        self.global_["atomic_service_cycles"] += service
 
-    def _on_atomic_stall(self, t, f):
-        self.core[f["core"]]["stall_atomic"] += f["cycles"]
-        self.line[f["line"]]["stall_cycles"] += f["cycles"]
+    def cas_fail(self, line):  # atomic.cas_fail
+        self.line[line]["cas_failures"] += 1
 
-    def _on_cas_fail(self, t, f):
-        self.core[f["core"]]["cas_failures"] += 1
-        self.line[f["line"]]["cas_failures"] += 1
+    def udn_send(self, cid, words):  # udn.send
+        self.core[cid]["udn_words_sent"] += words
 
-    def _on_udn_send(self, t, f):
-        row = self._udn_core[f["core"]]
-        row[_U_MSGS_SENT] += 1
-        row[_U_WORDS_SENT] += f["words"]
+    def backpressure(self, cid, cycles):  # udn.backpressure
+        self.core[cid]["backpressure_cycles"] += cycles
+        self.global_["backpressure_events"] += 1
 
-    def _on_udn_backpressure(self, t, f):
-        row = self._udn_core[f["core"]]
-        row[_U_BP_CYCLES] += f["cycles"]
-        row[_U_BP_EVENTS] += 1
+    def udn_deliver(self, latency):  # udn.deliver
+        self.udn_hist[latency_bucket(latency)] += 1
+        self.global_["udn_deliveries"] += 1
 
-    def _on_udn_deliver(self, t, f):
-        self._udn_hist[latency_bucket(f["latency"])] += 1
+    def udn_recv(self, cid, words, waited):  # udn.recv
+        c = self.core[cid]
+        c["udn_words_received"] += words
+        c["udn_wait_cycles"] += waited
 
-    def _on_udn_recv(self, t, f):
-        row = self._udn_core[f["core"]]
-        row[_U_MSGS_RECV] += 1
-        row[_U_WORDS_RECV] += f["words"]
-        row[_U_WAIT] += f["waited"]
+    def link_busy(self, a, b, busy, wait):  # noc.link
+        lk = self.link[f"{a}->{b}"]
+        lk["flit_cycles"] += busy
+        lk["wait_cycles"] += wait
 
-    @property
-    def udn_hist(self) -> Dict[int, int]:
-        """Delivery-latency histogram as a plain dict (buckets hit)."""
-        return {k: int(v) for k, v in enumerate(self._udn_hist) if v}
-
-    def _on_udn_timeout(self, t, f):
-        self.global_["udn_timeouts"] += 1
-
-    def _on_noc_link(self, t, f):
-        lk = self.link[f"{f['a']}->{f['b']}"]
-        lk["flit_cycles"] += f["busy"]
-        lk["wait_cycles"] += f["wait"]
-
-    def _on_noc_packet(self, t, f):
+    def packet(self, cycles):  # noc.packet
         self.global_["noc_packets"] += 1
-        self.global_["noc_packet_cycles"] += f["cycles"]
+        self.global_["noc_packet_cycles"] += cycles
 
-    def _on_combiner_close(self, t, f):
+    def combined(self, ops):  # combiner.close
         self.global_["combining_sessions"] += 1
-        self.global_["combined_ops"] += f["ops"]
+        self.global_["combined_ops"] += ops
 
-    def _on_server_req(self, t, f):
-        self.core[f["core"]]["requests_served"] += 1
+    def served(self, cid):  # server.req
+        self.core[cid]["requests_served"] += 1
         self.global_["requests_served"] += 1
 
-    def _on_server_done(self, t, f):
-        self.core[f["core"]]["service_cycles"] += t - f["start"]
+    def service(self, cid, cycles):  # server.done
+        self.core[cid]["service_cycles"] += cycles
         self.global_["ops_serviced"] += 1
 
-    def _on_proc(self, t, f, key):
-        self.global_[key] += 1
-
-    def _on_fault(self, t, f, key):
-        self.global_[key] += 1
+    def count(self, name):  # proc.kill/interrupt, udn.timeout, fault.*
+        self.global_[name] += 1
 
     # -- snapshots ----------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         """Plain-dict copy of every register, including the core hw ones."""
         base = self._hw_base
+        hw = {
+            c.cid: {name: v - base[c.cid][name]
+                    for name, v in c.snapshot().items()}
+            for c in self.machine.cores
+        }
         core = {cid: dict(regs) for cid, regs in self.core.items()}
-        # fold the numpy-backed UDN registers into the dict shape; a
-        # register is present iff its triggering event ever fired for
-        # that core (matching the old key-on-first-increment semantics)
-        for cid, row in enumerate(self._udn_core.tolist()):
-            if not any(row):
-                continue
-            regs = core.setdefault(cid, {})
-            if row[_U_MSGS_SENT]:
-                regs["udn_msgs_sent"] = row[_U_MSGS_SENT]
-                regs["udn_words_sent"] = row[_U_WORDS_SENT]
-            if row[_U_BP_EVENTS]:
-                regs["backpressure_cycles"] = row[_U_BP_CYCLES]
-            if row[_U_MSGS_RECV]:
-                regs["udn_msgs_received"] = row[_U_MSGS_RECV]
-                regs["udn_words_received"] = row[_U_WORDS_RECV]
-                regs["udn_wait_cycles"] = row[_U_WAIT]
-        glob = dict(self.global_)
-        deliveries = int(self._udn_hist.sum())
-        if deliveries:
-            glob["udn_deliveries"] = deliveries
-        bp_events = int(self._udn_core[:, _U_BP_EVENTS].sum())
-        if bp_events:
-            glob["backpressure_events"] = bp_events
+        for cid, regs in hw.items():
+            for name, hw_name in _HW_CORE_REGS:
+                v = regs[hw_name]
+                if v:
+                    core.setdefault(cid, {})[name] = v
         return {
             "core": core,
             "line": {ln: dict(regs) for ln, regs in self.line.items()},
             "link": {lk: dict(regs) for lk, regs in self.link.items()},
-            "udn_hist": self.udn_hist,
-            "global": glob,
-            "hw": {
-                c.cid: {
-                    name: v - base[c.cid][name]
-                    for name, v in c.snapshot().items()
-                }
-                for c in self.machine.cores
-            },
+            "udn_hist": dict(sorted(self.udn_hist.items())),
+            "global": dict(self.global_),
+            "hw": hw,
             "source": {
                 name: fn() - self._source_base[name]
                 for name, fn in self._sources.items()
@@ -303,23 +243,6 @@ class PerfCounters:
             }
         return out
 
-    # -- derived views ------------------------------------------------------
-    def service_breakdown(self, core_ids, since: Dict[str, Any]) -> Dict[str, float]:
-        """Event-derived stall and hw busy cycles over a window.
-
-        Returns ``{"busy": ..., "stall": ...}`` summed over ``core_ids``
-        -- the raw material of Figure 4a, reconstructed from the perf
-        counter file instead of the driver's ad-hoc accounting.
-        """
-        d = self.delta(since)
-        stall = busy = 0
-        for cid in core_ids:
-            regs = d["core"].get(cid, {})
-            stall += (regs.get("stall_mem", 0) + regs.get("stall_atomic", 0)
-                      + regs.get("stall_fence", 0))
-            busy += d["hw"].get(cid, {}).get("busy", 0)
-        return {"busy": float(busy), "stall": float(stall)}
-
 
 def counters_csv(agg: Dict[str, Any]) -> str:
     """Render an aggregated snapshot/delta as long-format CSV."""
@@ -337,29 +260,3 @@ def counters_csv(agg: Dict[str, Any]) -> str:
     for name in sorted(agg.get("source", {})):
         lines.append(f"source,,{name},{agg['source'][name]}")
     return "\n".join(lines) + "\n"
-
-
-_HANDLERS = {
-    "cache.miss": PerfCounters._on_cache_miss,
-    "cache.stall": PerfCounters._on_cache_stall,
-    "cache.inval": PerfCounters._on_cache_inval,
-    "fence.stall": PerfCounters._on_fence_stall,
-    "atomic.exec": PerfCounters._on_atomic_exec,
-    "atomic.stall": PerfCounters._on_atomic_stall,
-    "atomic.cas_fail": PerfCounters._on_cas_fail,
-    "udn.send": PerfCounters._on_udn_send,
-    "udn.backpressure": PerfCounters._on_udn_backpressure,
-    "udn.deliver": PerfCounters._on_udn_deliver,
-    "udn.recv": PerfCounters._on_udn_recv,
-    "udn.timeout": PerfCounters._on_udn_timeout,
-    "noc.link": PerfCounters._on_noc_link,
-    "noc.packet": PerfCounters._on_noc_packet,
-    "combiner.close": PerfCounters._on_combiner_close,
-    "server.req": PerfCounters._on_server_req,
-    "server.done": PerfCounters._on_server_done,
-    "proc.kill": lambda self, t, f: self._on_proc(t, f, "proc_kills"),
-    "proc.interrupt": lambda self, t, f: self._on_proc(t, f, "proc_interrupts"),
-    "fault.retry": lambda self, t, f: self._on_fault(t, f, "ops_retried"),
-    "fault.failover": lambda self, t, f: self._on_fault(t, f, "failovers"),
-    "fault.takeover": lambda self, t, f: self._on_fault(t, f, "takeovers"),
-}

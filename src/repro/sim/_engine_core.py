@@ -308,6 +308,7 @@ class Process:
         sim = self.sim
         obs = sim.obs
         if obs is not None:
+            obs.counters.count("proc_interrupts")
             obs.emit("proc.interrupt", name=self.name)
         sim._fast.append(_Throw(sim, self, Interrupt(cause), self._resume_gen))
 
@@ -372,6 +373,7 @@ class Process:
         sim._forget(self)
         obs = sim.obs
         if obs is not None:
+            obs.counters.count("proc_kills")
             obs.emit("proc.kill", name=self.name)
         done = self._done_event
         if done is not None:

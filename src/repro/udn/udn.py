@@ -286,6 +286,7 @@ class UdnFabric:
                     self.backpressure_by_core[core.cid] += waited
                     obs = self.sim.obs
                     if obs is not None:
+                        obs.counters.count("udn_timeouts")
                         obs.emit("udn.timeout", core=core.cid, op="send",
                                  waited=waited)
                     raise SendTimeout(
@@ -311,9 +312,12 @@ class UdnFabric:
                 e[1] += n
         obs = self.sim.obs
         if obs is not None:
+            counters = obs.counters
             if blocked:
+                counters.backpressure(core.cid, blocked)
                 obs.emit("udn.backpressure", core=core.cid, cycles=blocked,
                          dst_core=dst_core_id, start=t0)
+            counters.udn_send(core.cid, n)
             obs.emit("udn.send", core=core.cid, dst_tid=dst_tid,
                      dst_core=dst_core_id, words=n, msg_id=msg_id)
         inject = cfg.udn_send_base + cfg.udn_send_per_word * n
@@ -381,11 +385,11 @@ class UdnFabric:
                 e[2] += lat
         obs = self.sim.obs
         if obs is not None:
+            latency = self.sim.now - (sent_at if sent_at is not None
+                                      else self.sim.now)
+            obs.counters.udn_deliver(latency)
             obs.emit("udn.deliver", core=dst_core_id, demux=demux,
-                     words=len(payload),
-                     latency=self.sim.now - (sent_at if sent_at is not None
-                                             else self.sim.now),
-                     msg_id=msg_id)
+                     words=len(payload), latency=latency, msg_id=msg_id)
         q.arrival_cond.notify_all()
 
     def receive(self, core: Core, tid: int, k: int = 1,
@@ -420,6 +424,7 @@ class UdnFabric:
                     core.wait += waited
                     obs = self.sim.obs
                     if obs is not None:
+                        obs.counters.count("udn_timeouts")
                         obs.emit("udn.timeout", core=core.cid, op="receive",
                                  waited=waited)
                     raise ReceiveTimeout(
@@ -434,6 +439,7 @@ class UdnFabric:
             core.wait += waited
         obs = self.sim.obs
         if obs is not None:
+            obs.counters.udn_recv(core.cid, k, waited)
             obs.emit("udn.recv", core=core.cid, tid=tid, words=k,
                      waited=waited, start=t0)
         cost = self.cfg.udn_recv_base + self.cfg.udn_recv_per_word * k

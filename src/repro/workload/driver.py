@@ -342,16 +342,14 @@ def _closed_loop_stats(
             if window_sessions:
                 result.combining_rate = float(np.mean(window_sessions))
 
-        # observability: reconstruct the same numbers from the perf
-        # counter file and attach window totals (``obs.*`` extras)
+        # observability: window totals from the perf counter file
+        # (``obs.*`` extras); its stall registers are the cores' own, so
+        # the service breakdown is the one computed above
         if obs is not None:
             delta = obs.counters.delta(obs_before)
             if service_ids and total_ops:
-                bd = obs.counters.service_breakdown(service_ids, obs_before)
-                result.extra["obs.service_cycles_per_op"] = (
-                    (bd["busy"] + bd["stall"]) / total_ops)
-                result.extra["obs.service_stall_per_op"] = (
-                    bd["stall"] / total_ops)
+                result.extra["obs.service_cycles_per_op"] = result.service_cycles_per_op
+                result.extra["obs.service_stall_per_op"] = result.service_stall_per_op
             cores = delta["core"].values()
             result.extra["obs.misses"] = float(
                 sum(c.get("misses", 0) for c in cores))

@@ -108,3 +108,46 @@ def record_counter_history(prim_name: str, nthreads: int, ops_each: int,
                for ctx in ctxs]
     run_ops(machine, scripts, prims=(prim,))
     return history
+
+
+def oracle_counters(ob):
+    """Subscribe the bus-fed reference counter file beside ``ob``'s own.
+
+    ``tests/counters_oracle.py`` rebuilds every register from bus
+    events, independently of the hardware models' direct writes.
+    """
+    from tests.counters_oracle import PerfCounters
+
+    ref = PerfCounters(ob.machine)
+    ob.bus.subscribe(ref.on_event)
+    return ref
+
+
+def attach_oracles(monkeypatch, on_attach=oracle_counters):
+    """Run ``on_attach(ob)`` for every machine an ``obs`` session attaches.
+
+    Returns the list the results are appended to, in attach order.
+    """
+    import repro.obs as obs
+
+    out = []
+    attach = obs.attach
+
+    def attach_with_oracle(machine):
+        ob = attach(machine)
+        if ob is not None:
+            out.append(on_attach(ob))
+        return ob
+
+    monkeypatch.setattr(obs, "attach", attach_with_oracle)
+    return out
+
+
+def assert_event_stalls_equal_hw(ref) -> None:
+    """The double-count guard: the oracle's event-derived stall
+    registers equal the cores' own hardware stall registers exactly."""
+    snap = ref.snapshot()
+    for cid, hw in snap["hw"].items():
+        ev = snap["core"].get(cid, {})
+        for reg in ("stall_mem", "stall_atomic", "stall_fence"):
+            assert ev.get(reg, 0) == hw[reg], (cid, reg)

@@ -12,6 +12,7 @@ from repro.analysis.critpath import analyze_collector
 from repro.faults import CrashThread, FaultPlan, PreemptThread
 from repro.workload.driver import WorkloadSpec
 from repro.workload.scenarios import run_counter_benchmark, run_fault_recovery_benchmark
+from tests.helpers import assert_event_stalls_equal_hw, attach_oracles
 
 SPEC = WorkloadSpec(warmup_cycles=5_000, measure_cycles=20_000)
 
@@ -89,15 +90,14 @@ def test_server_crash_and_failover_keeps_counters_consistent():
     assert all(v >= 0 for o in rep.ops for v in o.blame.values())
 
 
-def test_event_stall_registers_match_hw_under_faults():
+def test_event_stall_registers_match_hw_under_faults(monkeypatch):
     """The double-count guard holds with crashed and preempted cores:
-    event-derived stall registers equal the hardware registers."""
+    stall registers rebuilt from bus events (the oracle) equal the
+    hardware registers."""
+    refs = attach_oracles(monkeypatch)
     for plan in (CLIENT_CRASH, PREEMPT):
-        with obs.observed() as session:
+        with obs.observed():
             run_counter_benchmark("CC-Synch", 5, spec=SPEC, fault_plan=plan)
-        (ob,) = session.machines
-        snap = ob.counters.snapshot()
-        for cid, hw in snap["hw"].items():
-            ev = snap["core"].get(cid, {})
-            for reg in ("stall_mem", "stall_atomic", "stall_fence"):
-                assert ev.get(reg, 0) == hw[reg], (plan, cid, reg)
+    assert len(refs) == 2
+    for ref in refs:
+        assert_event_stalls_equal_hw(ref)
