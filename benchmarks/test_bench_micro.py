@@ -105,10 +105,57 @@ def test_udn_message_round_trips(benchmark):
         m.spawn(t0, server())
         p = m.spawn(t1, client())
         m.run()
-        return p.result
+        return p.result, m.sim.events_processed, m.now
 
+    # events and cycles pinned before the cheaper message path: a
+    # host-only speed-up must not add, drop or move a single event
     expected = sum(i + 1 for i in range(2_000))
-    assert benchmark(run) == expected
+    assert benchmark(run) == (expected, 16_002, 40_000)
+
+
+def test_udn_backpressure_fifo(benchmark):
+    """Three senders of 3-word messages into a 4-word buffer: only one
+    message fits at a time, so every send queues for space in FIFO
+    order; one sender uses timed sends and retries after each expiry
+    (a withdrawn reservation)."""
+    rounds = 30
+
+    def run():
+        from repro.udn import SendTimeout
+
+        m = Machine(tile_gx(udn_buffer_words=4))
+        rx = m.thread(0)
+        order = []
+        expiries = [0]
+
+        def sender(ctx, timed):
+            for i in range(rounds):
+                while True:
+                    try:
+                        yield from ctx.send(0, [ctx.tid, i, 0],
+                                            timeout=60 if timed else None)
+                        break
+                    except SendTimeout:
+                        expiries[0] += 1
+
+        def receiver():
+            for _ in range(3 * rounds):
+                tid, _, _ = yield from rx.receive(3)
+                order.append(tid)
+                yield from rx.work(20)
+
+        for tid in (1, 2, 3):
+            ctx = m.thread(tid)
+            m.spawn(ctx, sender(ctx, timed=tid == 3))
+        m.spawn(rx, receiver())
+        m.run()
+        return (m.sim.events_processed, m.udn.backpressure_cycles,
+                expiries[0], "".join(map(str, order)))
+
+    # pinned before the cheaper message path, like the round trips above
+    order = ("123121231212312123121231212312123121231212312"
+             "123121231212312123121231212312333333333333333")
+    assert benchmark(run) == (529, 5_205, 15, order)
 
 
 def test_atomic_faa_throughput(benchmark):

@@ -22,7 +22,7 @@ be driven with ``yield from``:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Generator, List, NoReturn, Optional, Sequence
 
 from repro.machine.config import MachineConfig, tile_gx
 from repro.machine.core import Core
@@ -209,21 +209,18 @@ class ThreadCtx:
     # -- hardware message passing -------------------------------------------
     def send(self, dst_tid: int, words: Sequence[int],
              timeout: Optional[int] = None) -> Generator[Any, Any, None]:
-        return self._udn().send(self.core, dst_tid, words, timeout)
+        return (self.udn or self._no_udn()).send(self.core, dst_tid, words, timeout)
 
     def receive(self, k: int = 1,
                 timeout: Optional[int] = None) -> Generator[Any, Any, List[int]]:
-        return self._udn().receive(self.core, self.tid, k, timeout)
+        return (self.udn or self._no_udn()).receive(self.core, self.tid, k, timeout)
 
     def is_queue_empty(self) -> Generator[Any, Any, bool]:
-        return self._udn().is_queue_empty(self.core, self.tid)
+        return (self.udn or self._no_udn()).is_queue_empty(self.core, self.tid)
 
-    def _udn(self) -> UdnFabric:
-        if self.udn is None:
-            raise RuntimeError(
-                f"machine profile {self.machine.cfg.name!r} has no hardware message passing"
-            )
-        return self.udn
+    def _no_udn(self) -> NoReturn:
+        raise RuntimeError(
+            f"machine profile {self.machine.cfg.name!r} has no hardware message passing")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ThreadCtx(tid={self.tid}, core={self.core.cid})"

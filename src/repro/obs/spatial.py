@@ -134,7 +134,7 @@ class SpatialAtlas:
         self._measured: Dict[Tuple[int, int], List[int]] = {}
         self._fresh_measured: Dict[Tuple[int, int], List[int]] = {}
         # destination *core* -> [msgs, words, latency_total]; written
-        # inline by UdnFabric._deliver, mapped to nodes at summary time
+        # by the fabric at each delivery, mapped to nodes at summary time
         self._deliver: Dict[int, List[int]] = {}
         # sender node -> blocked cycles
         self._backpressure: Dict[int, int] = {}

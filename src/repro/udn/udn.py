@@ -37,16 +37,27 @@ Robustness extensions (fault-injection layer):
 Endpoints are *thread ids*; the fabric keeps the tid -> (core, demux
 queue) registration, mirroring the TILE-Gx requirement that a thread be
 pinned and registered to use the UDN.
+
+The host-side path: ``register`` resolves each tid once into an
+*endpoint table* row (core, demux, queue, core buffer, mesh node), so
+every operation does one dict lookup; and a message is one *delivery
+entry* (:class:`_Delivery`), created once its buffer space is held and
+scheduled for its arrival cycle as its own engine entry.  A core's
+reserved buffer words thus always equal its queued words plus the words
+of the entries bound for it (tests/test_udn_conservation.py).
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, ClassVar, Deque, Dict, Generator, List,
+                    Optional, Sequence, Tuple)
 
 from repro.machine.config import MachineConfig
 from repro.machine.core import Core
 from repro.noc.topology import Mesh
+from repro.sim._engine_core import _HANDLED
 from repro.sim.engine import Event, Interrupt, Simulator, WaitTimer
 from repro.sim.resources import Condition
 
@@ -87,17 +98,10 @@ class _CoreBuffer:
         # each entry: [event, words_needed, granted?]
         self._waiters: Deque[list] = deque()
 
-    def try_reserve(self, n: int) -> bool:
-        """Take ``n`` words now if no sender is queued; False (nothing
-        held) when the caller must queue via :meth:`reserve`."""
-        if not self._waiters and self.free_words >= n:
-            self.free_words -= n
-            return True
-        return False
-
     def reserve(self, n: int) -> Generator[Any, Any, None]:
         """Acquire ``n`` words of buffer space, FIFO among blocked senders."""
-        if self.try_reserve(n):
+        if not self._waiters and self.free_words >= n:
+            self.free_words -= n
             return
         entry = [Event(self.sim, label=self.label), n, False]
         self._waiters.append(entry)
@@ -132,6 +136,65 @@ class _Queue:
         self.arrival_cond = Condition(sim, label=label)
 
 
+#: one endpoint-table row: (core id, demux, queue, core buffer, mesh node)
+_Endpoint = Tuple[int, int, _Queue, _CoreBuffer, int]
+
+
+class _Delivery:
+    """One message, from its buffer reservation to its arrival: an engine
+    entry (always live, and pinned under schedule exploration like a
+    plain callback) whose ``_send`` hook delivers it.  On a contended
+    mesh a packet process carries it and calls that hook on arrival."""
+
+    pinned: ClassVar[bool] = True
+    _bare: ClassVar[bool] = True
+    _slow: ClassVar[bool] = False
+    _val: ClassVar[None] = None
+
+    __slots__ = ("fabric", "queue", "dst_core", "demux", "msg_id",
+                 "n_words", "payload", "sent_at")
+
+    def __init__(self, fabric: "UdnFabric", queue: _Queue, dst_core: int,
+                 demux: int, msg_id: int, n_words: int):
+        self.fabric = fabric
+        self.queue = queue
+        self.dst_core = dst_core
+        self.demux = demux
+        self.msg_id = msg_id
+        self.n_words = n_words
+        #: set by ``send`` once the injection has finished
+        self.payload: Sequence[int] = ()
+        self.sent_at = 0
+
+    def _send(self, _val: Any) -> Any:
+        fabric = self.fabric
+        sim = fabric.sim
+        sim._current = None  # no process is being stepped
+        q = self.queue
+        q.words.extend(self.payload)
+        fabric.messages_delivered += 1
+        sp = fabric.spatial_delivers
+        if sp is not None:
+            e = sp.get(self.dst_core)
+            latency = sim.now - self.sent_at
+            if e is None:
+                sp[self.dst_core] = [1, self.n_words, latency]
+            else:
+                e[0] += 1
+                e[1] += self.n_words
+                e[2] += latency
+        obs = sim.obs
+        if obs is not None:
+            latency = sim.now - self.sent_at
+            obs.counters.udn_deliver(latency)
+            obs.emit("udn.deliver", core=self.dst_core, demux=self.demux,
+                     words=self.n_words, latency=latency, msg_id=self.msg_id)
+        cond = q.arrival_cond
+        if cond._waiters:
+            cond.notify_all()
+        return _HANDLED
+
+
 class UdnFabric:
     """All hardware message queues of the chip plus the transit network."""
 
@@ -144,6 +207,14 @@ class UdnFabric:
         self.mesh = mesh
         self.cores = cores
         self.contended = contended_mesh  # optional ContendedMesh
+        # hot-path constants: a MachineConfig is never mutated once its
+        # Machine is built, and cores never move between nodes
+        self._buffer_words = cfg.udn_buffer_words
+        self._send_base, self._send_per_word = cfg.udn_send_base, cfg.udn_send_per_word
+        self._recv_base, self._recv_per_word = cfg.udn_recv_base, cfg.udn_recv_per_word
+        self._probe_cost = cfg.udn_probe_cost
+        self._noc_base, self._noc_per_hop = mesh.base, mesh.per_hop
+        self._noc_per_word, self._xs, self._ys = mesh.per_word, mesh.xs, mesh.ys
         self._buffers = [
             _CoreBuffer(sim, cfg.udn_buffer_words, label=f"udn buffer space of core {c.cid}")
             for c in cores
@@ -155,8 +226,8 @@ class UdnFabric:
             ]
             for c in cores
         ]
-        # thread id -> (core id, demux queue index), and the inverse
-        self._endpoints: Dict[int, Tuple[int, int]] = {}
+        # thread id -> its resolved endpoint, and (core, demux) -> owner tid
+        self._endpoints: Dict[int, _Endpoint] = {}
         self._owners: Dict[Tuple[int, int], int] = {}
         #: monotonically increasing message id (tags ``udn.send`` /
         #: ``udn.deliver`` events so the causal tracer can match a send to
@@ -206,45 +277,56 @@ class UdnFabric:
         chip-wide count of message words in flight or waiting to be
         received.  O(cores) arithmetic, no queue walking.
         """
-        cap = self.cfg.udn_buffer_words
+        cap = self._buffer_words
         return sum(cap - b.free_words for b in self._buffers)
 
     # -- registration -------------------------------------------------------
     def register(self, tid: int, core_id: int, demux: int = 0) -> None:
-        """Pin thread ``tid``'s receive endpoint to (core, demux queue)."""
+        """Pin thread ``tid``'s receive endpoint to (core, demux queue);
+        a move, like :meth:`unregister`, needs the old queue drained."""
         if not (0 <= core_id < len(self.cores)):
             raise ValueError(f"no core {core_id}")
         if not (0 <= demux < self.cfg.udn_demux_queues):
             raise ValueError(f"demux queue {demux} out of range")
-        queue = (core_id, demux)
-        other_tid = self._owners.get(queue, tid)
+        key = (core_id, demux)
+        other_tid = self._owners.get(key, tid)
         if other_tid != tid:
             raise ValueError(f"queue ({core_id},{demux}) already registered to thread {other_tid}")
         old = self._endpoints.get(tid)
         if old is not None:
-            del self._owners[old]  # re-registration moves the thread
-        self._endpoints[tid] = queue
-        self._owners[queue] = tid
+            if old[0] == core_id and old[1] == demux:
+                return
+            self._check_drained(tid, old, "moving")
+            del self._owners[(old[0], old[1])]
+        self._endpoints[tid] = (core_id, demux, self._queues[core_id][demux],
+                                self._buffers[core_id], self.cores[core_id].node)
+        self._owners[key] = tid
 
     def unregister(self, tid: int) -> None:
-        q = self._queue_of(tid)
-        if q.words:
-            raise RuntimeError(f"thread {tid} unregistering with {len(q.words)} words pending")
-        del self._owners[self._endpoints.pop(tid)]
+        ep = self._lookup(tid)
+        self._check_drained(tid, ep, "unregistering")
+        del self._endpoints[tid]
+        del self._owners[(ep[0], ep[1])]
+
+    @staticmethod
+    def _check_drained(tid: int, ep: _Endpoint, verb: str) -> None:
+        words = ep[2].words
+        if words:
+            raise RuntimeError(f"thread {tid} {verb} with {len(words)} words pending")
+
+    def _lookup(self, tid: int) -> _Endpoint:
+        ep = self._endpoints.get(tid)
+        if ep is None:
+            raise KeyError(f"thread {tid} is not registered with the UDN")
+        return ep
 
     def endpoint(self, tid: int) -> Tuple[int, int]:
-        try:
-            return self._endpoints[tid]
-        except KeyError:
-            raise KeyError(f"thread {tid} is not registered with the UDN") from None
-
-    def _queue_of(self, tid: int) -> _Queue:
-        core_id, demux = self.endpoint(tid)
-        return self._queues[core_id][demux]
+        ep = self._lookup(tid)
+        return ep[0], ep[1]
 
     def queue_depth(self, tid: int) -> int:
         """Words currently queued for ``tid`` (test/debug hook)."""
-        return len(self._queue_of(tid).words)
+        return len(self._lookup(tid)[2].words)
 
     # -- operations ----------------------------------------------------------
     def send(self, core: Core, dst_tid: int, words: Sequence[int],
@@ -260,31 +342,33 @@ class UdnFabric:
         if not words:
             raise ValueError("empty message")
         n = len(words)
-        cfg = self.cfg
-        dst_core_id, demux = self.endpoint(dst_tid)
-        if n > cfg.udn_buffer_words:
+        ep = self._endpoints.get(dst_tid) or self._lookup(dst_tid)
+        dst_core_id, demux, queue, buf, dst_node = ep
+        if n > self._buffer_words:
             raise ValueError(
-                f"{n}-word message can never fit a {cfg.udn_buffer_words}-word buffer (deadlock)"
+                f"{n}-word message can never fit a {self._buffer_words}-word buffer (deadlock)"
             )
-        buf = self._buffers[dst_core_id]
+        sim = self.sim
         # Reserve space; block while the buffer is full (messages back up
         # into the network and stall the sender).  FIFO among senders.
-        t0 = self.sim.now
+        t0 = sim.now
         if timeout is None:
-            if not buf.try_reserve(n):
+            if buf._waiters or buf.free_words < n:
                 yield from buf.reserve(n)
+            else:
+                buf.free_words -= n
         else:
             if timeout < 1:
                 raise ValueError("timeout must be >= 1 cycle")
-            timer = WaitTimer(self.sim, self.sim.current, self.sim.now + timeout)
+            timer = WaitTimer(sim, sim.current, sim.now + timeout)
             try:
                 yield from buf.reserve(n)
             except Interrupt as exc:
                 if exc.cause is timer:
-                    waited = self.sim.now - t0
+                    waited = sim.now - t0
                     core.wait += waited
                     self.backpressure_by_core[core.cid] += waited
-                    obs = self.sim.obs
+                    obs = sim.obs
                     if obs is not None:
                         obs.counters.count("udn_timeouts")
                         obs.emit("udn.timeout", core=core.cid, op="send",
@@ -296,12 +380,13 @@ class UdnFabric:
                 raise
             finally:
                 timer.disarm()
-        blocked = self.sim.now - t0
+        blocked = sim.now - t0
         if blocked:
             core.wait += blocked
             self.backpressure_by_core[core.cid] += blocked
         msg_id = self._next_msg_id
-        self._next_msg_id += 1
+        self._next_msg_id = msg_id + 1
+        entry = _Delivery(self, queue, dst_core_id, demux, msg_id, n)
         sp = self.spatial_sends
         if sp is not None:
             e = sp.get((core.cid, dst_core_id))
@@ -310,7 +395,7 @@ class UdnFabric:
             else:
                 e[0] += 1
                 e[1] += n
-        obs = self.sim.obs
+        obs = sim.obs
         if obs is not None:
             counters = obs.counters
             if blocked:
@@ -320,77 +405,61 @@ class UdnFabric:
             counters.udn_send(core.cid, n)
             obs.emit("udn.send", core=core.cid, dst_tid=dst_tid,
                      dst_core=dst_core_id, words=n, msg_id=msg_id)
-        inject = cfg.udn_send_base + cfg.udn_send_per_word * n
+        inject = self._send_base + self._send_per_word * n
         core.busy += inject
         core.msgs_sent += 1
         yield inject
 
-        payload = [w for w in words]
-        sent_at = self.sim.now
+        entry.payload = list(words)
+        entry.sent_at = sent_at = sim.now
+        src = core.node
         if self.contended is not None:
-            self.sim.spawn(
-                self._contended_delivery(core.node, dst_core_id, demux, payload,
-                                         sent_at, msg_id),
-                name=f"udn-pkt->{dst_tid}",
-            )
-        else:
-            transit = self.mesh.latency(core.node, self.cores[dst_core_id].node, n)
-            if self.transit_jitter is not None:
-                transit += int(self.transit_jitter(core.node, self.cores[dst_core_id].node, n))
-            policy = self.sim.policy
-            if policy is not None:
-                # exploration seam: the policy may stretch this message's
-                # transit, reordering deliveries *across* streams while the
-                # clamp below keeps each (src, dst-queue) stream FIFO --
-                # exactly the reorderings real mesh contention can produce.
-                extra = int(policy.udn_delay(core.node, dst_core_id, demux,
-                                             n, sent_at))
-                key = (core.node, dst_core_id, demux)
-                arrive = sent_at + transit + extra
-                prev = self._policy_last_arrival.get(key, 0)
-                if arrive < prev:
-                    arrive = prev
-                self._policy_last_arrival[key] = arrive
-                transit = arrive - sent_at
-            self.sim.call_after(
-                transit, lambda: self._deliver(dst_core_id, demux, payload, sent_at, msg_id))
-
-    def _contended_delivery(self, src_node: int, dst_core_id: int, demux: int,
-                            payload: List[int], sent_at: int,
-                            msg_id: Optional[int] = None) -> Generator[Any, Any, None]:
-        yield from self.contended.transit(src_node, self.cores[dst_core_id].node,
-                                          len(payload), msg_id=msg_id)
+            sim.spawn(self._contended_delivery(src, dst_node, entry),
+                      name=f"udn-pkt->{dst_tid}")
+            return
+        xs, ys = self._xs, self._ys  # Mesh.latency, inline
+        transit = (self._noc_base + self._noc_per_word * (n - 1) + self._noc_per_hop
+                   * (abs(xs[src] - xs[dst_node]) + abs(ys[src] - ys[dst_node])))
         if self.transit_jitter is not None:
-            extra = int(self.transit_jitter(src_node, self.cores[dst_core_id].node, len(payload)))
+            transit += int(self.transit_jitter(src, dst_node, n))
+        policy = sim.policy
+        if policy is not None:
+            # exploration seam: the policy may stretch this message's
+            # transit, reordering deliveries *across* streams while the
+            # clamp below keeps each (src, dst-queue) stream FIFO --
+            # exactly the reorderings real mesh contention can produce.
+            extra = int(policy.udn_delay(src, dst_core_id, demux, n, sent_at))
+            key = (src, dst_core_id, demux)
+            arrive = sent_at + transit + extra
+            prev = self._policy_last_arrival.get(key, 0)
+            if arrive < prev:
+                arrive = prev
+            self._policy_last_arrival[key] = arrive
+            transit = arrive - sent_at
+        if transit > 0:
+            # the arrival cycle's bucket, exactly as ``sim.call_after``
+            when = sent_at + transit
+            b = sim._buckets.get(when)
+            if b is None:
+                sim._buckets[when] = [entry]
+                heapq.heappush(sim._heap, when)
+            else:
+                b.append(entry)
+        elif transit == 0:
+            sim._fast.append(entry)
+        else:
+            raise ValueError(
+                f"cannot schedule in the past ({sent_at + transit} < {sent_at})")
+
+    def _contended_delivery(self, src_node: int, dst_node: int,
+                            entry: _Delivery) -> Generator[Any, Any, None]:
+        n = entry.n_words
+        yield from self.contended.transit(src_node, dst_node, n, msg_id=entry.msg_id)
+        if self.transit_jitter is not None:
+            extra = int(self.transit_jitter(src_node, dst_node, n))
             if extra:
                 yield extra
-        self._deliver(dst_core_id, demux, payload, sent_at, msg_id)
-
-    def _deliver(self, dst_core_id: int, demux: int, payload: List[int],
-                 sent_at: Optional[int] = None,
-                 msg_id: Optional[int] = None) -> None:
-        q = self._queues[dst_core_id][demux]
-        q.words.extend(payload)
-        self.messages_delivered += 1
-        sp = self.spatial_delivers
-        if sp is not None:
-            e = sp.get(dst_core_id)
-            lat = self.sim.now - (sent_at if sent_at is not None
-                                  else self.sim.now)
-            if e is None:
-                sp[dst_core_id] = [1, len(payload), lat]
-            else:
-                e[0] += 1
-                e[1] += len(payload)
-                e[2] += lat
-        obs = self.sim.obs
-        if obs is not None:
-            latency = self.sim.now - (sent_at if sent_at is not None
-                                      else self.sim.now)
-            obs.counters.udn_deliver(latency)
-            obs.emit("udn.deliver", core=dst_core_id, demux=demux,
-                     words=len(payload), latency=latency, msg_id=msg_id)
-        q.arrival_cond.notify_all()
+        entry._send(None)  # this process's last step: no ``current`` to keep
 
     def receive(self, core: Core, tid: int, k: int = 1,
                 timeout: Optional[int] = None) -> Generator[Any, Any, List[int]]:
@@ -405,56 +474,67 @@ class UdnFabric:
         """
         if k < 1:
             raise ValueError("must receive at least one word")
-        core_id, demux = self.endpoint(tid)
-        q = self._queues[core_id][demux]
-        t0 = self.sim.now
+        ep = self._endpoints.get(tid) or self._lookup(tid)
+        q = ep[2]
+        words = q.words
+        sim = self.sim
+        t0 = sim.now
         if timeout is None:
-            while len(q.words) < k:
+            while len(words) < k:
                 yield q.arrival_cond.arm()
         else:
             if timeout < 1:
                 raise ValueError("timeout must be >= 1 cycle")
-            timer = WaitTimer(self.sim, self.sim.current, self.sim.now + timeout)
+            timer = WaitTimer(sim, sim.current, sim.now + timeout)
             try:
-                while len(q.words) < k:
+                while len(words) < k:
                     yield q.arrival_cond.arm()
             except Interrupt as exc:
                 if exc.cause is timer:
-                    waited = self.sim.now - t0
+                    waited = sim.now - t0
                     core.wait += waited
-                    obs = self.sim.obs
+                    obs = sim.obs
                     if obs is not None:
                         obs.counters.count("udn_timeouts")
                         obs.emit("udn.timeout", core=core.cid, op="receive",
                                  waited=waited)
                     raise ReceiveTimeout(
                         f"receive of {k} words by thread {tid} timed out after "
-                        f"{waited} cycles ({len(q.words)} words queued)", waited
+                        f"{waited} cycles ({len(words)} words queued)", waited
                     ) from None
                 raise
             finally:
                 timer.disarm()
-        waited = self.sim.now - t0
+        waited = sim.now - t0
         if waited:
             core.wait += waited
-        obs = self.sim.obs
+        obs = sim.obs
         if obs is not None:
             obs.counters.udn_recv(core.cid, k, waited)
             obs.emit("udn.recv", core=core.cid, tid=tid, words=k,
                      waited=waited, start=t0)
-        cost = self.cfg.udn_recv_base + self.cfg.udn_recv_per_word * k
+        cost = self._recv_base + self._recv_per_word * k
         core.busy += cost
         core.msgs_received += 1
         yield cost
-        out = [q.words.popleft() for _ in range(k)]
+        pop = words.popleft
+        if k == 1:
+            out = [pop()]
+        else:
+            out = [pop() for _ in range(k)]
         # space frees at the *core buffer* of the receiving endpoint and is
         # handed to blocked senders in FIFO order
-        self._buffers[core_id].release(k)
+        buf = ep[3]
+        if buf._waiters:
+            buf.release(k)
+        else:
+            buf.free_words += k
         return out
 
     def is_queue_empty(self, core: Core, tid: int) -> Generator[Any, Any, bool]:
         """Local probe of ``tid``'s queue (cheap, no blocking)."""
-        cost = self.cfg.udn_probe_cost
+        cost = self._probe_cost
         core.busy += cost
         yield cost
-        return not self._queue_of(tid).words
+        ep = self._endpoints.get(tid) or self._lookup(tid)
+        return not ep[2].words

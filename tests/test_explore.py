@@ -91,6 +91,48 @@ def test_reorder_lane_pins_callbacks_in_place():
     assert pol.trace and pol.trace[0][0] == "L" and pol.trace[0][1] != 0
 
 
+def test_udn_delivery_entries_stay_pinned_under_lane_shuffles():
+    """A UDN message is one scheduler entry from send to arrival; lane
+    shuffles may reorder process resumes around it but never move it.
+    With a zero-cost NoC, same-core messages arrive in the cycle they
+    are sent, so their entries share the lane with the senders'
+    ``yield 0`` resumes."""
+    from repro.machine import Machine, tile_gx
+    from repro.udn.udn import _Delivery
+
+    seen = {"deliveries": 0, "moved": 0}
+
+    class Watching(RandomWalkPolicy):
+        def reorder_lane(self, entries, now):
+            out = super().reorder_lane(entries, now)
+            for i, e in enumerate(entries):
+                if isinstance(e, _Delivery):
+                    seen["deliveries"] += 1
+                    assert out[i] is e, "a UDN delivery entry moved"
+                elif out[i] is not e:
+                    seen["moved"] += 1
+            return out
+
+    m = Machine(tile_gx(noc_base=0))
+    ring = [m.thread(tid, core_id=0, demux=tid) for tid in range(4)]
+    rounds = 20
+
+    def prog(ctx):
+        got = []
+        for i in range(rounds):
+            yield from ctx.send((ctx.tid + 1) % 4, [i])
+            yield 0
+            (v,) = yield from ctx.receive(1)
+            got.append(v)
+        return got
+
+    procs = [m.spawn(ctx, prog(ctx)) for ctx in ring]
+    m.sim.policy = Watching(seed=5, p_lane=1.0, p_udn=0, p_preempt=0)
+    m.run()
+    assert all(p.result == list(range(rounds)) for p in procs)
+    assert seen["deliveries"] > 0 and seen["moved"] > 0
+
+
 def test_replay_policy_per_kind_fifo_and_zero_past_end():
     pol = ReplayPolicy([("P", 5), ("U", 7), ("P", 0), ("L", 0)])
     assert pol.preempt("t", 0, 0) == 5

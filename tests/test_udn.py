@@ -296,6 +296,74 @@ def test_reregistered_thread_moves_queues_and_frees_the_old_one():
         udn.endpoint(7)
 
 
+def test_reregistering_with_words_pending_is_refused():
+    """A move would strand the queued words and the buffer space they
+    hold (later senders to that core could block forever), so it is
+    refused exactly like unregistering."""
+    m = make_machine()
+    t0 = m.thread(0)
+    m.thread(1)
+
+    def sender(ctx):
+        yield from ctx.send(1, [1, 2])
+
+    m.spawn(t0, sender(t0))
+    m.run()
+    udn = m.udn
+    with pytest.raises(RuntimeError, match="^thread 1 moving with 2 words pending$"):
+        udn.register(1, 5, 0)
+    assert udn.endpoint(1) == (1, 0)  # nothing moved
+    with pytest.raises(ValueError, match="already registered to thread 1"):
+        udn.register(2, 1, 0)
+    udn.register(1, 1, 0)  # same queue again: still allowed
+    assert udn.queue_depth(1) == 2
+
+
+def test_message_calls_follow_a_moved_endpoint():
+    m = make_machine()
+    cap = m.cfg.udn_buffer_words
+    t0 = m.thread(0)
+    t7 = m.thread(7, core_id=2)
+    udn = m.udn
+    udn.register(7, 4, 1)  # moves the receive endpoint to core 4, queue 1
+
+    def sender(ctx):
+        yield from ctx.send(7, [5, 6])
+
+    m.spawn(t0, sender(t0))
+    m.run()
+    assert udn.queue_depth(7) == 2
+    assert udn._buffers[4].free_words == cap - 2
+    assert udn._buffers[2].free_words == cap
+    assert not udn._queues[2][0].words
+
+    def receiver(ctx):
+        empty = yield from ctx.is_queue_empty()
+        words = yield from ctx.receive(2)
+        return empty, words
+
+    p = m.spawn(t7, receiver(t7))
+    m.run()
+    assert p.result == (False, [5, 6])
+    assert udn._buffers[4].free_words == cap
+
+
+@pytest.mark.parametrize("call", [
+    lambda c: c.send(3, [1]), lambda c: c.receive(1), lambda c: c.is_queue_empty()])
+def test_message_calls_on_an_unregistered_tid_raise_keyerror(call):
+    m = make_machine()
+    ctx = m.thread(3)
+    m.udn.unregister(3)
+
+    def prog():
+        yield from call(ctx)
+
+    m.spawn(ctx, prog())
+    with pytest.raises(KeyError) as info:
+        m.run()
+    assert info.value.args == ("thread 3 is not registered with the UDN",)
+
+
 @pytest.mark.parametrize("call", [
     lambda c: c.send(1, [1]), lambda c: c.receive(1), lambda c: c.is_queue_empty()])
 def test_no_udn_profile_message_calls_name_the_profile(call):
