@@ -57,8 +57,9 @@ def write_bench_json(fig, filename, *, metrics=None):
     """Write one figure's numbers as a machine-readable benchmark record.
 
     The record carries the active machine profile's fingerprint so the
-    regression gate (``benchmarks/check_regression.py``) refuses to
-    compare numbers measured under different cost models, and the
+    regression gate (``python -m repro diff BASELINE CURRENT --gate
+    throughput_mops``) refuses to compare numbers measured under
+    different cost models, and the
     ``full`` flag so quick and full sweeps never cross-compare either.
 
     ``metrics`` adds extra per-point columns: a mapping of metric name
@@ -81,8 +82,8 @@ def write_bench_json(fig, filename, *, metrics=None):
                 "latency_p50_cycles": r.p50_latency_cycles,
                 "latency_p99_cycles": r.p99_latency_cycles,
                 # host-perf provenance (engine speed, not a simulated
-                # result): informational in check_regression.py, never
-                # gating, and excluded from determinism fingerprints
+                # result): reported by ``repro diff`` as direction-neutral,
+                # never gating, and excluded from determinism fingerprints
                 "wall_seconds": r.host_wall_seconds,
                 "events_processed": r.host_events_processed,
                 "events_per_sec": r.host_events_per_sec,

@@ -17,9 +17,10 @@ the overload layer exists to produce:
   bounded admission) recovers and keeps serving.
 
 The goodput numbers land in ``BENCH_overload.json`` (throughput of an
-open-loop point *is* goodput); ``check_regression.py`` gates them
-against ``benchmarks/baselines/BENCH_overload.json`` with the standard
-10% tolerance.
+open-loop point *is* goodput); ``python -m repro diff --gate
+throughput_mops`` gates them against
+``benchmarks/baselines/BENCH_overload.json`` with the standard 10%
+tolerance.
 """
 
 from benchmarks.conftest import print_figure, run_once, tput, write_bench_json

@@ -1,7 +1,7 @@
 """Per-op causal tracing and critical-path blame attribution.
 
-Reconstructs, from the raw event stream a
-:class:`~repro.obs.causal.CausalCollector` recorded, *where every cycle
+Reconstructs, from the raw event stream a machine's
+:class:`~repro.obs.bus.EventLog` recorded, *where every cycle
 of every operation's latency went*.  This is the lens Figures 3-5 of
 the paper argue with -- coherence stalls vs. message latency vs.
 combiner queueing -- applied per operation instead of machine-wide.
@@ -52,6 +52,7 @@ import numpy as np
 
 __all__ = [
     "CATEGORIES",
+    "CAUSAL_KINDS",
     "CritPathReport",
     "OpTrace",
     "analyze",
@@ -59,6 +60,14 @@ __all__ = [
     "diff_reports",
     "stragglers",
 ]
+
+#: the event kinds the happens-before reconstruction reads (a subset of
+#: the kinds a machine's event log records)
+CAUSAL_KINDS = frozenset({
+    "op.begin", "op.end", "server.done", "combiner.close",
+    "udn.send", "udn.deliver", "udn.recv", "udn.backpressure",
+    "cache.stall", "atomic.stall", "fence.stall",
+})
 
 #: blame categories in paint order (index = paint precedence and the
 #: code stored in the per-op timeline)
@@ -205,8 +214,8 @@ def analyze(events: Sequence[Tuple[int, str, Dict[str, Any]]],
     """Reconstruct per-op blame and the whole-run critical path.
 
     ``events`` is the raw ``(cycle, kind, fields)`` stream of one
-    machine (what :class:`~repro.obs.causal.CausalCollector` holds), in
-    emission order.
+    machine (what its :class:`~repro.obs.bus.EventLog` holds), in
+    emission order; kinds outside :data:`CAUSAL_KINDS` are ignored.
     """
     # ---- index the stream by the keys the per-op joins need ----
     op_begin: Dict[int, Tuple[int, int, int, str]] = {}  # op -> (t, core, tid, prim)
@@ -354,9 +363,10 @@ def analyze(events: Sequence[Tuple[int, str, Dict[str, Any]]],
     )
 
 
-def analyze_collector(causal, label: str = "run") -> CritPathReport:
-    """Analyze one machine's :class:`~repro.obs.causal.CausalCollector`."""
-    return analyze(causal.events, label=label, truncated=causal.truncated)
+def analyze_collector(event_log, label: str = "run") -> CritPathReport:
+    """Analyze one machine's :class:`~repro.obs.bus.EventLog`."""
+    return analyze(event_log.events, label=label,
+                   truncated=event_log.truncated)
 
 
 # -- whole-run critical path ------------------------------------------------

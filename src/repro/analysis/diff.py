@@ -34,9 +34,10 @@ Critical-path blame categories (cycles-per-op by category, see
 :mod:`repro.analysis.critpath`) fold in through :func:`blame_metrics`
 as neutral metrics: blame *shifting* is a diagnosis, not a regression.
 
-``benchmarks/check_regression.py`` reuses :func:`diff_records` with
-``gate=("throughput_mops",)`` so the CI gate and the human diff can
-never disagree about what regressed.
+CI's regression gates are this same diff run as
+``python -m repro diff BASELINE CURRENT --threshold 0.10 --gate
+throughput_mops``, so the gate and the human diff can never disagree
+about what regressed.
 """
 
 from __future__ import annotations
@@ -272,8 +273,11 @@ def diff_records(a: Dict[str, Any], b: Dict[str, Any], *,
     """Compare two records metric by metric (see module docs).
 
     ``gate`` names the metrics whose regressions make the whole diff
-    *gate-fail* (``gate_failures`` non-empty); points present in ``a``
-    but missing in ``b`` also gate-fail when any gate metric is set.
+    *gate-fail* (``gate_failures`` non-empty).  When any gate metric is
+    set, records that are not comparable (different machine-profile
+    fingerprint or quick/full mode) and series or points present in
+    ``a`` but missing in ``b`` also gate-fail: an incomparable baseline
+    must be regenerated deliberately, not passed silently.
     With exactly one curve on each side the curves pair positionally
     (cross-approach diffs); otherwise curves pair by label.
     """
@@ -291,6 +295,16 @@ def diff_records(a: Dict[str, Any], b: Dict[str, Any], *,
     gate = tuple(gate)
     counts = {"improved": 0, "regressed": 0, "unchanged": 0, "changed": 0}
     gate_failures: List[str] = []
+    comparable = (a.get("fingerprint") == b.get("fingerprint")
+                  and a.get("full") == b.get("full"))
+    if gate:
+        if not comparable:
+            gate_failures.append(
+                f"records not comparable (fingerprint {a.get('fingerprint')}"
+                f" -> {b.get('fingerprint')}, full {a.get('full')} -> "
+                f"{b.get('full')}): regenerate the baseline deliberately")
+        gate_failures.extend(f"{label}: series disappeared"
+                             for label in only_a)
     series_out: List[Dict[str, Any]] = []
     for a_label, b_label in pairs:
         b_points = {p["x"]: p for p in b_series[b_label]}
@@ -345,8 +359,6 @@ def diff_records(a: Dict[str, Any], b: Dict[str, Any], *,
         overall = "changed"
     else:
         overall = "unchanged"
-    comparable = (a.get("fingerprint") == b.get("fingerprint")
-                  and a.get("full") == b.get("full"))
     return {
         "a": {"label": a.get("label"), "figure": a.get("figure"),
               "fingerprint": a.get("fingerprint"), "full": a.get("full")},

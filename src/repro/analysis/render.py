@@ -8,7 +8,7 @@ markdown tables and CSV (the precise numbers for EXPERIMENTS.md).
 from __future__ import annotations
 
 import io
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.critpath import CATEGORIES, CritPathReport, diff_reports, stragglers
 from repro.analysis.series import FigureData
@@ -17,7 +17,8 @@ from repro.workload.metrics import RunResult
 __all__ = ["ascii_chart", "bar_chart", "markdown_table",
            "render_blame_breakdown", "render_cdf", "render_critpath_diff",
            "render_latency_histogram", "render_line_heatmap",
-           "render_mesh_heatmap", "render_stragglers", "to_csv"]
+           "render_mesh_heatmap", "render_stragglers", "render_timeline",
+           "to_csv"]
 
 _MARKS = "*o+x#@%&"
 
@@ -245,6 +246,97 @@ def render_cdf(samples: Sequence[int], *, width: int = 60, height: int = 16,
         out.write(f"  {frac:4.2f} |" + "".join(row) + "\n")
     out.write("       +" + "-" * width + "\n")
     out.write(f"        cycles: {lo} .. {hi}\n")
+    return out.getvalue()
+
+
+#: timeline glyph -> legend name.  Stall and message spans win a
+#: bucket; the service, combine and op spans (:data:`_BACKGROUND`) only
+#: paint buckets no stall or message span touches.
+TIMELINE_GLYPHS = {"r": "load", "w": "store-buffer", "m": "mshr",
+                   "A": "atomic", "F": "fence", "v": "recv",
+                   "b": "backpressure", "s": "send",
+                   "e": "service", "c": "combine", "-": "op"}
+_BACKGROUND = frozenset("ec-")
+_STALL_GLYPHS = {"load": "r", "store_buffer": "w", "mshr": "m"}
+#: span-bearing kind -> (glyph, duration field); a span starts at its
+#: ``start`` field (else the emit cycle) and lasts the duration field
+#: (else it ends at the emit cycle).  ``cache.stall`` takes its glyph
+#: from ``why``.
+_TIMELINE_KINDS: Dict[str, Tuple[Optional[str], Optional[str]]] = {
+    "cache.stall": (None, "cycles"),
+    "atomic.stall": ("A", "cycles"),
+    "fence.stall": ("F", "cycles"),
+    "udn.recv": ("v", "waited"),
+    "udn.backpressure": ("b", "cycles"),
+    "udn.send": ("s", None),
+    "server.done": ("e", None),
+    "combiner.close": ("c", None),
+    "op.end": ("-", None),
+}
+
+
+def render_timeline(event_log, *, start: Optional[int] = None,
+                    end: Optional[int] = None, width: int = 100,
+                    cores: Optional[Sequence[int]] = None) -> str:
+    """ASCII Gantt chart of a machine's event log: one row per core.
+
+    Each column is one time bucket showing the glyph of the span
+    occupying most of it (:data:`TIMELINE_GLYPHS`); idle buckets stay
+    blank.  Spans are clipped to ``[start, end)``; a zero-length span
+    (a send) inside the window shows as a one-cycle dot.  A legend and
+    the clipped cycles per kind follow the chart.
+    """
+    spans: List[Tuple[int, str, int, int]] = []  # (core, glyph, lo, hi)
+    for t, kind, f in event_log.events:
+        spec = _TIMELINE_KINDS.get(kind)
+        if spec is None:
+            continue
+        glyph, dur = spec
+        s = f.get("start", t)
+        spans.append((f["core"], glyph or _STALL_GLYPHS[f["why"]], s,
+                      s + f[dur] if dur else t))
+    if not spans:
+        return "[empty trace]"
+    t_lo = min(sp[2] for sp in spans) if start is None else start
+    t_hi = max(sp[3] for sp in spans) if end is None else end
+    span_t = max(1, t_hi - t_lo)
+    bucket = max(1, span_t // width)
+    ncols = (span_t + bucket - 1) // bucket
+    rows = sorted({sp[0] for sp in spans}) if cores is None else list(cores)
+    # per core, per bucket: glyph -> cycles
+    grid: Dict[int, List[Dict[str, int]]] = {
+        c: [{} for _ in range(ncols)] for c in rows}
+    totals: Dict[str, int] = {}
+    for core, glyph, s, e in spans:
+        occupancy = grid.get(core)
+        if occupancy is None:
+            continue
+        lo, hi = max(s, t_lo), min(e, t_hi)
+        if hi > lo:
+            totals[glyph] = totals.get(glyph, 0) + hi - lo
+        elif s == e and t_lo <= s < t_hi:
+            hi = lo + 1  # zero-length span: a one-cycle dot
+        else:
+            continue
+        for c in range((lo - t_lo) // bucket, (hi - 1 - t_lo) // bucket + 1):
+            b_lo = t_lo + c * bucket
+            occ = occupancy[c]
+            occ[glyph] = occ.get(glyph, 0) + min(hi, b_lo + bucket) - max(lo, b_lo)
+
+    out = io.StringIO()
+    out.write(f"timeline: cycles {t_lo}..{t_hi}, one column = {bucket} cycles\n")
+    for core in rows:
+        row = []
+        for occ in grid[core]:
+            pick = [g for g in occ if g not in _BACKGROUND] or list(occ)
+            row.append(max(pick, key=occ.get) if pick else " ")
+        out.write(f"c{core:<3d}|{''.join(row)}|\n")
+    out.write("legend: " + "  ".join(f"{g}={k}" for g, k in
+                                     TIMELINE_GLYPHS.items()) + "\n")
+    if totals:
+        top = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
+        out.write("cycles by kind: " + ", ".join(
+            f"{TIMELINE_GLYPHS[g]}={v}" for g, v in top) + "\n")
     return out.getvalue()
 
 

@@ -8,11 +8,12 @@ each figure's data.
 Observability (see DESIGN.md §9): ``--perf`` prints per-experiment
 contention heatmaps / UDN latency histograms and writes the aggregated
 perf-counter file as ``<exp>-metrics.csv``; ``--trace`` additionally
-records every machine and writes a merged Chrome/Perfetto
+records every machine's event log and writes a merged Chrome/Perfetto
 ``<exp>-trace.json`` (open in https://ui.perfetto.dev).  Both write
 under ``--trace-out DIR`` (default ``traces/``).
 
-Causal tracing (DESIGN.md §10): ``--critpath`` reconstructs per-op
+Causal tracing (DESIGN.md §10): ``--critpath`` records the same event
+logs (without writing the trace file) and reconstructs per-op
 blame and the whole-run critical path (``<exp>-critpath.txt``, plus a
 HYBCOMB/CC-SYNCH diff when both ran); ``--stragglers [K]`` adds the K
 slowest ops with their dominant blame category; ``--latency-dump``
@@ -178,7 +179,7 @@ def main(argv=None) -> int:
         print("note: --perf/--trace/--critpath observe machines in-process; "
               "running serially (ignoring --jobs)")
         args.jobs = 1
-    session = (obs_mod.enable(trace=args.trace, causal=args.critpath,
+    session = (obs_mod.enable(trace=args.trace or args.critpath,
                               spatial=True, spatial_hops=args.critpath)
                if args.perf else None)
     try:
@@ -254,17 +255,17 @@ def _export_obs(session, exp_id: str, out_dir: str, trace: bool) -> None:
         print(render_mesh_heatmap(spatial,
                                   title=f"{exp_id}: NoC congestion atlas"))
         # join link occupancy with the ops that crossed each link; the
-        # causal stream carries the op context, so flows only resolve
-        # under --critpath.  One machine's flows suffice for attribution
+        # event log carries the op context, so flows only resolve on
+        # traced runs.  One machine's flows suffice for attribution
         # (the busiest machine dominates the merged atlas anyway).
         flows = None
         traced = [ob for ob in session.machines
-                  if ob.causal is not None and ob.causal.events
+                  if ob.trace is not None and ob.trace.events
                   and ob.spatial is not None]
         if traced:
             busiest = max(traced,
                           key=lambda ob: ob.spatial.summary()["messages"])
-            flows = causal_link_flows(busiest.spatial, busiest.causal)
+            flows = causal_link_flows(busiest.spatial, busiest.trace)
         print(render_hotspots(spatial, k=5, flows=flows))
         spath = write_mesh_svg(os.path.join(out_dir, f"{exp_id}-mesh.svg"),
                                spatial,
@@ -283,7 +284,7 @@ def _export_obs(session, exp_id: str, out_dir: str, trace: bool) -> None:
 
 def _export_critpath(session, exp_id: str, out_dir: str,
                      k_stragglers) -> None:
-    """Analyze causal streams; print + write blame/straggler reports.
+    """Analyze event logs; print + write blame/straggler reports.
 
     A sweep builds one machine per (approach, thread-count) point;
     analyzing every point would drown the terminal, so only the
@@ -292,7 +293,7 @@ def _export_critpath(session, exp_id: str, out_dir: str,
     """
     best = {}  # series name -> (thread count, Observability)
     for ob in session.machines:
-        if ob.causal is None or not ob.causal.events:
+        if ob.trace is None or not ob.trace.events:
             continue
         name, _, tpart = ob.label.rpartition(" T=")
         try:
@@ -305,7 +306,7 @@ def _export_critpath(session, exp_id: str, out_dir: str,
     if not best:
         return
     os.makedirs(out_dir, exist_ok=True)
-    reports = {name: analyze_collector(ob.causal, label=ob.label)
+    reports = {name: analyze_collector(ob.trace, label=ob.label)
                for name, (_n, ob) in sorted(best.items())}
     chunks = [render_blame_breakdown(rep) for rep in reports.values()]
     # the README's A/B example: HYBCOMB vs CC-SYNCH when both ran

@@ -69,22 +69,21 @@ class Machine:
         import repro.obs as _obs
         self.obs = _obs.attach(self)
 
-    def enable_observability(self, *, trace: bool = False,
-                             trace_limit: int = 500_000, label=None, **options):
+    def enable_observability(self, **options):
         """Turn on the event bus / perf counters for this machine.
 
         Returns the :class:`repro.obs.Observability` handle (idempotent:
         a second call returns the existing one).  ``trace=True`` also
-        records a Chrome/Perfetto trace (see ``obs.export_chrome_trace``);
-        further options (``timeseries``, ``sample_every``, ``slos``,
+        records the machine's event log (``trace_limit`` caps it), which
+        ``obs.export_chrome_trace``, the critical-path analysis and
+        :func:`repro.analysis.render.render_timeline` read; further
+        options (``label``, ``timeseries``, ``sample_every``, ``slos``,
         ``flight``, ``incident_dir``, ...) enable the continuous
         telemetry layers of DESIGN.md §14.
         """
         if self.obs is None:
             import repro.obs as _obs
-            self.obs = _obs.Observability(self, trace=trace,
-                                          trace_limit=trace_limit, label=label,
-                                          **options)
+            self.obs = _obs.Observability(self, **options)
         return self.obs
 
     # -- thread management ----------------------------------------------

@@ -9,9 +9,10 @@ Layers (see DESIGN.md §9 and §14):
   per-core / per-cache-line / per-link registers and a UDN latency
   histogram, written directly by the hardware models and queryable as
   before/after snapshots.
-* :class:`~repro.obs.perfetto.TraceCollector` -- Chrome/Perfetto trace
-  recording (open the exported ``trace.json`` in
-  https://ui.perfetto.dev or ``chrome://tracing``).
+* :class:`~repro.obs.bus.EventLog` -- the one recording of a machine's
+  bus (``trace=True``): the Chrome/Perfetto export (open the exported
+  ``trace.json`` in https://ui.perfetto.dev or ``chrome://tracing``),
+  the critical-path analysis and the ASCII timeline all read it.
 * :class:`~repro.obs.timeseries.Sampler` -- continuous telemetry: the
   engine clock snapshots counter/gauge sources into fixed-memory ring
   series every ``sample_every`` cycles (``timeseries=True``).
@@ -47,19 +48,18 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.bus import EventBus
-from repro.obs.causal import CausalCollector
+from repro.obs.bus import EventBus, EventLog
 from repro.obs.counters import PerfCounters, counters_csv, latency_bucket, merge_counters
 from repro.obs.flightrec import TRIGGERS as flightrec_triggers
 from repro.obs.flightrec import FlightRecorder
-from repro.obs.perfetto import TraceCollector, write_chrome_trace
+from repro.obs.perfetto import TRACE_KINDS, write_chrome_trace
 from repro.obs.slo import SLO, SLOMonitor
 from repro.obs.spatial import SPATIAL_KINDS, SpatialAtlas, merge_spatial_summaries
 from repro.obs.timeseries import Sampler, TimeSeries, register_machine_sources
 
 __all__ = [
-    "CausalCollector",
     "EventBus",
+    "EventLog",
     "FlightRecorder",
     "Observability",
     "ObsSession",
@@ -69,7 +69,6 @@ __all__ = [
     "Sampler",
     "SpatialAtlas",
     "TimeSeries",
-    "TraceCollector",
     "attach",
     "counters_csv",
     "disable",
@@ -86,8 +85,7 @@ class Observability:
     """One machine's observability: bus + counters (+ optional layers)."""
 
     def __init__(self, machine, *, trace: bool = False,
-                 trace_limit: int = 500_000, causal: bool = False,
-                 causal_limit: int = 2_000_000, label: Optional[str] = None,
+                 trace_limit: int = 2_000_000, label: Optional[str] = None,
                  timeseries: bool = False, sample_every: int = 512,
                  ts_buckets: int = 256, slos: Sequence[SLO] = (),
                  flight: bool = False, flight_limit: int = 4096,
@@ -102,15 +100,12 @@ class Observability:
         self.bus = EventBus(machine.sim)
         # written directly by the hardware models; subscribes to nothing
         self.counters = self.bus.counters = PerfCounters(machine)
-        self.trace: Optional[TraceCollector] = None
+        # the one recording of the bus: Perfetto export, critical path,
+        # link flows and the ASCII timeline all read it after the run
+        self.trace: Optional[EventLog] = None
         if trace:
-            self.trace = TraceCollector(num_cores=len(machine.cores),
-                                        limit=trace_limit)
-            self.bus.subscribe(self.trace.on_event)
-        self.causal: Optional[CausalCollector] = None
-        if causal:
-            self.causal = CausalCollector(limit=causal_limit)
-            self.bus.subscribe(self.causal.on_event)
+            self.trace = EventLog(limit=trace_limit)
+            self.bus.subscribe_kinds(TRACE_KINDS, self.trace.on_event)
         # spatial congestion atlas (DESIGN.md §15): send/deliver totals
         # are counted inline in the UDN fabric (installed by the atlas
         # constructor); the bus only carries the rare kinds -- plus
@@ -158,15 +153,17 @@ class Observability:
         if self.trace is None:
             raise RuntimeError("tracing was not enabled; pass trace=True")
         counters = [(self.label, self.sampler)] if self.sampler else []
-        return write_chrome_trace([(self.label, self.trace)], path,
+        return write_chrome_trace([self._trace_run()], path,
                                   counters=counters)
+
+    def _trace_run(self) -> Tuple[str, EventLog, int]:
+        return self.label, self.trace, len(self.machine.cores)
 
 
 class ObsSession:
     """Observes every :class:`Machine` constructed while it is active."""
 
-    def __init__(self, *, trace: bool = False, trace_limit: int = 500_000,
-                 causal: bool = False, causal_limit: int = 2_000_000,
+    def __init__(self, *, trace: bool = False, trace_limit: int = 2_000_000,
                  timeseries: bool = False, sample_every: int = 512,
                  ts_buckets: int = 256, slos: Sequence[SLO] = (),
                  flight: bool = False, flight_limit: int = 4096,
@@ -175,8 +172,6 @@ class ObsSession:
                  spatial_hop_limit: int = 100_000):
         self.trace = trace
         self.trace_limit = trace_limit
-        self.causal = causal
-        self.causal_limit = causal_limit
         self.timeseries = timeseries
         self.sample_every = sample_every
         self.ts_buckets = ts_buckets
@@ -244,14 +239,13 @@ class ObsSession:
         Each machine becomes one "process" in the trace, labelled with
         its run name, so a sweep's points sit side by side in Perfetto.
         """
-        pairs: List[Tuple[str, TraceCollector]] = [
-            (ob.label, ob.trace) for ob in self.machines if ob.trace is not None
-        ]
-        if not pairs:
+        traced = [ob for ob in self.machines if ob.trace is not None]
+        if not traced:
             raise RuntimeError("no traced machines in this session")
-        counters = [(ob.label, ob.sampler) for ob in self.machines
-                    if ob.trace is not None and ob.sampler is not None]
-        return write_chrome_trace(pairs, path, counters=counters)
+        counters = [(ob.label, ob.sampler) for ob in traced
+                    if ob.sampler is not None]
+        return write_chrome_trace([ob._trace_run() for ob in traced], path,
+                                  counters=counters)
 
 
 #: the active session new machines auto-attach to (None = off)
@@ -262,7 +256,7 @@ def enable(**options) -> ObsSession:
     """Start observing every machine constructed from now on.
 
     Keyword options are those of :class:`ObsSession` /
-    :class:`Observability`: ``trace``, ``causal``, ``timeseries``,
+    :class:`Observability`: ``trace``, ``trace_limit``, ``timeseries``,
     ``sample_every``, ``slos``, ``flight``, ``incident_dir``, ...
     """
     global _SESSION
@@ -294,7 +288,6 @@ def attach(machine) -> Optional[Observability]:
     if s is None:
         return None
     ob = Observability(machine, trace=s.trace, trace_limit=s.trace_limit,
-                       causal=s.causal, causal_limit=s.causal_limit,
                        timeseries=s.timeseries, sample_every=s.sample_every,
                        ts_buckets=s.ts_buckets, slos=s.slos,
                        flight=s.flight, flight_limit=s.flight_limit,

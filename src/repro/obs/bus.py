@@ -82,15 +82,23 @@ kind                   meaning
 Subscribers are plain callables ``fn(cycle, kind, fields)``; they must
 treat events as read-only and must not touch simulation state (the bus
 is an observer, never an actor -- enabling it cannot change an
-execution).
+execution).  Every :meth:`EventBus.emit` builds a fresh ``fields`` dict,
+so a subscriber may keep it without copying.
+
+:class:`EventLog` is the one recording of a machine's bus: the Perfetto
+export, the critical-path analysis, the link-flow join and the ASCII
+timeline all read its ``(cycle, kind, fields)`` events after the run.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Dict, Iterable, List, Optional
+import logging
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["EventBus"]
+__all__ = ["EventBus", "EventLog"]
+
+log = logging.getLogger(__name__)
 
 Subscriber = Callable[[int, str, Dict[str, Any]], None]
 
@@ -164,3 +172,37 @@ class EventBus:
             if fns is not None:
                 for fn in fns:
                     fn(t, kind, fields)
+
+
+class EventLog:
+    """A machine's raw bus events, in emission order, up to a cap.
+
+    Subscribed kind-filtered to the kinds its readers need.  Each event
+    keeps the dict :meth:`EventBus.emit` built for it (no copy).  Past
+    ``limit`` events the log drops the rest, counts them in
+    :attr:`dropped` and flags itself :attr:`truncated`, so readers can
+    say "partial data" instead of silently lying.
+    """
+
+    __slots__ = ("limit", "dropped", "events")
+
+    def __init__(self, limit: int = 2_000_000):
+        self.limit = limit
+        self.dropped = 0
+        #: (cycle, kind, fields) in emission order
+        self.events: List[Tuple[int, str, Dict[str, Any]]] = []
+
+    @property
+    def truncated(self) -> bool:
+        return self.dropped > 0
+
+    def on_event(self, t: int, kind: str, f: Dict[str, Any]) -> None:
+        if len(self.events) >= self.limit:
+            if self.dropped == 0:
+                log.warning(
+                    "event log hit its %d-event cap; traces and "
+                    "critical-path reports for this run are computed "
+                    "from partial data", self.limit)
+            self.dropped += 1
+            return
+        self.events.append((t, kind, f))

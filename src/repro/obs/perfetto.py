@@ -1,8 +1,10 @@
-"""Chrome/Perfetto trace export of observability events.
+"""Chrome/Perfetto trace export of a machine's event log.
 
-:class:`TraceCollector` subscribes to the event bus and records spans
-and instants in the Chrome Trace Event format (the JSON flavour both
-``chrome://tracing`` and https://ui.perfetto.dev open directly).
+:func:`trace_events` converts the :class:`~repro.obs.bus.EventLog` a
+traced run recorded into the Chrome Trace Event format (the JSON
+flavour both ``chrome://tracing`` and https://ui.perfetto.dev open
+directly).  The conversion runs once, at export, over the events in
+emission order; the run itself only appends raw events to the log.
 
 Track layout (one traced machine = one "process"):
 
@@ -10,17 +12,15 @@ Track layout (one traced machine = one "process"):
   stalls, atomic round trips, receive waits, combining sessions and
   served requests;
 * a ``udn`` track for message deliveries;
-* one track per *used* mesh link (allocated lazily) carrying link
-  occupancy spans;
+* one track per *used* mesh link (allocated in first-use order)
+  carrying link occupancy spans;
 * a ``sim`` track for process lifecycle / fault events.
 
 Timestamps are simulated cycles written into the ``ts``/``dur``
 microsecond fields -- the absolute unit is meaningless for a simulator,
 the relative scale is what matters.  Events are sorted by timestamp at
 export, so the file always satisfies the monotonicity the viewers
-expect.  The collector caps recorded events (``limit``) and counts what
-it drops, so tracing a long run degrades to a truncated trace instead
-of unbounded memory.
+expect.  A log that hit its cap exports as a trace marked truncated.
 """
 
 from __future__ import annotations
@@ -29,155 +29,134 @@ import json
 import logging
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["TraceCollector", "counter_events", "write_chrome_trace"]
+__all__ = ["TRACE_KINDS", "counter_events", "trace_events",
+           "write_chrome_trace"]
 
 log = logging.getLogger(__name__)
 
+#: the event kinds the export reads -- and so the kinds a machine's
+#: event log records; every other kind is filtered at the bus
+TRACE_KINDS = frozenset({
+    "cache.stall", "fence.stall", "cache.miss",
+    "atomic.stall", "atomic.cas_fail",
+    "udn.send", "udn.backpressure", "udn.recv", "udn.deliver",
+    "udn.timeout", "noc.link",
+    "combiner.close", "server.req", "server.done",
+    "op.begin", "op.end",
+    "proc.kill", "proc.interrupt",
+})
 
-class TraceCollector:
-    """Record bus events as Chrome trace events (see module docs)."""
 
-    def __init__(self, num_cores: int, limit: int = 500_000):
-        self.num_cores = num_cores
-        self.limit = limit
-        self.dropped = 0
-        #: recorded events: (ts, dur_or_None, tid, name, cat, args)
-        self.records: List[Tuple[int, Optional[int], int, str, str, Dict[str, Any]]] = []
-        #: flow-event bindings: (ts, tid, flow_id, phase) with phase one
-        #: of "s"/"t"/"f" -- links one op's spans across core tracks
-        self.flows: List[Tuple[int, int, int, str]] = []
-        #: per-thread current op id (from ``op.begin``), so service spans
-        #: can join the issuing op's flow
-        self._cur_op: Dict[int, int] = {}
-        self.sim_track = num_cores
-        self.udn_track = num_cores + 1
-        self._link_tracks: Dict[str, int] = {}
-        self._next_track = num_cores + 2
+def trace_events(event_log, num_cores: int, pid: int) -> List[Dict[str, Any]]:
+    """One machine's event log as Chrome trace-event dicts."""
+    sim_track = num_cores
+    udn_track = num_cores + 1
+    link_tracks: Dict[str, int] = {}
+    spans: List[Dict[str, Any]] = []
+    #: flow-event bindings (``ph`` one of "s"/"t"/"f") link one op's
+    #: spans across core tracks
+    flows: List[Dict[str, Any]] = []
+    #: per-thread current op id (from ``op.begin``), so service spans
+    #: can join the issuing op's flow
+    cur_op: Dict[int, int] = {}
 
-    # -- recording ----------------------------------------------------------
-    def _add(self, ts: int, dur: Optional[int], tid: int, name: str,
-             cat: str, args: Dict[str, Any]) -> None:
-        if len(self.records) >= self.limit:
-            if self.dropped == 0:
-                log.warning(
-                    "trace collector hit its %d-event cap; subsequent "
-                    "events are dropped and the exported trace will be "
-                    "marked truncated", self.limit,
-                )
-            self.dropped += 1
-            return
-        self.records.append((ts, dur, tid, name, cat, args))
+    def add(ts: int, dur: Optional[int], tid: int, name: str, cat: str,
+            args: Dict[str, Any]) -> None:
+        ev: Dict[str, Any] = {"name": name, "cat": cat, "pid": pid,
+                              "tid": tid, "ts": ts, "args": args}
+        if dur is None:
+            ev["ph"] = "i"
+            ev["s"] = "t"
+        else:
+            ev["ph"] = "X"
+            ev["dur"] = dur
+        spans.append(ev)
 
-    def _add_flow(self, ts: int, tid: int, flow_id: int, phase: str) -> None:
-        if len(self.flows) >= self.limit:
-            self.dropped += 1
-            return
-        self.flows.append((ts, tid, flow_id, phase))
+    def add_flow(ts: int, tid: int, flow_id: int, phase: str) -> None:
+        ev = {"name": "op-flow", "cat": "op", "pid": pid, "tid": tid,
+              "ts": ts, "ph": phase, "id": flow_id}
+        if phase == "f":
+            ev["bp"] = "e"
+        flows.append(ev)
 
-    def _link_track(self, a: int, b: int) -> int:
+    def link_track(a: int, b: int) -> int:
         key = f"{a}->{b}"
-        tid = self._link_tracks.get(key)
+        tid = link_tracks.get(key)
         if tid is None:
-            tid = self._next_track
-            self._next_track += 1
-            self._link_tracks[key] = tid
+            tid = link_tracks[key] = num_cores + 2 + len(link_tracks)
         return tid
 
-    def on_event(self, t: int, kind: str, f: Dict[str, Any]) -> None:
+    for t, kind, f in event_log.events:
         if kind == "cache.stall":
-            self._add(f["start"], f["cycles"], f["core"],
-                      "stall:" + f["why"], "cache", {"line": f.get("line")})
+            add(f["start"], f["cycles"], f["core"],
+                "stall:" + f["why"], "cache", {"line": f.get("line")})
         elif kind == "fence.stall":
-            self._add(f["start"], f["cycles"], f["core"],
-                      "stall:" + f["why"], "cache", {})
+            add(f["start"], f["cycles"], f["core"],
+                "stall:" + f["why"], "cache", {})
         elif kind == "cache.miss":
-            self._add(t, None, f["core"],
-                      f"miss:{f['op']}:{f['transition']}", "cache",
-                      {"line": f["line"], "latency": f["latency"]})
+            add(t, None, f["core"], f"miss:{f['op']}:{f['transition']}",
+                "cache", {"line": f["line"], "latency": f["latency"]})
         elif kind == "atomic.stall":
-            self._add(f["start"], f["cycles"], f["core"], "atomic", "atomic",
-                      {"line": f["line"]})
+            add(f["start"], f["cycles"], f["core"], "atomic", "atomic",
+                {"line": f["line"]})
         elif kind == "atomic.cas_fail":
-            self._add(t, None, f["core"], "cas-fail", "atomic",
-                      {"line": f["line"]})
+            add(t, None, f["core"], "cas-fail", "atomic", {"line": f["line"]})
         elif kind == "udn.send":
-            self._add(t, None, f["core"], f"send->t{f['dst_tid']}", "udn",
-                      {"words": f["words"], "dst_core": f["dst_core"]})
+            add(t, None, f["core"], f"send->t{f['dst_tid']}", "udn",
+                {"words": f["words"], "dst_core": f["dst_core"]})
         elif kind == "udn.backpressure":
-            self._add(f["start"], f["cycles"], f["core"], "backpressure",
-                      "udn", {"dst_core": f["dst_core"]})
+            add(f["start"], f["cycles"], f["core"], "backpressure", "udn",
+                {"dst_core": f["dst_core"]})
         elif kind == "udn.recv":
-            self._add(f["start"], f["waited"], f["core"], "recv", "udn",
-                      {"words": f["words"], "tid": f["tid"]})
+            add(f["start"], f["waited"], f["core"], "recv", "udn",
+                {"words": f["words"], "tid": f["tid"]})
         elif kind == "udn.deliver":
-            self._add(t, None, self.udn_track, f"deliver@c{f['core']}", "udn",
-                      {"words": f["words"], "latency": f["latency"]})
+            add(t, None, udn_track, f"deliver@c{f['core']}", "udn",
+                {"words": f["words"], "latency": f["latency"]})
         elif kind == "udn.timeout":
-            self._add(t, None, f["core"], f"timeout:{f['op']}", "fault",
-                      {"waited": f["waited"]})
+            add(t, None, f["core"], f"timeout:{f['op']}", "fault",
+                {"waited": f["waited"]})
         elif kind == "noc.link":
-            self._add(t, f["busy"], self._link_track(f["a"], f["b"]),
-                      f"link {f['a']}->{f['b']}", "noc", {"wait": f["wait"]})
+            add(t, f["busy"], link_track(f["a"], f["b"]),
+                f"link {f['a']}->{f['b']}", "noc", {"wait": f["wait"]})
         elif kind == "combiner.close":
-            self._add(f["start"], t - f["start"], f["core"], "combine",
-                      "combiner", {"ops": f["ops"], "prim": f["prim"]})
+            add(f["start"], t - f["start"], f["core"], "combine", "combiner",
+                {"ops": f["ops"], "prim": f["prim"]})
         elif kind == "server.req":
-            self._add(t, None, f["core"], "req", "server",
-                      {"client": f["client"], "prim": f["prim"]})
+            add(t, None, f["core"], "req", "server",
+                {"client": f["client"], "prim": f["prim"]})
         elif kind == "op.begin":
-            self._cur_op[f["tid"]] = f["op"]
-            self._add_flow(t, f["core"], f["op"], "s")
+            cur_op[f["tid"]] = f["op"]
+            add_flow(t, f["core"], f["op"], "s")
         elif kind == "op.end":
-            self._add(f["start"], t - f["start"], f["core"], "op", "op",
-                      {"op": f["op"], "tid": f["tid"],
-                       "measured": f["measured"]})
-            self._add_flow(t, f["core"], f["op"], "f")
+            add(f["start"], t - f["start"], f["core"], "op", "op",
+                {"op": f["op"], "tid": f["tid"], "measured": f["measured"]})
+            add_flow(t, f["core"], f["op"], "f")
         elif kind == "server.done":
-            self._add(f["start"], t - f["start"], f["core"], "svc", "server",
-                      {"client": f["client"], "prim": f["prim"]})
-            op = self._cur_op.get(f["client"])
+            add(f["start"], t - f["start"], f["core"], "svc", "server",
+                {"client": f["client"], "prim": f["prim"]})
+            op = cur_op.get(f["client"])
             if op is not None:
-                self._add_flow(f["start"], f["core"], op, "t")
+                add_flow(f["start"], f["core"], op, "t")
         elif kind in ("proc.kill", "proc.interrupt"):
-            self._add(t, None, self.sim_track, kind, "fault",
-                      {"name": f["name"]})
+            add(t, None, sim_track, kind, "fault", {"name": f["name"]})
 
-    # -- export -------------------------------------------------------------
-    def track_names(self) -> Dict[int, str]:
-        names = {cid: f"core {cid}" for cid in range(self.num_cores)}
-        names[self.sim_track] = "sim"
-        names[self.udn_track] = "udn"
-        for key, tid in self._link_tracks.items():
-            names[tid] = f"link {key}"
-        return names
-
-    def trace_events(self, pid: int) -> List[Dict[str, Any]]:
-        """This collector's records as Chrome trace-event dicts."""
-        used = {rec[2] for rec in self.records}
-        out: List[Dict[str, Any]] = []
-        for tid, name in sorted(self.track_names().items()):
-            if tid in used:
-                out.append({"name": "thread_name", "ph": "M", "pid": pid,
-                            "tid": tid, "args": {"name": name}})
-        for ts, dur, tid, name, cat, args in sorted(self.records,
-                                                    key=lambda r: (r[0], r[2])):
-            ev: Dict[str, Any] = {"name": name, "cat": cat, "pid": pid,
-                                  "tid": tid, "ts": ts, "args": args}
-            if dur is None:
-                ev["ph"] = "i"
-                ev["s"] = "t"
-            else:
-                ev["ph"] = "X"
-                ev["dur"] = dur
-            out.append(ev)
-        for ts, tid, flow_id, phase in sorted(self.flows,
-                                              key=lambda r: (r[2], r[0])):
-            ev = {"name": "op-flow", "cat": "op", "pid": pid, "tid": tid,
-                  "ts": ts, "ph": phase, "id": flow_id}
-            if phase == "f":
-                ev["bp"] = "e"
-            out.append(ev)
-        return out
+    names = {cid: f"core {cid}" for cid in range(num_cores)}
+    names[sim_track] = "sim"
+    names[udn_track] = "udn"
+    for key, tid in link_tracks.items():
+        names[tid] = f"link {key}"
+    used = {ev["tid"] for ev in spans}
+    out: List[Dict[str, Any]] = [
+        {"name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
+         "args": {"name": name}}
+        for tid, name in sorted(names.items()) if tid in used]
+    # stable sorts: same-key events keep their emission order
+    spans.sort(key=lambda ev: (ev["ts"], ev["tid"]))
+    flows.sort(key=lambda ev: (ev["id"], ev["ts"]))
+    out.extend(spans)
+    out.extend(flows)
+    return out
 
 
 def counter_events(pid: int, sampler) -> List[Dict[str, Any]]:
@@ -199,28 +178,28 @@ def counter_events(pid: int, sampler) -> List[Dict[str, Any]]:
     return out
 
 
-def write_chrome_trace(collectors: Sequence[Tuple[str, TraceCollector]],
-                       path: str,
+def write_chrome_trace(runs: Sequence[Tuple[str, Any, int]], path: str,
                        counters: Sequence[Tuple[str, Any]] = ()) -> int:
-    """Write labelled collectors as one Chrome trace JSON file.
+    """Write labelled machine event logs as one Chrome trace JSON file.
 
-    Each (label, collector) pair becomes one "process" in the trace, so
-    several benchmark runs can be compared side by side in Perfetto.
-    ``counters`` pairs labels with :class:`~repro.obs.timeseries.Sampler`
-    instances whose series are emitted as counter tracks on the
-    matching process (labels not matching any collector get their own
-    process).  Returns the number of trace events written.
+    Each ``(label, event_log, num_cores)`` run becomes one "process" in
+    the trace, so several benchmark runs can be compared side by side
+    in Perfetto.  ``counters`` pairs labels with
+    :class:`~repro.obs.timeseries.Sampler` instances whose series are
+    emitted as counter tracks on the matching process (labels not
+    matching any run get their own process).  Returns the number of
+    trace events written.
     """
     events: List[Dict[str, Any]] = []
     dropped = 0
     pid_of: Dict[str, int] = {}
-    for pid, (label, col) in enumerate(collectors):
+    for pid, (label, event_log, num_cores) in enumerate(runs):
         pid_of.setdefault(label, pid)
         events.append({"name": "process_name", "ph": "M", "pid": pid,
                        "args": {"name": label}})
-        events.extend(col.trace_events(pid))
-        dropped += col.dropped
-    next_pid = len(collectors)
+        events.extend(trace_events(event_log, num_cores, pid))
+        dropped += event_log.dropped
+    next_pid = len(runs)
     for label, sampler in counters:
         pid = pid_of.get(label)
         if pid is None:
@@ -233,7 +212,7 @@ def write_chrome_trace(collectors: Sequence[Tuple[str, TraceCollector]],
     other: Dict[str, Any] = {"unit": "simulated cycles"}
     if dropped:
         log.warning("trace %s is truncated: %d events were dropped at the "
-                    "collector cap", path, dropped)
+                    "event-log cap", path, dropped)
         other["truncated"] = True
         other["dropped_events"] = dropped
     doc = {"traceEvents": events, "displayTimeUnit": "ns",

@@ -477,10 +477,10 @@ def merge_spatial_summaries(summaries) -> Optional[Dict[str, Any]]:
     return out
 
 
-def causal_link_flows(atlas: SpatialAtlas, causal) -> Dict[str, Any]:
+def causal_link_flows(atlas: SpatialAtlas, event_log) -> Dict[str, Any]:
     """Join link traffic to the ops that crossed each link.
 
-    Walks a :class:`~repro.obs.causal.CausalCollector`'s event stream,
+    Walks the machine's :class:`~repro.obs.bus.EventLog`,
     tracking the current (tid, prim) op per core from ``op.begin`` and
     charging each ``udn.send``'s XY route to that op's flow.  Returns
     ``{link_key: {flow_label: msgs}}``.  Post-hoc and O(events): the
@@ -489,7 +489,7 @@ def causal_link_flows(atlas: SpatialAtlas, causal) -> Dict[str, Any]:
     flows: Dict[str, Dict[str, int]] = {}
     cur: Dict[int, str] = {}  # core -> flow label of its current op
     node_of = atlas._node_of
-    for _t, kind, f in causal.events:
+    for _t, kind, f in event_log.events:
         if kind == "op.begin":
             cur[f["core"]] = f"{f.get('prim', 'op')}/t{f['tid']}"
         elif kind == "udn.send":

@@ -24,7 +24,6 @@ from repro.sim.engine import (
     WaitTimer,
 )
 from repro.sim.resources import Barrier, Channel, Condition, Resource, Semaphore
-from repro.sim.tracing import Trace, TracedCtx, render_timeline
 
 __all__ = [
     "Barrier",
@@ -38,7 +37,4 @@ __all__ = [
     "Semaphore",
     "Simulator",
     "WaitTimer",
-    "Trace",
-    "TracedCtx",
-    "render_timeline",
 ]

@@ -200,10 +200,10 @@ def test_path_verdict_matches_fig4a_counters():
     spec = WorkloadSpec(warmup_cycles=5_000, measure_cycles=15_000)
     shares = {}
     for approach in ("mp-server", "shm-server"):
-        with obs.observed(causal=True) as session:
+        with obs.observed(trace=True) as session:
             r = run_counter_benchmark(approach, 10, spec=spec)
         (ob,) = session.machines
-        rep = analyze_collector(ob.causal, label=approach)
+        rep = analyze_collector(ob.trace, label=approach)
         svc = rep.blame.get("service", 0)
         stall = rep.blame.get("service_stall", 0)
         path_share = stall / max(svc + stall, 1)

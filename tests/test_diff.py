@@ -148,6 +148,50 @@ def test_gate_collects_failures_and_missing_points():
     assert d2["gate_failures"] == []
 
 
+@pytest.mark.parametrize("tweak", [dict(config_fingerprint="zzz"),
+                                   dict(full=True)])
+def test_gate_fails_on_incomparable_records(tweak):
+    a = record_from_bench(_bench_doc(), label="a")
+    b = record_from_bench(_bench_doc(**tweak), label="b")
+    d = diff_records(a, b, gate=("throughput_mops",))
+    assert not d["comparable"]
+    assert len(d["gate_failures"]) == 1
+    assert d["gate_failures"][0].startswith("records not comparable")
+    # without a gate the mismatch is a warning, not a failure
+    assert diff_records(a, b)["gate_failures"] == []
+
+
+def test_gate_fails_when_a_series_disappears():
+    doc = _bench_doc()
+    del doc["series"]["CC-Synch"]
+    doc["series"]["HybComb"] = doc["series"]["mp-server"]
+    a = record_from_bench(_bench_doc(), label="a")
+    b = record_from_bench(doc, label="b")
+    d = diff_records(a, b, gate=("throughput_mops",))
+    assert d["series_only_in_a"] == ["CC-Synch"]
+    assert d["gate_failures"] == ["CC-Synch: series disappeared"]
+    assert diff_records(a, b)["gate_failures"] == []
+
+
+def test_cli_gate_exits_1_on_incomparable_or_missing_series(tmp_path, capsys):
+    from repro.__main__ import main
+
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(_bench_doc()))
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(_bench_doc(config_fingerprint="zzz")))
+    gate = ["--threshold", "0.10", "--gate", "throughput_mops"]
+    assert main(["diff", str(base), str(other)] + gate) == 1
+    assert "gate FAIL" in capsys.readouterr().out
+    doc = _bench_doc()
+    del doc["series"]["CC-Synch"]
+    doc["series"]["HybComb"] = []
+    other.write_text(json.dumps(doc))
+    assert main(["diff", str(base), str(other)] + gate) == 1
+    assert "CC-Synch: series disappeared" in capsys.readouterr().out
+    assert main(["diff", str(base), str(base)] + gate) == 0
+
+
 def test_single_curves_pair_positionally_across_labels():
     a = record_from_bench(_bench_doc(), label="a", series="mp-server")
     b = record_from_bench(_bench_doc(), label="b", series="CC-Synch")

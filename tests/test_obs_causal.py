@@ -1,4 +1,4 @@
-"""Tests for per-op causal tracing: CausalCollector + Perfetto flows.
+"""Tests for per-op causal tracing: the event log + Perfetto flows.
 
 The core guarantee under test is *cycle-exactness*: for every completed
 operation, the blame categories painted by the critical-path analysis
@@ -12,8 +12,9 @@ import json
 import pytest
 
 import repro.obs as obs
-from repro.analysis.critpath import CATEGORIES, analyze_collector
-from repro.obs.causal import CAUSAL_KINDS, CausalCollector
+from repro.analysis.critpath import CATEGORIES, CAUSAL_KINDS, analyze_collector
+from repro.obs.bus import EventBus, EventLog
+from repro.obs.perfetto import TRACE_KINDS
 from repro.workload.driver import WorkloadSpec
 from repro.workload.scenarios import run_counter_benchmark
 
@@ -21,8 +22,8 @@ SPEC = WorkloadSpec(warmup_cycles=5_000, measure_cycles=15_000)
 APPROACHES = ("mp-server", "shm-server", "HybComb", "CC-Synch")
 
 
-def _causal_run(approach, threads=5, spec=SPEC, trace=False):
-    with obs.observed(causal=True, trace=trace) as session:
+def _causal_run(approach, threads=5, spec=SPEC):
+    with obs.observed(trace=True) as session:
         r = run_counter_benchmark(approach, threads, spec=spec)
     (ob,) = session.machines
     return r, ob
@@ -33,7 +34,7 @@ def _causal_run(approach, threads=5, spec=SPEC, trace=False):
 @pytest.mark.parametrize("approach", APPROACHES)
 def test_blame_partitions_latency_exactly(approach):
     r, ob = _causal_run(approach)
-    rep = analyze_collector(ob.causal, label=approach)
+    rep = analyze_collector(ob.trace, label=approach)
     assert rep.ops, "no completed ops reconstructed"
     for o in rep.ops:
         assert sum(o.blame.values()) == o.latency, (
@@ -44,7 +45,7 @@ def test_blame_partitions_latency_exactly(approach):
 @pytest.mark.parametrize("approach", APPROACHES)
 def test_segments_partition_the_op_interval(approach):
     _r, ob = _causal_run(approach)
-    rep = analyze_collector(ob.causal, label=approach)
+    rep = analyze_collector(ob.trace, label=approach)
     for o in rep.ops:
         assert o.segments[0][0] == o.t0
         assert o.segments[-1][1] == o.t1
@@ -57,7 +58,7 @@ def test_segments_partition_the_op_interval(approach):
 @pytest.mark.parametrize("approach", APPROACHES)
 def test_reconstructed_latencies_match_driver_samples(approach):
     r, ob = _causal_run(approach)
-    rep = analyze_collector(ob.causal, label=approach)
+    rep = analyze_collector(ob.trace, label=approach)
     got = sorted(o.latency for o in rep.measured_ops)
     want = sorted(r.latency_samples)
     assert got == want, (
@@ -68,7 +69,7 @@ def test_reconstructed_latencies_match_driver_samples(approach):
 
 def test_whole_run_path_exists_and_is_labelled():
     _r, ob = _causal_run("mp-server")
-    rep = analyze_collector(ob.causal, label="mp-server")
+    rep = analyze_collector(ob.trace, label="mp-server")
     assert rep.path, "empty whole-run critical path"
     assert rep.path_cycles > 0
     assert sum(rep.path_blame.values()) == rep.path_cycles
@@ -80,41 +81,56 @@ def test_whole_run_path_exists_and_is_labelled():
 
 def test_in_flight_ops_at_window_end_are_counted_incomplete():
     _r, ob = _causal_run("mp-server", threads=4)
-    rep = analyze_collector(ob.causal)
+    rep = analyze_collector(ob.trace)
     # each app thread has at most one op open when the run stops
     assert 0 <= rep.incomplete_ops <= 4
 
 
-# -- collector behaviour ----------------------------------------------------
+# -- event log behaviour ----------------------------------------------------
 
-def test_causal_collector_truncates_at_limit_and_flags_it():
-    col = CausalCollector(limit=5)
-    assert not col.truncated
+def test_event_log_truncates_at_limit_and_flags_it():
+    log = EventLog(limit=5)
+    assert not log.truncated
     for i in range(9):
-        col.on_event(i, "op.begin", {"op": i, "core": 0, "tid": 0})
-    assert len(col.events) == 5
-    assert col.dropped == 4
-    assert col.truncated
-    rep = analyze_collector(col)
+        log.on_event(i, "op.begin", {"op": i, "core": 0, "tid": 0})
+    assert len(log.events) == 5
+    assert log.dropped == 4
+    assert log.truncated
+    rep = analyze_collector(log)
     assert rep.truncated
 
 
-def test_causal_collector_ignores_irrelevant_kinds():
-    col = CausalCollector(limit=10)
-    col.on_event(0, "cache.miss", {"core": 0})      # not a causal kind
-    col.on_event(1, "noc.link", {"a": 0, "b": 1})   # not a causal kind
-    col.on_event(2, "op.begin", {"op": 0, "core": 0, "tid": 0})
-    assert [k for _t, k, _f in col.events] == ["op.begin"]
-    assert col.dropped == 0
-    assert "cache.miss" not in CAUSAL_KINDS
+def test_event_log_records_only_trace_kinds():
+    """The log subscribes to the kinds its readers use; the causal
+    kinds the critical path reads are among them."""
+    assert CAUSAL_KINDS <= TRACE_KINDS
+    with obs.observed(trace=True) as session:
+        run_counter_benchmark("mp-server", 3, spec=SPEC)
+    (ob,) = session.machines
+    kinds = {k for _t, k, _f in ob.trace.events}
+    assert kinds <= TRACE_KINDS
+    assert {"op.begin", "op.end", "udn.send", "server.done"} <= kinds
+    assert ob.trace.dropped == 0
 
 
-def test_causal_collector_copies_field_dicts():
-    col = CausalCollector()
-    f = {"op": 1, "core": 0, "tid": 0}
-    col.on_event(0, "op.begin", f)
-    f["op"] = 999  # emit sites reuse dicts on hot paths
-    assert col.events[0][2]["op"] == 1
+class _Clock:
+    now = 0
+
+
+def test_bus_hands_each_emit_a_fresh_dict():
+    """Two emits hand subscribers distinct dicts, so the log keeps each
+    event's values without copying."""
+    bus = EventBus(_Clock())
+    log = EventLog()
+    seen = []
+    bus.subscribe(lambda t, k, f: seen.append(f))
+    bus.subscribe_kinds(("op.begin",), log.on_event)
+    bus.emit("op.begin", op=1, core=0, tid=0)
+    bus.sim.now = 7
+    bus.emit("op.begin", op=2, core=1, tid=1)
+    assert seen[0] is not seen[1]
+    assert [(t, f["op"], f["core"]) for t, _k, f in log.events] == [
+        (0, 1, 0), (7, 2, 1)]
 
 
 def test_causal_tracing_is_a_pure_observer():
@@ -141,7 +157,7 @@ def _flow_chains(trace_doc):
 
 @pytest.mark.parametrize("approach", APPROACHES)
 def test_trace_contains_complete_flow_chains(approach, tmp_path):
-    _r, ob = _causal_run(approach, trace=True)
+    _r, ob = _causal_run(approach)
     path = tmp_path / "trace.json"
     ob.export_chrome_trace(str(path))
     doc = json.loads(path.read_text())
@@ -161,7 +177,7 @@ def test_trace_contains_complete_flow_chains(approach, tmp_path):
 def test_server_flows_cross_cores(approach, tmp_path):
     """For dedicated-server algorithms, an op's flow must hop from the
     client core's track to the server core's track and back."""
-    _r, ob = _causal_run(approach, trace=True)
+    _r, ob = _causal_run(approach)
     path = tmp_path / "trace.json"
     ob.export_chrome_trace(str(path))
     chains = _flow_chains(json.loads(path.read_text()))

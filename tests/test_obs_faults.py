@@ -29,7 +29,7 @@ PREEMPT = FaultPlan(seed=2, faults=(
 
 
 def _run(approach, plan, threads=5, spec=SPEC, recovery=False):
-    with obs.observed(causal=True) as session:
+    with obs.observed(trace=True) as session:
         if recovery:
             r = run_fault_recovery_benchmark(threads, spec=spec,
                                              fault_plan=plan)
@@ -42,7 +42,7 @@ def _run(approach, plan, threads=5, spec=SPEC, recovery=False):
 
 def test_crashed_client_leaves_no_dangling_blame():
     r, ob = _run("mp-server", CLIENT_CRASH)
-    rep = analyze_collector(ob.causal)
+    rep = analyze_collector(ob.trace)
     # completed ops are still cycle-exact...
     assert rep.ops
     for o in rep.ops:
@@ -56,7 +56,7 @@ def test_crashed_client_leaves_no_dangling_blame():
 
 def test_preempted_client_books_stay_exact():
     r, ob = _run("mp-server", PREEMPT)
-    rep = analyze_collector(ob.causal)
+    rep = analyze_collector(ob.trace)
     assert rep.ops
     for o in rep.ops:
         assert sum(o.blame.values()) == o.latency
@@ -84,7 +84,7 @@ def test_server_crash_and_failover_keeps_counters_consistent():
     ))
     r, ob = _run(None, plan, threads=4, recovery=True)
     assert r.ops > 0
-    rep = analyze_collector(ob.causal)
+    rep = analyze_collector(ob.trace)
     for o in rep.ops:
         assert sum(o.blame.values()) == o.latency
     assert all(v >= 0 for o in rep.ops for v in o.blame.values())

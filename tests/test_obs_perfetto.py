@@ -5,7 +5,8 @@ import json
 import repro.obs as obs
 from repro.core import MPServer, OpTable
 from repro.machine import Machine, tile_gx
-from repro.obs.perfetto import TraceCollector
+from repro.obs.bus import EventLog
+from repro.obs.perfetto import trace_events
 
 
 def _run_mpserver(num_clients=4, ops=20):
@@ -75,25 +76,45 @@ def test_trace_events_per_core_track():
     with obs.observed(trace=True) as session:
         m = _run_mpserver(num_clients=3)
         m.run()
-    col = session.machines[0].trace
-    events = col.trace_events(pid=0)
+    ncores = len(m.cores)
+    events = trace_events(session.machines[0].trace, ncores, pid=0)
     real = [e for e in events if e["ph"] != "M"]
     # clients 1..3 sit on cores 1..3: each core track must carry events
     tids = {e["tid"] for e in real}
     assert {0, 1, 2, 3} <= tids
-    names = col.track_names()
-    assert names[col.sim_track] == "sim"
-    assert names[col.udn_track] == "udn"
+    names = {e["tid"]: e["args"]["name"] for e in events if e["ph"] == "M"}
+    assert names[1] == "core 1"
+    assert names[ncores + 1] == "udn"   # deliveries sit on the udn track
+    assert ncores not in names          # the sim track is unused here
 
 
-def test_trace_limit_counts_drops():
-    col = TraceCollector(num_cores=2, limit=3)
-    for i in range(10):
-        col.on_event(i, "cache.miss",
-                     {"core": 0, "line": 1, "op": "load",
-                      "transition": "mem->S", "latency": 5})
-    assert len(col.records) == 3
-    assert col.dropped == 7
+def test_sim_track_carries_faults_and_links_get_tracks_in_first_use_order():
+    log = EventLog()
+    log.on_event(5, "noc.link", {"a": 3, "b": 4, "wait": 0, "busy": 2})
+    log.on_event(6, "noc.link", {"a": 1, "b": 2, "wait": 1, "busy": 2})
+    log.on_event(7, "noc.link", {"a": 3, "b": 4, "wait": 0, "busy": 2})
+    log.on_event(9, "proc.kill", {"name": "server"})
+    log.on_event(9, "proc.spawn", {"name": "x"})  # not a traced kind
+    events = trace_events(log, num_cores=2, pid=0)
+    names = {e["tid"]: e["args"]["name"] for e in events if e["ph"] == "M"}
+    assert names == {2: "sim", 4: "link 3->4", 5: "link 1->2"}
+    real = [(e["tid"], e["name"]) for e in events if e["ph"] != "M"]
+    assert real == [(4, "link 3->4"), (5, "link 1->2"), (4, "link 3->4"),
+                    (2, "proc.kill")]
+
+
+def test_trace_limit_counts_drops(tmp_path):
+    with obs.observed(trace=True, trace_limit=3) as session:
+        m = _run_mpserver(num_clients=1, ops=5)
+        m.run()
+        path = tmp_path / "trace.json"
+        session.export_chrome_trace(str(path))
+    log = session.machines[0].trace
+    assert len(log.events) == 3
+    assert log.dropped > 0 and log.truncated
+    other = json.loads(path.read_text())["otherData"]
+    assert other["truncated"] is True
+    assert other["dropped_events"] == log.dropped
 
 
 def test_merged_export_assigns_one_pid_per_machine(tmp_path):
@@ -143,13 +164,13 @@ def test_combiner_spans_recorded():
             ctx = m.thread(t)
             m.spawn(ctx, client(ctx, 10))
         m.run()
-    col = session.machines[0].trace
-    combines = [r for r in col.records if r[3] == "combine"]
+    events = trace_events(session.machines[0].trace, len(m.cores), pid=0)
+    combines = [e for e in events if e["name"] == "combine"]
     assert combines
-    for ts, dur, _tid, _name, cat, args in combines:
-        assert cat == "combiner"
-        assert dur >= 0
-        assert args["prim"] == "CC-Synch"
+    for e in combines:
+        assert e["cat"] == "combiner" and e["ph"] == "X"
+        assert e["dur"] >= 0
+        assert e["args"]["prim"] == "CC-Synch"
 
 
 def test_export_with_empty_tracks(tmp_path):
@@ -209,12 +230,11 @@ def test_unmatched_counter_labels_get_their_own_process(tmp_path):
     from repro.obs.perfetto import write_chrome_trace
     from repro.obs.timeseries import Sampler
 
-    col = TraceCollector(num_cores=1)
     sampler = Sampler(None, every=10, buckets=8)
     sampler.register("g", lambda: 1.0)
     sampler.on_tick(10)
     path = str(tmp_path / "t.json")
-    write_chrome_trace([("run-a", col)], path,
+    write_chrome_trace([("run-a", EventLog(), 1)], path,
                        counters=[("run-a", sampler), ("other", sampler)])
     doc = json.loads((tmp_path / "t.json").read_text())
     meta = {e["args"]["name"]: e["pid"] for e in doc["traceEvents"]

@@ -107,7 +107,7 @@ def test_saturated_failover_recovery_visible_in_trace(mp_capacity):
                                          run_openloop_workload)
 
     kinds = set()
-    with obs.observed(causal=True) as session:
+    with obs.observed(trace=True) as session:
         from repro.machine import Machine, tile_gx
         machine = Machine(tile_gx())
         (ob,) = session.machines
@@ -133,8 +133,8 @@ def test_saturated_failover_recovery_visible_in_trace(mp_capacity):
     for kind in ("admit.enqueue", "admit.shed", "fault.retry",
                  "fault.failover", "op.begin", "op.end"):
         assert kind in kinds, f"missing {kind} in the overload trace"
-    # and the causal collector kept an op stream for blame attribution
-    causal_kinds = {k for _t, k, _f in ob.causal.events}
+    # and the event log kept an op stream for blame attribution
+    causal_kinds = {k for _t, k, _f in ob.trace.events}
     assert {"op.begin", "op.end", "server.done"} <= causal_kinds
 
 

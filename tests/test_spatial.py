@@ -251,12 +251,12 @@ def test_merge_rejects_mismatched_meshes():
 
 
 def test_hotspot_report_names_top_links_and_flows():
-    with obs.observed(spatial=True, causal=True):
+    with obs.observed(spatial=True, trace=True):
         m = Machine(tile_gx())
         _send_receive(m, [(0, 14, 3), (0, 14, 3), (2, 14, 1)])
-        atlas, causal = m.obs.spatial, m.obs.causal
+        atlas = m.obs.spatial
         s = atlas.summary()
-        flows = causal_link_flows(atlas, causal)
+        flows = causal_link_flows(atlas, m.obs.trace)
     txt = render_hotspots(s, k=3, flows=flows)
     assert "hotspots" in txt and "link" in txt and "tile" in txt
     assert render_hotspots({"links": {}}) == \

@@ -1,59 +1,168 @@
-"""Tests for the tracing subsystem (TracedCtx proxy + timeline renderer)."""
+"""Tests for the ASCII timeline rendered from a machine's event log."""
 
+import os
+import re
+import runpy
 
+from repro.analysis.render import render_timeline
 from repro.core import MPServer, OpTable
 from repro.machine import Machine, tile_gx
-from repro.sim.tracing import Trace, TracedCtx, render_timeline
+from repro.obs.bus import EventLog
 
 
-def test_span_duration_and_trace_queries():
-    tr = Trace()
-    tr.add(0, "load", 0, 30)
-    tr.add(0, "work", 30, 40)
-    tr.add(1, "send", 5, 10)
-    assert len(tr) == 3
-    assert [s.kind for s in tr.for_thread(0)] == ["load", "work"]
-    assert tr.by_kind() == {"load": 30, "work": 10, "send": 5}
-    w = tr.window(8, 32)
-    assert len(w.spans) == 3  # all overlap [8, 32)
-    assert len(tr.window(100, 200).spans) == 0
+def _log(*events):
+    log = EventLog()
+    for t, kind, f in events:
+        log.on_event(t, kind, f)
+    return log
 
 
-def test_traced_ctx_records_memory_ops():
+def _stall(core, start, end, why="load"):
+    return (end, "cache.stall",
+            {"core": core, "cycles": end - start, "why": why, "line": 1,
+             "start": start})
+
+
+def _atomic(core, start, end):
+    return (end, "atomic.stall",
+            {"core": core, "cycles": end - start, "line": 1, "start": start})
+
+
+def _send(core, t):
+    return (t, "udn.send",
+            {"core": core, "dst_tid": 0, "dst_core": 0, "words": 1,
+             "msg_id": t})
+
+
+def _recv(core, start, end):
+    return (end, "udn.recv",
+            {"core": core, "tid": core, "words": 1, "waited": end - start,
+             "start": start})
+
+
+def _op(core, start, end):
+    return (end, "op.end",
+            {"core": core, "tid": core, "op": start, "start": start,
+             "measured": True})
+
+
+def _rows(out):
+    return {ln.split("|")[0].strip(): ln.split("|")[1]
+            for ln in out.splitlines() if re.match(r"c\d", ln)}
+
+
+def _totals(out):
+    line = next(ln for ln in out.splitlines()
+                if ln.startswith("cycles by kind: "))
+    pairs = line[len("cycles by kind: "):].split(", ")
+    return {k: int(v) for k, v in (p.split("=") for p in pairs)}
+
+
+def test_render_timeline_basic():
+    out = render_timeline(_log(_stall(0, 0, 50), _atomic(0, 50, 100),
+                               _send(1, 0), _recv(1, 10, 100)), width=20)
+    rows = _rows(out)
+    assert set(rows) == {"c0", "c1"}
+    assert "legend:" in out and "cycles by kind:" in out
+    assert "r" in rows["c0"] and "A" in rows["c0"]
+    assert rows["c1"][0] == "s" and "v" in rows["c1"]
+
+
+def test_every_stall_and_message_kind_has_its_glyph():
+    log = _log(_stall(0, 0, 10, "load"), _stall(0, 10, 20, "store_buffer"),
+               _stall(0, 20, 30, "mshr"), _atomic(0, 30, 40),
+               (50, "fence.stall", {"core": 0, "cycles": 10, "why": "drain",
+                                    "start": 40}),
+               _recv(0, 50, 60),
+               (70, "udn.backpressure", {"core": 0, "dst_core": 1,
+                                         "cycles": 10, "start": 60}))
+    assert _rows(render_timeline(log, width=70))["c0"] == (
+        "r" * 10 + "w" * 10 + "m" * 10 + "A" * 10 + "F" * 10 + "v" * 10
+        + "b" * 10)
+
+
+def test_background_spans_paint_only_uncovered_buckets():
+    """An op/service/combine span never hides a stall or message span,
+    even where it covers more of the bucket."""
+    log = _log(_atomic(0, 2, 3), _op(0, 0, 40),
+               (40, "server.done", {"core": 1, "client": 0, "prim": "p",
+                                    "start": 0}),
+               (40, "combiner.close", {"core": 2, "tid": 2, "prim": "p",
+                                       "ops": 3, "start": 20}))
+    rows = _rows(render_timeline(log, start=0, end=40, width=4))
+    assert rows["c0"] == "A---"
+    assert rows["c1"] == "eeee"
+    assert rows["c2"] == "  cc"
+
+
+def test_render_timeline_empty():
+    assert render_timeline(EventLog()) == "[empty trace]"
+    # kinds that carry no span draw nothing either
+    log = _log((3, "cache.miss", {"core": 0, "line": 1, "op": "load",
+                                  "transition": "mem->S", "latency": 5}))
+    assert render_timeline(log) == "[empty trace]"
+
+
+def test_render_timeline_window_and_cores():
+    log = _log(_recv(0, 0, 1000), _recv(5, 0, 1000))
+    rows = _rows(render_timeline(log, start=0, end=500, cores=[5]))
+    assert list(rows) == ["c5"]
+
+
+def test_window_clips_span_endpoints():
+    """Spans straddling the window count only their in-window cycles,
+    so a kind's total never exceeds the window length times the rows."""
+    log = _log(_recv(0, 0, 100),        # straddles both edges of [40, 60)
+               _stall(0, 50, 200),      # straddles the right edge
+               _stall(1, 0, 30))        # wholly before the window
+    out = render_timeline(log, start=40, end=60, width=20)
+    totals = _totals(out)
+    assert totals == {"recv": 20, "load": 10}
+    assert all(v <= (60 - 40) * 2 for v in totals.values())
+    assert _rows(out)["c1"] == " " * 20
+
+
+def test_window_keeps_interior_zero_length_spans():
+    log = _log(_send(0, 10),    # before the window
+               _send(1, 20),    # at the window start edge
+               _send(2, 30),    # at the (exclusive) end edge
+               _recv(3, 0, 40))
+    rows = _rows(render_timeline(log, start=20, end=30, width=10))
+    # [20, 30): the t=20 send is inside, t=30 is not, t=10 is before
+    assert rows["c1"] == "s" + " " * 9
+    assert rows["c0"] == rows["c2"] == " " * 10
+
+
+def test_render_timeline_zero_length_at_window_boundary():
+    """A zero-length span at the window edge must not crash or vanish."""
+    log = _log(_recv(0, 0, 100),
+               _send(1, 0),      # zero-length at the very start
+               _send(2, 100))    # zero-length at the (exclusive) end
+    rows = _rows(render_timeline(log, start=0, end=100, width=20))
+    assert rows["c1"][0] == "s"   # a one-cycle dot in the first bucket
+    assert "s" not in rows["c2"]  # outside [0, 100): row stays blank
+
+
+def test_render_timeline_explicit_cores_filter_and_order():
+    log = _log(_recv(0, 0, 10), _stall(1, 0, 10), _atomic(2, 0, 10))
+    rows = list(_rows(render_timeline(log, cores=[2, 0], width=10)))
+    # only the requested cores, in the requested order
+    assert rows == ["c2", "c0"]
+
+
+def test_render_timeline_bucket_width_one():
+    """width >= span length: one column per cycle, no div-by-zero."""
+    log = _log(_stall(0, 0, 3), _atomic(0, 3, 6))
+    out = render_timeline(log, width=100)
+    assert "one column = 1 cycles" in out
+    assert _rows(out)["c0"] == "rrrAAA"
+
+
+def test_mp_server_round_trip_shows_send_and_wait():
+    """A client's MP-SERVER request renders as a send then a wait for
+    the response on its core's row."""
     m = Machine(tile_gx())
-    trace = Trace()
-    ctx = TracedCtx(m.thread(0), trace)
-    a = m.mem.alloc(1)
-
-    def prog():
-        yield from ctx.store(a, 5)
-        v = yield from ctx.load(a)
-        yield from ctx.work(10)
-        yield from ctx.faa(a, 1)
-        yield from ctx.fence()
-        return v
-
-    p = m.sim.spawn(prog())
-    m.run()
-    assert p.result == 5
-    kinds = [s.kind for s in trace.spans]
-    assert kinds == ["store", "load", "work", "faa", "fence"]
-    assert all(s.end >= s.start for s in trace.spans)
-    assert trace.spans[2].duration == 10
-
-
-def test_traced_ctx_identity_attributes():
-    m = Machine(tile_gx())
-    raw = m.thread(3)
-    ctx = TracedCtx(raw, Trace())
-    assert ctx.tid == 3
-    assert ctx.core is raw.core
-    assert ctx.machine is m
-
-
-def test_traced_ctx_works_with_real_primitive():
-    """A TracedCtx drives a full MP-SERVER round trip transparently."""
-    m = Machine(tile_gx())
+    ob = m.enable_observability(trace=True)
     table = OpTable()
     a = m.mem.alloc(1)
 
@@ -65,113 +174,24 @@ def test_traced_ctx_works_with_real_primitive():
     op = table.register(body)
     prim = MPServer(m, table, server_tid=0)
     prim.start()
-    trace = Trace()
-    ctx = TracedCtx(m.thread(1), trace)
-
-    def client():
-        r = yield from prim.apply_op(ctx, op, 7)
-        return r
-
-    p = m.spawn(ctx._ctx, client())
+    ctx = m.thread(1)
+    p = m.spawn(ctx, prim.apply_op(ctx, op, 7))
     m.run()
     assert p.result == 7
-    kinds = [s.kind for s in trace.spans]
-    assert kinds == ["send", "receive"]
-    # the receive span covers the waiting time for the response
-    assert trace.spans[1].duration > 0
+    row = _rows(render_timeline(ob.trace, width=200))[f"c{ctx.core.cid}"]
+    assert row.lstrip()[0] == "s"
+    assert "v" in row and row.index("s") < row.index("v")
 
 
-def test_render_timeline_basic():
-    tr = Trace()
-    tr.add(0, "load", 0, 50)
-    tr.add(0, "work", 50, 100)
-    tr.add(1, "send", 0, 10)
-    tr.add(1, "receive", 10, 100)
-    out = render_timeline(tr, width=20)
-    assert "t0" in out and "t1" in out
-    assert "legend:" in out
-    assert "cycles by kind:" in out
-    # thread 0's row has both glyphs
-    row0 = [l for l in out.splitlines() if l.startswith("t0")][0]
-    assert "r" in row0 and "#" in row0
-
-
-def test_render_timeline_empty():
-    assert render_timeline(Trace()) == "[empty trace]"
-
-
-def test_render_timeline_window_and_tids():
-    tr = Trace()
-    tr.add(0, "work", 0, 1000)
-    tr.add(5, "work", 0, 1000)
-    out = render_timeline(tr, start=0, end=500, tids=[5])
-    assert "t5" in out and "t0 " not in out
-
-
-def test_window_clips_span_endpoints():
-    """Regression: window() must clip, not keep whole overlapping spans.
-
-    A span straddling the boundary used to be kept in full, inflating
-    by_kind() totals beyond the window length itself.
-    """
-    tr = Trace()
-    tr.add(0, "work", 0, 100)     # straddles both edges of [40, 60)
-    tr.add(0, "load", 50, 200)    # straddles the right edge
-    w = tr.window(40, 60)
-    assert len(w.spans) == 2
-    assert (w.spans[0].start, w.spans[0].end) == (40, 60)
-    assert (w.spans[1].start, w.spans[1].end) == (50, 60)
-    totals = w.by_kind()
-    assert totals == {"work": 20, "load": 10}
-    # totals can never exceed window length per thread any more
-    assert sum(totals.values()) <= (60 - 40) * 2
-
-
-def test_window_keeps_interior_zero_length_spans():
-    tr = Trace()
-    tr.add(0, "probe", 10, 10)   # zero-length, interior
-    tr.add(0, "probe", 20, 20)   # zero-length, at the window start edge
-    tr.add(0, "probe", 30, 30)   # zero-length, at the (exclusive) end edge
-    w = tr.window(20, 30)
-    # [20, 30): the t=20 one is inside, t=30 is not, t=10 is before
-    assert [(s.start, s.end) for s in w.spans] == [(20, 20)]
-
-
-def test_render_timeline_zero_length_at_window_boundary():
-    """A zero-length op at the window edge must not crash or vanish."""
-    tr = Trace()
-    tr.add(0, "work", 0, 100)
-    tr.add(1, "probe", 0, 0)     # zero-length at the very start
-    tr.add(2, "probe", 100, 100)  # zero-length at the end boundary
-    out = render_timeline(tr, start=0, end=100, width=20)
-    row1 = [ln for ln in out.splitlines() if ln.startswith("t1")][0]
-    assert "?" in row1  # the probe glyph appears as a 1-cycle dot
-    # the end-boundary op is outside [0, 100) -- row renders but stays blank
-    row2 = [ln for ln in out.splitlines() if ln.startswith("t2")][0]
-    assert "?" not in row2
-
-
-def test_render_timeline_explicit_tids_filter_and_order():
-    tr = Trace()
-    tr.add(0, "work", 0, 10)
-    tr.add(1, "load", 0, 10)
-    tr.add(2, "send", 0, 10)
-    out = render_timeline(tr, tids=[2, 0], width=10)
-    rows = [ln for ln in out.splitlines()
-            if ln.startswith("t") and ln[1].isdigit()]
-    # only the requested threads, in the requested order
-    assert rows[0].startswith("t2")
-    assert rows[1].startswith("t0")
-    assert not any(ln.startswith("t1") for ln in rows)
-
-
-def test_render_timeline_bucket_width_one():
-    """width >= span length: one column per cycle, no div-by-zero."""
-    tr = Trace()
-    tr.add(0, "load", 0, 3)
-    tr.add(0, "work", 3, 6)
-    out = render_timeline(tr, width=100)
-    assert "one column = 1 cycles" in out
-    row = [ln for ln in out.splitlines() if ln.startswith("t0")][0]
-    body = row.split("|")[1]
-    assert body.startswith("rrr###")
+def test_trace_anatomy_example_renders_every_core(capsys):
+    """The example records a HYBCOMB run and draws one row per client
+    core, with FAA round trips (A) and response waits (v) visible."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "examples",
+                        "trace_anatomy.py")
+    runpy.run_path(path, run_name="__main__")
+    out = capsys.readouterr().out
+    rows = _rows(out)
+    assert list(rows) == [f"c{i}" for i in range(18)]
+    body = "".join(rows.values())
+    assert "A" in body and "v" in body
+    assert "increments in" in out
