@@ -80,37 +80,59 @@ def test_coherence_miss_pingpong(benchmark):
     assert benchmark(run) == (2 * rounds, 2 * rounds, 12_998)
 
 
+def _round_trips(machine, n=2_000):
+    """``n`` request/response message pairs between threads 0 and 1."""
+    t0 = machine.thread(0)
+    t1 = machine.thread(1)
+
+    def server():
+        for _ in range(n):
+            (v,) = yield from t0.receive(1)
+            yield from t0.send(1, [v + 1])
+
+    def client():
+        total = 0
+        for i in range(n):
+            yield from t1.send(0, [i])
+            (v,) = yield from t1.receive(1)
+            total += v
+        return total
+
+    machine.spawn(t0, server())
+    p = machine.spawn(t1, client())
+    machine.run()
+    return p.result, machine.sim.events_processed, machine.now
+
+
 def test_udn_message_round_trips(benchmark):
     """Request/response ping-pong through the hardware message queues."""
 
     def run():
-        m = Machine(tile_gx())
-        t0 = m.thread(0)
-        t1 = m.thread(1)
-        N = 2_000
-
-        def server():
-            for _ in range(N):
-                (v,) = yield from t0.receive(1)
-                yield from t0.send(1, [v + 1])
-
-        def client():
-            total = 0
-            for i in range(N):
-                yield from t1.send(0, [i])
-                (v,) = yield from t1.receive(1)
-                total += v
-            return total
-
-        m.spawn(t0, server())
-        p = m.spawn(t1, client())
-        m.run()
-        return p.result, m.sim.events_processed, m.now
+        return _round_trips(Machine(tile_gx()))
 
     # events and cycles pinned before the cheaper message path: a
     # host-only speed-up must not add, drop or move a single event
     expected = sum(i + 1 for i in range(2_000))
     assert benchmark(run) == (expected, 16_002, 40_000)
+
+
+def test_udn_message_round_trips_with_hop_ledger(benchmark):
+    """The same ping-pong with the spatial hop ledger on: the fabric
+    writes the ledger inline, so no send or delivery reaches a bus
+    subscriber and the run is event for event the atlas-only one."""
+
+    def run(**options):
+        m = Machine(tile_gx())
+        ob = m.enable_observability(**options)
+        return _round_trips(m), ob
+
+    plain, ob_plain = run(spatial=True)
+    result, ob = benchmark(lambda: run(spatial_hops=True))
+    assert result == plain == (sum(i + 1 for i in range(2_000)),
+                               16_002, 40_000)
+    assert ob.bus.events_emitted == ob_plain.bus.events_emitted
+    assert not {"udn.send", "udn.deliver"} & set(ob.bus._kind_subs)
+    assert len(ob.spatial.records) == ob.spatial.hop_totals["messages"] == 4_000
 
 
 def test_udn_backpressure_fifo(benchmark):

@@ -81,6 +81,16 @@ __all__ = [
 ]
 
 
+def _check_limits(trace_limit: int, flight_limit: int,
+                  spatial_hop_limit: int) -> None:
+    """Reject a cap that would silently keep nothing, naming the option."""
+    for name, value, least in (("trace_limit", trace_limit, 0),
+                               ("flight_limit", flight_limit, 1),
+                               ("spatial_hop_limit", spatial_hop_limit, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 class Observability:
     """One machine's observability: bus + counters (+ optional layers)."""
 
@@ -94,6 +104,7 @@ class Observability:
                  spatial_hop_limit: int = 100_000):
         if machine.sim.obs is not None:
             raise RuntimeError("observability already enabled on this machine")
+        _check_limits(trace_limit, flight_limit, spatial_hop_limit)
         self.machine = machine
         #: free-form run label (process name in merged traces)
         self.label = label or machine.cfg.name
@@ -107,9 +118,9 @@ class Observability:
             self.trace = EventLog(limit=trace_limit)
             self.bus.subscribe_kinds(TRACE_KINDS, self.trace.on_event)
         # spatial congestion atlas (DESIGN.md §15): send/deliver totals
-        # are counted inline in the UDN fabric (installed by the atlas
-        # constructor); the bus only carries the rare kinds -- plus
-        # per-message send/deliver when the hop ledger is on
+        # and the hop ledger are written inline by the UDN fabric
+        # (installed by the atlas constructor); the bus only carries the
+        # rare kinds
         self.spatial: Optional[SpatialAtlas] = None
         if spatial or spatial_hops:
             self.spatial = SpatialAtlas(machine, hops=spatial_hops,
@@ -170,6 +181,7 @@ class ObsSession:
                  incident_dir: Optional[str] = None,
                  spatial: bool = False, spatial_hops: bool = False,
                  spatial_hop_limit: int = 100_000):
+        _check_limits(trace_limit, flight_limit, spatial_hop_limit)
         self.trace = trace
         self.trace_limit = trace_limit
         self.timeseries = timeseries

@@ -10,7 +10,8 @@ signals into mesh-shaped aggregates:
   charged to every directed link it crosses (msgs + words);
 * ``noc.link``      -- measured occupancy on the contended mesh: busy
   cycles, queueing cycles and packet counts per directed link;
-* ``udn.deliver``   -- per-destination-tile delivery counts/latency;
+* ``udn.deliver``   -- per-tile delivery counts/latency, and the hop
+  ledger;
 * ``udn.backpressure`` -- per-sender-tile cycles blocked on a full
   destination buffer.
 
@@ -19,15 +20,14 @@ fabric's own stats registers rather than like a bus subscriber:
 ``udn.send`` / ``udn.deliver`` make up more than half of all bus
 events in a message-passing workload, so even a kind-filtered Python
 handler per event would bust the sampling-overhead budget.  Instead
-the atlas hands its accumulator dicts to the
+the atlas hands its accumulators to the
 :class:`~repro.udn.udn.UdnFabric` (``spatial_sends`` /
-``spatial_delivers``) and the fabric counts inline -- one dict update,
-no Python call, ``None``-checked exactly like ``sim.obs`` so the
-disabled cost is one attribute test.  Only the rare kinds ride the bus
-(``udn.backpressure``, ``noc.link``, plus send/deliver when the
-per-message hop ledger is on).  Routes are expanded into links
-*lazily* (route cache shared across flushes) at sampling ticks and at
-:meth:`summary` time, never per message.
+``spatial_delivers`` / ``spatial_records``) and the fabric counts
+inline -- one dict update, no Python call, ``None``-checked exactly
+like ``sim.obs`` so the disabled cost is one attribute test.  Only the
+rare kinds ride the bus (``udn.backpressure``, ``noc.link``).  Routes
+are expanded into links *lazily* (route cache shared across flushes)
+at sampling ticks and at :meth:`summary` time, never per message.
 
 With a :class:`~repro.obs.timeseries.Sampler` attached the atlas also
 publishes per-link and per-tile ring series (``spatial.link.a>b``,
@@ -35,13 +35,18 @@ publishes per-link and per-tile ring series (``spatial.link.a>b``,
 traffic, capped at ``max_series`` so a 1024-core mesh cannot allocate
 4k rings behind your back.
 
-Hop-by-hop latency attribution (``hops=True``) keeps one bounded record
-per delivered message splitting its end-to-end ``udn.deliver`` latency
-into per-hop *queueing* (measured link-acquire waits on the contended
-mesh, zero on the analytic one) and *transit* (``per_hop`` each), plus
-the injection/ejection overhead ``base + per_word * (words - 1)`` and
-an explicit ``skew`` residual (transit jitter / policy delays).  With
-no jitter installed the attribution **conserves exactly**::
+Hop-by-hop latency attribution (``hops=True``) splits each delivered
+message's end-to-end ``udn.deliver`` latency into per-hop *queueing*
+(measured link-acquire waits on the contended mesh, zero on the
+analytic one) and *transit* (``per_hop`` each), plus the
+injection/ejection overhead ``base + per_word * (words - 1)`` and an
+explicit ``skew`` residual (transit jitter / policy delays).  The
+fabric writes this ledger inline too -- per-pair delivery totals and a
+compact tuple for each of the first ``hop_limit`` messages -- and the
+atlas derives :attr:`~SpatialAtlas.hop_totals` and
+:attr:`~SpatialAtlas.records` when read (per-hop waits join from
+``noc.link`` by ``msg_id``).  With no jitter installed the attribution
+**conserves exactly**::
 
     sum(queue_i + transit_i) + eject + skew == end-to-end latency,
     skew == 0
@@ -55,15 +60,13 @@ instead.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 __all__ = ["SpatialAtlas", "SPATIAL_KINDS", "merge_spatial_summaries",
            "render_hotspots", "causal_link_flows"]
 
-#: the bus kinds the atlas always consumes (kind-filtered subscription;
-#: send/deliver are counted inline in the fabric instead, and only join
-#: the subscription when the hop ledger needs per-message events --
-#: see :meth:`SpatialAtlas.bus_kinds`)
+#: the bus kinds the atlas consumes (kind-filtered subscription;
+#: send/deliver are counted inline in the fabric instead)
 SPATIAL_KINDS = ("udn.backpressure", "noc.link")
 
 #: summary schema version (bump when the dict shape changes)
@@ -77,35 +80,46 @@ SUMMARY_FORMAT = 1
 TICK_DECIMATION = 4
 
 
+#: per-link / per-tile / hop-ledger summary fields, in dict order
+_LINK_FIELDS = ("msgs", "words", "busy", "wait", "packets")
+_TILE_FIELDS = ("out", "in_msgs", "in_words", "deliver_latency",
+                "backpressure")
+_HOP_FIELDS = ("messages", "latency", "queue", "transit", "eject", "skew",
+               "records", "records_dropped")
+
+
 def _link_key(a: int, b: int) -> str:
     return f"{a}>{b}"
 
 
-class _MsgRecord:
+def _with_shares(entries: Dict[str, Dict[str, Any]], basis: str,
+                 key=None) -> Dict[str, Dict[str, Any]]:
+    """``entries`` sorted by ``key``, each given its ``share`` of the
+    ``basis`` total."""
+    total = sum(e[basis] for e in entries.values())
+    for e in entries.values():
+        e["share"] = (e[basis] / total) if total else 0.0
+    return {k: entries[k] for k in sorted(entries, key=key)}
+
+
+class _MsgRecord(NamedTuple):
     """Hop-by-hop attribution of one delivered message."""
 
-    __slots__ = ("msg_id", "src", "dst", "words", "latency", "hops",
-                 "queue", "transit", "eject", "skew")
-
-    def __init__(self, msg_id, src, dst, words, latency, hops,
-                 queue, transit, eject, skew):
-        self.msg_id = msg_id
-        self.src = src          # source node
-        self.dst = dst          # destination node
-        self.words = words
-        self.latency = latency  # end-to-end udn.deliver latency
-        self.hops = hops        # [(a, b, queue_cycles, transit_cycles)]
-        self.queue = queue      # sum of per-hop queueing
-        self.transit = transit  # sum of per-hop transit
-        self.eject = eject      # injection/ejection overhead
-        self.skew = skew        # latency - queue - transit - eject
+    msg_id: int
+    src: int        # source node
+    dst: int        # destination node
+    words: int
+    latency: int    # end-to-end udn.deliver latency
+    queue: int      # sum of per-hop queueing
+    transit: int    # sum of per-hop transit
+    eject: int      # injection/ejection overhead
+    skew: int       # latency - queue - transit - eject
+    hops: List[Tuple[int, int, int, int]]  # (a, b, queue, transit) cycles
 
     def to_dict(self) -> Dict[str, Any]:
-        return {"msg_id": self.msg_id, "src": self.src, "dst": self.dst,
-                "words": self.words, "latency": self.latency,
-                "queue": self.queue, "transit": self.transit,
-                "eject": self.eject, "skew": self.skew,
-                "hops": [list(h) for h in self.hops]}
+        d = self._asdict()
+        d["hops"] = [list(h) for h in self.hops]
+        return d
 
 
 class SpatialAtlas:
@@ -133,9 +147,15 @@ class SpatialAtlas:
         # measured contended-mesh occupancy: (a, b) -> [busy, wait, pkts]
         self._measured: Dict[Tuple[int, int], List[int]] = {}
         self._fresh_measured: Dict[Tuple[int, int], List[int]] = {}
-        # destination *core* -> [msgs, words, latency_total]; written
-        # by the fabric at each delivery, mapped to nodes at summary time
-        self._deliver: Dict[int, List[int]] = {}
+        # (src_core, dst_core) -> [msgs, words, latency, queue] of
+        # delivered messages; written by the fabric at each delivery,
+        # mapped to nodes at read time
+        self._delivered: Dict[Tuple[int, int], List[int]] = {}
+        # the hop ledger's first hop_limit deliveries, as the fabric's
+        # (msg_id, src_core, dst_core, words, latency) tuples
+        self._records: List[Tuple[int, int, int, int, int]] = []
+        # msg_id -> [(a, b, wait), ...] from noc.link while within budget
+        self._waits: Dict[int, List[Tuple[int, int, int]]] = {}
         # sender node -> blocked cycles
         self._backpressure: Dict[int, int] = {}
         # hand the fabric the accumulators (see module docs); a machine
@@ -143,20 +163,15 @@ class SpatialAtlas:
         udn = machine.udn
         if udn is not None:
             udn.spatial_sends = self._fresh_pairs
-            udn.spatial_delivers = self._deliver
+            udn.spatial_delivers = self._delivered
+            if hops:
+                udn.spatial_records = self._records
+                udn.spatial_record_limit = hop_limit
 
         # -- lazily expanded views ----------------------------------------
         # directed link -> [msgs, words] of analytic (route-charged) traffic
         self._traffic: Dict[Tuple[int, int], List[int]] = {}
         self._route_cache: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
-
-        # -- optional per-message hop ledger ------------------------------
-        # msg_id -> [src_node, dst_node, words, [(a, b, wait), ...]]
-        self._open: Dict[int, list] = {}
-        self.records: List[_MsgRecord] = []
-        self.records_dropped = 0
-        self.hop_totals = {"messages": 0, "latency": 0, "queue": 0,
-                           "transit": 0, "eject": 0, "skew": 0}
 
         # -- sampler integration ------------------------------------------
         self._sampler = None
@@ -167,25 +182,13 @@ class SpatialAtlas:
         self.words = 0
 
     def bus_kinds(self) -> Tuple[str, ...]:
-        """The kinds this atlas wants from the bus.
-
-        Send/deliver aggregation happens inline in the fabric; the bus
-        only carries them here when the hop ledger needs per-message
-        identity (``hops=True``).
-        """
-        if self.record_hops:
-            return SPATIAL_KINDS + ("udn.send", "udn.deliver")
+        """The kinds this atlas wants from the bus (never send/deliver:
+        the fabric counts those, and writes the hop ledger, inline)."""
         return SPATIAL_KINDS
 
-    # -- bus handlers (hot path) ------------------------------------------
+    # -- bus handlers -------------------------------------------------------
     def on_event(self, t: int, kind: str, f: Dict[str, Any]) -> None:
-        if kind == "udn.send":
-            # hops mode only: open this message's ledger entry (the
-            # pair/word aggregation already happened inline in the fabric)
-            self._open[f["msg_id"]] = [self._node_of[f["core"]],
-                                       self._node_of[f["dst_core"]],
-                                       f["words"], []]
-        elif kind == "noc.link":
+        if kind == "noc.link":
             link = (f["a"], f["b"])
             e = self._fresh_measured.get(link)
             if e is None:
@@ -194,15 +197,11 @@ class SpatialAtlas:
                 e[0] += f["busy"]
                 e[1] += f["wait"]
                 e[2] += 1
-            if self.record_hops:
-                entry = self._open.get(f.get("msg_id"))
-                if entry is not None:
-                    entry[3].append((f["a"], f["b"], f["wait"]))
-        elif kind == "udn.deliver":
-            # hops mode only (aggregation is inline in the fabric)
-            entry = self._open.pop(f.get("msg_id"), None)
-            if entry is not None:
-                self._close_record(f["msg_id"], entry, f["latency"])
+            # per-hop waits, kept only while a delivery can still be
+            # recorded: every hop of a recorded message precedes it
+            if self.record_hops and len(self._records) < self.hop_limit:
+                self._waits.setdefault(f["msg_id"], []).append(
+                    (f["a"], f["b"], f["wait"]))
         elif kind == "udn.backpressure":
             node = self._node_of[f["core"]]
             self._backpressure[node] = (
@@ -215,32 +214,53 @@ class SpatialAtlas:
             self._route_cache[(src, dst)] = links
         return links
 
-    def _close_record(self, msg_id: int, entry: list, latency: int) -> None:
-        src, dst, words, waits = entry
-        mesh = self.mesh
+    # -- the hop ledger, derived when read ------------------------------------
+    @property
+    def hop_totals(self) -> Dict[str, int]:
+        """Latency split summed over every delivered message: transit is
+        ``per_hop`` x Manhattan hops, eject the mesh's fixed terms, queue
+        the measured link waits, and skew the residual."""
+        mesh, node_of = self.mesh, self._node_of
+        messages = latency = queue = transit = eject = 0
+        for (sc, dc), (m, w, lat, q) in self._delivered.items():
+            messages += m
+            latency += lat
+            queue += q
+            transit += m * mesh.per_hop * mesh.hops(node_of[sc], node_of[dc])
+            eject += m * (mesh.base - mesh.per_word) + mesh.per_word * w
+        return {"messages": messages, "latency": latency, "queue": queue,
+                "transit": transit, "eject": eject,
+                "skew": latency - queue - transit - eject}
+
+    @property
+    def records(self) -> List[_MsgRecord]:
+        """Per-hop attribution of the first ``hop_limit`` deliveries."""
+        mesh, node_of = self.mesh, self._node_of
         per_hop = mesh.per_hop
-        if waits:
-            # contended mesh: queueing measured per link-acquire
-            hops = [(a, b, w, per_hop) for a, b, w in waits]
-        else:
-            # analytic mesh (or src == dst): no queueing anywhere
-            hops = [(a, b, 0, per_hop) for a, b in self._route_links(src, dst)]
-        queue = sum(h[2] for h in hops)
-        transit = per_hop * len(hops)
-        eject = mesh.base + mesh.per_word * (words - 1)
-        skew = latency - queue - transit - eject
-        tot = self.hop_totals
-        tot["messages"] += 1
-        tot["latency"] += latency
-        tot["queue"] += queue
-        tot["transit"] += transit
-        tot["eject"] += eject
-        tot["skew"] += skew
-        if len(self.records) < self.hop_limit:
-            self.records.append(_MsgRecord(msg_id, src, dst, words, latency,
-                                           hops, queue, transit, eject, skew))
-        else:
-            self.records_dropped += 1
+        out = []
+        for msg_id, sc, dc, words, latency in self._records:
+            src, dst = node_of[sc], node_of[dc]
+            waits = self._waits.get(msg_id)
+            if waits:
+                # contended mesh: queueing measured per link-acquire
+                hops = [(a, b, w, per_hop) for a, b, w in waits]
+            else:
+                # analytic mesh (or src == dst): no queueing anywhere
+                hops = [(a, b, 0, per_hop)
+                        for a, b in self._route_links(src, dst)]
+            queue = sum(h[2] for h in hops)
+            transit = per_hop * len(hops)
+            eject = mesh.base + mesh.per_word * (words - 1)
+            out.append(_MsgRecord(msg_id, src, dst, words, latency, queue,
+                                  transit, eject,
+                                  latency - queue - transit - eject, hops))
+        return out
+
+    @property
+    def records_dropped(self) -> int:
+        """Deliveries past the record budget (still in the totals)."""
+        return (sum(e[0] for e in self._delivered.values())
+                - len(self._records))
 
     # -- lazy expansion -----------------------------------------------------
     def flush(self) -> Tuple[Dict[Tuple[int, int], int],
@@ -349,46 +369,29 @@ class SpatialAtlas:
         self.flush()
         links: Dict[str, Dict[str, Any]] = {}
         for (a, b), (m, w) in self._traffic.items():
-            links[_link_key(a, b)] = {"msgs": m, "words": w,
-                                      "busy": 0, "wait": 0, "packets": 0}
+            links[_link_key(a, b)] = dict(zip(_LINK_FIELDS, (m, w, 0, 0, 0)))
         for (a, b), (busy, wait, pkts) in self._measured.items():
             e = links.setdefault(_link_key(a, b),
-                                 {"msgs": 0, "words": 0, "busy": 0,
-                                  "wait": 0, "packets": 0})
-            e["busy"] = busy
-            e["wait"] = wait
-            e["packets"] = pkts
-        # occupancy share: measured busy cycles when the contended mesh
-        # ran, analytic route-charged words otherwise
-        basis = "busy" if self.contended else "words"
-        total = sum(e[basis] for e in links.values())
-        for e in links.values():
-            e["share"] = (e[basis] / total) if total else 0.0
-
+                                 dict.fromkeys(_LINK_FIELDS, 0))
+            e["busy"], e["wait"], e["packets"] = busy, wait, pkts
         tiles: Dict[str, Dict[str, Any]] = {}
 
         def tile(node: int) -> Dict[str, Any]:
-            key = str(node)
-            e = tiles.get(key)
-            if e is None:
-                e = tiles[key] = {"out": 0, "in_msgs": 0, "in_words": 0,
-                                  "deliver_latency": 0, "backpressure": 0}
-            return e
+            return tiles.setdefault(str(node), dict.fromkeys(_TILE_FIELDS, 0))
 
         src_basis = self._measured if self.contended else self._traffic
         for (a, b), vals in src_basis.items():
             tile(a)["out"] += vals[0] if self.contended else vals[1]
-        for core_id, (m, w, lat) in self._deliver.items():
+        for (_src, core_id), (m, w, lat, _q) in self._delivered.items():
             e = tile(self._node_of[core_id])
             e["in_msgs"] += m
             e["in_words"] += w
             e["deliver_latency"] += lat
         for node, cyc in self._backpressure.items():
             tile(node)["backpressure"] += cyc
-        out_total = sum(e["out"] for e in tiles.values())
-        for e in tiles.values():
-            e["share"] = (e["out"] / out_total) if out_total else 0.0
-
+        # occupancy share: measured busy cycles when the contended mesh
+        # ran, analytic route-charged words otherwise
+        basis = "busy" if self.contended else "words"
         out: Dict[str, Any] = {
             "format": SUMMARY_FORMAT,
             "mesh": {"width": self.width, "height": self.height},
@@ -396,14 +399,14 @@ class SpatialAtlas:
             "basis": basis,
             "messages": self.messages,
             "words": self.words,
-            "links": {k: links[k] for k in sorted(links)},
-            "tiles": {k: tiles[k] for k in sorted(tiles, key=int)},
+            "links": _with_shares(links, basis),
+            "tiles": _with_shares(tiles, "out", key=int),
             "series_dropped": self.series_dropped,
         }
         if self.record_hops:
-            out["hops"] = dict(self.hop_totals)
-            out["hops"]["records"] = len(self.records)
-            out["hops"]["records_dropped"] = self.records_dropped
+            out["hops"] = hops = self.hop_totals
+            hops["records"] = len(self._records)
+            hops["records_dropped"] = self.records_dropped
         return out
 
     def top_links(self, k: int = 5) -> List[Tuple[str, Dict[str, Any]]]:
@@ -442,36 +445,18 @@ def merge_spatial_summaries(summaries) -> Optional[Dict[str, Any]]:
         out["words"] += s["words"]
         out["series_dropped"] += s.get("series_dropped", 0)
         out["machines"] += 1
-        for key, e in s["links"].items():
-            t = out["links"].setdefault(
-                key, {"msgs": 0, "words": 0, "busy": 0, "wait": 0,
-                      "packets": 0})
-            for field in ("msgs", "words", "busy", "wait", "packets"):
-                t[field] += e.get(field, 0)
-        for key, e in s["tiles"].items():
-            t = out["tiles"].setdefault(
-                key, {"out": 0, "in_msgs": 0, "in_words": 0,
-                      "deliver_latency": 0, "backpressure": 0})
-            for field in ("out", "in_msgs", "in_words", "deliver_latency",
-                          "backpressure"):
-                t[field] += e.get(field, 0)
-        h = s.get("hops")
-        if h is not None:
-            if hops_tot is None:
-                hops_tot = {k: 0 for k in ("messages", "latency", "queue",
-                                           "transit", "eject", "skew",
-                                           "records", "records_dropped")}
+        for group, fields in (("links", _LINK_FIELDS),
+                              ("tiles", _TILE_FIELDS)):
+            for key, e in s[group].items():
+                t = out[group].setdefault(key, dict.fromkeys(fields, 0))
+                for field in fields:
+                    t[field] += e.get(field, 0)
+        if "hops" in s:
+            hops_tot = hops_tot or dict.fromkeys(_HOP_FIELDS, 0)
             for k in hops_tot:
-                hops_tot[k] += h.get(k, 0)
-    basis = out["basis"]
-    total = sum(e[basis] for e in out["links"].values())
-    for e in out["links"].values():
-        e["share"] = (e[basis] / total) if total else 0.0
-    out_total = sum(e["out"] for e in out["tiles"].values())
-    for e in out["tiles"].values():
-        e["share"] = (e["out"] / out_total) if out_total else 0.0
-    out["links"] = {k: out["links"][k] for k in sorted(out["links"])}
-    out["tiles"] = {k: out["tiles"][k] for k in sorted(out["tiles"], key=int)}
+                hops_tot[k] += s["hops"].get(k, 0)
+    out["links"] = _with_shares(out["links"], out["basis"])
+    out["tiles"] = _with_shares(out["tiles"], "out", key=int)
     if hops_tot is not None:
         out["hops"] = hops_tot
     return out

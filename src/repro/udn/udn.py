@@ -151,13 +151,14 @@ class _Delivery:
     _slow: ClassVar[bool] = False
     _val: ClassVar[None] = None
 
-    __slots__ = ("fabric", "queue", "dst_core", "demux", "msg_id",
+    __slots__ = ("fabric", "queue", "src_core", "dst_core", "demux", "msg_id",
                  "n_words", "payload", "sent_at")
 
-    def __init__(self, fabric: "UdnFabric", queue: _Queue, dst_core: int,
-                 demux: int, msg_id: int, n_words: int):
+    def __init__(self, fabric: "UdnFabric", queue: _Queue, src_core: int,
+                 dst_core: int, demux: int, msg_id: int, n_words: int):
         self.fabric = fabric
         self.queue = queue
+        self.src_core = src_core
         self.dst_core = dst_core
         self.demux = demux
         self.msg_id = msg_id
@@ -175,14 +176,19 @@ class _Delivery:
         fabric.messages_delivered += 1
         sp = fabric.spatial_delivers
         if sp is not None:
-            e = sp.get(self.dst_core)
+            # the atlas's delivery ledger (repro.obs.spatial)
             latency = sim.now - self.sent_at
+            key = (self.src_core, self.dst_core)
+            e = sp.get(key)
             if e is None:
-                sp[self.dst_core] = [1, self.n_words, latency]
+                sp[key] = [1, self.n_words, latency, 0]
             else:
                 e[0] += 1
                 e[1] += self.n_words
                 e[2] += latency
+            recs = fabric.spatial_records
+            if recs is not None and len(recs) < fabric.spatial_record_limit:
+                recs.append((self.msg_id, key[0], key[1], self.n_words, latency))
         obs = sim.obs
         if obs is not None:
             latency = sim.now - self.sent_at
@@ -250,15 +256,18 @@ class UdnFabric:
         #: the same stream -- the per-pair FIFO guarantee survives any
         #: policy (used only when ``sim.policy`` is installed).
         self._policy_last_arrival: Dict[Tuple[int, int, int], int] = {}
-        #: spatial-atlas hot-path hooks (see repro.obs.spatial): when an
-        #: atlas is attached these are its accumulator dicts and sends /
-        #: deliveries are counted inline -- one dict update, no Python
-        #: call per event, which is what keeps the atlas inside the
-        #: sampling-overhead budget.  ``None`` (the default) costs one
-        #: attribute load + is-None test per send/deliver.  Pure
-        #: observation: never read by the fabric itself.
+        #: spatial-atlas hot-path hooks (see repro.obs.spatial): an
+        #: attached atlas's accumulators, keyed (src core, dst core), so
+        #: sends and deliveries ([msgs, words, latency, link queueing])
+        #: are counted inline -- one dict update, no Python call.  With
+        #: the hop ledger on, the first ``spatial_record_limit``
+        #: deliveries also append (msg_id, src core, dst core, words,
+        #: latency) to ``spatial_records``.  ``None`` (the default)
+        #: costs one is-None test per send/deliver; never read back.
         self.spatial_sends: Optional[Dict[Tuple[int, int], List[int]]] = None
-        self.spatial_delivers: Optional[Dict[int, List[int]]] = None
+        self.spatial_delivers: Optional[Dict[Tuple[int, int], List[int]]] = None
+        self.spatial_records: Optional[List[Tuple[int, int, int, int, int]]] = None
+        self.spatial_record_limit = 0
 
     @property
     def backpressure_cycles(self) -> int:
@@ -386,7 +395,7 @@ class UdnFabric:
             self.backpressure_by_core[core.cid] += blocked
         msg_id = self._next_msg_id
         self._next_msg_id = msg_id + 1
-        entry = _Delivery(self, queue, dst_core_id, demux, msg_id, n)
+        entry = _Delivery(self, queue, core.cid, dst_core_id, demux, msg_id, n)
         sp = self.spatial_sends
         if sp is not None:
             e = sp.get((core.cid, dst_core_id))
@@ -454,12 +463,18 @@ class UdnFabric:
     def _contended_delivery(self, src_node: int, dst_node: int,
                             entry: _Delivery) -> Generator[Any, Any, None]:
         n = entry.n_words
-        yield from self.contended.transit(src_node, dst_node, n, msg_id=entry.msg_id)
+        cycles = yield from self.contended.transit(src_node, dst_node, n,
+                                                   msg_id=entry.msg_id)
         if self.transit_jitter is not None:
             extra = int(self.transit_jitter(src_node, dst_node, n))
             if extra:
                 yield extra
         entry._send(None)  # this process's last step: no ``current`` to keep
+        sp = self.spatial_delivers
+        if sp is not None:
+            # link queueing: the packet's transit beyond the idle mesh's
+            sp[(entry.src_core, entry.dst_core)][3] += (
+                cycles - self.mesh.latency(src_node, dst_node, n))
 
     def receive(self, core: Core, tid: int, k: int = 1,
                 timeout: Optional[int] = None) -> Generator[Any, Any, List[int]]:

@@ -42,6 +42,37 @@ def test_double_enable_raises():
         obs.Observability(m)
 
 
+@pytest.mark.parametrize("option, value", [
+    ("trace_limit", -1), ("spatial_hop_limit", -1), ("flight_limit", 0)])
+def test_negative_caps_rejected_naming_the_option(option, value):
+    with pytest.raises(ValueError, match=option):
+        obs.enable(**{option: value})
+    with pytest.raises(ValueError, match=option):
+        Machine(tile_gx()).enable_observability(
+            flight=True, **{option: value})
+    assert obs._SESSION is None
+
+
+def test_zero_caps_keep_nothing():
+    with obs.observed(trace=True, trace_limit=0, spatial_hops=True,
+                      spatial_hop_limit=0):
+        m = Machine(tile_gx())
+    t0, t1 = m.thread(0), m.thread(1)
+
+    def ping():
+        yield from t0.send(1, [1])
+
+    def pong():
+        yield from t1.receive(1)
+
+    m.spawn(t0, ping())
+    m.spawn(t1, pong())
+    m.run()
+    assert m.obs.trace.events == [] and m.obs.trace.dropped > 0
+    hops = m.obs.spatial.summary()["hops"]
+    assert hops["records"] == 0 and hops["records_dropped"] == 1
+
+
 def test_bus_emit_and_subscribe():
     m = Machine(tile_gx())
     ob = m.enable_observability()
