@@ -135,6 +135,28 @@ def test_udn_message_round_trips_with_hop_ledger(benchmark):
     assert len(ob.spatial.records) == ob.spatial.hop_totals["messages"] == 4_000
 
 
+def test_udn_round_trips_emit_only_wanted_kinds(benchmark):
+    """The same ping-pong under three consumers: a publish site builds
+    an event only for a kind some consumer wants.  The hop ledger and
+    the flight ring want no UDN kind, so the run emits nothing; a trace
+    wants send, deliver and receive (6 events per round trip) but not
+    process spawn/exit."""
+
+    def run(**options):
+        m = Machine(tile_gx())
+        ob = m.enable_observability(**options)
+        return _round_trips(m), ob.bus
+
+    expected = (sum(i + 1 for i in range(2_000)), 16_002, 40_000)
+    result, bus = benchmark(lambda: run(spatial_hops=True))
+    assert result == expected and bus.events_emitted == 0
+    assert not {"udn.send", "udn.deliver", "udn.recv"} & bus.wanted
+    result, bus = run(flight=True)
+    assert result == expected and bus.events_emitted == 0
+    result, bus = run(trace=True)
+    assert result == expected and bus.events_emitted == 12_000
+
+
 def test_udn_backpressure_fifo(benchmark):
     """Three senders of 3-word messages into a 4-word buffer: only one
     message fits at a time, so every send queues for space in FIFO

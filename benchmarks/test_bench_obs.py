@@ -5,7 +5,8 @@ Runs the same closed-loop counter workload four ways --
 * ``off``       -- no observability at all (the figure-reproduction
   default);
 * ``obs``       -- event bus + perf counters (``--perf``), no
-  continuous telemetry;
+  continuous telemetry; no consumer wants any kind, so the bus builds
+  no event and the cost is the inline counter writes;
 * ``sampling``  -- the time-series sampler + spatial atlas on top
   (``timeseries=True, spatial=True``: the engine clock hook,
   ring-buffer series and the per-link/per-tile congestion counters);
@@ -31,8 +32,13 @@ and priced separately (one C-level ring append + a dict probe per bus
 event, see ``EventBus.keep_recent`` / ``subscribe_kinds``).  Its hop
 ledger adds no bus handler: the UDN fabric writes it inline (one pair
 update and, within the record budget, one tuple per delivery), and the
-per-hop split is derived only when read.  On a 2-vCPU host the
-printed ``full`` marginal over ``obs`` reads about 27-30%.
+per-hop split is derived only when read.  The flight ring wants the
+narrated kinds (ops and service spans: four events per mp-server op)
+and the atlas ``udn.backpressure``/``noc.link``; UDN send/deliver/
+receive are not built.  On a 2-vCPU host, over five runs, the printed
+``obs``/``off`` engine speed reads 0.76-0.97 and the ``full``
+marginal over ``obs`` 28-37%, so ``full`` runs at 0.51-0.65 of
+``off``.
 
 Simulated results must be bit-identical across all four modes (the
 sampler is a pure observer driven by the engine clock hook) -- asserted

@@ -162,7 +162,7 @@ class SyncPrimitive:
         self._session_t0 = self.machine.now
         self._session_ctx = ctx
         obs = self.machine.sim.obs
-        if obs is not None:
+        if obs is not None and "combiner.open" in obs.wanted:
             obs.emit("combiner.open", core=ctx.core.cid, tid=ctx.tid,
                      prim=self.name)
 
@@ -172,10 +172,11 @@ class SyncPrimitive:
         if obs is not None and self._session_ctx is not None:
             ctx = self._session_ctx
             obs.counters.combined(ops)
-            obs.emit("combiner.close", core=ctx.core.cid, tid=ctx.tid,
-                     prim=self.name, ops=ops,
-                     start=self._session_t0 if self._session_t0 is not None
-                     else self.machine.now)
+            if "combiner.close" in obs.wanted:
+                obs.emit("combiner.close", core=ctx.core.cid, tid=ctx.tid,
+                         prim=self.name, ops=ops,
+                         start=self._session_t0 if self._session_t0 is not None
+                         else self.machine.now)
         self._session_t0 = None
         self._session_ctx = None
 

@@ -130,16 +130,18 @@ class CCSynch(SyncPrimitive):
             client = self._node_owner.get(tmp)
             if obs is not None:
                 obs.counters.served(ctx.core.cid)
-                obs.emit("server.req", core=ctx.core.cid, client=client,
-                         prim=self.name)
+                if "server.req" in obs.wanted:
+                    obs.emit("server.req", core=ctx.core.cid, client=client,
+                             prim=self.name)
             ret = yield from execute(ctx, op, a)
             yield from ctx.store(tmp + _RET, ret)
             yield from ctx.store(tmp + _COMPLETED, 1)
             yield from ctx.store(tmp + _WAIT, 0)
             if obs is not None:
                 obs.counters.service(ctx.core.cid, ctx.sim.now - svc_start)
-                obs.emit("server.done", core=ctx.core.cid, client=client,
-                         prim=self.name, start=svc_start)
+                if "server.done" in obs.wanted:
+                    obs.emit("server.done", core=ctx.core.cid, client=client,
+                             prim=self.name, start=svc_start)
             tmp = nxt
 
     def apply_op(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG,
@@ -204,9 +206,10 @@ class CCSynch(SyncPrimitive):
             yield from ctx.store(tmp + _WAIT, 0)
             if obs is not None:
                 obs.counters.service(ctx.core.cid, ctx.sim.now - svc_start)
-                obs.emit("server.done", core=ctx.core.cid,
-                         client=self._node_owner.get(tmp),
-                         prim=self.name, start=svc_start)
+                if "server.done" in obs.wanted:
+                    obs.emit("server.done", core=ctx.core.cid,
+                             client=self._node_owner.get(tmp),
+                             prim=self.name, start=svc_start)
             tmp = nxt
         if ctx.sim.policy is not None:
             # exploration seam: combiner handover window

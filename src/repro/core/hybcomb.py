@@ -206,14 +206,16 @@ class HybComb(SyncPrimitive):
             obs = ctx.sim.obs
             if obs is not None:
                 obs.counters.served(ctx.core.cid)
-                obs.emit("server.req", core=ctx.core.cid, client=sender,
-                         prim=self.name)
+                if "server.req" in obs.wanted:
+                    obs.emit("server.req", core=ctx.core.cid, client=sender,
+                             prim=self.name)
             r = yield from execute(ctx, fp, farg)
             yield from ctx.send(sender, [r])
             if obs is not None:
                 obs.counters.service(ctx.core.cid, self.machine.now - svc_start)
-                obs.emit("server.done", core=ctx.core.cid, client=sender,
-                         prim=self.name, start=svc_start)
+                if "server.done" in obs.wanted:
+                    obs.emit("server.done", core=ctx.core.cid, client=sender,
+                             prim=self.name, start=svc_start)
 
     # -- lease helpers ---------------------------------------------------------
     def _heartbeat(self, ctx: ThreadCtx, my_node: int) -> Generator[Any, Any, None]:
@@ -244,8 +246,9 @@ class HybComb(SyncPrimitive):
                 obs = ctx.sim.obs
                 if obs is not None:
                     obs.counters.count("takeovers")
-                    obs.emit("fault.takeover", core=ctx.core.cid, tid=ctx.tid,
-                             prim=self.name)
+                    if "fault.takeover" in obs.wanted:
+                        obs.emit("fault.takeover", core=ctx.core.cid, tid=ctx.tid,
+                                 prim=self.name)
                 return
             yield from self._heartbeat(ctx, my_node)
             yield from ctx.work(self._lease_poll)
@@ -289,8 +292,9 @@ class HybComb(SyncPrimitive):
                             obs = ctx.sim.obs
                             if obs is not None:
                                 obs.counters.count("ops_retried")
-                                obs.emit("fault.retry", core=ctx.core.cid,
-                                         tid=tid, prim=self.name)
+                                if "fault.retry" in obs.wanted:
+                                    obs.emit("fault.retry", core=ctx.core.cid,
+                                             tid=tid, prim=self.name)
                             if first_timeout_at is None:
                                 first_timeout_at = self.machine.now
                             stale = yield from self._lease_stale(ctx, last_reg)
@@ -312,8 +316,9 @@ class HybComb(SyncPrimitive):
                     obs = ctx.sim.obs
                     if obs is not None:
                         obs.counters.count("ops_retried")
-                        obs.emit("fault.retry", core=ctx.core.cid,
-                                 tid=tid, prim=self.name)
+                        if "fault.retry" in obs.wanted:
+                            obs.emit("fault.retry", core=ctx.core.cid,
+                                     tid=tid, prim=self.name)
                     if first_timeout_at is None:
                         first_timeout_at = self.machine.now
                     continue  # re-read lrc and re-register
@@ -364,8 +369,9 @@ class HybComb(SyncPrimitive):
         self.self_combined += 1
         if obs is not None:
             obs.counters.service(ctx.core.cid, self.machine.now - svc_start)
-            obs.emit("server.done", core=ctx.core.cid, client=tid,
-                     prim=self.name, start=svc_start)
+            if "server.done" in obs.wanted:
+                obs.emit("server.done", core=ctx.core.cid, client=tid,
+                         prim=self.name, start=svc_start)
         if ctx.sim.policy is not None:
             # exploration seam: mid-section preemption here is what a
             # stale-lease takeover races against
@@ -383,8 +389,9 @@ class HybComb(SyncPrimitive):
             ops_completed += 1
             if obs is not None:
                 obs.counters.service(ctx.core.cid, self.machine.now - svc_start)
-                obs.emit("server.done", core=ctx.core.cid, client=sender,
-                         prim=self.name, start=svc_start)
+                if "server.done" in obs.wanted:
+                    obs.emit("server.done", core=ctx.core.cid, client=sender,
+                             prim=self.name, start=svc_start)
             if self._recovery:
                 yield from self._heartbeat(ctx, my_node)
         # Lines 29-32: close combining for new requests
@@ -409,8 +416,9 @@ class HybComb(SyncPrimitive):
             ops_completed += 1
             if obs is not None:
                 obs.counters.service(ctx.core.cid, self.machine.now - svc_start)
-                obs.emit("server.done", core=ctx.core.cid, client=sender,
-                         prim=self.name, start=svc_start)
+                if "server.done" in obs.wanted:
+                    obs.emit("server.done", core=ctx.core.cid, client=sender,
+                             prim=self.name, start=svc_start)
             if self._recovery:
                 yield from self._heartbeat(ctx, my_node)
         # Lines 38-42: exchange nodes with the departed-combiner slot,

@@ -188,15 +188,17 @@ class MPServer(SyncPrimitive):
             obs = ctx.sim.obs
             if obs is not None:
                 obs.counters.served(ctx.core.cid)
-                obs.emit("server.req", core=ctx.core.cid, client=sender,
-                         prim=self.name)
+                if "server.req" in obs.wanted:
+                    obs.emit("server.req", core=ctx.core.cid, client=sender,
+                             prim=self.name)
             retval = yield from execute(ctx, opcode, arg)
             yield from ctx.send(sender, [retval])
             self.requests_served += 1
             if obs is not None:
                 obs.counters.service(ctx.core.cid, ctx.sim.now - svc_start)
-                obs.emit("server.done", core=ctx.core.cid, client=sender,
-                         prim=self.name, start=svc_start)
+                if "server.done" in obs.wanted:
+                    obs.emit("server.done", core=ctx.core.cid, client=sender,
+                             prim=self.name, start=svc_start)
 
     # -- fault-tolerant protocol --------------------------------------------
     def _ft_server_loop(self, ctx: ThreadCtx) -> Generator[Any, Any, None]:
@@ -212,8 +214,9 @@ class MPServer(SyncPrimitive):
             obs = ctx.sim.obs
             if obs is not None:
                 obs.counters.served(ctx.core.cid)
-                obs.emit("server.req", core=ctx.core.cid, client=sender,
-                         prim=self.name)
+                if "server.req" in obs.wanted:
+                    obs.emit("server.req", core=ctx.core.cid, client=sender,
+                             prim=self.name)
             slot = self._slot_for(sender)
             last = yield from ctx.load(slot + _SLOT_SEQ)
             if seq <= last:
@@ -237,8 +240,9 @@ class MPServer(SyncPrimitive):
             self.requests_served += 1
             if obs is not None:
                 obs.counters.service(ctx.core.cid, ctx.sim.now - svc_start)
-                obs.emit("server.done", core=ctx.core.cid, client=sender,
-                         prim=self.name, start=svc_start)
+                if "server.done" in obs.wanted:
+                    obs.emit("server.done", core=ctx.core.cid, client=sender,
+                             prim=self.name, start=svc_start)
 
     def apply_op(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG,
                  timeout: Optional[int] = None) -> Generator[Any, Any, int]:
@@ -300,8 +304,9 @@ class MPServer(SyncPrimitive):
                 obs = ctx.sim.obs
                 if obs is not None:
                     obs.counters.count("ops_retried")
-                    obs.emit("fault.retry", core=ctx.core.cid, tid=tid,
-                             prim=self.name)
+                    if "fault.retry" in obs.wanted:
+                        obs.emit("fault.retry", core=ctx.core.cid, tid=tid,
+                                 prim=self.name)
                 if first_timeout_at is None:
                     first_timeout_at = self.machine.now
                 if attempt >= self.max_attempts:
@@ -315,8 +320,9 @@ class MPServer(SyncPrimitive):
                     self.failovers += 1
                     if obs is not None:
                         obs.counters.count("failovers")
-                        obs.emit("fault.failover", core=ctx.core.cid, tid=tid,
-                                 prim=self.name)
+                        if "fault.failover" in obs.wanted:
+                            obs.emit("fault.failover", core=ctx.core.cid, tid=tid,
+                                     prim=self.name)
                 backoff = min(self.backoff_base << (attempt - 1), self.backoff_cap)
                 ctx.core.wait += backoff
                 yield backoff

@@ -147,8 +147,9 @@ class ShmServer(SyncPrimitive):
                 obs = ctx.sim.obs
                 if obs is not None:
                     obs.counters.served(ctx.core.cid)
-                    obs.emit("server.req", core=ctx.core.cid, client=tid,
-                             prim=self.name)
+                    if "server.req" in obs.wanted:
+                        obs.emit("server.req", core=ctx.core.cid, client=tid,
+                                 prim=self.name)
                 # software-pipeline the next channel read behind this CS
                 # (the paper: RMRs "get partially overlapped with the CS
                 # execution" -- the O3-compiled server hoists the next
@@ -163,8 +164,9 @@ class ShmServer(SyncPrimitive):
                 self.requests_served += 1
                 if obs is not None:
                     obs.counters.service(ctx.core.cid, ctx.sim.now - svc_start)
-                    obs.emit("server.done", core=ctx.core.cid, client=tid,
-                             prim=self.name, start=svc_start)
+                    if "server.done" in obs.wanted:
+                        obs.emit("server.done", core=ctx.core.cid, client=tid,
+                                 prim=self.name, start=svc_start)
             # loop-closing branch of the scan
             yield from ctx.work(1)
 
@@ -215,7 +217,7 @@ class ShmServer(SyncPrimitive):
             gone = yield from ctx.cas(ch + _CLAIM, seq, _GONE + seq)
             if gone:
                 obs = sim.obs
-                if obs is not None:
+                if obs is not None and "dispatch.timeout" in obs.wanted:
                     obs.emit("dispatch.timeout", core=ctx.core.cid,
                              tid=ctx.tid, prim=self.name, waited=waited)
                 raise DispatchTimeout(

@@ -110,8 +110,9 @@ class ControllerAtomics:
             obs = self.sim.obs
             if obs is not None:
                 obs.counters.atomic(core.cid, line_no, cold, service)
-                obs.emit("atomic.exec", core=core.cid, line=line_no,
-                         ctrl=ctrl.node, cold=cold, service=service)
+                if "atomic.exec" in obs.wanted:
+                    obs.emit("atomic.exec", core=core.cid, line=line_no,
+                             ctrl=ctrl.node, cold=cold, service=service)
             yield service
             backing = self.mem.store_backing
             old = backing.read(addr)
@@ -128,8 +129,9 @@ class ControllerAtomics:
         obs = self.sim.obs
         if obs is not None:
             obs.counters.stall(line_no, stalled)
-            obs.emit("atomic.stall", core=core.cid, cycles=stalled,
-                     line=line_no, start=t0)
+            if "atomic.stall" in obs.wanted:
+                obs.emit("atomic.stall", core=core.cid, cycles=stalled,
+                         line=line_no, start=t0)
         return old
 
 
@@ -160,8 +162,9 @@ class CacheAtomics:
                 if obs is not None:
                     transition = mem._store_transition(entry, cid)
                     obs.counters.miss(cid, line_no, "atomic", transition, latency)
-                    obs.emit("cache.miss", core=cid, line=line_no, op="atomic",
-                             transition=transition, latency=latency)
+                    if "cache.miss" in obs.wanted:
+                        obs.emit("cache.miss", core=cid, line=line_no, op="atomic",
+                                 transition=transition, latency=latency)
                     mem._emit_invals(obs, entry, line_no, cid)
                 if latency:
                     yield latency
@@ -180,11 +183,13 @@ class CacheAtomics:
         if obs is not None:
             counters = obs.counters
             counters.atomic(cid, line_no, False, cfg.c_atomic_local)
-            obs.emit("atomic.exec", core=cid, line=line_no, ctrl=None,
-                     cold=False, service=cfg.c_atomic_local)
+            if "atomic.exec" in obs.wanted:
+                obs.emit("atomic.exec", core=cid, line=line_no, ctrl=None,
+                         cold=False, service=cfg.c_atomic_local)
             counters.stall(line_no, stalled)
-            obs.emit("atomic.stall", core=cid, cycles=stalled,
-                     line=line_no, start=t0)
+            if "atomic.stall" in obs.wanted:
+                obs.emit("atomic.stall", core=cid, cycles=stalled,
+                         line=line_no, start=t0)
         entry.notify()
         return old
 

@@ -140,15 +140,16 @@ class CoherentMemory:
         obs = self.sim.obs
         if obs is not None:
             obs.counters.stall(line_no, cycles)
-            obs.emit("cache.stall", core=core.cid, cycles=cycles, line=line_no,
-                     why=why, start=self.sim.now - cycles)
+            if "cache.stall" in obs.wanted:
+                obs.emit("cache.stall", core=core.cid, cycles=cycles, line=line_no,
+                         why=why, start=self.sim.now - cycles)
 
     def _charge_stall_fence(self, core: Core, cycles: int, why: str) -> None:
         if cycles <= 0:
             return
         core.stall_fence += cycles
         obs = self.sim.obs
-        if obs is not None:
+        if obs is not None and "fence.stall" in obs.wanted:
             obs.emit("fence.stall", core=core.cid, cycles=cycles, why=why,
                      start=self.sim.now - cycles)
 
@@ -171,13 +172,16 @@ class CoherentMemory:
     def _emit_invals(self, obs, entry: _Line, line_no: int, by) -> None:
         """Count and publish one ``cache.inval`` per core losing its copy."""
         counters = obs.counters
+        publish = "cache.inval" in obs.wanted
         if entry.owner is not None and entry.owner != by:
             counters.inval(entry.owner, line_no)
-            obs.emit("cache.inval", core=entry.owner, line=line_no, by=by)
+            if publish:
+                obs.emit("cache.inval", core=entry.owner, line=line_no, by=by)
         for s in entry.sharers:
             if s != by:
                 counters.inval(s, line_no)
-                obs.emit("cache.inval", core=s, line=line_no, by=by)
+                if publish:
+                    obs.emit("cache.inval", core=s, line=line_no, by=by)
 
     # -- address helpers ---------------------------------------------------
     def line_of(self, addr: int) -> int:
@@ -255,8 +259,9 @@ class CoherentMemory:
                 if obs is not None:
                     transition = self._load_transition(entry, cid)
                     obs.counters.miss(cid, line_no, "load", transition, latency)
-                    obs.emit("cache.miss", core=cid, line=line_no, op="load",
-                             transition=transition, latency=latency)
+                    if "cache.miss" in obs.wanted:
+                        obs.emit("cache.miss", core=cid, line=line_no, op="load",
+                                 transition=transition, latency=latency)
                 # The directory orders the read and answers quickly; the
                 # data transfer itself is pipelined, so the read holds
                 # the entry only briefly and concurrent readers do not
@@ -320,8 +325,9 @@ class CoherentMemory:
                 if obs is not None:
                     transition = self._load_transition(entry, cid)
                     obs.counters.miss(cid, line_no, "prefetch", transition, latency)
-                    obs.emit("cache.miss", core=cid, line=line_no, op="prefetch",
-                             transition=transition, latency=latency)
+                    if "cache.miss" in obs.wanted:
+                        obs.emit("cache.miss", core=cid, line=line_no, op="prefetch",
+                                 transition=transition, latency=latency)
                 occupancy = min(self.cfg.c_dir_read_occupancy, latency)
                 if occupancy:
                     yield occupancy
@@ -442,8 +448,9 @@ class CoherentMemory:
                 if obs is not None:
                     transition = self._store_transition(entry, cid)
                     obs.counters.miss(cid, line_no, "store", transition, latency)
-                    obs.emit("cache.miss", core=cid, line=line_no, op="store",
-                             transition=transition, latency=latency)
+                    if "cache.miss" in obs.wanted:
+                        obs.emit("cache.miss", core=cid, line=line_no, op="store",
+                                 transition=transition, latency=latency)
                     self._emit_invals(obs, entry, line_no, cid)
                 if latency:
                     yield latency
@@ -517,7 +524,8 @@ class CoherentMemory:
         if obs is not None:
             line_no = self.line_of(addr)
             obs.counters.cas_fail(line_no)
-            obs.emit("atomic.cas_fail", core=core.cid, line=line_no)
+            if "atomic.cas_fail" in obs.wanted:
+                obs.emit("atomic.cas_fail", core=core.cid, line=line_no)
         return False
 
     # -- hooks used by the atomics executor ---------------------------------

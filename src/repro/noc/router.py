@@ -83,8 +83,9 @@ class ContendedMesh:
                 obs = sim.obs
                 if obs is not None:
                     obs.counters.link_busy(a, b, busy, wait)
-                    obs.emit("noc.link", a=a, b=b, wait=wait, busy=busy,
-                             hop=hop, msg_id=msg_id)
+                    if "noc.link" in obs.wanted:
+                        obs.emit("noc.link", a=a, b=b, wait=wait, busy=busy,
+                                 hop=hop, msg_id=msg_id)
                 try:
                     yield per_hop
                 finally:
@@ -100,6 +101,7 @@ class ContendedMesh:
         if obs is not None:
             cycles = sim.now - t0
             obs.counters.packet(cycles)
-            obs.emit("noc.packet", src=src, dst=dst, words=words,
-                     cycles=cycles)
+            if "noc.packet" in obs.wanted:
+                obs.emit("noc.packet", src=src, dst=dst, words=words,
+                         cycles=cycles)
         return sim.now - t0

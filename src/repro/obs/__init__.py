@@ -4,7 +4,8 @@ Layers (see DESIGN.md §9 and §14):
 
 * :class:`~repro.obs.bus.EventBus` -- the structured event stream every
   hardware model and delegation core publishes to.  Off by default;
-  zero overhead when off.
+  zero overhead when off.  When on, a kind is built only while some
+  consumer wants it (``EventBus.wanted``).
 * :class:`~repro.obs.counters.PerfCounters` -- the "perf counter file":
   per-core / per-cache-line / per-link registers and a UDN latency
   histogram, written directly by the hardware models and queryable as

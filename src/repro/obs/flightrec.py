@@ -5,13 +5,23 @@ bounded ring (``EventBus.keep_recent``: a C-level deque append inside
 ``emit``, no extra Python call per event) and registers a
 kind-filtered subscriber for its trigger kinds only -- always-on cost
 is one append plus a dict probe per event, memory is O(limit) no
-matter how long the run.  When something goes wrong it **dumps an
-incident bundle**: a single
+matter how long the run.
+
+The ring holds the *narrated* tail (:data:`repro.obs.bus.NARRATED_KINDS`:
+ops, service spans, combining sessions, faults, admission, timeouts,
+crashes, SLO alerts), which ``keep_recent`` adds to the bus's
+``wanted`` kinds.  Hardware kinds (cache, atomics, UDN send/deliver/
+receive, NoC, process spawn/exit) are built only on demand, so they
+appear in the ring only while another consumer -- a trace, a full
+subscriber, the spatial atlas for its two kinds -- wants them.
+
+When something goes wrong it **dumps an incident bundle**: a single
 JSON document holding the recent-event tail, the time-series tail, a
-full perf-counter snapshot, the SLO status, and the machine-config
-fingerprint, so a failure observed deep into a long run is diagnosable
-(and, when a schedule-recording policy was installed, replayable)
-without re-running it.
+full perf-counter snapshot, the SLO status, the machine-config
+fingerprint and the bus's wanted ``kinds`` (so a reader sees which
+kinds were off, not lost), so a failure observed deep into a long run
+is diagnosable (and, when a schedule-recording policy was installed,
+replayable) without re-running it.
 
 Automatic triggers:
 
@@ -137,6 +147,9 @@ class FlightRecorder:
             "label": ob.label,
             "config_fingerprint": ob.machine.cfg.fingerprint(),
             "events": [[t, k, f] for t, k, f in self.events],
+            # the kinds the bus was building: any other kind was not
+            # emitted at all, so it is absent from the tail by design
+            "kinds": sorted(ob.bus.wanted),
             "counters": _plain(ob.counters.snapshot()),
             "timeseries": (ob.sampler.dump(tail=_TS_TAIL)
                            if ob.sampler is not None else {}),

@@ -120,7 +120,7 @@ class SLOMonitor:
         self._ops = 0
         elapsed = now - self._last_tick
         self._last_tick = now
-        emit = self.ob.bus.emit
+        bus = self.ob.bus
         for s in self.slos:
             st = self._state[s.name]
             bad = self._evaluate(s, st, lats, ops, elapsed)
@@ -136,15 +136,17 @@ class SLOMonitor:
                 st.breached = True
                 st.breaches += 1
                 self.events.append((now, "breach", s.name))
-                emit("slo.breach", slo=s.name, objective=s.kind, target=s.target,
-                     value=st.last_value, burn_short=st.burn_short,
-                     burn_long=st.burn_long)
+                if "slo.breach" in bus.wanted:
+                    bus.emit("slo.breach", slo=s.name, objective=s.kind,
+                             target=s.target, value=st.last_value,
+                             burn_short=st.burn_short, burn_long=st.burn_long)
             elif st.breached and st.burn_short < 1.0:
                 st.breached = False
                 self.events.append((now, "recover", s.name))
-                emit("slo.recover", slo=s.name, objective=s.kind, target=s.target,
-                     value=st.last_value, burn_short=st.burn_short,
-                     burn_long=st.burn_long)
+                if "slo.recover" in bus.wanted:
+                    bus.emit("slo.recover", slo=s.name, objective=s.kind,
+                             target=s.target, value=st.last_value,
+                             burn_short=st.burn_short, burn_long=st.burn_long)
 
     def _evaluate(self, s: SLO, st: _State, lats: List[int], ops: int,
                   elapsed: int) -> Optional[float]:

@@ -309,7 +309,8 @@ class Process:
         obs = sim.obs
         if obs is not None:
             obs.counters.count("proc_interrupts")
-            obs.emit("proc.interrupt", name=self.name)
+            if "proc.interrupt" in obs.wanted:
+                obs.emit("proc.interrupt", name=self.name)
         sim._fast.append(_Throw(sim, self, Interrupt(cause), self._resume_gen))
 
     def kill(self, cause: Any = None) -> None:
@@ -374,7 +375,8 @@ class Process:
         obs = sim.obs
         if obs is not None:
             obs.counters.count("proc_kills")
-            obs.emit("proc.kill", name=self.name)
+            if "proc.kill" in obs.wanted:
+                obs.emit("proc.kill", name=self.name)
         done = self._done_event
         if done is not None:
             done.trigger(None)
@@ -388,7 +390,7 @@ class Process:
         sim = self.sim
         sim._forget(self)
         obs = sim.obs
-        if obs is not None:
+        if obs is not None and "proc.exit" in obs.wanted:
             obs.emit("proc.exit", name=self.name)
         done = self._done_event
         if done is not None:
@@ -501,8 +503,9 @@ class Simulator:
     def __init__(self, max_events: Optional[int] = None):
         self.now: int = 0
         #: observability event bus (:mod:`repro.obs`); ``None`` = off.
-        #: Publishers guard every emit with ``if sim.obs is not None``,
-        #: so a run without observability pays only that comparison.
+        #: Publishers guard every emit with ``if sim.obs is not None``
+        #: and the kind's ``in obs.wanted``, so a run without
+        #: observability pays only the first comparison.
         self.obs: Any = None
         #: schedule-exploration policy (:mod:`repro.explore`); ``None`` =
         #: off.  When set, same-cycle lane chunks are offered to
@@ -558,7 +561,7 @@ class Simulator:
         """
         proc = Process(self, gen, name, daemon=daemon)
         self._processes.add(proc)
-        if self.obs is not None:
+        if self.obs is not None and "proc.spawn" in self.obs.wanted:
             self.obs.emit("proc.spawn", name=name)
         proc._bare = True
         self._fast.append(proc)

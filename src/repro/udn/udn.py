@@ -193,8 +193,9 @@ class _Delivery:
         if obs is not None:
             latency = sim.now - self.sent_at
             obs.counters.udn_deliver(latency)
-            obs.emit("udn.deliver", core=self.dst_core, demux=self.demux,
-                     words=self.n_words, latency=latency, msg_id=self.msg_id)
+            if "udn.deliver" in obs.wanted:
+                obs.emit("udn.deliver", core=self.dst_core, demux=self.demux,
+                         words=self.n_words, latency=latency, msg_id=self.msg_id)
         cond = q.arrival_cond
         if cond._waiters:
             cond.notify_all()
@@ -380,8 +381,9 @@ class UdnFabric:
                     obs = sim.obs
                     if obs is not None:
                         obs.counters.count("udn_timeouts")
-                        obs.emit("udn.timeout", core=core.cid, op="send",
-                                 waited=waited)
+                        if "udn.timeout" in obs.wanted:
+                            obs.emit("udn.timeout", core=core.cid, op="send",
+                                     waited=waited)
                     raise SendTimeout(
                         f"send of {n} words to thread {dst_tid} timed out after "
                         f"{waited} cycles of backpressure", waited
@@ -409,11 +411,13 @@ class UdnFabric:
             counters = obs.counters
             if blocked:
                 counters.backpressure(core.cid, blocked)
-                obs.emit("udn.backpressure", core=core.cid, cycles=blocked,
-                         dst_core=dst_core_id, start=t0)
+                if "udn.backpressure" in obs.wanted:
+                    obs.emit("udn.backpressure", core=core.cid, cycles=blocked,
+                             dst_core=dst_core_id, start=t0)
             counters.udn_send(core.cid, n)
-            obs.emit("udn.send", core=core.cid, dst_tid=dst_tid,
-                     dst_core=dst_core_id, words=n, msg_id=msg_id)
+            if "udn.send" in obs.wanted:
+                obs.emit("udn.send", core=core.cid, dst_tid=dst_tid,
+                         dst_core=dst_core_id, words=n, msg_id=msg_id)
         inject = self._send_base + self._send_per_word * n
         core.busy += inject
         core.msgs_sent += 1
@@ -511,8 +515,9 @@ class UdnFabric:
                     obs = sim.obs
                     if obs is not None:
                         obs.counters.count("udn_timeouts")
-                        obs.emit("udn.timeout", core=core.cid, op="receive",
-                                 waited=waited)
+                        if "udn.timeout" in obs.wanted:
+                            obs.emit("udn.timeout", core=core.cid, op="receive",
+                                     waited=waited)
                     raise ReceiveTimeout(
                         f"receive of {k} words by thread {tid} timed out after "
                         f"{waited} cycles ({len(words)} words queued)", waited
@@ -526,8 +531,9 @@ class UdnFabric:
         obs = sim.obs
         if obs is not None:
             obs.counters.udn_recv(core.cid, k, waited)
-            obs.emit("udn.recv", core=core.cid, tid=tid, words=k,
-                     waited=waited, start=t0)
+            if "udn.recv" in obs.wanted:
+                obs.emit("udn.recv", core=core.cid, tid=tid, words=k,
+                         waited=waited, start=t0)
         cost = self._recv_base + self._recv_per_word * k
         core.busy += cost
         core.msgs_received += 1

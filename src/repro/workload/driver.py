@@ -100,13 +100,15 @@ class Window:
 
     def begin(self, obs: Any, ctx: ThreadCtx) -> int:
         op_id = next(self._op_ids)
-        obs.emit("op.begin", core=ctx.core.cid, tid=ctx.tid, op=op_id,
-                 prim=self.name)
+        if "op.begin" in obs.wanted:
+            obs.emit("op.begin", core=ctx.core.cid, tid=ctx.tid, op=op_id,
+                     prim=self.name)
         return op_id
 
     def end(self, obs: Any, ctx: ThreadCtx, op_id: int, start: int) -> None:
-        obs.emit("op.end", core=ctx.core.cid, tid=ctx.tid, op=op_id,
-                 start=start, measured=self.on)
+        if "op.end" in obs.wanted:
+            obs.emit("op.end", core=ctx.core.cid, tid=ctx.tid, op=op_id,
+                     start=start, measured=self.on)
 
     def complete(self, i: int, latency: int) -> None:
         self.ops_done[i] += 1

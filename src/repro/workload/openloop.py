@@ -273,7 +273,7 @@ class AdmissionQueue:
         depth = len(self.items)
         if self.capacity is not None and depth >= self.capacity:
             self.shed += 1
-            if obs is not None:
+            if obs is not None and "admit.shed" in obs.wanted:
                 obs.emit("admit.shed", tid=self.tid, op=k, depth=depth,
                          reason="queue-full")
             return False
@@ -282,7 +282,7 @@ class AdmissionQueue:
         depth += 1
         if depth > self.depth_peak:
             self.depth_peak = depth
-        if obs is not None:
+        if obs is not None and "admit.enqueue" in obs.wanted:
             obs.emit("admit.enqueue", tid=self.tid, op=k, depth=depth)
         self._cond.notify_all()
         return True
@@ -370,12 +370,12 @@ class _Dispatcher:
                 if tripped:
                     state["open_until"] = sim.now + adm.breaker_cooldown_cycles
                     counters["breaker_trips"] += 1
-                    if obs is not None:
+                    if obs is not None and "admit.breaker" in obs.wanted:
                         obs.emit("admit.breaker", tid=ctx.tid, state="open",
                                  until=state["open_until"])
                 if attempt >= adm.max_retries:
                     counters["retry_shed"] += 1
-                    if obs is not None:
+                    if obs is not None and "admit.shed" in obs.wanted:
                         obs.emit("admit.shed", tid=ctx.tid, op=-1, depth=0,
                                  reason="timeout")
                     return False, None
@@ -383,7 +383,7 @@ class _Dispatcher:
                 counters["retries"] += 1
                 backoff = min(adm.backoff_cap_cycles,
                               adm.backoff_base_cycles << (attempt - 1))
-                if obs is not None:
+                if obs is not None and "admit.retry" in obs.wanted:
                     obs.emit("admit.retry", tid=ctx.tid, attempt=attempt,
                              backoff=backoff)
                 yield from ctx.work(backoff)
@@ -392,7 +392,7 @@ class _Dispatcher:
                 if state["half_open"]:
                     state["half_open"] = False
                     obs = sim.obs
-                    if obs is not None:
+                    if obs is not None and "admit.breaker" in obs.wanted:
                         obs.emit("admit.breaker", tid=ctx.tid, state="closed",
                                  until=0)
                 return True, retval

@@ -9,6 +9,7 @@ import repro.obs as obs
 from repro.faults import CrashThread, FaultPlan
 from repro.machine import Machine, tile_gx
 from repro.obs import SLO
+from repro.obs.bus import NARRATED_KINDS
 from repro.sim.engine import DeadlockError
 from repro.workload import WorkloadSpec
 from repro.workload.scenarios import run_counter_benchmark
@@ -129,6 +130,25 @@ def test_fault_plan_crash_dumps_valid_bundle(tmp_path):
     for p in ob.flight.paths:
         with open(p) as f:
             json.load(f)
+
+
+def test_crash_bundle_names_the_kinds_the_bus_built(tmp_path):
+    """A bundle lists the wanted kinds: hardware kinds were off, not lost."""
+    plan = FaultPlan(seed=1, faults=(
+        CrashThread(tid=3, at_cycle=SPEC.warmup_cycles + 5_000),))
+    with obs.observed(flight=True, incident_dir=str(tmp_path)) as session:
+        run_counter_benchmark("mp-server", 5, spec=SPEC, fault_plan=plan)
+    (ob,) = session.machines
+    (doc,) = [d for d in ob.flight.incidents if d["reason"] == "proc.kill"]
+    assert doc["format"] == 1
+    assert doc["kinds"] == sorted(NARRATED_KINDS)
+    assert "udn.send" not in doc["kinds"]
+    assert {k for _t, k, _f in doc["events"]} <= NARRATED_KINDS
+    assert {"op.begin", "server.done", "proc.kill"} <= {
+        k for _t, k, _f in doc["events"]}
+    (path,) = ob.flight.paths
+    with open(path) as f:
+        assert json.load(f)["kinds"] == doc["kinds"]
 
 
 def test_deadlock_dump_from_machine_run():
