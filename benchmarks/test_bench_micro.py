@@ -131,7 +131,7 @@ def test_udn_message_round_trips_with_hop_ledger(benchmark):
     assert result == plain == (sum(i + 1 for i in range(2_000)),
                                16_002, 40_000)
     assert ob.bus.events_emitted == ob_plain.bus.events_emitted
-    assert not {"udn.send", "udn.deliver"} & set(ob.bus._kind_subs)
+    assert not {"udn.send", "udn.deliver"} & ob.bus.wanted
     assert len(ob.spatial.records) == ob.spatial.hop_totals["messages"] == 4_000
 
 
@@ -155,6 +155,26 @@ def test_udn_round_trips_emit_only_wanted_kinds(benchmark):
     assert result == expected and bus.events_emitted == 0
     result, bus = run(trace=True)
     assert result == expected and bus.events_emitted == 12_000
+
+
+def test_contended_udn_round_trips_emit_nothing_for_the_atlas(benchmark):
+    """The same ping-pong on the contended mesh with the hop ledger on:
+    the atlas reads link occupancy from the counter file and each
+    recorded message carries its own per-hop waits, so no ``noc.link``
+    event is built (4,000 were while the atlas subscribed to them)."""
+
+    def run():
+        m = Machine(tile_gx(contended_noc=True))
+        ob = m.enable_observability(spatial_hops=True)
+        return _round_trips(m), ob
+
+    result, ob = benchmark(run)
+    assert result == (sum(i + 1 for i in range(2_000)), 24_002, 40_000)
+    assert ob.bus.wanted == frozenset() and ob.bus.events_emitted == 0
+    atlas = ob.spatial
+    hops = atlas.mesh.hops(ob.machine.cores[0].node, ob.machine.cores[1].node)
+    assert [len(rec[5]) for rec in atlas._records] == [hops] * 4_000
+    assert atlas.summary()["hops"]["records"] == 4_000
 
 
 def test_udn_backpressure_fifo(benchmark):

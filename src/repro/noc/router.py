@@ -16,7 +16,7 @@ memory-controller serialization, never to NoC congestion).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator
+from typing import Any, Dict, Generator, Optional
 
 from repro.noc.topology import Mesh
 from repro.sim.engine import Simulator
@@ -45,15 +45,17 @@ class ContendedMesh:
         self.total_flit_cycles = 0
 
     def transit(self, src: int, dst: int, words: int = 1,
-                msg_id: Any = None) -> Generator[Any, Any, int]:
+                msg_id: Any = None, hops: Optional[list] = None,
+                ) -> Generator[Any, Any, int]:
         """Move a packet from ``src`` to ``dst``; returns total transit cycles.
 
         Must be driven by a simulator process (``yield from``).  The
         caller decides what "delivery" means (e.g. appending to a UDN
-        buffer) once this generator returns.  ``msg_id`` is pure
-        observability: it tags the emitted ``noc.link`` events so the
-        spatial atlas can attribute per-hop queueing back to one UDN
-        message; protocols never read it.
+        buffer) once this generator returns.  ``msg_id`` and ``hops``
+        are pure observability, used only while it is on: ``msg_id``
+        tags the ``noc.link`` events, and each hop appends ``(a, b,
+        wait)`` to ``hops`` for the spatial hop ledger; protocols never
+        read either.
         """
         sim = self.sim
         mesh = self.mesh
@@ -83,6 +85,8 @@ class ContendedMesh:
                 obs = sim.obs
                 if obs is not None:
                     obs.counters.link_busy(a, b, busy, wait)
+                    if hops is not None:
+                        hops.append((a, b, wait))
                     if "noc.link" in obs.wanted:
                         obs.emit("noc.link", a=a, b=b, wait=wait, busy=busy,
                                  hop=hop, msg_id=msg_id)

@@ -46,6 +46,7 @@ a sweep builds internally)::
 
 from __future__ import annotations
 
+import inspect
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -55,7 +56,7 @@ from repro.obs.flightrec import TRIGGERS as flightrec_triggers
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.perfetto import TRACE_KINDS, write_chrome_trace
 from repro.obs.slo import SLO, SLOMonitor
-from repro.obs.spatial import SPATIAL_KINDS, SpatialAtlas, merge_spatial_summaries
+from repro.obs.spatial import SpatialAtlas, merge_spatial_summaries
 from repro.obs.timeseries import Sampler, TimeSeries, register_machine_sources
 
 __all__ = [
@@ -98,7 +99,7 @@ class Observability:
     def __init__(self, machine, *, trace: bool = False,
                  trace_limit: int = 2_000_000, label: Optional[str] = None,
                  timeseries: bool = False, sample_every: int = 512,
-                 ts_buckets: int = 256, slos: Sequence[SLO] = (),
+                 slos: Sequence[SLO] = (),
                  flight: bool = False, flight_limit: int = 4096,
                  incident_dir: Optional[str] = None,
                  spatial: bool = False, spatial_hops: bool = False,
@@ -118,23 +119,19 @@ class Observability:
         if trace:
             self.trace = EventLog(limit=trace_limit)
             self.bus.subscribe_kinds(TRACE_KINDS, self.trace.on_event)
-        # spatial congestion atlas (DESIGN.md §15): send/deliver totals
-        # and the hop ledger are written inline by the UDN fabric
-        # (installed by the atlas constructor); the bus only carries the
-        # rare kinds
+        # spatial congestion atlas (DESIGN.md §15): a view over the UDN
+        # fabric's inline totals and the counter file; no subscription
         self.spatial: Optional[SpatialAtlas] = None
         if spatial or spatial_hops:
-            self.spatial = SpatialAtlas(machine, hops=spatial_hops,
+            self.spatial = SpatialAtlas(machine, self.counters,
+                                        hops=spatial_hops,
                                         hop_limit=spatial_hop_limit)
-            self.bus.subscribe_kinds(self.spatial.bus_kinds(),
-                                     self.spatial.on_event)
         # continuous telemetry (DESIGN.md §14): sampler -> SLOs -> flight
         self.sampler: Optional[Sampler] = None
         self.slo: Optional[SLOMonitor] = None
         self.flight: Optional[FlightRecorder] = None
         if timeseries or slos:
-            self.sampler = Sampler(machine.sim, every=sample_every,
-                                   buckets=ts_buckets)
+            self.sampler = Sampler(machine.sim, every=sample_every)
             register_machine_sources(self.sampler, machine, self.counters)
             machine.sim.set_sample_hook(sample_every, self.sampler.on_tick)
             if self.spatial is not None:
@@ -172,29 +169,27 @@ class Observability:
         return self.label, self.trace, len(self.machine.cores)
 
 
-class ObsSession:
-    """Observes every :class:`Machine` constructed while it is active."""
+_OBS_SIGNATURE = inspect.signature(Observability)
+#: what a session may set: every Observability keyword but the label
+_SESSION_OPTIONS = _OBS_SIGNATURE.replace(parameters=[
+    p for p in _OBS_SIGNATURE.parameters.values()
+    if p.name not in ("machine", "label")])
 
-    def __init__(self, *, trace: bool = False, trace_limit: int = 2_000_000,
-                 timeseries: bool = False, sample_every: int = 512,
-                 ts_buckets: int = 256, slos: Sequence[SLO] = (),
-                 flight: bool = False, flight_limit: int = 4096,
-                 incident_dir: Optional[str] = None,
-                 spatial: bool = False, spatial_hops: bool = False,
-                 spatial_hop_limit: int = 100_000):
-        _check_limits(trace_limit, flight_limit, spatial_hop_limit)
-        self.trace = trace
-        self.trace_limit = trace_limit
-        self.timeseries = timeseries
-        self.sample_every = sample_every
-        self.ts_buckets = ts_buckets
-        self.slos = tuple(slos)
-        self.flight = flight
-        self.flight_limit = flight_limit
-        self.incident_dir = incident_dir
-        self.spatial = spatial
-        self.spatial_hops = spatial_hops
-        self.spatial_hop_limit = spatial_hop_limit
+
+class ObsSession:
+    """Observes every :class:`Machine` constructed while it is active.
+
+    ``options`` are :class:`Observability`'s keywords, passed to each
+    machine's as given and checked here, when the session starts.
+    """
+
+    def __init__(self, **options):
+        bound = _SESSION_OPTIONS.bind(**options)
+        bound.apply_defaults()
+        args = bound.arguments
+        _check_limits(args["trace_limit"], args["flight_limit"],
+                      args["spatial_hop_limit"])
+        self.options = options
         self.machines: List[Observability] = []
 
     def register(self, ob: Observability) -> None:
@@ -229,22 +224,23 @@ class ObsSession:
                    if ob.slo is not None)
 
     def spatial_summary(self) -> Optional[Dict[str, Any]]:
-        """Atlas summaries merged across same-shaped observed machines.
+        """Atlas summaries merged across like observed machines.
 
         A sweep observes one machine per point; the merged atlas is the
-        whole experiment's congestion picture.  Machines whose mesh
-        shape differs from the first atlas-bearing machine are skipped
-        (summing a 6x6 onto an 8x8 would misplace every tile) -- today
-        every sweep builds same-profile machines, so this is purely
-        defensive.  Returns ``None`` when no machine carried an atlas.
+        whole experiment's congestion picture.  Only machines whose mesh
+        shape and ``basis`` match the first atlas-bearing machine's are
+        merged (see :func:`merge_spatial_summaries`): ``disc-noc`` puts
+        analytic and contended meshes side by side.  Returns ``None``
+        when no machine carried an atlas.
         """
         summaries = [ob.spatial.summary() for ob in self.machines
                      if ob.spatial is not None]
         if not summaries:
             return None
-        shape = summaries[0]["mesh"]
+        first = summaries[0]
         return merge_spatial_summaries(
-            [s for s in summaries if s["mesh"] == shape])
+            [s for s in summaries if s["mesh"] == first["mesh"]
+             and s["basis"] == first["basis"]])
 
     def export_chrome_trace(self, path: str) -> int:
         """Merge every observed machine's trace into one file.
@@ -268,9 +264,9 @@ _SESSION: Optional[ObsSession] = None
 def enable(**options) -> ObsSession:
     """Start observing every machine constructed from now on.
 
-    Keyword options are those of :class:`ObsSession` /
-    :class:`Observability`: ``trace``, ``trace_limit``, ``timeseries``,
-    ``sample_every``, ``slos``, ``flight``, ``incident_dir``, ...
+    Keyword options are :class:`Observability`'s but ``label``:
+    ``trace``, ``trace_limit``, ``timeseries``, ``sample_every``,
+    ``slos``, ``flight``, ``incident_dir``, ...; a bad one raises here.
     """
     global _SESSION
     if _SESSION is not None:
@@ -300,12 +296,6 @@ def attach(machine) -> Optional[Observability]:
     s = _SESSION
     if s is None:
         return None
-    ob = Observability(machine, trace=s.trace, trace_limit=s.trace_limit,
-                       timeseries=s.timeseries, sample_every=s.sample_every,
-                       ts_buckets=s.ts_buckets, slos=s.slos,
-                       flight=s.flight, flight_limit=s.flight_limit,
-                       incident_dir=s.incident_dir,
-                       spatial=s.spatial, spatial_hops=s.spatial_hops,
-                       spatial_hop_limit=s.spatial_hop_limit)
+    ob = Observability(machine, **s.options)
     s.register(ob)
     return ob

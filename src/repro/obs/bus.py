@@ -47,7 +47,8 @@ The kinds emitted by the simulator (fields in parentheses; ``start`` is
 the first cycle of a span, the emit time is its end).  A *narrated*
 kind is always in the flight ring when a recorder is attached; a
 *hardware* kind is built only when a subscriber asks for it (a trace,
-the spatial atlas, a full subscriber):
+a full subscriber).  The perf counter file and the spatial atlas read
+registers the models write directly and subscribe to nothing:
 
 =====================  ========  ==========================================
 kind                   class     meaning
@@ -71,7 +72,9 @@ kind                   class     meaning
                                  dst_core, words, msg_id)
 ``udn.backpressure``   hardware  a sender finished blocking on a full
                                  destination buffer (core, dst_core,
-                                 cycles, start)
+                                 cycles, start); read only by a trace:
+                                 the atlas reads the counter file's
+                                 ``backpressure_cycles``
 ``udn.deliver``        hardware  words landed in a receive queue (core,
                                  demux, words, latency, msg_id)
 ``udn.recv``           hardware  a receive completed (core, tid, words,
@@ -81,7 +84,10 @@ kind                   class     meaning
 ``noc.link``           hardware  a packet occupied one mesh link (a, b,
                                  wait, busy, hop = index along the route,
                                  msg_id = the UDN message carried, or None
-                                 for non-UDN packets)
+                                 for non-UDN packets); read only by a
+                                 trace: the atlas reads the ``link``
+                                 registers, and per-hop waits ride the
+                                 hop ledger's records
 ``noc.packet``         hardware  a packet fully traversed the contended
                                  mesh (src, dst, words, cycles)
 ``proc.spawn``         hardware  a simulator process started (name)

@@ -30,8 +30,10 @@ Register groups
 ``line``      per-cache-line: ``misses``, ``invalidations``,
               ``stall_cycles``, ``atomics``, ``cas_failures`` -- the raw
               material of the contention heatmap.
-``link``      per directed mesh link (``"a->b"`` keys): ``flit_cycles``
-              (occupancy) and ``wait_cycles`` (queueing).
+``link``      per directed mesh link: ``flit_cycles`` (occupancy),
+              ``wait_cycles`` (queueing) and ``packets`` (link
+              acquisitions).  Keyed ``(a, b)`` in the file, ``"a->b"``
+              in snapshots; the spatial atlas reads it directly.
 ``udn_hist``  histogram of message delivery latencies; bucket ``k``
               counts deliveries with latency in ``[2^(k-1), 2^k)``
               cycles (bucket 0 is latency 0).
@@ -48,6 +50,8 @@ Register groups
 ``udn_msgs_sent`` / ``udn_msgs_received``) are read from ``hw``, not
 counted twice, and appear only when non-zero.  ``backpressure_cycles``
 is counted here: the fabric's per-sender total also holds timed-out sends.
+The spatial atlas (:mod:`repro.obs.spatial`) keeps no copy of the
+``link`` registers or of ``backpressure_cycles``; it reads them here.
 
 Every register group is **baselined at enable time**: the ``hw``
 registers subtract the core snapshots taken when this PerfCounters was
@@ -103,7 +107,7 @@ class PerfCounters:
         self.machine = machine
         self.core = _nested()       # cid -> register -> value
         self.line = _nested()       # line no -> register -> value
-        self.link = _nested()       # "a->b" -> register -> value
+        self.link = _nested()       # (a, b) -> register -> value
         self.global_: Dict[str, int] = defaultdict(int)
         self.udn_hist: Dict[int, int] = defaultdict(int)  # bucket -> count
         # hw registers are reported relative to enable time: without the
@@ -169,9 +173,10 @@ class PerfCounters:
         c["udn_wait_cycles"] += waited
 
     def link_busy(self, a, b, busy, wait):  # noc.link
-        lk = self.link[f"{a}->{b}"]
+        lk = self.link[(a, b)]
         lk["flit_cycles"] += busy
         lk["wait_cycles"] += wait
+        lk["packets"] += 1
 
     def packet(self, cycles):  # noc.packet
         self.global_["noc_packets"] += 1
@@ -210,7 +215,8 @@ class PerfCounters:
         return {
             "core": core,
             "line": {ln: dict(regs) for ln, regs in self.line.items()},
-            "link": {lk: dict(regs) for lk, regs in self.link.items()},
+            "link": {f"{a}->{b}": dict(regs)
+                     for (a, b), regs in self.link.items()},
             "udn_hist": dict(sorted(self.udn_hist.items())),
             "global": dict(self.global_),
             "hw": hw,

@@ -3,31 +3,28 @@
 The paper's central claim is that routing synchronization over the
 on-chip network changes *where* cycles are spent on the mesh; every
 collector before this one was aspatial (per-core registers, per-link
-totals with no geometry).  :class:`SpatialAtlas` folds the existing bus
-signals into mesh-shaped aggregates:
+totals with no geometry).  :class:`SpatialAtlas` is a mesh-shaped view,
+computed when read, over state the hardware models already keep:
 
-* ``udn.send``      -- analytic traffic: each message's XY route is
-  charged to every directed link it crosses (msgs + words);
-* ``noc.link``      -- measured occupancy on the contended mesh: busy
-  cycles, queueing cycles and packet counts per directed link;
-* ``udn.deliver``   -- per-tile delivery counts/latency, and the hop
-  ledger;
-* ``udn.backpressure`` -- per-sender-tile cycles blocked on a full
-  destination buffer.
+* analytic traffic -- each message's XY route is charged to every
+  directed link it crosses (msgs + words), from per-(src, dst) send
+  totals the :class:`~repro.udn.udn.UdnFabric` counts inline;
+* measured occupancy on the contended mesh -- busy cycles, queueing
+  cycles and packet counts per directed link, read from the perf
+  counter file's ``link`` registers;
+* per-tile delivery counts and latency, and the hop ledger, written
+  inline by the fabric at each delivery;
+* per-sender-tile cycles blocked on a full destination buffer, summed
+  from the counter file's per-core ``backpressure_cycles``.
 
-The atlas is a pure observer, and its hot path is priced like the
-fabric's own stats registers rather than like a bus subscriber:
-``udn.send`` / ``udn.deliver`` make up more than half of all bus
-events in a message-passing workload, so even a kind-filtered Python
-handler per event would bust the sampling-overhead budget.  Instead
-the atlas hands its accumulators to the
-:class:`~repro.udn.udn.UdnFabric` (``spatial_sends`` /
-``spatial_delivers`` / ``spatial_records``) and the fabric counts
-inline -- one dict update, no Python call, ``None``-checked exactly
-like ``sim.obs`` so the disabled cost is one attribute test.  Only the
-rare kinds ride the bus (``udn.backpressure``, ``noc.link``).  Routes
-are expanded into links *lazily* (route cache shared across flushes)
-at sampling ticks and at :meth:`summary` time, never per message.
+The atlas subscribes to nothing on the event bus, and its hot path is
+priced like the fabric's own stats registers: it hands its
+accumulators to the fabric (``spatial_sends`` / ``spatial_delivers`` /
+``spatial_records``), which counts inline -- one dict update, no Python
+call, ``None``-checked exactly like ``sim.obs`` so the disabled cost is
+one attribute test.  Routes are expanded into links *lazily* (route
+cache shared across flushes) at sampling ticks and at :meth:`summary`
+time, never per message.
 
 With a :class:`~repro.obs.timeseries.Sampler` attached the atlas also
 publishes per-link and per-tile ring series (``spatial.link.a>b``,
@@ -36,17 +33,17 @@ traffic, capped at ``max_series`` so a 1024-core mesh cannot allocate
 4k rings behind your back.
 
 Hop-by-hop latency attribution (``hops=True``) splits each delivered
-message's end-to-end ``udn.deliver`` latency into per-hop *queueing*
+message's end-to-end delivery latency into per-hop *queueing*
 (measured link-acquire waits on the contended mesh, zero on the
 analytic one) and *transit* (``per_hop`` each), plus the
 injection/ejection overhead ``base + per_word * (words - 1)`` and an
 explicit ``skew`` residual (transit jitter / policy delays).  The
 fabric writes this ledger inline too -- per-pair delivery totals and a
-compact tuple for each of the first ``hop_limit`` messages -- and the
-atlas derives :attr:`~SpatialAtlas.hop_totals` and
-:attr:`~SpatialAtlas.records` when read (per-hop waits join from
-``noc.link`` by ``msg_id``).  With no jitter installed the attribution
-**conserves exactly**::
+compact tuple for each of the first ``hop_limit`` messages, which on
+the contended mesh carries the per-hop waits its packet collected --
+and the atlas derives :attr:`~SpatialAtlas.hop_totals` and
+:attr:`~SpatialAtlas.records` when read.  With no jitter installed the
+attribution **conserves exactly**::
 
     sum(queue_i + transit_i) + eject + skew == end-to-end latency,
     skew == 0
@@ -62,12 +59,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
-__all__ = ["SpatialAtlas", "SPATIAL_KINDS", "merge_spatial_summaries",
-           "render_hotspots", "causal_link_flows"]
-
-#: the bus kinds the atlas consumes (kind-filtered subscription;
-#: send/deliver are counted inline in the fabric instead)
-SPATIAL_KINDS = ("udn.backpressure", "noc.link")
+__all__ = ["SpatialAtlas", "merge_spatial_summaries", "render_hotspots",
+           "causal_link_flows"]
 
 #: summary schema version (bump when the dict shape changes)
 SUMMARY_FORMAT = 1
@@ -109,7 +102,7 @@ class _MsgRecord(NamedTuple):
     src: int        # source node
     dst: int        # destination node
     words: int
-    latency: int    # end-to-end udn.deliver latency
+    latency: int    # end-to-end delivery latency
     queue: int      # sum of per-hop queueing
     transit: int    # sum of per-hop transit
     eject: int      # injection/ejection overhead
@@ -123,11 +116,13 @@ class _MsgRecord(NamedTuple):
 
 
 class SpatialAtlas:
-    """Mesh-shaped aggregation of NoC/UDN bus signals (see module docs)."""
+    """Mesh-shaped view of NoC/UDN traffic (see module docs)."""
 
-    def __init__(self, machine, *, hops: bool = False,
+    def __init__(self, machine, counters, *, hops: bool = False,
                  hop_limit: int = 100_000, max_series: int = 160):
         self.mesh = machine.mesh
+        #: the machine's perf counter file (link and backpressure registers)
+        self._counters = counters
         self.width = self.mesh.width
         self.height = self.mesh.height
         #: core id -> mesh node (tiles host cores; spatial keys are nodes)
@@ -144,20 +139,14 @@ class SpatialAtlas:
         self._fresh_pairs: Dict[Tuple[int, int], List[int]] = {}
         # cumulative (src_node, dst_node) -> [msgs, words]
         self._pairs: Dict[Tuple[int, int], List[int]] = {}
-        # measured contended-mesh occupancy: (a, b) -> [busy, wait, pkts]
-        self._measured: Dict[Tuple[int, int], List[int]] = {}
-        self._fresh_measured: Dict[Tuple[int, int], List[int]] = {}
         # (src_core, dst_core) -> [msgs, words, latency, queue] of
         # delivered messages; written by the fabric at each delivery,
         # mapped to nodes at read time
         self._delivered: Dict[Tuple[int, int], List[int]] = {}
         # the hop ledger's first hop_limit deliveries, as the fabric's
-        # (msg_id, src_core, dst_core, words, latency) tuples
-        self._records: List[Tuple[int, int, int, int, int]] = []
-        # msg_id -> [(a, b, wait), ...] from noc.link while within budget
-        self._waits: Dict[int, List[Tuple[int, int, int]]] = {}
-        # sender node -> blocked cycles
-        self._backpressure: Dict[int, int] = {}
+        # (msg_id, src_core, dst_core, words, latency, hops) tuples;
+        # hops is [(a, b, wait), ...] on the contended mesh, else None
+        self._records: List[tuple] = []
         # hand the fabric the accumulators (see module docs); a machine
         # without hardware message passing simply has nothing to count
         udn = machine.udn
@@ -177,35 +166,11 @@ class SpatialAtlas:
         self._sampler = None
         self._series: Dict[str, Any] = {}
         self.series_dropped = 0
+        # link -> its flit_cycles register at the last recording tick
+        self._busy_seen: Dict[Tuple[int, int], int] = {}
 
         self.messages = 0
         self.words = 0
-
-    def bus_kinds(self) -> Tuple[str, ...]:
-        """The kinds this atlas wants from the bus (never send/deliver:
-        the fabric counts those, and writes the hop ledger, inline)."""
-        return SPATIAL_KINDS
-
-    # -- bus handlers -------------------------------------------------------
-    def on_event(self, t: int, kind: str, f: Dict[str, Any]) -> None:
-        if kind == "noc.link":
-            link = (f["a"], f["b"])
-            e = self._fresh_measured.get(link)
-            if e is None:
-                self._fresh_measured[link] = [f["busy"], f["wait"], 1]
-            else:
-                e[0] += f["busy"]
-                e[1] += f["wait"]
-                e[2] += 1
-            # per-hop waits, kept only while a delivery can still be
-            # recorded: every hop of a recorded message precedes it
-            if self.record_hops and len(self._records) < self.hop_limit:
-                self._waits.setdefault(f["msg_id"], []).append(
-                    (f["a"], f["b"], f["wait"]))
-        elif kind == "udn.backpressure":
-            node = self._node_of[f["core"]]
-            self._backpressure[node] = (
-                self._backpressure.get(node, 0) + f["cycles"])
 
     def _route_links(self, src: int, dst: int) -> Tuple[Tuple[int, int], ...]:
         links = self._route_cache.get((src, dst))
@@ -238,9 +203,8 @@ class SpatialAtlas:
         mesh, node_of = self.mesh, self._node_of
         per_hop = mesh.per_hop
         out = []
-        for msg_id, sc, dc, words, latency in self._records:
+        for msg_id, sc, dc, words, latency, waits in self._records:
             src, dst = node_of[sc], node_of[dc]
-            waits = self._waits.get(msg_id)
             if waits:
                 # contended mesh: queueing measured per link-acquire
                 hops = [(a, b, w, per_hop) for a, b, w in waits]
@@ -263,13 +227,12 @@ class SpatialAtlas:
                 - len(self._records))
 
     # -- lazy expansion -----------------------------------------------------
-    def flush(self) -> Tuple[Dict[Tuple[int, int], int],
-                             Dict[Tuple[int, int], int]]:
-        """Fold fresh pair/link counters into the cumulative views.
+    def flush(self) -> Dict[Tuple[int, int], int]:
+        """Fold fresh send counters into the cumulative views.
 
-        Returns ``(analytic word deltas, measured busy deltas)`` per
-        directed link -- what the sampler tick records into the per-link
-        series.  Called at every sampling tick and before summaries; a
+        Returns the analytic word deltas per directed link -- what a
+        recording tick puts into the per-link series on the analytic
+        mesh.  Called at every recording tick and before summaries; a
         run without a sampler pays exactly one flush at the end.
         """
         traffic_delta: Dict[Tuple[int, int], int] = {}
@@ -296,20 +259,20 @@ class SpatialAtlas:
                         t[1] += w
                     traffic_delta[link] = traffic_delta.get(link, 0) + w
             self._fresh_pairs.clear()
-        busy_delta: Dict[Tuple[int, int], int] = {}
-        if self._fresh_measured:
-            measured = self._measured
-            for link, (busy, wait, pkts) in self._fresh_measured.items():
-                cum = measured.get(link)
-                if cum is None:
-                    measured[link] = [busy, wait, pkts]
-                else:
-                    cum[0] += busy
-                    cum[1] += wait
-                    cum[2] += pkts
-                busy_delta[link] = busy
-            self._fresh_measured.clear()
-        return traffic_delta, busy_delta
+        return traffic_delta
+
+    def _busy_delta(self) -> Dict[Tuple[int, int], int]:
+        """Measured busy cycles per link since the last call, diffed
+        from the counter file's ``link`` registers."""
+        seen = self._busy_seen
+        delta: Dict[Tuple[int, int], int] = {}
+        for link, regs in self._counters.link.items():
+            busy = regs["flit_cycles"]
+            last = seen.get(link, 0)
+            if busy != last:
+                delta[link] = busy - last
+                seen[link] = busy
+        return delta
 
     # -- sampler integration -------------------------------------------------
     def attach_sampler(self, sampler) -> None:
@@ -346,9 +309,9 @@ class SpatialAtlas:
         self._tick_no += 1
         if self._tick_no % TICK_DECIMATION:
             return
-        traffic_delta, busy_delta = self.flush()
+        traffic_delta = self.flush()
         unit = "cyc" if self.contended else "words"
-        link_delta = busy_delta if self.contended else traffic_delta
+        link_delta = self._busy_delta() if self.contended else traffic_delta
         tile_delta: Dict[int, int] = {}
         for (a, b), v in link_delta.items():
             if not v:
@@ -367,31 +330,33 @@ class SpatialAtlas:
         """JSON-ready atlas: the shared data model of heatmaps, hotspot
         reports, dashboards and ``repro diff``."""
         self.flush()
-        links: Dict[str, Dict[str, Any]] = {}
-        for (a, b), (m, w) in self._traffic.items():
-            links[_link_key(a, b)] = dict(zip(_LINK_FIELDS, (m, w, 0, 0, 0)))
-        for (a, b), (busy, wait, pkts) in self._measured.items():
-            e = links.setdefault(_link_key(a, b),
-                                 dict.fromkeys(_LINK_FIELDS, 0))
-            e["busy"], e["wait"], e["packets"] = busy, wait, pkts
+        links: Dict[Tuple[int, int], Dict[str, Any]] = {}
+        for link, (m, w) in self._traffic.items():
+            links[link] = dict(zip(_LINK_FIELDS, (m, w, 0, 0, 0)))
+        for link, regs in self._counters.link.items():
+            e = links.setdefault(link, dict.fromkeys(_LINK_FIELDS, 0))
+            e["busy"], e["wait"], e["packets"] = (
+                regs["flit_cycles"], regs["wait_cycles"], regs["packets"])
+        # occupancy share: measured busy cycles when the contended mesh
+        # ran, analytic route-charged words otherwise
+        basis = "busy" if self.contended else "words"
         tiles: Dict[str, Dict[str, Any]] = {}
 
         def tile(node: int) -> Dict[str, Any]:
             return tiles.setdefault(str(node), dict.fromkeys(_TILE_FIELDS, 0))
 
-        src_basis = self._measured if self.contended else self._traffic
-        for (a, b), vals in src_basis.items():
-            tile(a)["out"] += vals[0] if self.contended else vals[1]
+        for (a, _b), e in links.items():
+            if e[basis]:
+                tile(a)["out"] += e[basis]
+        node_of = self._node_of
         for (_src, core_id), (m, w, lat, _q) in self._delivered.items():
-            e = tile(self._node_of[core_id])
+            e = tile(node_of[core_id])
             e["in_msgs"] += m
             e["in_words"] += w
             e["deliver_latency"] += lat
-        for node, cyc in self._backpressure.items():
-            tile(node)["backpressure"] += cyc
-        # occupancy share: measured busy cycles when the contended mesh
-        # ran, analytic route-charged words otherwise
-        basis = "busy" if self.contended else "words"
+        for cid, regs in self._counters.core.items():
+            if regs.get("backpressure_cycles"):
+                tile(node_of[cid])["backpressure"] += regs["backpressure_cycles"]
         out: Dict[str, Any] = {
             "format": SUMMARY_FORMAT,
             "mesh": {"width": self.width, "height": self.height},
@@ -399,7 +364,8 @@ class SpatialAtlas:
             "basis": basis,
             "messages": self.messages,
             "words": self.words,
-            "links": _with_shares(links, basis),
+            "links": _with_shares({_link_key(a, b): e
+                                   for (a, b), e in links.items()}, basis),
             "tiles": _with_shares(tiles, "out", key=int),
             "series_dropped": self.series_dropped,
         }
@@ -419,7 +385,9 @@ def merge_spatial_summaries(summaries) -> Optional[Dict[str, Any]]:
     """Sum atlas summaries of same-shaped meshes (a sweep's machines).
 
     Returns ``None`` for an empty input.  Mismatched mesh shapes raise:
-    summing a 6x6 onto an 8x8 would silently misplace every tile.
+    summing a 6x6 onto an 8x8 would silently misplace every tile.  So
+    does a mismatched ``basis``: a tile's ``out`` is busy cycles on a
+    contended mesh and words on an analytic one, and cannot be summed.
     """
     summaries = [s for s in summaries if s is not None]
     if not summaries:
@@ -441,6 +409,10 @@ def merge_spatial_summaries(summaries) -> Optional[Dict[str, Any]]:
             raise ValueError(
                 f"cannot merge atlases of different meshes: "
                 f"{s['mesh']} vs {out['mesh']}")
+        if s["basis"] != out["basis"]:
+            raise ValueError(
+                f"cannot merge atlases of different bases: "
+                f"{s['basis']} vs {out['basis']}")
         out["messages"] += s["messages"]
         out["words"] += s["words"]
         out["series_dropped"] += s.get("series_dropped", 0)

@@ -167,7 +167,9 @@ class _Delivery:
         self.payload: Sequence[int] = ()
         self.sent_at = 0
 
-    def _send(self, _val: Any) -> Any:
+    def _send(self, hops: Any) -> Any:
+        # ``hops``: a contended packet's per-hop waits, else None (the
+        # engine's ``_val``)
         fabric = self.fabric
         sim = fabric.sim
         sim._current = None  # no process is being stepped
@@ -188,7 +190,8 @@ class _Delivery:
                 e[2] += latency
             recs = fabric.spatial_records
             if recs is not None and len(recs) < fabric.spatial_record_limit:
-                recs.append((self.msg_id, key[0], key[1], self.n_words, latency))
+                recs.append((self.msg_id, key[0], key[1], self.n_words,
+                             latency, hops))
         obs = sim.obs
         if obs is not None:
             latency = sim.now - self.sent_at
@@ -263,11 +266,14 @@ class UdnFabric:
         #: are counted inline -- one dict update, no Python call.  With
         #: the hop ledger on, the first ``spatial_record_limit``
         #: deliveries also append (msg_id, src core, dst core, words,
-        #: latency) to ``spatial_records``.  ``None`` (the default)
-        #: costs one is-None test per send/deliver; never read back.
+        #: latency, hops) to ``spatial_records``; ``hops`` is the
+        #: contended mesh's [(a, b, wait), ...] per link, None on the
+        #: analytic one.  ``None`` (the default) costs one is-None
+        #: test per send/deliver; never read back.
         self.spatial_sends: Optional[Dict[Tuple[int, int], List[int]]] = None
         self.spatial_delivers: Optional[Dict[Tuple[int, int], List[int]]] = None
-        self.spatial_records: Optional[List[Tuple[int, int, int, int, int]]] = None
+        self.spatial_records: Optional[List[Tuple[
+            int, int, int, int, int, Optional[List[Tuple[int, int, int]]]]]] = None
         self.spatial_record_limit = 0
 
     @property
@@ -467,13 +473,18 @@ class UdnFabric:
     def _contended_delivery(self, src_node: int, dst_node: int,
                             entry: _Delivery) -> Generator[Any, Any, None]:
         n = entry.n_words
+        # the per-hop waits travel with a message the hop ledger will
+        # record (its budget only shrinks, so one test at the start)
+        recs = self.spatial_records
+        hops = ([] if recs is not None
+                and len(recs) < self.spatial_record_limit else None)
         cycles = yield from self.contended.transit(src_node, dst_node, n,
-                                                   msg_id=entry.msg_id)
+                                                   entry.msg_id, hops)
         if self.transit_jitter is not None:
             extra = int(self.transit_jitter(src_node, dst_node, n))
             if extra:
                 yield extra
-        entry._send(None)  # this process's last step: no ``current`` to keep
+        entry._send(hops)  # this process's last step: no ``current`` to keep
         sp = self.spatial_delivers
         if sp is not None:
             # link queueing: the packet's transit beyond the idle mesh's

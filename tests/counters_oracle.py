@@ -217,6 +217,7 @@ class PerfCounters:
         lk = self.link[f"{f['a']}->{f['b']}"]
         lk["flit_cycles"] += f["busy"]
         lk["wait_cycles"] += f["wait"]
+        lk["packets"] += 1
 
     def _on_noc_packet(self, t, f):
         self.global_["noc_packets"] += 1

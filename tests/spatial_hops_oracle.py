@@ -114,3 +114,99 @@ class HopLedger:
                                            hops, queue, transit, eject, skew))
         else:
             self.records_dropped += 1
+
+
+# Reference copy of the atlas's bus-fed link occupancy and backpressure,
+# as they were when the atlas subscribed to ``noc.link`` and
+# ``udn.backpressure`` (it now reads the perf counter file's ``link``
+# registers and per-core ``backpressure_cycles``).  The per-hop wait
+# join the same ``noc.link`` handler fed is HopLedger's above.  Used
+# only by tests/test_spatial_hops_oracle.py; the folding and the
+# summary's link/tile assembly below are kept verbatim from the atlas.
+
+#: the kinds the atlas's occupancy consumed from the bus
+OCCUPANCY_KINDS = ("udn.backpressure", "noc.link")
+
+
+class BusOccupancy:
+    """The bus-fed occupancy and backpressure of one machine's atlas."""
+
+    def __init__(self, machine):
+        self._node_of = [c.node for c in machine.cores]
+        self.contended = machine.contended_mesh is not None
+        # measured contended-mesh occupancy: (a, b) -> [busy, wait, pkts]
+        self._measured: Dict[Tuple[int, int], List[int]] = {}
+        self._fresh_measured: Dict[Tuple[int, int], List[int]] = {}
+        # sender node -> blocked cycles
+        self._backpressure: Dict[int, int] = {}
+
+    def on_event(self, t: int, kind: str, f: Dict[str, Any]) -> None:
+        if kind == "noc.link":
+            link = (f["a"], f["b"])
+            e = self._fresh_measured.get(link)
+            if e is None:
+                self._fresh_measured[link] = [f["busy"], f["wait"], 1]
+            else:
+                e[0] += f["busy"]
+                e[1] += f["wait"]
+                e[2] += 1
+        elif kind == "udn.backpressure":
+            node = self._node_of[f["core"]]
+            self._backpressure[node] = (
+                self._backpressure.get(node, 0) + f["cycles"])
+
+    def flush(self) -> Dict[Tuple[int, int], int]:
+        """Fold fresh link counters; returns measured busy deltas."""
+        busy_delta: Dict[Tuple[int, int], int] = {}
+        if self._fresh_measured:
+            measured = self._measured
+            for link, (busy, wait, pkts) in self._fresh_measured.items():
+                cum = measured.get(link)
+                if cum is None:
+                    measured[link] = [busy, wait, pkts]
+                else:
+                    cum[0] += busy
+                    cum[1] += wait
+                    cum[2] += pkts
+                busy_delta[link] = busy
+            self._fresh_measured.clear()
+        return busy_delta
+
+    def summary(self, atlas) -> Dict[str, Any]:
+        """``atlas.summary()``'s ``links`` and ``tiles``, with occupancy
+        and backpressure from this oracle and the inline-counted
+        traffic and deliveries from ``atlas``."""
+        from repro.obs.spatial import (
+            _LINK_FIELDS,
+            _TILE_FIELDS,
+            _link_key,
+            _with_shares,
+        )
+
+        atlas.flush()
+        self.flush()
+        links: Dict[str, Dict[str, Any]] = {}
+        for (a, b), (m, w) in atlas._traffic.items():
+            links[_link_key(a, b)] = dict(zip(_LINK_FIELDS, (m, w, 0, 0, 0)))
+        for (a, b), (busy, wait, pkts) in self._measured.items():
+            e = links.setdefault(_link_key(a, b),
+                                 dict.fromkeys(_LINK_FIELDS, 0))
+            e["busy"], e["wait"], e["packets"] = busy, wait, pkts
+        tiles: Dict[str, Dict[str, Any]] = {}
+
+        def tile(node: int) -> Dict[str, Any]:
+            return tiles.setdefault(str(node), dict.fromkeys(_TILE_FIELDS, 0))
+
+        src_basis = self._measured if self.contended else atlas._traffic
+        for (a, b), vals in src_basis.items():
+            tile(a)["out"] += vals[0] if self.contended else vals[1]
+        for (_src, core_id), (m, w, lat, _q) in atlas._delivered.items():
+            e = tile(self._node_of[core_id])
+            e["in_msgs"] += m
+            e["in_words"] += w
+            e["deliver_latency"] += lat
+        for node, cyc in self._backpressure.items():
+            tile(node)["backpressure"] += cyc
+        basis = "busy" if self.contended else "words"
+        return {"links": _with_shares(links, basis),
+                "tiles": _with_shares(tiles, "out", key=int)}

@@ -26,7 +26,6 @@ from repro.faults import CrashThread, FaultPlan
 from repro.machine import Machine, mesh_profile, tile_gx, x86_like
 from repro.objects import LockedCounter
 from repro.obs.bus import KINDS, NARRATED_KINDS, EventBus
-from repro.obs.spatial import SPATIAL_KINDS
 from repro.workload import WorkloadSpec
 from repro.workload.openloop import (
     AdmissionSpec,
@@ -190,7 +189,7 @@ SCENARIOS = {
     # x86 stores miss through spawned ownership transactions
     "ccsynch-x86": lambda: run_counter_benchmark(
         "CC-Synch", 6, spec=SPEC, cfg=x86_like()),
-    # hop-by-hop links: noc.link feeds the atlas's per-hop join
+    # hop-by-hop links: the atlas reads their registers, not noc.link
     "hybcomb-contended-4x4": lambda: run_counter_benchmark(
         "HybComb", 8, spec=SPEC, cfg=mesh_profile(4, 4, contended_noc=True)),
     "overload-timeouts": _overload,
@@ -257,15 +256,13 @@ def test_report_stack_stream_is_the_full_stream_filtered(scenario):
     assert a.spatial.summary() == b.spatial.summary()
     assert a.slo.summary() == b.slo.summary()
 
+    # the ring narrates, and nothing else in the stack subscribes to a
+    # hardware kind: the atlas reads the counter file
     wanted = b.bus.wanted
-    assert NARRATED_KINDS <= wanted < KINDS
+    assert wanted == NARRATED_KINDS
     assert stream == [e for e in full if e[1] in wanted]
     assert b.bus.events_emitted == len(stream) < a.bus.events_emitted
     assert c.bus.wanted == frozenset() and c.bus.events_emitted == 0
-
-    # the ring narrates; the only hardware kinds in it are the two the
-    # atlas subscribes to (noc.link appears on a contended mesh)
-    assert wanted - NARRATED_KINDS <= set(SPATIAL_KINDS)
     for doc in b.flight.incidents:
         assert {k for _t, k, _f in doc["events"]} <= wanted
         assert doc["kinds"] == sorted(wanted)

@@ -53,6 +53,35 @@ def test_negative_caps_rejected_naming_the_option(option, value):
     assert obs._SESSION is None
 
 
+@pytest.mark.parametrize("options", [
+    {"bogus": True}, {"ts_buckets": 64}, {"label": "x"},
+    {"trace": True, "spatial_hop_limit": -1}])
+def test_session_options_checked_when_the_session_starts(options):
+    """Unknown names and out-of-range caps fail at enable()/observed(),
+    before any machine is built."""
+    error = ValueError if "spatial_hop_limit" in options else TypeError
+    with pytest.raises(error):
+        obs.enable(**options)
+    with pytest.raises(error):
+        with obs.observed(**options):
+            pass
+    assert obs._SESSION is None
+
+
+def test_session_passes_its_options_to_each_machine():
+    slo = obs.SLO("op-p99", kind="latency", target=2_000.0)
+    with obs.observed(trace=True, trace_limit=7, sample_every=128,
+                      slos=(slo,), flight=True, flight_limit=16,
+                      spatial_hops=True, spatial_hop_limit=3) as session:
+        m = Machine(tile_gx())
+    assert session.machines == [m.obs]
+    ob = m.obs
+    assert ob.trace.limit == 7 and ob.sampler.every == 128
+    assert [s.name for s in ob.slo.slos] == ["op-p99"]
+    assert ob.flight.events.maxlen == 16
+    assert ob.spatial.record_hops and ob.spatial.hop_limit == 3
+
+
 def test_zero_caps_keep_nothing():
     with obs.observed(trace=True, trace_limit=0, spatial_hops=True,
                       spatial_hop_limit=0):

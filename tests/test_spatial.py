@@ -250,6 +250,31 @@ def test_merge_rejects_mismatched_meshes():
     assert merge_spatial_summaries([]) is None
 
 
+def test_merge_rejects_mismatched_bases():
+    a = {"format": 1, "mesh": {"width": 6, "height": 6}, "contended": False,
+         "basis": "words", "messages": 0, "words": 0, "links": {},
+         "tiles": {}, "series_dropped": 0}
+    b = dict(a, contended=True, basis="busy")
+    with pytest.raises(ValueError, match="different bases"):
+        merge_spatial_summaries([a, b])
+
+
+def test_session_merges_only_machines_of_the_first_basis():
+    """An analytic and a contended machine in one session (as in
+    ``disc-noc``): words and busy cycles are never summed."""
+    with obs.observed(spatial=True) as session:
+        for contended in (False, True):
+            _send_receive(Machine(tile_gx(contended_noc=contended)),
+                          [(0, 14, 3)])
+        merged = session.spatial_summary()
+        analytic = session.machines[0].spatial.summary()
+    assert merged["machines"] == 1 and merged["basis"] == "words"
+    assert merged["messages"] == 1 and merged["words"] == 3
+    src = str(session.machines[0].machine.cores[0].node)
+    assert merged["tiles"][src]["out"] == 3
+    assert merged["tiles"] == analytic["tiles"]
+
+
 def test_hotspot_report_names_top_links_and_flows():
     with obs.observed(spatial=True, trace=True):
         m = Machine(tile_gx())

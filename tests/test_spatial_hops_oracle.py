@@ -8,6 +8,11 @@ opened a record on every ``udn.send``, charged ``noc.link`` waits to it
 and closed it on ``udn.deliver``.  Subscribed beside the atlas on the
 same machine, the oracle must agree with it *exactly*: the summary's
 ``hops`` totals and every record's ``to_dict()``.
+
+The atlas's link occupancy and backpressure are read from the perf
+counter file; ``BusOccupancy`` keeps the ``noc.link`` /
+``udn.backpressure`` folding they replaced, and the summary's
+``links`` and ``tiles`` must match it too.
 """
 
 import gc
@@ -16,11 +21,16 @@ import tracemalloc
 import pytest
 
 import repro.obs as obs
-from repro.machine import Machine, tile_gx
+from repro.machine import Machine, mesh_profile, tile_gx
 from repro.workload import WorkloadSpec
 from repro.workload.scenarios import run_counter_benchmark
 from tests.helpers import attach_oracles
-from tests.spatial_hops_oracle import KINDS, HopLedger
+from tests.spatial_hops_oracle import (
+    KINDS,
+    OCCUPANCY_KINDS,
+    BusOccupancy,
+    HopLedger,
+)
 from tests.test_spatial import _send_receive
 
 IDLE_PAIRS = [(0, 14, 3), (2, 14, 1), (7, 30, 5), (9, 9, 2)]
@@ -123,7 +133,7 @@ def test_mp_server_benchmark_matches_oracle(monkeypatch):
 
 def test_zero_record_budget_keeps_nothing_and_drops_every_delivery(monkeypatch):
     atlas = _run_pairs(monkeypatch, tile_gx(), [(0, 14, 1)] * 4, hop_limit=0)
-    assert atlas.records == [] and atlas._waits == {}
+    assert atlas.records == []
     assert atlas.records_dropped == atlas.hop_totals["messages"] == 4
 
 
@@ -164,3 +174,59 @@ def test_hop_ledger_retains_little_per_message():
     per-hop lists and record objects are built only when read."""
     n = 10_000
     assert _retained_bytes(n) / (2 * n) <= 150
+
+
+# -- occupancy and backpressure against the bus-fed atlas ---------------------
+
+def _contended_pairs(cfg):
+    def run():
+        _send_receive(Machine(cfg), CONVERGE_PAIRS)
+    return run
+
+
+OCCUPANCY_SCENARIOS = {
+    "converge": _contended_pairs(tile_gx(contended_noc=True)),
+    "converge-backpressured": _contended_pairs(
+        tile_gx(contended_noc=True, udn_buffer_words=8)),
+    "hybcomb-contended-4x4": lambda: run_counter_benchmark(
+        "HybComb", 8, cfg=mesh_profile(4, 4, contended_noc=True),
+        spec=WorkloadSpec(warmup_cycles=5_000, measure_cycles=30_000)),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(OCCUPANCY_SCENARIOS))
+def test_occupancy_and_backpressure_match_bus_fed_oracle(monkeypatch,
+                                                          scenario):
+    def on_attach(ob):
+        ledger = HopLedger(ob.machine)
+        ob.bus.subscribe_kinds(KINDS, ledger.on_event)
+        occupancy = BusOccupancy(ob.machine)
+        ob.bus.subscribe_kinds(OCCUPANCY_KINDS, occupancy.on_event)
+        # each recording tick's busy deltas, diffed from the counter
+        # file, must be what the bus-fed atlas folded since the last one
+        ticks = []
+        busy_delta = ob.spatial._busy_delta
+
+        def checked():
+            delta = busy_delta()
+            ticks.append(delta == occupancy.flush())
+            return delta
+
+        ob.spatial._busy_delta = checked
+        return ob, ledger, occupancy, ticks
+
+    attached = attach_oracles(monkeypatch, on_attach)
+    with obs.observed(spatial_hops=True, timeseries=True):
+        OCCUPANCY_SCENARIOS[scenario]()
+    (ob, ledger, occupancy, ticks), = attached
+    live = ob.spatial.summary()
+    assert live["contended"] and live["links"]
+    ref = occupancy.summary(ob.spatial)
+    assert live["links"] == ref["links"]
+    assert live["tiles"] == ref["tiles"]
+    _assert_matches(ob, ledger)
+    assert all(ticks)
+    if scenario == "converge-backpressured":
+        assert sum(t["backpressure"] for t in live["tiles"].values()) > 0
+    if scenario.startswith("hybcomb"):
+        assert ticks
