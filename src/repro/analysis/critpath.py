@@ -50,6 +50,8 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.obs.bus import named
+
 __all__ = [
     "CATEGORIES",
     "CAUSAL_KINDS",
@@ -209,11 +211,11 @@ def _paint(buf: np.ndarray, base: int, start: int, end: int, code: int) -> None:
 
 # -- analysis ---------------------------------------------------------------
 
-def analyze(events: Sequence[Tuple[int, str, Dict[str, Any]]],
+def analyze(events: Sequence[Tuple[int, str, Tuple[Any, ...]]],
             label: str = "run", truncated: bool = False) -> CritPathReport:
     """Reconstruct per-op blame and the whole-run critical path.
 
-    ``events`` is the raw ``(cycle, kind, fields)`` stream of one
+    ``events`` is the raw ``(cycle, kind, args)`` stream of one
     machine (what its :class:`~repro.obs.bus.EventLog` holds), in
     emission order; kinds outside :data:`CAUSAL_KINDS` are ignored.
     """
@@ -235,13 +237,16 @@ def analyze(events: Sequence[Tuple[int, str, Dict[str, Any]]],
             sp = d[key] = _Spans()
         return sp
 
-    for t, kind, f in events:
+    for t, kind, args in events:
+        if kind not in CAUSAL_KINDS:
+            continue
+        f = named(kind, args)
         if kind == "op.begin":
-            op_begin[f["op"]] = (t, f["core"], f["tid"], f.get("prim", "?"))
+            op_begin[f["op"]] = (t, f["core"], f["tid"], f["prim"])
         elif kind == "op.end":
             op_ends.append((t, f))
         elif kind == "server.done":
-            client = f.get("client")
+            client = f["client"]
             if client is not None:
                 svc_by_client.setdefault(client, []).append(
                     (f["start"], t, f["core"]))
@@ -256,13 +261,9 @@ def analyze(events: Sequence[Tuple[int, str, Dict[str, Any]]],
         elif kind == "combiner.close":
             spans(comb_by_tid, f["tid"]).add(f["start"], t)
         elif kind == "udn.send":
-            msg = f.get("msg_id")
-            if msg is not None:
-                sends_by_core.setdefault(f["core"], []).append((t, msg))
+            sends_by_core.setdefault(f["core"], []).append((t, f["msg_id"]))
         elif kind == "udn.deliver":
-            msg = f.get("msg_id")
-            if msg is not None:
-                deliver_at[msg] = t
+            deliver_at[f["msg_id"]] = t
 
     for d in (stall_by_core, atomic_by_core, bp_by_core, recv_by_tid,
               comb_by_tid):
@@ -346,7 +347,7 @@ def analyze(events: Sequence[Tuple[int, str, Dict[str, Any]]],
             for i in range(len(bounds) - 1)
         ]
         trace = OpTrace(op=op_id, tid=tid, core=core, t0=t0, t1=t1,
-                        measured=bool(f.get("measured")), prim=prim,
+                        measured=bool(f["measured"]), prim=prim,
                         segments=segments, blame=blame)
         ops.append(trace)
         if trace.measured:

@@ -12,13 +12,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.critpath import CATEGORIES, CritPathReport, diff_reports, stragglers
 from repro.analysis.series import FigureData
+from repro.obs.bus import named
 from repro.workload.metrics import RunResult
 
 __all__ = ["ascii_chart", "bar_chart", "markdown_table",
            "render_blame_breakdown", "render_cdf", "render_critpath_diff",
            "render_latency_histogram", "render_line_heatmap",
            "render_mesh_heatmap", "render_stragglers", "render_timeline",
-           "to_csv"]
+           "render_truncation", "to_csv"]
 
 _MARKS = "*o+x#@%&"
 
@@ -284,19 +285,22 @@ def render_timeline(event_log, *, start: Optional[int] = None,
     occupying most of it (:data:`TIMELINE_GLYPHS`); idle buckets stay
     blank.  Spans are clipped to ``[start, end)``; a zero-length span
     (a send) inside the window shows as a one-cycle dot.  A legend and
-    the clipped cycles per kind follow the chart.
+    the clipped cycles per kind follow the chart, and a log that hit its
+    cap says how many events it dropped.
     """
     spans: List[Tuple[int, str, int, int]] = []  # (core, glyph, lo, hi)
-    for t, kind, f in event_log.events:
+    for t, kind, args in event_log.events:
         spec = _TIMELINE_KINDS.get(kind)
         if spec is None:
             continue
         glyph, dur = spec
+        f = named(kind, args)
         s = f.get("start", t)
         spans.append((f["core"], glyph or _STALL_GLYPHS[f["why"]], s,
                       s + f[dur] if dur else t))
     if not spans:
-        return "[empty trace]"
+        return "[empty trace]" + ("\n" + render_truncation(event_log)
+                                  if event_log.truncated else "")
     t_lo = min(sp[2] for sp in spans) if start is None else start
     t_hi = max(sp[3] for sp in spans) if end is None else end
     span_t = max(1, t_hi - t_lo)
@@ -337,7 +341,16 @@ def render_timeline(event_log, *, start: Optional[int] = None,
         top = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
         out.write("cycles by kind: " + ", ".join(
             f"{TIMELINE_GLYPHS[g]}={v}" for g, v in top) + "\n")
+    out.write(render_truncation(event_log))
     return out.getvalue()
+
+
+def render_truncation(event_log) -> str:
+    """A line saying how many events a capped event log dropped, or ""."""
+    if not event_log.truncated:
+        return ""
+    return (f"partial data: the event log dropped {event_log.dropped} "
+            f"events at its {event_log.limit}-event cap\n")
 
 
 def markdown_table(fig: FigureData, metric: Callable[[RunResult], float],

@@ -163,8 +163,7 @@ class SyncPrimitive:
         self._session_ctx = ctx
         obs = self.machine.sim.obs
         if obs is not None and "combiner.open" in obs.wanted:
-            obs.emit("combiner.open", core=ctx.core.cid, tid=ctx.tid,
-                     prim=self.name)
+            obs.emit("combiner.open", ctx.core.cid, ctx.tid, self.name)
 
     def record_session(self, ops: int) -> None:
         self.combining_sessions.append((self.machine.now, ops))
@@ -173,9 +172,8 @@ class SyncPrimitive:
             ctx = self._session_ctx
             obs.counters.combined(ops)
             if "combiner.close" in obs.wanted:
-                obs.emit("combiner.close", core=ctx.core.cid, tid=ctx.tid,
-                         prim=self.name, ops=ops,
-                         start=self._session_t0 if self._session_t0 is not None
+                obs.emit("combiner.close", ctx.core.cid, ctx.tid, self.name,
+                         ops, self._session_t0 if self._session_t0 is not None
                          else self.machine.now)
         self._session_t0 = None
         self._session_ctx = None

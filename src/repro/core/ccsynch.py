@@ -131,8 +131,7 @@ class CCSynch(SyncPrimitive):
             if obs is not None:
                 obs.counters.served(ctx.core.cid)
                 if "server.req" in obs.wanted:
-                    obs.emit("server.req", core=ctx.core.cid, client=client,
-                             prim=self.name)
+                    obs.emit("server.req", ctx.core.cid, client, self.name)
             ret = yield from execute(ctx, op, a)
             yield from ctx.store(tmp + _RET, ret)
             yield from ctx.store(tmp + _COMPLETED, 1)
@@ -140,8 +139,8 @@ class CCSynch(SyncPrimitive):
             if obs is not None:
                 obs.counters.service(ctx.core.cid, ctx.sim.now - svc_start)
                 if "server.done" in obs.wanted:
-                    obs.emit("server.done", core=ctx.core.cid, client=client,
-                             prim=self.name, start=svc_start)
+                    obs.emit("server.done", ctx.core.cid, client, self.name,
+                             svc_start)
             tmp = nxt
 
     def apply_op(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG,
@@ -207,9 +206,8 @@ class CCSynch(SyncPrimitive):
             if obs is not None:
                 obs.counters.service(ctx.core.cid, ctx.sim.now - svc_start)
                 if "server.done" in obs.wanted:
-                    obs.emit("server.done", core=ctx.core.cid,
-                             client=self._node_owner.get(tmp),
-                             prim=self.name, start=svc_start)
+                    obs.emit("server.done", ctx.core.cid,
+                             self._node_owner.get(tmp), self.name, svc_start)
             tmp = nxt
         if ctx.sim.policy is not None:
             # exploration seam: combiner handover window

@@ -207,15 +207,13 @@ class HybComb(SyncPrimitive):
             if obs is not None:
                 obs.counters.served(ctx.core.cid)
                 if "server.req" in obs.wanted:
-                    obs.emit("server.req", core=ctx.core.cid, client=sender,
-                             prim=self.name)
+                    obs.emit("server.req", ctx.core.cid, sender, self.name)
             r = yield from execute(ctx, fp, farg)
             yield from ctx.send(sender, [r])
             if obs is not None:
                 obs.counters.service(ctx.core.cid, self.machine.now - svc_start)
                 if "server.done" in obs.wanted:
-                    obs.emit("server.done", core=ctx.core.cid, client=sender,
-                             prim=self.name, start=svc_start)
+                    obs.emit("server.done", ctx.core.cid, sender, self.name, svc_start)
 
     # -- lease helpers ---------------------------------------------------------
     def _heartbeat(self, ctx: ThreadCtx, my_node: int) -> Generator[Any, Any, None]:
@@ -247,8 +245,7 @@ class HybComb(SyncPrimitive):
                 if obs is not None:
                     obs.counters.count("takeovers")
                     if "fault.takeover" in obs.wanted:
-                        obs.emit("fault.takeover", core=ctx.core.cid, tid=ctx.tid,
-                                 prim=self.name)
+                        obs.emit("fault.takeover", ctx.core.cid, ctx.tid, self.name)
                 return
             yield from self._heartbeat(ctx, my_node)
             yield from ctx.work(self._lease_poll)
@@ -293,8 +290,8 @@ class HybComb(SyncPrimitive):
                             if obs is not None:
                                 obs.counters.count("ops_retried")
                                 if "fault.retry" in obs.wanted:
-                                    obs.emit("fault.retry", core=ctx.core.cid,
-                                             tid=tid, prim=self.name)
+                                    obs.emit("fault.retry", ctx.core.cid, tid,
+                                             self.name)
                             if first_timeout_at is None:
                                 first_timeout_at = self.machine.now
                             stale = yield from self._lease_stale(ctx, last_reg)
@@ -317,8 +314,7 @@ class HybComb(SyncPrimitive):
                     if obs is not None:
                         obs.counters.count("ops_retried")
                         if "fault.retry" in obs.wanted:
-                            obs.emit("fault.retry", core=ctx.core.cid,
-                                     tid=tid, prim=self.name)
+                            obs.emit("fault.retry", ctx.core.cid, tid, self.name)
                     if first_timeout_at is None:
                         first_timeout_at = self.machine.now
                     continue  # re-read lrc and re-register
@@ -370,8 +366,7 @@ class HybComb(SyncPrimitive):
         if obs is not None:
             obs.counters.service(ctx.core.cid, self.machine.now - svc_start)
             if "server.done" in obs.wanted:
-                obs.emit("server.done", core=ctx.core.cid, client=tid,
-                         prim=self.name, start=svc_start)
+                obs.emit("server.done", ctx.core.cid, tid, self.name, svc_start)
         if ctx.sim.policy is not None:
             # exploration seam: mid-section preemption here is what a
             # stale-lease takeover races against
@@ -390,8 +385,7 @@ class HybComb(SyncPrimitive):
             if obs is not None:
                 obs.counters.service(ctx.core.cid, self.machine.now - svc_start)
                 if "server.done" in obs.wanted:
-                    obs.emit("server.done", core=ctx.core.cid, client=sender,
-                             prim=self.name, start=svc_start)
+                    obs.emit("server.done", ctx.core.cid, sender, self.name, svc_start)
             if self._recovery:
                 yield from self._heartbeat(ctx, my_node)
         # Lines 29-32: close combining for new requests
@@ -417,8 +411,7 @@ class HybComb(SyncPrimitive):
             if obs is not None:
                 obs.counters.service(ctx.core.cid, self.machine.now - svc_start)
                 if "server.done" in obs.wanted:
-                    obs.emit("server.done", core=ctx.core.cid, client=sender,
-                             prim=self.name, start=svc_start)
+                    obs.emit("server.done", ctx.core.cid, sender, self.name, svc_start)
             if self._recovery:
                 yield from self._heartbeat(ctx, my_node)
         # Lines 38-42: exchange nodes with the departed-combiner slot,

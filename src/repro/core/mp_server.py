@@ -189,16 +189,14 @@ class MPServer(SyncPrimitive):
             if obs is not None:
                 obs.counters.served(ctx.core.cid)
                 if "server.req" in obs.wanted:
-                    obs.emit("server.req", core=ctx.core.cid, client=sender,
-                             prim=self.name)
+                    obs.emit("server.req", ctx.core.cid, sender, self.name)
             retval = yield from execute(ctx, opcode, arg)
             yield from ctx.send(sender, [retval])
             self.requests_served += 1
             if obs is not None:
                 obs.counters.service(ctx.core.cid, ctx.sim.now - svc_start)
                 if "server.done" in obs.wanted:
-                    obs.emit("server.done", core=ctx.core.cid, client=sender,
-                             prim=self.name, start=svc_start)
+                    obs.emit("server.done", ctx.core.cid, sender, self.name, svc_start)
 
     # -- fault-tolerant protocol --------------------------------------------
     def _ft_server_loop(self, ctx: ThreadCtx) -> Generator[Any, Any, None]:
@@ -215,8 +213,7 @@ class MPServer(SyncPrimitive):
             if obs is not None:
                 obs.counters.served(ctx.core.cid)
                 if "server.req" in obs.wanted:
-                    obs.emit("server.req", core=ctx.core.cid, client=sender,
-                             prim=self.name)
+                    obs.emit("server.req", ctx.core.cid, sender, self.name)
             slot = self._slot_for(sender)
             last = yield from ctx.load(slot + _SLOT_SEQ)
             if seq <= last:
@@ -241,8 +238,7 @@ class MPServer(SyncPrimitive):
             if obs is not None:
                 obs.counters.service(ctx.core.cid, ctx.sim.now - svc_start)
                 if "server.done" in obs.wanted:
-                    obs.emit("server.done", core=ctx.core.cid, client=sender,
-                             prim=self.name, start=svc_start)
+                    obs.emit("server.done", ctx.core.cid, sender, self.name, svc_start)
 
     def apply_op(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG,
                  timeout: Optional[int] = None) -> Generator[Any, Any, int]:
@@ -305,8 +301,7 @@ class MPServer(SyncPrimitive):
                 if obs is not None:
                     obs.counters.count("ops_retried")
                     if "fault.retry" in obs.wanted:
-                        obs.emit("fault.retry", core=ctx.core.cid, tid=tid,
-                                 prim=self.name)
+                        obs.emit("fault.retry", ctx.core.cid, tid, self.name)
                 if first_timeout_at is None:
                     first_timeout_at = self.machine.now
                 if attempt >= self.max_attempts:
@@ -321,8 +316,7 @@ class MPServer(SyncPrimitive):
                     if obs is not None:
                         obs.counters.count("failovers")
                         if "fault.failover" in obs.wanted:
-                            obs.emit("fault.failover", core=ctx.core.cid, tid=tid,
-                                     prim=self.name)
+                            obs.emit("fault.failover", ctx.core.cid, tid, self.name)
                 backoff = min(self.backoff_base << (attempt - 1), self.backoff_cap)
                 ctx.core.wait += backoff
                 yield backoff

@@ -148,8 +148,7 @@ class ShmServer(SyncPrimitive):
                 if obs is not None:
                     obs.counters.served(ctx.core.cid)
                     if "server.req" in obs.wanted:
-                        obs.emit("server.req", core=ctx.core.cid, client=tid,
-                                 prim=self.name)
+                        obs.emit("server.req", ctx.core.cid, tid, self.name)
                 # software-pipeline the next channel read behind this CS
                 # (the paper: RMRs "get partially overlapped with the CS
                 # execution" -- the O3-compiled server hoists the next
@@ -165,8 +164,7 @@ class ShmServer(SyncPrimitive):
                 if obs is not None:
                     obs.counters.service(ctx.core.cid, ctx.sim.now - svc_start)
                     if "server.done" in obs.wanted:
-                        obs.emit("server.done", core=ctx.core.cid, client=tid,
-                                 prim=self.name, start=svc_start)
+                        obs.emit("server.done", ctx.core.cid, tid, self.name, svc_start)
             # loop-closing branch of the scan
             yield from ctx.work(1)
 
@@ -218,8 +216,8 @@ class ShmServer(SyncPrimitive):
             if gone:
                 obs = sim.obs
                 if obs is not None and "dispatch.timeout" in obs.wanted:
-                    obs.emit("dispatch.timeout", core=ctx.core.cid,
-                             tid=ctx.tid, prim=self.name, waited=waited)
+                    obs.emit("dispatch.timeout", ctx.core.cid, ctx.tid,
+                             self.name, waited)
                 raise DispatchTimeout(
                     f"thread {ctx.tid}: request unclaimed by the server "
                     f"after {waited} cycles", waited) from None

@@ -40,6 +40,7 @@ from repro.analysis.render import (
     render_line_heatmap,
     render_mesh_heatmap,
     render_stragglers,
+    render_truncation,
     to_csv,
 )
 from repro.analysis.series import FigureData
@@ -258,7 +259,7 @@ def _export_obs(session, exp_id: str, out_dir: str, trace: bool) -> None:
         # event log carries the op context, so flows only resolve on
         # traced runs.  One machine's flows suffice for attribution
         # (the busiest machine dominates the merged atlas anyway).
-        flows = None
+        flows, partial = None, ""
         traced = [ob for ob in session.machines
                   if ob.trace is not None and ob.trace.events
                   and ob.spatial is not None]
@@ -266,7 +267,10 @@ def _export_obs(session, exp_id: str, out_dir: str, trace: bool) -> None:
             busiest = max(traced,
                           key=lambda ob: ob.spatial.summary()["messages"])
             flows = causal_link_flows(busiest.spatial, busiest.trace)
+            partial = render_truncation(busiest.trace)
         print(render_hotspots(spatial, k=5, flows=flows))
+        if partial:
+            print(f"  ops {partial}", end="")
         spath = write_mesh_svg(os.path.join(out_dir, f"{exp_id}-mesh.svg"),
                                spatial,
                                title=f"{exp_id}: NoC congestion atlas")

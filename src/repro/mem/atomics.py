@@ -111,8 +111,7 @@ class ControllerAtomics:
             if obs is not None:
                 obs.counters.atomic(core.cid, line_no, cold, service)
                 if "atomic.exec" in obs.wanted:
-                    obs.emit("atomic.exec", core=core.cid, line=line_no,
-                             ctrl=ctrl.node, cold=cold, service=service)
+                    obs.emit("atomic.exec", core.cid, line_no, ctrl.node, cold, service)
             yield service
             backing = self.mem.store_backing
             old = backing.read(addr)
@@ -130,8 +129,7 @@ class ControllerAtomics:
         if obs is not None:
             obs.counters.stall(line_no, stalled)
             if "atomic.stall" in obs.wanted:
-                obs.emit("atomic.stall", core=core.cid, cycles=stalled,
-                         line=line_no, start=t0)
+                obs.emit("atomic.stall", core.cid, stalled, line_no, t0)
         return old
 
 
@@ -163,8 +161,8 @@ class CacheAtomics:
                     transition = mem._store_transition(entry, cid)
                     obs.counters.miss(cid, line_no, "atomic", transition, latency)
                     if "cache.miss" in obs.wanted:
-                        obs.emit("cache.miss", core=cid, line=line_no, op="atomic",
-                                 transition=transition, latency=latency)
+                        obs.emit("cache.miss", cid, line_no, "atomic",
+                                 transition, latency)
                     mem._emit_invals(obs, entry, line_no, cid)
                 if latency:
                     yield latency
@@ -184,12 +182,10 @@ class CacheAtomics:
             counters = obs.counters
             counters.atomic(cid, line_no, False, cfg.c_atomic_local)
             if "atomic.exec" in obs.wanted:
-                obs.emit("atomic.exec", core=cid, line=line_no, ctrl=None,
-                         cold=False, service=cfg.c_atomic_local)
+                obs.emit("atomic.exec", cid, line_no, None, False, cfg.c_atomic_local)
             counters.stall(line_no, stalled)
             if "atomic.stall" in obs.wanted:
-                obs.emit("atomic.stall", core=cid, cycles=stalled,
-                         line=line_no, start=t0)
+                obs.emit("atomic.stall", cid, stalled, line_no, t0)
         entry.notify()
         return old
 

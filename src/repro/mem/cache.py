@@ -141,8 +141,8 @@ class CoherentMemory:
         if obs is not None:
             obs.counters.stall(line_no, cycles)
             if "cache.stall" in obs.wanted:
-                obs.emit("cache.stall", core=core.cid, cycles=cycles, line=line_no,
-                         why=why, start=self.sim.now - cycles)
+                obs.emit("cache.stall", core.cid, cycles, line_no, why,
+                         self.sim.now - cycles)
 
     def _charge_stall_fence(self, core: Core, cycles: int, why: str) -> None:
         if cycles <= 0:
@@ -150,8 +150,7 @@ class CoherentMemory:
         core.stall_fence += cycles
         obs = self.sim.obs
         if obs is not None and "fence.stall" in obs.wanted:
-            obs.emit("fence.stall", core=core.cid, cycles=cycles, why=why,
-                     start=self.sim.now - cycles)
+            obs.emit("fence.stall", core.cid, cycles, why, self.sim.now - cycles)
 
     def _load_transition(self, entry: _Line, cid: int) -> str:
         if entry.owner is not None and entry.owner != cid:
@@ -176,12 +175,12 @@ class CoherentMemory:
         if entry.owner is not None and entry.owner != by:
             counters.inval(entry.owner, line_no)
             if publish:
-                obs.emit("cache.inval", core=entry.owner, line=line_no, by=by)
+                obs.emit("cache.inval", entry.owner, line_no, by)
         for s in entry.sharers:
             if s != by:
                 counters.inval(s, line_no)
                 if publish:
-                    obs.emit("cache.inval", core=s, line=line_no, by=by)
+                    obs.emit("cache.inval", s, line_no, by)
 
     # -- address helpers ---------------------------------------------------
     def line_of(self, addr: int) -> int:
@@ -260,8 +259,8 @@ class CoherentMemory:
                     transition = self._load_transition(entry, cid)
                     obs.counters.miss(cid, line_no, "load", transition, latency)
                     if "cache.miss" in obs.wanted:
-                        obs.emit("cache.miss", core=cid, line=line_no, op="load",
-                                 transition=transition, latency=latency)
+                        obs.emit("cache.miss", cid, line_no, "load",
+                                 transition, latency)
                 # The directory orders the read and answers quickly; the
                 # data transfer itself is pipelined, so the read holds
                 # the entry only briefly and concurrent readers do not
@@ -326,8 +325,8 @@ class CoherentMemory:
                     transition = self._load_transition(entry, cid)
                     obs.counters.miss(cid, line_no, "prefetch", transition, latency)
                     if "cache.miss" in obs.wanted:
-                        obs.emit("cache.miss", core=cid, line=line_no, op="prefetch",
-                                 transition=transition, latency=latency)
+                        obs.emit("cache.miss", cid, line_no, "prefetch",
+                                 transition, latency)
                 occupancy = min(self.cfg.c_dir_read_occupancy, latency)
                 if occupancy:
                     yield occupancy
@@ -449,8 +448,8 @@ class CoherentMemory:
                     transition = self._store_transition(entry, cid)
                     obs.counters.miss(cid, line_no, "store", transition, latency)
                     if "cache.miss" in obs.wanted:
-                        obs.emit("cache.miss", core=cid, line=line_no, op="store",
-                                 transition=transition, latency=latency)
+                        obs.emit("cache.miss", cid, line_no, "store",
+                                 transition, latency)
                     self._emit_invals(obs, entry, line_no, cid)
                 if latency:
                     yield latency
@@ -525,7 +524,7 @@ class CoherentMemory:
             line_no = self.line_of(addr)
             obs.counters.cas_fail(line_no)
             if "atomic.cas_fail" in obs.wanted:
-                obs.emit("atomic.cas_fail", core=core.cid, line=line_no)
+                obs.emit("atomic.cas_fail", core.cid, line_no)
         return False
 
     # -- hooks used by the atomics executor ---------------------------------

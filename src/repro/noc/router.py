@@ -88,8 +88,7 @@ class ContendedMesh:
                     if hops is not None:
                         hops.append((a, b, wait))
                     if "noc.link" in obs.wanted:
-                        obs.emit("noc.link", a=a, b=b, wait=wait, busy=busy,
-                                 hop=hop, msg_id=msg_id)
+                        obs.emit("noc.link", a, b, wait, busy, hop, msg_id)
                 try:
                     yield per_hop
                 finally:
@@ -106,6 +105,5 @@ class ContendedMesh:
             cycles = sim.now - t0
             obs.counters.packet(cycles)
             if "noc.packet" in obs.wanted:
-                obs.emit("noc.packet", src=src, dst=dst, words=words,
-                         cycles=cycles)
+                obs.emit("noc.packet", src, dst, words, cycles)
         return sim.now - t0

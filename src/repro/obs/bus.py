@@ -12,13 +12,13 @@ to.  Every publish site guards with both::
     if obs is not None:
         obs.counters.miss(cid, line_no, "load", transition, latency)
         if "cache.miss" in obs.wanted:
-            obs.emit("cache.miss", core=cid, line=line_no, ...)
+            obs.emit("cache.miss", cid, line_no, "load", transition, latency)
 
 so a run without observability pays one attribute load and a ``None``
 comparison per would-be event, and an observed run pays one set probe
-more for a kind nobody listens to -- no ``fields`` dict, no call.  The
+more for a kind nobody listens to -- no argument tuple, no call.  The
 check sits at the call site, not inside :meth:`EventBus.emit`: the
-Python call and its keyword dict are the cost it saves.
+Python call is the cost it saves.
 
 The bus narrates; it does not count.  Publish sites write the perf
 counter file (:attr:`EventBus.counters`) themselves, inside the
@@ -39,109 +39,28 @@ What is wanted
 :meth:`EventBus.emit` itself does not filter: a direct ``bus.emit``
 always publishes, and the ring appends whatever the bus carries.
 
-Event taxonomy
---------------
-Events are ``(cycle, kind, fields)`` triples.  ``kind`` is a dotted
-string naming the subsystem and occurrence; ``fields`` is a small dict.
-The kinds emitted by the simulator (fields in parentheses; ``start`` is
-the first cycle of a span, the emit time is its end).  A *narrated*
-kind is always in the flight ring when a recorder is attached; a
-*hardware* kind is built only when a subscriber asks for it (a trace,
-a full subscriber).  The perf counter file and the spatial atlas read
-registers the models write directly and subscribe to nothing:
+Events
+------
+Events are ``(cycle, kind, args)`` triples.  ``kind`` is a dotted
+string naming the subsystem and occurrence; ``args`` is the tuple of
+the kind's field values, in the order :data:`SCHEMA` names them -- the
+one place a kind's class and fields are written down.  As in a UDN
+request, the words carry no names: a post-run reader asks
+:func:`named` for a dict, a hot reader looks its field's index up in
+:data:`SCHEMA` once.  A *narrated* kind is always in the flight ring
+when a recorder is attached; a *hardware* kind is built only when a
+subscriber asks for it (a trace, a full subscriber).  The perf counter
+file and the spatial atlas read registers the models write directly
+and subscribe to nothing.
 
-=====================  ========  ==========================================
-kind                   class     meaning
-=====================  ========  ==========================================
-``cache.miss``         hardware  a coherence miss was resolved (core, line,
-                                 op, transition, latency)
-``cache.stall``        hardware  a core finished stalling on the coherence
-                                 protocol (core, cycles, why, line, start)
-``cache.inval``        hardware  a core's cached copy was invalidated
-                                 (core = the victim, line, by = writer core
-                                 or None for a memory-controller atomic)
-``fence.stall``        hardware  fence pipeline cost or store-buffer drain
-                                 (core, cycles, why, start)
-``atomic.exec``        hardware  an RMW executed (core, line, ctrl, cold,
-                                 service)
-``atomic.stall``       hardware  the issuing core's full RMW round trip
-                                 (core, cycles, line, start)
-``atomic.cas_fail``    hardware  a CAS observed an unexpected value (core,
-                                 line)
-``udn.send``           hardware  a message was injected (core, dst_tid,
-                                 dst_core, words, msg_id)
-``udn.backpressure``   hardware  a sender finished blocking on a full
-                                 destination buffer (core, dst_core,
-                                 cycles, start); read only by a trace:
-                                 the atlas reads the counter file's
-                                 ``backpressure_cycles``
-``udn.deliver``        hardware  words landed in a receive queue (core,
-                                 demux, words, latency, msg_id)
-``udn.recv``           hardware  a receive completed (core, tid, words,
-                                 waited, start)
-``udn.timeout``        narrated  a timed send/receive expired (core, op,
-                                 waited)
-``noc.link``           hardware  a packet occupied one mesh link (a, b,
-                                 wait, busy, hop = index along the route,
-                                 msg_id = the UDN message carried, or None
-                                 for non-UDN packets); read only by a
-                                 trace: the atlas reads the ``link``
-                                 registers, and per-hop waits ride the
-                                 hop ledger's records
-``noc.packet``         hardware  a packet fully traversed the contended
-                                 mesh (src, dst, words, cycles)
-``proc.spawn``         hardware  a simulator process started (name)
-``proc.exit``          hardware  a process finished normally (name)
-``proc.kill``          narrated  a process was fail-stop crashed (name)
-``proc.interrupt``     narrated  a process was interrupted (name)
-``combiner.open``      narrated  a thread entered a combining session
-                                 (core, tid, prim)
-``combiner.close``     narrated  a combining session ended (core, tid,
-                                 prim, ops, start)
-``server.req``         narrated  a dedicated servicing thread completed one
-                                 request (core, client, prim)
-``server.done``        narrated  a service span ended: one client request
-                                 executed and its response issued (core,
-                                 client, prim, start)
-``op.begin``           narrated  an application thread issued an operation
-                                 (core, tid, op = run-unique op id, prim)
-``op.end``             narrated  the operation completed on the issuing
-                                 thread (core, tid, op, start, measured =
-                                 in the measurement window)
-``fault.retry``        narrated  a client retried an operation after a
-                                 timeout (core, tid, prim)
-``fault.failover``     narrated  a client switched servers (core, tid,
-                                 prim)
-``fault.takeover``     narrated  a successor seized a stale combiner lease
-                                 (core, tid, prim)
-``dispatch.timeout``   narrated  a timed shm-server request went unclaimed
-                                 and was withdrawn (core, tid, prim,
-                                 waited)
-``admit.enqueue``      narrated  an open-loop arrival joined its client's
-                                 admission queue (tid, op, depth)
-``admit.shed``         narrated  an arrival or a request was dropped (tid,
-                                 op = -1 for a retry budget spent, depth,
-                                 reason = queue-full or timeout)
-``admit.retry``        narrated  a timed dispatch expired and the client
-                                 backs off before retrying (tid, attempt,
-                                 backoff)
-``admit.breaker``      narrated  the circuit breaker opened or closed (tid,
-                                 state, until)
-``slo.breach``         narrated  an SLO monitor started burning its budget
-                                 (slo, objective, target, value,
-                                 burn_short, burn_long)
-``slo.recover``        narrated  a breached SLO recovered (same fields)
-=====================  ========  ==========================================
-
-Subscribers are plain callables ``fn(cycle, kind, fields)``; they must
-treat events as read-only and must not touch simulation state (the bus
-is an observer, never an actor -- enabling it cannot change an
-execution).  Every :meth:`EventBus.emit` builds a fresh ``fields`` dict,
-so a subscriber may keep it without copying.
+Subscribers are plain callables ``fn(cycle, kind, args)``; they must
+not touch simulation state (the bus is an observer, never an actor --
+enabling it cannot change an execution).  ``args`` is a tuple, so an
+event is read-only and a subscriber may keep it without copying.
 
 :class:`EventLog` is the one recording of a machine's bus: the Perfetto
 export, the critical-path analysis, the link-flow join and the ASCII
-timeline all read its ``(cycle, kind, fields)`` events after the run.
+timeline all read its ``(cycle, kind, args)`` events after the run.
 """
 
 from __future__ import annotations
@@ -151,35 +70,101 @@ import logging
 from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Tuple)
 
-__all__ = ["EventBus", "EventLog", "KINDS", "NARRATED_KINDS"]
+__all__ = ["EventBus", "EventLog", "KINDS", "NARRATED_KINDS", "SCHEMA",
+           "named"]
 
 log = logging.getLogger(__name__)
 
-Subscriber = Callable[[int, str, Dict[str, Any]], None]
+Subscriber = Callable[[int, str, Tuple[Any, ...]], None]
 
-#: the kinds the flight ring narrates (the table's ``narrated`` rows):
-#: ops, service spans, combining sessions, faults, admission, timeouts,
-#: crashes and SLO alerts
-NARRATED_KINDS: FrozenSet[str] = frozenset({
-    "op.begin", "op.end",
-    "server.req", "server.done",
-    "combiner.open", "combiner.close",
-    "fault.retry", "fault.failover", "fault.takeover",
-    "admit.enqueue", "admit.shed", "admit.retry", "admit.breaker",
-    "dispatch.timeout", "udn.timeout",
-    "proc.kill", "proc.interrupt",
-    "slo.breach", "slo.recover",
-})
+#: kind -> (class, field names in emit order).  ``start`` is the first
+#: cycle of a span (the emit cycle is its end); ``core`` is the core the
+#: event happened on, ``tid`` the thread, ``prim`` the primitive's name.
+SCHEMA: Dict[str, Tuple[str, Tuple[str, ...]]] = {
+    # a coherence miss was resolved
+    "cache.miss": ("hardware", ("core", "line", "op", "transition", "latency")),
+    # a core finished stalling on the coherence protocol
+    "cache.stall": ("hardware", ("core", "cycles", "line", "why", "start")),
+    # core's copy was invalidated by writer core ``by`` (None: a controller)
+    "cache.inval": ("hardware", ("core", "line", "by")),
+    # fence pipeline cost or store-buffer drain
+    "fence.stall": ("hardware", ("core", "cycles", "why", "start")),
+    # an RMW executed (``ctrl``: the controller's node, None in-cache)
+    "atomic.exec": ("hardware", ("core", "line", "ctrl", "cold", "service")),
+    # the issuing core's full RMW round trip
+    "atomic.stall": ("hardware", ("core", "cycles", "line", "start")),
+    # a CAS observed an unexpected value
+    "atomic.cas_fail": ("hardware", ("core", "line")),
+    # a message was injected
+    "udn.send": ("hardware", ("core", "dst_tid", "dst_core", "words", "msg_id")),
+    # a sender finished blocking on a full destination buffer
+    "udn.backpressure": ("hardware", ("core", "cycles", "dst_core", "start")),
+    # words landed in a receive queue
+    "udn.deliver": ("hardware", ("core", "demux", "words", "latency", "msg_id")),
+    # a receive completed
+    "udn.recv": ("hardware", ("core", "tid", "words", "waited", "start")),
+    # a timed send/receive expired (``op``: "send" or "receive")
+    "udn.timeout": ("narrated", ("core", "op", "waited")),
+    # a packet held link a->b at route index ``hop`` (msg_id None: not UDN)
+    "noc.link": ("hardware", ("a", "b", "wait", "busy", "hop", "msg_id")),
+    # a packet fully traversed the contended mesh
+    "noc.packet": ("hardware", ("src", "dst", "words", "cycles")),
+    # a simulator process started
+    "proc.spawn": ("hardware", ("name",)),
+    # a process finished normally
+    "proc.exit": ("hardware", ("name",)),
+    # a process was fail-stop crashed
+    "proc.kill": ("narrated", ("name",)),
+    # a process was interrupted
+    "proc.interrupt": ("narrated", ("name",)),
+    # a thread entered a combining session
+    "combiner.open": ("narrated", ("core", "tid", "prim")),
+    # a combining session of ``ops`` requests ended
+    "combiner.close": ("narrated", ("core", "tid", "prim", "ops", "start")),
+    # a dedicated servicing thread completed one request
+    "server.req": ("narrated", ("core", "client", "prim")),
+    # a service span ended: one request executed and its response issued
+    "server.done": ("narrated", ("core", "client", "prim", "start")),
+    # an application thread issued op ``op`` (a run-unique id)
+    "op.begin": ("narrated", ("core", "tid", "op", "prim")),
+    # the op completed (``measured``: inside the measurement window)
+    "op.end": ("narrated", ("core", "tid", "op", "start", "measured")),
+    # a client retried an operation after a timeout
+    "fault.retry": ("narrated", ("core", "tid", "prim")),
+    # a client switched servers
+    "fault.failover": ("narrated", ("core", "tid", "prim")),
+    # a successor seized a stale combiner lease
+    "fault.takeover": ("narrated", ("core", "tid", "prim")),
+    # a timed shm-server request went unclaimed and was withdrawn
+    "dispatch.timeout": ("narrated", ("core", "tid", "prim", "waited")),
+    # an open-loop arrival joined its client's admission queue
+    "admit.enqueue": ("narrated", ("tid", "op", "depth")),
+    # an arrival was dropped (op -1: a spent retry budget; reason: why)
+    "admit.shed": ("narrated", ("tid", "op", "depth", "reason")),
+    # a timed dispatch expired and the client backs off before retrying
+    "admit.retry": ("narrated", ("tid", "attempt", "backoff")),
+    # the circuit breaker opened or closed
+    "admit.breaker": ("narrated", ("tid", "state", "until")),
+    # an SLO monitor started burning its budget
+    "slo.breach": ("narrated", ("slo", "objective", "target", "value",
+                                "burn_short", "burn_long")),
+    # a breached SLO recovered
+    "slo.recover": ("narrated", ("slo", "objective", "target", "value",
+                                 "burn_short", "burn_long")),
+}
 
-#: every kind the simulator emits (the taxonomy table, as code): what a
-#: full subscriber wants.  The table's ``hardware`` rows are the rest.
-KINDS: FrozenSet[str] = NARRATED_KINDS | frozenset({
-    "cache.miss", "cache.stall", "cache.inval", "fence.stall",
-    "atomic.exec", "atomic.stall", "atomic.cas_fail",
-    "udn.send", "udn.backpressure", "udn.deliver", "udn.recv",
-    "noc.link", "noc.packet",
-    "proc.spawn", "proc.exit",
-})
+#: every kind the simulator emits: what a full subscriber wants
+KINDS: FrozenSet[str] = frozenset(SCHEMA)
+
+#: the kinds the flight ring narrates: ops, service spans, combining
+#: sessions, faults, admission, timeouts, crashes and SLO alerts
+NARRATED_KINDS: FrozenSet[str] = frozenset(
+    kind for kind, (cls, _fields) in SCHEMA.items() if cls == "narrated")
+
+
+def named(kind: str, args: Tuple[Any, ...]) -> Dict[str, Any]:
+    """One event's fields as a ``{name: value}`` dict (post-run readers)."""
+    return dict(zip(SCHEMA[kind][1], args))
 
 
 class EventBus:
@@ -212,7 +197,7 @@ class EventBus:
         self.wanted = frozenset(wanted)
 
     def subscribe(self, fn: Subscriber) -> None:
-        """Register ``fn(cycle, kind, fields)`` for every event."""
+        """Register ``fn(cycle, kind, args)`` for every event."""
         self._subs.append(fn)
         self._rewant()
 
@@ -267,31 +252,34 @@ class EventBus:
         self._rewant()
         return self.recent
 
-    def emit(self, kind: str, **fields: Any) -> None:
-        """Publish one event at the current cycle."""
+    def emit(self, kind: str, *args: Any) -> None:
+        """Publish one event at the current cycle.
+
+        ``args`` are the kind's :data:`SCHEMA` fields, in order.
+        """
         self.events_emitted += 1
         t = self.sim.now
         ra = self._recent_append
         if ra is not None:
-            ra((t, kind, fields))
+            ra((t, kind, args))
         for fn in self._subs:
-            fn(t, kind, fields)
+            fn(t, kind, args)
         ks = self._kind_subs
         if ks is not None:
             fns = ks.get(kind)
             if fns is not None:
                 for fn in fns:
-                    fn(t, kind, fields)
+                    fn(t, kind, args)
 
 
 class EventLog:
     """A machine's raw bus events, in emission order, up to a cap.
 
     Subscribed kind-filtered to the kinds its readers need.  Each event
-    keeps the dict :meth:`EventBus.emit` built for it (no copy).  Past
-    ``limit`` events the log drops the rest, counts them in
-    :attr:`dropped` and flags itself :attr:`truncated`, so readers can
-    say "partial data" instead of silently lying.
+    keeps the argument tuple :meth:`EventBus.emit` was called with (no
+    copy, no dict).  Past ``limit`` events the log drops the rest,
+    counts them in :attr:`dropped` and flags itself :attr:`truncated`,
+    so readers can say "partial data" instead of silently lying.
     """
 
     __slots__ = ("limit", "dropped", "events")
@@ -299,14 +287,14 @@ class EventLog:
     def __init__(self, limit: int = 2_000_000):
         self.limit = limit
         self.dropped = 0
-        #: (cycle, kind, fields) in emission order
-        self.events: List[Tuple[int, str, Dict[str, Any]]] = []
+        #: (cycle, kind, args) in emission order
+        self.events: List[Tuple[int, str, Tuple[Any, ...]]] = []
 
     @property
     def truncated(self) -> bool:
         return self.dropped > 0
 
-    def on_event(self, t: int, kind: str, f: Dict[str, Any]) -> None:
+    def on_event(self, t: int, kind: str, args: Tuple[Any, ...]) -> None:
         if len(self.events) >= self.limit:
             if self.dropped == 0:
                 log.warning(
@@ -315,4 +303,4 @@ class EventLog:
                     "from partial data", self.limit)
             self.dropped += 1
             return
-        self.events.append((t, kind, f))
+        self.events.append((t, kind, args))

@@ -13,7 +13,8 @@ crashes, SLO alerts), which ``keep_recent`` adds to the bus's
 ``wanted`` kinds.  Hardware kinds (cache, atomics, UDN send/deliver/
 receive, NoC, process spawn/exit) are built only on demand, so they
 appear in the ring only while another consumer -- a trace, a full
-subscriber, the spatial atlas for its two kinds -- wants them.
+subscriber -- wants them.  A bundle names each event's fields through
+:func:`repro.obs.bus.named`.
 
 When something goes wrong it **dumps an incident bundle**: a single
 JSON document holding the recent-event tail, the time-series tail, a
@@ -50,7 +51,9 @@ import itertools
 import json
 import os
 from collections import deque
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
+
+from repro.obs.bus import SCHEMA, named
 
 __all__ = ["FlightRecorder"]
 
@@ -71,6 +74,10 @@ TRIGGERS = frozenset(
 #: point) share one incident directory, so filenames carry the
 #: recorder's creation rank to stay collision-free and deterministic
 _RECORDER_IDS = itertools.count()
+
+#: where the incident-naming triggers carry their detail
+_KILL_NAME = SCHEMA["proc.kill"][1].index("name")
+_BREACH_SLO = SCHEMA["slo.breach"][1].index("slo")
 
 
 class FlightRecorder:
@@ -98,24 +105,24 @@ class FlightRecorder:
         self._storm_quiet_until = -1
 
     # -- bus subscribers --------------------------------------------------
-    def on_event(self, t: int, kind: str, f: Dict[str, Any]) -> None:
+    def on_event(self, t: int, kind: str, args: Tuple[Any, ...]) -> None:
         """Manual feed for unwired recorders (tests, offline replay).
 
         A bus-wired recorder never takes this path: the ring append
         rides inside ``EventBus.emit`` and only :data:`TRIGGERS` kinds
         reach :meth:`on_trigger` through the kind-filtered subscription.
         """
-        self.events.append((t, kind, f))
+        self.events.append((t, kind, args))
         if kind in TRIGGERS:
-            self.on_trigger(t, kind, f)
+            self.on_trigger(t, kind, args)
 
-    def on_trigger(self, t: int, kind: str, f: Dict[str, Any]) -> None:
+    def on_trigger(self, t: int, kind: str, args: Tuple[Any, ...]) -> None:
         if kind == "proc.kill":
-            self.record_incident("proc.kill",
-                                 detail=str(f.get("name", "?")), cycle=t)
+            self.record_incident("proc.kill", detail=str(args[_KILL_NAME]),
+                                 cycle=t)
         elif kind == "slo.breach":
-            self.record_incident("slo.breach",
-                                 detail=str(f.get("slo", "?")), cycle=t)
+            self.record_incident("slo.breach", detail=str(args[_BREACH_SLO]),
+                                 cycle=t)
         else:
             storm = self._storm
             storm.append(t)
@@ -146,7 +153,7 @@ class FlightRecorder:
             "cycle": sim.now if cycle is None else cycle,
             "label": ob.label,
             "config_fingerprint": ob.machine.cfg.fingerprint(),
-            "events": [[t, k, f] for t, k, f in self.events],
+            "events": [[t, k, named(k, a)] for t, k, a in self.events],
             # the kinds the bus was building: any other kind was not
             # emitted at all, so it is absent from the tail by design
             "kinds": sorted(ob.bus.wanted),

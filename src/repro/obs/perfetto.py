@@ -29,6 +29,8 @@ import json
 import logging
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.bus import named
+
 __all__ = ["TRACE_KINDS", "counter_events", "trace_events",
            "write_chrome_trace"]
 
@@ -86,10 +88,11 @@ def trace_events(event_log, num_cores: int, pid: int) -> List[Dict[str, Any]]:
             tid = link_tracks[key] = num_cores + 2 + len(link_tracks)
         return tid
 
-    for t, kind, f in event_log.events:
+    for t, kind, args in event_log.events:
+        f = named(kind, args)
         if kind == "cache.stall":
             add(f["start"], f["cycles"], f["core"],
-                "stall:" + f["why"], "cache", {"line": f.get("line")})
+                "stall:" + f["why"], "cache", {"line": f["line"]})
         elif kind == "fence.stall":
             add(f["start"], f["cycles"], f["core"],
                 "stall:" + f["why"], "cache", {})

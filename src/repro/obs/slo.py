@@ -29,11 +29,15 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs.bus import SCHEMA
 from repro.obs.timeseries import TimeSeries
 
 __all__ = ["SLO", "SLOMonitor"]
 
 _KINDS = ("latency", "goodput", "qdepth")
+
+#: where ``op.end`` carries its op's start cycle
+_START = SCHEMA["op.end"][1].index("start")
 
 
 @dataclass(frozen=True)
@@ -106,11 +110,11 @@ class SLOMonitor:
             self.burn[s.name] = sampler.adopt(ts)
 
     # -- bus subscriber ---------------------------------------------------
-    def on_event(self, t: int, kind: str, f: Dict[str, Any]) -> None:
+    def on_event(self, t: int, kind: str, args: Tuple[Any, ...]) -> None:
         if kind == "op.end":
             self._ops += 1
             self._started = True
-            self._lat.append(t - f["start"])
+            self._lat.append(t - args[_START])
 
     # -- sampler tick subscriber ------------------------------------------
     def on_tick(self, now: int) -> None:
@@ -137,16 +141,14 @@ class SLOMonitor:
                 st.breaches += 1
                 self.events.append((now, "breach", s.name))
                 if "slo.breach" in bus.wanted:
-                    bus.emit("slo.breach", slo=s.name, objective=s.kind,
-                             target=s.target, value=st.last_value,
-                             burn_short=st.burn_short, burn_long=st.burn_long)
+                    bus.emit("slo.breach", s.name, s.kind, s.target,
+                             st.last_value, st.burn_short, st.burn_long)
             elif st.breached and st.burn_short < 1.0:
                 st.breached = False
                 self.events.append((now, "recover", s.name))
                 if "slo.recover" in bus.wanted:
-                    bus.emit("slo.recover", slo=s.name, objective=s.kind,
-                             target=s.target, value=st.last_value,
-                             burn_short=st.burn_short, burn_long=st.burn_long)
+                    bus.emit("slo.recover", s.name, s.kind, s.target,
+                             st.last_value, st.burn_short, st.burn_long)
 
     def _evaluate(self, s: SLO, st: _State, lats: List[int], ops: int,
                   elapsed: int) -> Optional[float]:

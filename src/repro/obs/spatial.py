@@ -59,6 +59,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.obs.bus import named
+
 __all__ = ["SpatialAtlas", "merge_spatial_summaries", "render_hotspots",
            "causal_link_flows"]
 
@@ -446,9 +448,12 @@ def causal_link_flows(atlas: SpatialAtlas, event_log) -> Dict[str, Any]:
     flows: Dict[str, Dict[str, int]] = {}
     cur: Dict[int, str] = {}  # core -> flow label of its current op
     node_of = atlas._node_of
-    for _t, kind, f in event_log.events:
+    for _t, kind, args in event_log.events:
+        if kind not in ("op.begin", "udn.send"):
+            continue
+        f = named(kind, args)
         if kind == "op.begin":
-            cur[f["core"]] = f"{f.get('prim', 'op')}/t{f['tid']}"
+            cur[f["core"]] = f"{f['prim']}/t{f['tid']}"
         elif kind == "udn.send":
             label = cur.get(f["core"], f"core{f['core']}")
             src, dst = node_of[f["core"]], node_of[f["dst_core"]]

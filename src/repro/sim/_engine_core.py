@@ -310,7 +310,7 @@ class Process:
         if obs is not None:
             obs.counters.count("proc_interrupts")
             if "proc.interrupt" in obs.wanted:
-                obs.emit("proc.interrupt", name=self.name)
+                obs.emit("proc.interrupt", self.name)
         sim._fast.append(_Throw(sim, self, Interrupt(cause), self._resume_gen))
 
     def kill(self, cause: Any = None) -> None:
@@ -376,7 +376,7 @@ class Process:
         if obs is not None:
             obs.counters.count("proc_kills")
             if "proc.kill" in obs.wanted:
-                obs.emit("proc.kill", name=self.name)
+                obs.emit("proc.kill", self.name)
         done = self._done_event
         if done is not None:
             done.trigger(None)
@@ -391,7 +391,7 @@ class Process:
         sim._forget(self)
         obs = sim.obs
         if obs is not None and "proc.exit" in obs.wanted:
-            obs.emit("proc.exit", name=self.name)
+            obs.emit("proc.exit", self.name)
         done = self._done_event
         if done is not None:
             done.trigger(result)
@@ -562,7 +562,7 @@ class Simulator:
         proc = Process(self, gen, name, daemon=daemon)
         self._processes.add(proc)
         if self.obs is not None and "proc.spawn" in self.obs.wanted:
-            self.obs.emit("proc.spawn", name=name)
+            self.obs.emit("proc.spawn", name)
         proc._bare = True
         self._fast.append(proc)
         return proc

@@ -197,8 +197,8 @@ class _Delivery:
             latency = sim.now - self.sent_at
             obs.counters.udn_deliver(latency)
             if "udn.deliver" in obs.wanted:
-                obs.emit("udn.deliver", core=self.dst_core, demux=self.demux,
-                         words=self.n_words, latency=latency, msg_id=self.msg_id)
+                obs.emit("udn.deliver", self.dst_core, self.demux,
+                         self.n_words, latency, self.msg_id)
         cond = q.arrival_cond
         if cond._waiters:
             cond.notify_all()
@@ -388,8 +388,7 @@ class UdnFabric:
                     if obs is not None:
                         obs.counters.count("udn_timeouts")
                         if "udn.timeout" in obs.wanted:
-                            obs.emit("udn.timeout", core=core.cid, op="send",
-                                     waited=waited)
+                            obs.emit("udn.timeout", core.cid, "send", waited)
                     raise SendTimeout(
                         f"send of {n} words to thread {dst_tid} timed out after "
                         f"{waited} cycles of backpressure", waited
@@ -418,12 +417,10 @@ class UdnFabric:
             if blocked:
                 counters.backpressure(core.cid, blocked)
                 if "udn.backpressure" in obs.wanted:
-                    obs.emit("udn.backpressure", core=core.cid, cycles=blocked,
-                             dst_core=dst_core_id, start=t0)
+                    obs.emit("udn.backpressure", core.cid, blocked, dst_core_id, t0)
             counters.udn_send(core.cid, n)
             if "udn.send" in obs.wanted:
-                obs.emit("udn.send", core=core.cid, dst_tid=dst_tid,
-                         dst_core=dst_core_id, words=n, msg_id=msg_id)
+                obs.emit("udn.send", core.cid, dst_tid, dst_core_id, n, msg_id)
         inject = self._send_base + self._send_per_word * n
         core.busy += inject
         core.msgs_sent += 1
@@ -527,8 +524,7 @@ class UdnFabric:
                     if obs is not None:
                         obs.counters.count("udn_timeouts")
                         if "udn.timeout" in obs.wanted:
-                            obs.emit("udn.timeout", core=core.cid, op="receive",
-                                     waited=waited)
+                            obs.emit("udn.timeout", core.cid, "receive", waited)
                     raise ReceiveTimeout(
                         f"receive of {k} words by thread {tid} timed out after "
                         f"{waited} cycles ({len(words)} words queued)", waited
@@ -543,8 +539,7 @@ class UdnFabric:
         if obs is not None:
             obs.counters.udn_recv(core.cid, k, waited)
             if "udn.recv" in obs.wanted:
-                obs.emit("udn.recv", core=core.cid, tid=tid, words=k,
-                         waited=waited, start=t0)
+                obs.emit("udn.recv", core.cid, tid, k, waited, t0)
         cost = self._recv_base + self._recv_per_word * k
         core.busy += cost
         core.msgs_received += 1

@@ -274,8 +274,7 @@ class AdmissionQueue:
         if self.capacity is not None and depth >= self.capacity:
             self.shed += 1
             if obs is not None and "admit.shed" in obs.wanted:
-                obs.emit("admit.shed", tid=self.tid, op=k, depth=depth,
-                         reason="queue-full")
+                obs.emit("admit.shed", self.tid, k, depth, "queue-full")
             return False
         self.items.append((k, self.sim.now))
         self.enqueued += 1
@@ -283,7 +282,7 @@ class AdmissionQueue:
         if depth > self.depth_peak:
             self.depth_peak = depth
         if obs is not None and "admit.enqueue" in obs.wanted:
-            obs.emit("admit.enqueue", tid=self.tid, op=k, depth=depth)
+            obs.emit("admit.enqueue", self.tid, k, depth)
         self._cond.notify_all()
         return True
 
@@ -371,21 +370,19 @@ class _Dispatcher:
                     state["open_until"] = sim.now + adm.breaker_cooldown_cycles
                     counters["breaker_trips"] += 1
                     if obs is not None and "admit.breaker" in obs.wanted:
-                        obs.emit("admit.breaker", tid=ctx.tid, state="open",
-                                 until=state["open_until"])
+                        obs.emit("admit.breaker", ctx.tid, "open",
+                                 state["open_until"])
                 if attempt >= adm.max_retries:
                     counters["retry_shed"] += 1
                     if obs is not None and "admit.shed" in obs.wanted:
-                        obs.emit("admit.shed", tid=ctx.tid, op=-1, depth=0,
-                                 reason="timeout")
+                        obs.emit("admit.shed", ctx.tid, -1, 0, "timeout")
                     return False, None
                 attempt += 1
                 counters["retries"] += 1
                 backoff = min(adm.backoff_cap_cycles,
                               adm.backoff_base_cycles << (attempt - 1))
                 if obs is not None and "admit.retry" in obs.wanted:
-                    obs.emit("admit.retry", tid=ctx.tid, attempt=attempt,
-                             backoff=backoff)
+                    obs.emit("admit.retry", ctx.tid, attempt, backoff)
                 yield from ctx.work(backoff)
             else:
                 state["consecutive"] = 0
@@ -393,8 +390,7 @@ class _Dispatcher:
                     state["half_open"] = False
                     obs = sim.obs
                     if obs is not None and "admit.breaker" in obs.wanted:
-                        obs.emit("admit.breaker", tid=ctx.tid, state="closed",
-                                 until=0)
+                        obs.emit("admit.breaker", ctx.tid, "closed", 0)
                 return True, retval
 
 

@@ -60,9 +60,11 @@ double-counting when the accounting is refactored).
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Tuple
 
 import numpy as np
+
+from repro.obs.bus import named
 
 __all__ = ["PerfCounters", "counters_csv", "merge_counters", "latency_bucket"]
 
@@ -143,7 +145,8 @@ class PerfCounters:
         self._source_base[name] = fn()
 
     # -- event ingestion ----------------------------------------------------
-    def on_event(self, t: int, kind: str, f: Dict[str, Any]) -> None:
+    def on_event(self, t: int, kind: str, args: Tuple[Any, ...]) -> None:
+        f = named(kind, args)
         handler = _HANDLERS.get(kind)
         if handler is not None:
             handler(self, t, f)

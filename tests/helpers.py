@@ -7,7 +7,22 @@ import numpy as np
 from repro.analysis.linearizability import History
 from repro.core import CCSynch, HybComb, MPServer, OpTable, ShmServer
 from repro.machine import Machine, tile_gx
+from repro.obs.bus import SCHEMA
 from repro.workload.driver import run_ops
+
+
+def ev(t: int, kind: str, **fields):
+    """One bus event ``(cycle, kind, args)`` built from named fields.
+
+    Fills the positions from :data:`repro.obs.bus.SCHEMA`; a missing or
+    unknown field name raises, so a hand-built event always has the
+    shape the simulator emits.
+    """
+    names = SCHEMA[kind][1]
+    if set(fields) != set(names):
+        raise ValueError(
+            f"{kind} takes fields {names}, got {tuple(sorted(fields))}")
+    return t, kind, tuple(fields[n] for n in names)
 
 
 def make_counter(machine: Machine, optable: OpTable):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
+from repro.obs.bus import named
+
 #: the kinds the ledger consumed from the bus
 KINDS = ("udn.send", "noc.link", "udn.deliver")
 
@@ -64,7 +66,8 @@ class HopLedger:
         out["records_dropped"] = self.records_dropped
         return out
 
-    def on_event(self, t: int, kind: str, f: Dict[str, Any]) -> None:
+    def on_event(self, t: int, kind: str, args: Tuple[Any, ...]) -> None:
+        f = named(kind, args)
         if kind == "udn.send":
             # hops mode only: open this message's ledger entry (the
             # pair/word aggregation already happened inline in the fabric)
@@ -140,7 +143,8 @@ class BusOccupancy:
         # sender node -> blocked cycles
         self._backpressure: Dict[int, int] = {}
 
-    def on_event(self, t: int, kind: str, f: Dict[str, Any]) -> None:
+    def on_event(self, t: int, kind: str, args: Tuple[Any, ...]) -> None:
+        f = named(kind, args)
         if kind == "noc.link":
             link = (f["a"], f["b"])
             e = self._fresh_measured.get(link)

@@ -3,14 +3,16 @@
 Every publish site checks ``"<kind>" in obs.wanted`` before it builds an
 event, so which consumers are attached decides which events exist --
 never what the simulation does.  These tests pin the taxonomy (the
-kinds ``src/`` emits are :data:`repro.obs.bus.KINDS` and the rows of the
-``repro.obs.bus`` table), the ``wanted`` bookkeeping, and the stream
-equivalence the guard promises: on five scenarios, a run under the
-report stack publishes exactly a fully-observed run's events filtered
-to its ``wanted`` kinds, with the same results and counters, while a
-counters-only run publishes nothing.
+kinds ``src/`` emits are the rows of :data:`repro.obs.bus.SCHEMA`, each
+emit passes its row's fields positionally, and every consumer's kind
+set is a subset of the kinds it reads from), the ``wanted``
+bookkeeping, and the stream equivalence the guard promises: on five
+scenarios, a run under the report stack publishes exactly a
+fully-observed run's events filtered to its ``wanted`` kinds, with the
+same results and counters, while a counters-only run publishes nothing.
 """
 
+import ast
 import dataclasses
 import re
 from contextlib import contextmanager
@@ -20,12 +22,15 @@ import pytest
 
 import repro
 import repro.obs as obs
-import repro.obs.bus as bus_module
+from repro.analysis.critpath import CAUSAL_KINDS
+from repro.analysis.render import _TIMELINE_KINDS
 from repro.core import OpTable, ShmServer
 from repro.faults import CrashThread, FaultPlan
 from repro.machine import Machine, mesh_profile, tile_gx, x86_like
 from repro.objects import LockedCounter
-from repro.obs.bus import KINDS, NARRATED_KINDS, EventBus
+from repro.obs.bus import KINDS, NARRATED_KINDS, SCHEMA, EventBus
+from repro.obs.flightrec import TRIGGERS
+from repro.obs.perfetto import TRACE_KINDS
 from repro.workload import WorkloadSpec
 from repro.workload.openloop import (
     AdmissionSpec,
@@ -37,6 +42,7 @@ from repro.workload.scenarios import (
     run_counter_benchmark,
     run_fault_recovery_benchmark,
 )
+from tests.helpers import ev
 
 SPEC = WorkloadSpec(warmup_cycles=5_000, measure_cycles=20_000)
 
@@ -48,12 +54,12 @@ REPORT = dict(timeseries=True, flight=True, spatial=True, spatial_hops=True,
 # -- the taxonomy ------------------------------------------------------------
 
 _EMIT = re.compile(r'emit\(\s*"([^"]+)"')
-_ROW = re.compile(r"^``([a-z_]+\.[a-z_]+)``\s+(narrated|hardware)\s", re.M)
+_SRC = sorted(Path(repro.__file__).parent.rglob("*.py"))
 
 
 def _emit_sites():
     """(path, kind, text before the emit in its function) per emit site."""
-    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+    for path in _SRC:
         text = path.read_text()
         for m in _EMIT.finditer(text):
             start = text.rfind("\ndef ", 0, m.start())
@@ -62,12 +68,45 @@ def _emit_sites():
 
 
 def test_emitted_kinds_are_the_taxonomy():
-    """A kind missing from KINDS would never reach a full subscriber."""
-    emitted = {kind for _p, kind, _before in _emit_sites()}
-    rows = dict(_ROW.findall(bus_module.__doc__))
-    assert emitted == KINDS == set(rows)
-    assert {k for k, c in rows.items() if c == "narrated"} == NARRATED_KINDS
+    """Every ``emit`` call in ``src/`` names a SCHEMA kind as a constant
+    and passes exactly that row's fields, positionally -- no keywords,
+    no ``*`` splat -- and every SCHEMA kind is emitted somewhere.  A
+    kind missing from KINDS would never reach a full subscriber."""
+    emitted, wrong = set(), []
+    for path in _SRC:
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "emit"):
+                continue
+            where = f"{path.name}:{call.lineno}"
+            kind = call.args[0] if call.args else None
+            if not (isinstance(kind, ast.Constant) and kind.value in SCHEMA):
+                wrong.append(f"{where}: not a SCHEMA kind constant")
+                continue
+            fields = SCHEMA[kind.value][1]
+            if (call.keywords or len(call.args) != 1 + len(fields)
+                    or any(isinstance(a, ast.Starred) for a in call.args)):
+                wrong.append(f"{where}: {kind.value} takes {fields}")
+            emitted.add(kind.value)
+    assert wrong == []
+    assert emitted == KINDS == set(SCHEMA)
+    assert {cls for cls, _f in SCHEMA.values()} == {"hardware", "narrated"}
     assert NARRATED_KINDS < KINDS
+
+
+def test_consumer_kinds_are_schema_kinds():
+    """Each consumer's kind set names SCHEMA kinds, and a log reader
+    reads only kinds the log records."""
+    timeline = set(_TIMELINE_KINDS)
+    for kinds in (TRACE_KINDS, CAUSAL_KINDS, timeline, TRIGGERS):
+        assert kinds <= KINDS
+    # the link-flow join (spatial.causal_link_flows) reads these two
+    for kinds in (CAUSAL_KINDS, timeline, {"op.begin", "udn.send"}):
+        assert kinds <= TRACE_KINDS
+    assert TRIGGERS <= NARRATED_KINDS
+    for kind, (_glyph, dur) in _TIMELINE_KINDS.items():
+        assert dur is None or dur in SCHEMA[kind][1]
 
 
 def test_every_emit_site_checks_wanted():
@@ -109,7 +148,9 @@ def test_emit_publishes_whatever_is_wanted():
     """``emit`` does not filter: a direct call always publishes."""
     bus = EventBus(_Clock())
     ring = bus.keep_recent(8)
-    bus.emit("cache.miss", core=0)
+    _t, kind, args = ev(0, "cache.miss", core=0, line=0, op="load",
+                        transition="I->S", latency=1)
+    bus.emit(kind, *args)
     assert bus.events_emitted == 1 and [k for _t, k, _f in ring] == ["cache.miss"]
 
 

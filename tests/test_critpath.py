@@ -18,15 +18,16 @@ from repro.analysis.critpath import (
 )
 from repro.workload.driver import WorkloadSpec
 from repro.workload.scenarios import run_counter_benchmark
+from tests.helpers import ev
 
 
 def _op(events, op=0, tid=1, core=1, t0=0, t1=100, measured=True, prim="x"):
     """Wrap ``events`` between an op.begin and op.end pair."""
     return (
-        [(t0, "op.begin", {"op": op, "tid": tid, "core": core, "prim": prim})]
+        [ev(t0, "op.begin", op=op, tid=tid, core=core, prim=prim)]
         + events
-        + [(t1, "op.end", {"op": op, "tid": tid, "core": core,
-                           "start": t0, "measured": measured})]
+        + [ev(t1, "op.end", op=op, tid=tid, core=core, start=t0,
+              measured=measured)]
     )
 
 
@@ -43,12 +44,10 @@ def test_bare_op_is_all_client():
 def test_paint_precedence_and_exact_partition():
     # stall [10,20), recv wait [30,80), service [40,50) on another core
     rep = analyze(_op([
-        (20, "cache.stall", {"core": 1, "cycles": 10, "why": "miss",
-                             "start": 10}),
-        (80, "udn.recv", {"tid": 1, "core": 1, "start": 30, "waited": 50,
-                          "words": 1}),
-        (50, "server.done", {"core": 0, "client": 1, "prim": "x",
-                             "start": 40}),
+        ev(20, "cache.stall", core=1, cycles=10, why="miss", line=0,
+           start=10),
+        ev(80, "udn.recv", tid=1, core=1, start=30, waited=50, words=1),
+        ev(50, "server.done", core=0, client=1, prim="x", start=40),
     ]))
     (o,) = rep.ops
     assert o.blame == {
@@ -63,11 +62,10 @@ def test_paint_precedence_and_exact_partition():
 
 def test_serving_core_stalls_become_service_stall():
     rep = analyze(_op([
-        (50, "server.done", {"core": 0, "client": 1, "prim": "x",
-                             "start": 40}),
+        ev(50, "server.done", core=0, client=1, prim="x", start=40),
         # the *serving* core stalled for [43,48) inside the service span
-        (48, "cache.stall", {"core": 0, "cycles": 5, "why": "miss",
-                             "start": 43}),
+        ev(48, "cache.stall", core=0, cycles=5, why="miss", line=0,
+           start=43),
     ]))
     (o,) = rep.ops
     assert o.blame["service"] == 5
@@ -76,9 +74,8 @@ def test_serving_core_stalls_become_service_stall():
 
 def test_atomic_and_backpressure_paint_over_client():
     rep = analyze(_op([
-        (15, "atomic.stall", {"core": 1, "cycles": 5, "line": 0}),
-        (40, "udn.backpressure", {"core": 1, "start": 30, "cycles": 10,
-                                  "dst_core": 0}),
+        ev(15, "atomic.stall", core=1, cycles=5, line=0, start=10),
+        ev(40, "udn.backpressure", core=1, start=30, cycles=10, dst_core=0),
     ]))
     (o,) = rep.ops
     assert o.blame == {"client": 85, "atomic": 5, "backpressure": 10}
@@ -86,13 +83,11 @@ def test_atomic_and_backpressure_paint_over_client():
 
 def test_udn_transit_matched_by_msg_id():
     rep = analyze(_op([
-        (5, "udn.send", {"core": 1, "msg_id": 7, "dst_tid": 0,
-                         "dst_core": 0, "words": 3}),
-        (12, "udn.deliver", {"core": 0, "msg_id": 7, "words": 3,
-                             "latency": 7}),
+        ev(5, "udn.send", core=1, msg_id=7, dst_tid=0, dst_core=0, words=3),
+        ev(12, "udn.deliver", core=0, msg_id=7, words=3, latency=7,
+           demux=0),
         # a send whose delivery was never recorded paints nothing
-        (60, "udn.send", {"core": 1, "msg_id": 8, "dst_tid": 0,
-                          "dst_core": 0, "words": 3}),
+        ev(60, "udn.send", core=1, msg_id=8, dst_tid=0, dst_core=0, words=3),
     ]))
     (o,) = rep.ops
     assert o.blame["udn_transit"] == 7   # [5,12)
@@ -101,8 +96,7 @@ def test_udn_transit_matched_by_msg_id():
 
 def test_combining_for_others_is_separated_from_client_time():
     rep = analyze(_op([
-        (70, "combiner.close", {"tid": 1, "core": 1, "start": 20, "ops": 4,
-                                "prim": "x"}),
+        ev(70, "combiner.close", tid=1, core=1, start=20, ops=4, prim="x"),
     ]))
     (o,) = rep.ops
     assert o.blame == {"client": 50, "combining": 50}
@@ -111,11 +105,10 @@ def test_combining_for_others_is_separated_from_client_time():
 def test_spans_outside_the_op_are_clipped():
     rep = analyze(_op([
         # stall straddles t0: only [0,5) lands in the op
-        (5, "cache.stall", {"core": 1, "cycles": 10, "why": "miss",
-                            "start": -5}),
+        ev(5, "cache.stall", core=1, cycles=10, why="miss", line=0,
+           start=-5),
         # service span starting before t0 is ignored entirely
-        (30, "server.done", {"core": 0, "client": 1, "prim": "x",
-                             "start": -2}),
+        ev(30, "server.done", core=0, client=1, prim="x", start=-2),
     ], t0=0))
     (o,) = rep.ops
     assert o.blame["coherence"] == 5
@@ -124,8 +117,7 @@ def test_spans_outside_the_op_are_clipped():
 
 
 def test_begin_without_end_counts_incomplete():
-    rep = analyze([(0, "op.begin", {"op": 0, "tid": 1, "core": 1,
-                                    "prim": "x"})])
+    rep = analyze([ev(0, "op.begin", op=0, tid=1, core=1, prim="x")])
     assert rep.ops == []
     assert rep.incomplete_ops == 1
 
@@ -152,11 +144,9 @@ def test_path_rides_the_serialized_service_resource():
     # two clients; their service spans serialize on the server, so the
     # longest chain hops between ops through the service segments
     events = (
-        _op([(80, "server.done", {"core": 0, "client": 1, "prim": "x",
-                                  "start": 60})],
+        _op([ev(80, "server.done", core=0, client=1, prim="x", start=60)],
             op=0, tid=1, core=1, t0=0, t1=85)
-        + _op([(90, "server.done", {"core": 0, "client": 2, "prim": "x",
-                                    "start": 82})],
+        + _op([ev(90, "server.done", core=0, client=2, prim="x", start=82)],
             op=1, tid=2, core=2, t0=5, t1=95)
     )
     rep = analyze(events)
@@ -182,8 +172,8 @@ def test_stragglers_returns_slowest_measured_first():
 
 def test_diff_reports_mean_per_op_delta():
     a = analyze(_op([], t0=0, t1=50))
-    b = analyze(_op([(40, "atomic.stall", {"core": 1, "cycles": 10,
-                                           "line": 0})], t0=0, t1=100))
+    b = analyze(_op([ev(40, "atomic.stall", core=1, cycles=10, line=0,
+                        start=30)], t0=0, t1=100))
     d = diff_reports(a, b)
     assert d["client"] == {"a": 50.0, "b": 90.0, "delta": 40.0}
     assert d["atomic"]["delta"] == 10.0

@@ -13,6 +13,7 @@ from repro.obs.bus import NARRATED_KINDS
 from repro.sim.engine import DeadlockError
 from repro.workload import WorkloadSpec
 from repro.workload.scenarios import run_counter_benchmark
+from tests.helpers import ev
 
 SPEC = WorkloadSpec(warmup_cycles=5_000, measure_cycles=20_000)
 
@@ -27,11 +28,13 @@ def _machine(**kw):
 
 def test_recent_ring_is_bounded():
     _m, ob = _machine(flight_limit=16)
-    for i in range(100):
-        ob.bus.emit("test.noise", i=i)
+    events = [ev(0, "op.begin", core=0, tid=0, op=i, prim="x")
+              for i in range(100)]
+    for _t, kind, args in events:
+        ob.bus.emit(kind, *args)
     assert len(ob.flight.events) == 16
     # the ring holds the newest tail, oldest first
-    assert [f["i"] for _t, _k, f in ob.flight.events] == list(range(84, 100))
+    assert list(ob.flight.events) == events[84:]
 
 
 def test_flight_limit_validated():
@@ -44,7 +47,8 @@ def test_flight_limit_validated():
 def test_proc_kill_event_dumps_incident(tmp_path):
     out = str(tmp_path / "inc")
     _m, ob = _machine(incident_dir=out)
-    ob.bus.emit("proc.kill", name="victim-3")
+    _t, kind, args = ev(0, "proc.kill", name="victim-3")
+    ob.bus.emit(kind, *args)
     assert len(ob.flight.incidents) == 1
     doc = ob.flight.incidents[0]
     assert doc["reason"] == "proc.kill" and doc["detail"] == "victim-3"
@@ -63,7 +67,9 @@ def test_slo_breach_trigger_sees_monitor_state(tmp_path):
               burn_threshold=1.0, short_ticks=1, long_ticks=1)
     _m, ob = _machine(slos=(slo,), incident_dir=str(tmp_path))
     ob.bus.sim.now = 512
-    ob.bus.emit("op.end", core=0, tid=0, op=0, start=0, measured=True)
+    _t, kind, args = ev(512, "op.end", core=0, tid=0, op=0, start=0,
+                        measured=True)
+    ob.bus.emit(kind, *args)
     ob.slo.on_tick(512)
     assert ob.slo.breaches == 1
     assert len(ob.flight.incidents) == 1
@@ -79,7 +85,8 @@ def test_timeout_storm_dumps_once_per_window():
     ob.flight.storm_threshold = 10
     ob.flight.storm_window = 1_000
     for t in range(0, 3_000, 10):   # 100 timeouts per window, sustained
-        ob.flight.on_trigger(t, "udn.timeout", {})
+        ob.flight.on_trigger(*ev(t, "udn.timeout", core=0, op="receive",
+                                 waited=1))
     reasons = [d["reason"] for d in ob.flight.incidents]
     assert reasons.count("timeout.storm") == len(reasons)
     # one dump per quiet window, not one per timeout
@@ -91,7 +98,8 @@ def test_sparse_timeouts_do_not_dump():
     ob.flight.storm_threshold = 10
     ob.flight.storm_window = 1_000
     for t in range(0, 100_000, 5_000):   # far apart: never 10 in a window
-        ob.flight.on_trigger(t, "dispatch.timeout", {})
+        ob.flight.on_trigger(*ev(t, "dispatch.timeout", core=0, tid=0,
+                                 prim="x", waited=1))
     assert ob.flight.incidents == []
 
 
@@ -99,7 +107,8 @@ def test_max_incidents_caps_disk_but_counts_detections(tmp_path):
     _m, ob = _machine(incident_dir=str(tmp_path))
     ob.flight.max_incidents = 3
     for i in range(10):
-        ob.bus.emit("proc.kill", name=f"v{i}")
+        _t, kind, args = ev(0, "proc.kill", name=f"v{i}")
+        ob.bus.emit(kind, *args)
     assert len(ob.flight.incidents) == 3
     assert len(ob.flight.paths) == 3
     assert ob.flight.detected == 10

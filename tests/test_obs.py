@@ -1,5 +1,7 @@
 """Tests for the observability subsystem: event bus + perf counters."""
 
+import tracemalloc
+
 import pytest
 
 import repro.obs as obs
@@ -122,6 +124,26 @@ def test_bus_emit_and_subscribe():
     # timestamps are the simulator clock and never decrease
     times = [t for t, _k, _f in seen]
     assert times == sorted(times)
+
+
+def test_event_log_keeps_no_dict_per_event():
+    """A recorded event is the emit's own argument tuple wrapped in a
+    ``(cycle, kind, args)`` triple: no per-event dict (288 B/event when
+    events carried keyword dicts)."""
+    m = Machine(tile_gx())
+    ob = m.enable_observability(trace=True)
+    emit = ob.bus.emit
+    n = 20_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(n):
+            emit("udn.send", 1, 0, 0, 3, 1_000 + i)
+        per_event = (tracemalloc.get_traced_memory()[0] - before) / n
+    finally:
+        tracemalloc.stop()
+    assert len(ob.trace.events) == n
+    assert per_event <= 200, f"{per_event:.0f} B per recorded event"
 
 
 def test_observed_session_auto_attaches_machines():

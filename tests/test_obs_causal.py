@@ -17,6 +17,7 @@ from repro.obs.bus import EventBus, EventLog
 from repro.obs.perfetto import TRACE_KINDS
 from repro.workload.driver import WorkloadSpec
 from repro.workload.scenarios import run_counter_benchmark
+from tests.helpers import ev
 
 SPEC = WorkloadSpec(warmup_cycles=5_000, measure_cycles=15_000)
 APPROACHES = ("mp-server", "shm-server", "HybComb", "CC-Synch")
@@ -92,7 +93,7 @@ def test_event_log_truncates_at_limit_and_flags_it():
     log = EventLog(limit=5)
     assert not log.truncated
     for i in range(9):
-        log.on_event(i, "op.begin", {"op": i, "core": 0, "tid": 0})
+        log.on_event(*ev(i, "op.begin", op=i, core=0, tid=0, prim="x"))
     assert len(log.events) == 5
     assert log.dropped == 4
     assert log.truncated
@@ -118,19 +119,20 @@ class _Clock:
 
 
 def test_bus_hands_each_emit_a_fresh_dict():
-    """Two emits hand subscribers distinct dicts, so the log keeps each
-    event's values without copying."""
+    """Two emits hand subscribers distinct argument tuples (events carry
+    no dict), so the log keeps each event's values without copying."""
     bus = EventBus(_Clock())
     log = EventLog()
     seen = []
-    bus.subscribe(lambda t, k, f: seen.append(f))
+    bus.subscribe(lambda t, k, args: seen.append(args))
     bus.subscribe_kinds(("op.begin",), log.on_event)
-    bus.emit("op.begin", op=1, core=0, tid=0)
+    first = ev(0, "op.begin", op=1, core=0, tid=0, prim="x")
+    second = ev(7, "op.begin", op=2, core=1, tid=1, prim="x")
+    bus.emit(first[1], *first[2])
     bus.sim.now = 7
-    bus.emit("op.begin", op=2, core=1, tid=1)
+    bus.emit(second[1], *second[2])
     assert seen[0] is not seen[1]
-    assert [(t, f["op"], f["core"]) for t, _k, f in log.events] == [
-        (0, 1, 0), (7, 2, 1)]
+    assert log.events == [first, second]
 
 
 def test_causal_tracing_is_a_pure_observer():

@@ -7,6 +7,7 @@ from repro.core import MPServer, OpTable
 from repro.machine import Machine, tile_gx
 from repro.obs.bus import EventLog
 from repro.obs.perfetto import trace_events
+from tests.helpers import ev
 
 
 def _run_mpserver(num_clients=4, ops=20):
@@ -90,11 +91,11 @@ def test_trace_events_per_core_track():
 
 def test_sim_track_carries_faults_and_links_get_tracks_in_first_use_order():
     log = EventLog()
-    log.on_event(5, "noc.link", {"a": 3, "b": 4, "wait": 0, "busy": 2})
-    log.on_event(6, "noc.link", {"a": 1, "b": 2, "wait": 1, "busy": 2})
-    log.on_event(7, "noc.link", {"a": 3, "b": 4, "wait": 0, "busy": 2})
-    log.on_event(9, "proc.kill", {"name": "server"})
-    log.on_event(9, "proc.spawn", {"name": "x"})  # not a traced kind
+    for t, a, b, wait in ((5, 3, 4, 0), (6, 1, 2, 1), (7, 3, 4, 0)):
+        log.on_event(*ev(t, "noc.link", a=a, b=b, wait=wait, busy=2, hop=0,
+                         msg_id=None))
+    log.on_event(*ev(9, "proc.kill", name="server"))
+    log.on_event(*ev(9, "proc.spawn", name="x"))  # not a traced kind
     events = trace_events(log, num_cores=2, pid=0)
     names = {e["tid"]: e["args"]["name"] for e in events if e["ph"] == "M"}
     assert names == {2: "sim", 4: "link 3->4", 5: "link 1->2"}

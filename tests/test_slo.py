@@ -6,7 +6,9 @@ import repro.obs as obs
 from repro.machine import Machine, tile_gx
 from repro.obs import SLO
 from repro.workload import WorkloadSpec
+from repro.obs.bus import named
 from repro.workload.scenarios import run_counter_benchmark
+from tests.helpers import ev
 
 
 def _machine_with(slos, **kw):
@@ -22,7 +24,9 @@ def _tick(ob, at):
 
 def _end_op(ob, t, start):
     ob.bus.sim.now = t
-    ob.bus.emit("op.end", core=0, tid=0, op=0, start=start, measured=True)
+    _t, kind, args = ev(t, "op.end", core=0, tid=0, op=0, start=start,
+                        measured=True)
+    ob.bus.emit(kind, *args)
 
 
 # -- validation ------------------------------------------------------------
@@ -60,7 +64,8 @@ def test_bad_window_breaches_and_publishes_bus_event():
     _tick(ob, 512)
     assert ob.slo.breaches == 1
     assert len(events) == 1
-    t, k, f = events[0]
+    t, k, args = events[0]
+    f = named(k, args)
     assert (t, k) == (512, "slo.breach")
     assert f["slo"] == "lat" and f["objective"] == "latency"
     assert f["burn_short"] == pytest.approx(2.0)

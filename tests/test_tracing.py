@@ -1,49 +1,54 @@
 """Tests for the ASCII timeline rendered from a machine's event log."""
 
+import json
 import os
 import re
 import runpy
+import sys
 
+import pytest
+
+import repro.obs as obs
 from repro.analysis.render import render_timeline
 from repro.core import MPServer, OpTable
+from repro.experiments.registry import _export_obs
 from repro.machine import Machine, tile_gx
-from repro.obs.bus import EventLog
+from repro.obs.bus import SCHEMA, EventLog
+from repro.workload import WorkloadSpec
+from repro.workload.scenarios import run_counter_benchmark
+from tests.helpers import ev
 
 
 def _log(*events):
     log = EventLog()
-    for t, kind, f in events:
-        log.on_event(t, kind, f)
+    for t, kind, args in events:
+        log.on_event(t, kind, args)
     return log
 
 
 def _stall(core, start, end, why="load"):
-    return (end, "cache.stall",
-            {"core": core, "cycles": end - start, "why": why, "line": 1,
-             "start": start})
+    return ev(end, "cache.stall", core=core, cycles=end - start, why=why,
+              line=1, start=start)
 
 
 def _atomic(core, start, end):
-    return (end, "atomic.stall",
-            {"core": core, "cycles": end - start, "line": 1, "start": start})
+    return ev(end, "atomic.stall", core=core, cycles=end - start, line=1,
+              start=start)
 
 
 def _send(core, t):
-    return (t, "udn.send",
-            {"core": core, "dst_tid": 0, "dst_core": 0, "words": 1,
-             "msg_id": t})
+    return ev(t, "udn.send", core=core, dst_tid=0, dst_core=0, words=1,
+              msg_id=t)
 
 
 def _recv(core, start, end):
-    return (end, "udn.recv",
-            {"core": core, "tid": core, "words": 1, "waited": end - start,
-             "start": start})
+    return ev(end, "udn.recv", core=core, tid=core, words=1,
+              waited=end - start, start=start)
 
 
 def _op(core, start, end):
-    return (end, "op.end",
-            {"core": core, "tid": core, "op": start, "start": start,
-             "measured": True})
+    return ev(end, "op.end", core=core, tid=core, op=start, start=start,
+              measured=True)
 
 
 def _rows(out):
@@ -71,11 +76,11 @@ def test_render_timeline_basic():
 def test_every_stall_and_message_kind_has_its_glyph():
     log = _log(_stall(0, 0, 10, "load"), _stall(0, 10, 20, "store_buffer"),
                _stall(0, 20, 30, "mshr"), _atomic(0, 30, 40),
-               (50, "fence.stall", {"core": 0, "cycles": 10, "why": "drain",
-                                    "start": 40}),
+               ev(50, "fence.stall", core=0, cycles=10, why="drain",
+                  start=40),
                _recv(0, 50, 60),
-               (70, "udn.backpressure", {"core": 0, "dst_core": 1,
-                                         "cycles": 10, "start": 60}))
+               ev(70, "udn.backpressure", core=0, dst_core=1, cycles=10,
+                  start=60))
     assert _rows(render_timeline(log, width=70))["c0"] == (
         "r" * 10 + "w" * 10 + "m" * 10 + "A" * 10 + "F" * 10 + "v" * 10
         + "b" * 10)
@@ -85,10 +90,9 @@ def test_background_spans_paint_only_uncovered_buckets():
     """An op/service/combine span never hides a stall or message span,
     even where it covers more of the bucket."""
     log = _log(_atomic(0, 2, 3), _op(0, 0, 40),
-               (40, "server.done", {"core": 1, "client": 0, "prim": "p",
-                                    "start": 0}),
-               (40, "combiner.close", {"core": 2, "tid": 2, "prim": "p",
-                                       "ops": 3, "start": 20}))
+               ev(40, "server.done", core=1, client=0, prim="p", start=0),
+               ev(40, "combiner.close", core=2, tid=2, prim="p", ops=3,
+                  start=20))
     rows = _rows(render_timeline(log, start=0, end=40, width=4))
     assert rows["c0"] == "A---"
     assert rows["c1"] == "eeee"
@@ -98,8 +102,8 @@ def test_background_spans_paint_only_uncovered_buckets():
 def test_render_timeline_empty():
     assert render_timeline(EventLog()) == "[empty trace]"
     # kinds that carry no span draw nothing either
-    log = _log((3, "cache.miss", {"core": 0, "line": 1, "op": "load",
-                                  "transition": "mem->S", "latency": 5}))
+    log = _log(ev(3, "cache.miss", core=0, line=1, op="load",
+                  transition="mem->S", latency=5))
     assert render_timeline(log) == "[empty trace]"
 
 
@@ -195,3 +199,52 @@ def test_trace_anatomy_example_renders_every_core(capsys):
     body = "".join(rows.values())
     assert "A" in body and "v" in body
     assert "increments in" in out
+
+
+def test_readers_of_a_truncated_log_say_so(tmp_path, capsys):
+    """The timeline and the hotspot report's op flows state how many
+    events a capped log dropped; a complete log renders no such line."""
+    spec = WorkloadSpec(warmup_cycles=1_000, measure_cycles=4_000)
+    with obs.observed(trace=True, trace_limit=50, spatial=True) as session:
+        run_counter_benchmark("mp-server", 3, spec=spec)
+    (ob,) = session.machines
+    log = ob.trace
+    assert len(log.events) == 50 and log.truncated
+    note = f"dropped {log.dropped} events at its 50-event cap"
+    assert note in render_timeline(log)
+    _export_obs(session, "fig", str(tmp_path), trace=False)
+    out = capsys.readouterr().out
+    assert "hotspots (top 5" in out
+    assert f"ops partial data: the event log {note}" in out
+    assert "partial data" not in render_timeline(_log(_recv(0, 0, 10)))
+
+
+def _example(name):
+    return os.path.join(os.path.dirname(__file__), os.pardir, "examples",
+                        f"{name}.py")
+
+
+@pytest.mark.parametrize("name", ["telemetry_tour", "fault_drill",
+                                  "overload_drill"])
+def test_event_stream_examples_run(name, tmp_path, monkeypatch, capsys):
+    """The examples that drive the event stream run to completion from
+    an empty directory; the tour's incident bundles hold each event as
+    ``[cycle, kind, {field: value}]`` with the kind's SCHEMA fields."""
+    out = tmp_path / "out"
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", str(out)])
+    runpy.run_path(_example(name), run_name="__main__")
+    assert capsys.readouterr().out
+    if name != "telemetry_tour":
+        assert os.listdir(tmp_path) == []
+        return
+    assert os.listdir(tmp_path) == ["out"]
+    bundles = sorted((out / "incidents").glob("*.json"))
+    assert bundles
+    for path in bundles:
+        doc = json.loads(path.read_text())
+        assert doc["format"] == 1 and doc["events"]
+        for t, kind, fields in doc["events"]:
+            assert isinstance(t, int) and isinstance(kind, str)
+            assert isinstance(fields, dict)
+            assert set(fields) == set(SCHEMA[kind][1])
