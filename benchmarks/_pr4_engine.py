@@ -4,9 +4,8 @@ This is a verbatim snapshot of ``repro.sim.engine`` from just before the
 engine v3 rewrite (batched cycle advancement + bare-entry lane): the
 PR 4 fast-lane trampoline with per-entry heap pops and 4-tuple lane
 entries.  It exists so ``test_bench_engine.py`` can measure engine v3
-against the exact code it replaced, in-process and on the same host --
-alongside ``_legacy_engine.py``, the pre-PR 4 pure-heapq "before".  Do
-not update it when the real engine changes -- it is the fixed PR 4
+against the exact code it replaced, in-process and on the same host.
+Do not update it when the real engine changes -- it is the fixed PR 4
 baseline.
 
 Original module docstring follows.

@@ -20,13 +20,13 @@ logic.
   one bucket pass and jumps the idle gap in O(1) instead of one heap
   pop per event.
 
-Two frozen engine snapshots serve as same-host baselines:
-``benchmarks/_legacy_engine.py`` (the pre-PR4 trampoline) and
+A frozen engine snapshot serves as the same-host baseline:
 ``benchmarks/_pr4_engine.py`` (the PR4 fast-lane engine that engine v3
 replaced).  The acceptance gates compare interleaved minima so host
-noise hits every engine alike: v3 must hold >=2x PR4 on churn and >=5x
-PR4 on the idle-gap workload, and >=2x legacy on churn (the original
-PR4 gate, kept so a v3 regression cannot hide behind a stale baseline).
+noise hits both engines alike: v3 must hold >=2x PR4 on churn and >=5x
+PR4 on the idle-gap workload.  (The pre-PR4 trampoline and its >=2x
+gate are retired: PR4 was a fixed 3.5-4.4x faster than it on churn, so
+the PR4 churn gate implies the old one -- DESIGN.md §11.)
 
 ``test_bench_engine_record`` writes ``BENCH_engine.json`` for the
 standard regression gate: the *gated* numbers (event counts, hence the
@@ -37,7 +37,6 @@ speed rides along in the informational host-perf fields only.
 import gc
 import time
 
-from benchmarks._legacy_engine import Simulator as LegacySimulator
 from benchmarks._pr4_engine import Simulator as Pr4Simulator
 from benchmarks.conftest import run_once, write_bench_json
 from repro.sim.engine import Simulator
@@ -194,35 +193,16 @@ def test_bench_idle_gap_jumps(benchmark):
     assert sim.events_processed >= 8_000 * 40
 
 
-def test_engine_speedup_vs_legacy():
-    """The live engine is >=2x the pre-PR4 trampoline on churn.
+def test_engine_v3_hot_paths_vs_pr4():
+    """Engine v3 vs the frozen PR4 engine.
 
-    Interleaved min-of-5 so host noise hits both engines alike; the
-    minimum is the least-perturbed run of each.  Measured headroom at
-    the time of writing (engine v3): ~8x.
-    """
-    best = _interleaved_best(
-        {"new": Simulator, "legacy": LegacySimulator}, churn, 20, 20_000)
-    ratio = best["legacy"] / best["new"]
-    print(f"\nengine churn: new={best['new'] * 1000:.1f}ms "
-          f"legacy={best['legacy'] * 1000:.1f}ms speedup={ratio:.2f}x")
-    assert ratio >= 2.0, (
-        f"hot-path speedup regressed: {ratio:.2f}x < 2.0x vs the frozen "
-        "pre-optimization engine"
-    )
-
-
-def test_engine_v3_three_way_hot_paths():
-    """Engine v3 vs the frozen PR4 engine vs the legacy trampoline.
-
-    Three-way interleaved comparison across the hot-path workloads.
+    Interleaved comparison across the hot-path workloads.
     The churn gate is the v3 acceptance criterion (>=2x PR4: batched
     lane sweep + table-driven dispatch, no algorithmic change to hide
     behind); fan-out and timers are printed for trend-watching -- their
     wins are real but smaller, and gating them would only add noise.
     """
-    engines = {"v3": Simulator, "pr4": Pr4Simulator,
-               "legacy": LegacySimulator}
+    engines = {"v3": Simulator, "pr4": Pr4Simulator}
     ratios = {}
     print()
     for label, fn, args in (("churn", churn, (400, 1_000)),
@@ -230,16 +210,12 @@ def test_engine_v3_three_way_hot_paths():
                             ("timers", small_delays, (50, 4_000))):
         best = _interleaved_best(engines, fn, *args)
         r_pr4 = best["pr4"] / best["v3"]
-        r_leg = best["legacy"] / best["v3"]
         ratios[label] = r_pr4
         print(f"engine {label}: v3={best['v3'] * 1000:.1f}ms "
-              f"pr4={best['pr4'] * 1000:.1f}ms "
-              f"legacy={best['legacy'] * 1000:.1f}ms "
-              f"v3/pr4={r_pr4:.2f}x v3/legacy={r_leg:.2f}x")
+              f"pr4={best['pr4'] * 1000:.1f}ms v3/pr4={r_pr4:.2f}x")
     if ratios["churn"] < 2.0:
-        ratios["churn"] = _gated_ratio(
-            {"v3": Simulator, "pr4": Pr4Simulator}, churn, 400, 1_000,
-            gate=2.0, rounds=2)
+        ratios["churn"] = _gated_ratio(engines, churn, 400, 1_000,
+                                       gate=2.0, rounds=2)
     assert ratios["churn"] >= 2.0, (
         f"engine v3 churn speedup regressed: {ratios['churn']:.2f}x < 2.0x "
         "vs the frozen PR4 engine"

@@ -6,7 +6,7 @@ cost of the memory/UDN primitives so a performance regression in the
 substrate is caught before it turns every figure run to molasses.
 """
 
-from repro.machine import Machine, tile_gx
+from repro.machine import Machine, tile_gx, x86_like
 from repro.sim import Simulator
 
 
@@ -240,3 +240,58 @@ def test_atomic_faa_throughput(benchmark):
         return m.mem.peek(a)
 
     assert benchmark(run) == 4_000
+
+
+def test_cache_atomics_and_prefetch_join(benchmark):
+    """Four cores contend with cache-resident ``faa`` on one line while a
+    reader on a fifth core prefetches the line and then loads it: every
+    atomic takes ownership (bouncing the line and invalidating the
+    reader's copy), and the load joins its in-flight prefetch."""
+    rounds = 200
+
+    def run():
+        m = Machine(x86_like())
+        counters = m.enable_observability().counters
+        a = m.mem.alloc(1, isolated=True)
+
+        def adder(ctx):
+            for _ in range(rounds):
+                yield from ctx.faa(a, 1)
+                yield from ctx.work(7 * ctx.tid)
+
+        def reader(ctx):
+            seen = 0
+            for i in range(rounds // 4):
+                yield from ctx.prefetch(a)
+                # a short gap joins the fetch in flight; a long one lets
+                # an atomic take the line back, so the load misses again
+                yield from ctx.work(30 if i % 2 else 3_000)
+                seen = yield from ctx.load(a)
+            return seen
+
+        for tid in range(4):
+            ctx = m.thread(tid, core_id=3 * tid)
+            m.spawn(ctx, adder(ctx))
+        ctx = m.thread(4, core_id=13)
+        m.spawn(ctx, reader(ctx))
+        m.run()
+        regs = {c.cid: (c.rmr, c.stall_atomic, c.stall_mem)
+                for c in m.cores if c.rmr or c.stall_mem}
+        misses = {(cid, name): n
+                  for cid, core in sorted(counters.snapshot()["core"].items())
+                  for name, n in sorted(core.items())
+                  if name.startswith("miss.")}
+        return (m.mem.peek(a), m.sim.events_processed, m.now, regs, misses)
+
+    # pinned before the shared read and ownership steps: moving the
+    # coherence transactions into one path must not add, drop or move
+    # a single event, cycle, stall or miss
+    regs = {0: (200, 112_774, 0), 3: (200, 111_522, 0),
+            6: (200, 110_270, 0), 9: (200, 109_018, 0), 13: (42, 0, 28_047)}
+    misses = {(0, "miss.atomic.M->M"): 197, (0, "miss.atomic.inv"): 2,
+              (0, "miss.atomic.mem->M"): 1,
+              (3, "miss.atomic.M->M"): 183, (3, "miss.atomic.inv"): 17,
+              (6, "miss.atomic.M->M"): 176, (6, "miss.atomic.inv"): 24,
+              (9, "miss.atomic.M->M"): 184, (9, "miss.atomic.inv"): 16,
+              (13, "miss.load.M->S"): 42, (13, "miss.prefetch.M->S"): 17}
+    assert benchmark(run) == (800, 3_314, 113_218, regs, misses)

@@ -19,8 +19,9 @@ LCRQ "false serialization" effect).  Two executors model the two worlds:
   short locked-op cost.  Fast when uncontended and line-resident; under
   contention the line bounces, which is the classic CAS-retry story.
 
-Both return the *old* value; CAS logic is layered on top by
-:class:`~repro.mem.cache.CoherentMemory`.
+Both return the *old* value.  :class:`~repro.mem.cache.CoherentMemory`
+layers CAS on top, owns the directory and the accounting both executors
+charge through, and runs the RMW itself on private-memory profiles.
 """
 
 from __future__ import annotations
@@ -74,18 +75,8 @@ class ControllerAtomics:
 
     def rmw(self, core: Core, addr: int, op: Callable[[int], int]) -> Generator[Any, Any, int]:
         cfg = self.cfg
-        core.atomic_ops += 1
+        mem = self.mem
         line_no = addr // cfg.line_words
-        if not cfg.has_coherent_shm:
-            # private memory: the RMW is a local operation
-            self.mem._private_check(core, line_no, "atomic")
-            core.busy += cfg.c_atomic_local
-            yield cfg.c_atomic_local
-            backing = self.mem.store_backing
-            old = backing.read(addr)
-            backing.write(addr, op(old))
-            self.mem.wake_line(line_no)
-            return old
         # issue overhead at the core
         core.busy += cfg.c_atomic_issue
         yield cfg.c_atomic_issue
@@ -107,29 +98,17 @@ class ControllerAtomics:
                 service = cfg.c_atomic_service
             ctrl.last_word = addr
             ctrl.ops += 1
-            obs = self.sim.obs
-            if obs is not None:
-                obs.counters.atomic(core.cid, line_no, cold, service)
-                if "atomic.exec" in obs.wanted:
-                    obs.emit("atomic.exec", core.cid, line_no, ctrl.node, cold, service)
+            mem._count_atomic(core, line_no, ctrl.node, cold, service)
             yield service
-            backing = self.mem.store_backing
-            old = backing.read(addr)
-            backing.write(addr, op(old))
+            old = mem._apply_rmw(addr, op)
             # the controller invalidates every cached copy of the line
-            self.mem.invalidate_all(line_no)
+            mem.invalidate_all(line_no)
         finally:
             ctrl.res.release()
         # travel back with the old value
         if travel:
             yield travel
-        stalled = self.sim.now - t0
-        core.stall_atomic += stalled
-        obs = self.sim.obs
-        if obs is not None:
-            obs.counters.stall(line_no, stalled)
-            if "atomic.stall" in obs.wanted:
-                obs.emit("atomic.stall", core.cid, stalled, line_no, t0)
+        mem._charge_stall_atomic(core, self.sim.now - t0, line_no)
         return old
 
 
@@ -143,49 +122,23 @@ class CacheAtomics:
         self.mem = mem
 
     def rmw(self, core: Core, addr: int, op: Callable[[int], int]) -> Generator[Any, Any, int]:
-        cfg = self.cfg
         mem = self.mem
-        core.atomic_ops += 1
-        line_no = addr // cfg.line_words
+        local = self.cfg.c_atomic_local
+        line_no = addr // self.cfg.line_words
         entry = mem._line(line_no)
-        cid = core.cid
         t0 = self.sim.now
-        yield from entry.res.acquire()
+        if not entry.res.try_acquire():
+            yield from entry.res.acquire()
         try:
-            if entry.owner != cid:
-                # bring the line in exclusively (RMR)
-                core.rmr += 1
-                latency = mem._miss_latency(entry, line_no, cid, True)
-                obs = self.sim.obs
-                if obs is not None:
-                    transition = mem._store_transition(entry, cid)
-                    obs.counters.miss(cid, line_no, "atomic", transition, latency)
-                    if "cache.miss" in obs.wanted:
-                        obs.emit("cache.miss", cid, line_no, "atomic",
-                                 transition, latency)
-                    mem._emit_invals(obs, entry, line_no, cid)
-                if latency:
-                    yield latency
-                entry.sharers.clear()
-                entry.owner = cid
-            # locked execution on the owned line
-            yield cfg.c_atomic_local
-            backing = mem.store_backing
-            old = backing.read(addr)
-            backing.write(addr, op(old))
+            # bring the line in exclusively (an RMR unless owned), then
+            # the locked execution on the owned line
+            yield from mem._own(entry, line_no, core.cid, "atomic", core)
+            yield local
+            old = mem._apply_rmw(addr, op)
         finally:
             entry.res.release()
-        stalled = self.sim.now - t0
-        core.stall_atomic += stalled
-        obs = self.sim.obs
-        if obs is not None:
-            counters = obs.counters
-            counters.atomic(cid, line_no, False, cfg.c_atomic_local)
-            if "atomic.exec" in obs.wanted:
-                obs.emit("atomic.exec", cid, line_no, None, False, cfg.c_atomic_local)
-            counters.stall(line_no, stalled)
-            if "atomic.stall" in obs.wanted:
-                obs.emit("atomic.stall", cid, stalled, line_no, t0)
+        mem._count_atomic(core, line_no, None, False, local)
+        mem._charge_stall_atomic(core, self.sim.now - t0, line_no)
         entry.notify()
         return old
 

@@ -51,6 +51,28 @@ class LineState:
     S = "S"
 
 
+#: Every directory miss, laid out like an MSI transition table:
+#: (request, state found) -> the transition label of ``cache.miss`` and
+#: the ``miss.<op>.<label>`` counters.  A READ (load, prefetch) leaves the
+#: requester a sharer, demoting an owner; OWN (store drain, cache atomic)
+#: leaves it the sole owner.  Found: OWNED (M at another core), SHARED (S
+#: at others, perhaps the requester too), SOLE (S at the requester alone)
+#: or UNCACHED.  :meth:`CoherentMemory._miss` picks the row and charges
+#: its base cost plus ``noc_per_hop`` per hop.
+READ, OWN = False, True
+OWNED, SHARED, SOLE, UNCACHED = "owned", "shared", "sole", "uncached"
+TRANSITIONS: Dict[Tuple[bool, str], str] = {
+    #  request, found      label        base           hops
+    (READ, OWNED): "M->S",      # c_remote_base  req -> home -> owner -> req
+    (READ, SHARED): "S->S",     # c_remote_base  home round trip
+    (READ, UNCACHED): "mem->S",  # c_mem_base    home round trip
+    (OWN, OWNED): "M->M",       # c_remote_base  req -> home -> owner -> req
+    (OWN, SHARED): "inv",       # c_remote_base  home round trip + farthest ack
+    (OWN, SOLE): "upgrade",     # c_remote_base  home round trip
+    (OWN, UNCACHED): "mem->M",  # c_mem_base     home round trip
+}
+
+
 class _Line:
     """Directory entry for one cache line.
 
@@ -129,7 +151,7 @@ class CoherentMemory:
         self._private_owner: Dict[int, int] = {}
 
     # -- stall accounting --------------------------------------------------
-    # Every coherence stall charged to a core flows through these two
+    # Every coherence stall charged to a core flows through these three
     # helpers.  The core's hardware register is the one count (the perf
     # counter file reads it back); observed runs add the per-line stall
     # register and narrate the span on the bus.
@@ -152,35 +174,32 @@ class CoherentMemory:
         if obs is not None and "fence.stall" in obs.wanted:
             obs.emit("fence.stall", core.cid, cycles, why, self.sim.now - cycles)
 
-    def _load_transition(self, entry: _Line, cid: int) -> str:
-        if entry.owner is not None and entry.owner != cid:
-            return "M->S"
-        if entry.sharers:
-            return "S->S"
-        return "mem->S"
+    def _charge_stall_atomic(self, core: Core, cycles: int, line_no: int) -> None:
+        core.stall_atomic += cycles
+        obs = self.sim.obs
+        if obs is not None:
+            obs.counters.stall(line_no, cycles)
+            if "atomic.stall" in obs.wanted:
+                obs.emit("atomic.stall", core.cid, cycles, line_no,
+                         self.sim.now - cycles)
 
-    def _store_transition(self, entry: _Line, cid: int) -> str:
-        if entry.owner is not None and entry.owner != cid:
-            return "M->M"
-        if entry.sharers.others(cid):
-            return "inv"
-        if cid in entry.sharers:
-            return "upgrade"
-        return "mem->M"
+    def _count_atomic(self, core: Core, line_no: int, ctrl, cold: bool, service: int) -> None:
+        # ``ctrl`` is the executing controller's node, None in the cache
+        obs = self.sim.obs
+        if obs is not None:
+            obs.counters.atomic(core.cid, line_no, cold, service)
+            if "atomic.exec" in obs.wanted:
+                obs.emit("atomic.exec", core.cid, line_no, ctrl, cold, service)
 
     def _emit_invals(self, obs, entry: _Line, line_no: int, by) -> None:
         """Count and publish one ``cache.inval`` per core losing its copy."""
-        counters = obs.counters
         publish = "cache.inval" in obs.wanted
-        if entry.owner is not None and entry.owner != by:
-            counters.inval(entry.owner, line_no)
-            if publish:
-                obs.emit("cache.inval", entry.owner, line_no, by)
-        for s in entry.sharers:
-            if s != by:
-                counters.inval(s, line_no)
+        holders = entry.sharers if entry.owner is None else (entry.owner,)  # SWMR
+        for victim in holders:
+            if victim != by:
+                obs.counters.inval(victim, line_no)
                 if publish:
-                    obs.emit("cache.inval", s, line_no, by)
+                    obs.emit("cache.inval", victim, line_no, by)
 
     # -- address helpers ---------------------------------------------------
     def line_of(self, addr: int) -> int:
@@ -206,15 +225,107 @@ class CoherentMemory:
     def alloc(self, nwords: int, *, isolated: bool = False) -> int:
         return self.allocator.alloc(nwords, isolated=isolated)
 
-    # -- private-memory discipline (message-passing-only profiles) ---------
-    def _private_check(self, core: Core, line_no: int, what: str) -> None:
+    # -- private memory (message-passing-only profiles) --------------------
+    def _private_access(self, core: Core, addr: int, what: str, cycles: int,
+                        op: Optional[Callable[[int], int]] = None) -> Generator[Any, Any, int]:
+        """A load, or with ``op`` a read-modify-write, on a one-core line."""
+        line_no = addr // self._line_words
         owner = self._private_owner.setdefault(line_no, core.cid)
         if owner != core.cid:
             raise RuntimeError(
                 f"no coherent shared memory on {self.cfg.name!r}: line "
                 f"{line_no} is private to core {owner}, but core "
-                f"{core.cid} issued a {what}; use message passing instead"
+                f"{core.cid} issued {what}; use message passing instead"
             )
+        core.busy += cycles
+        yield cycles
+        old = self.store_backing.read(addr)
+        if op is not None:
+            self.store_backing.write(addr, op(old))
+            self.wake_line(line_no)  # wake same-core siblings
+        return old
+
+    # -- the coherence transactions ------------------------------------------
+    def _miss(self, entry: _Line, line_no: int, cid: int, op: str, store: bool) -> int:
+        """Pick ``cid``'s :data:`TRANSITIONS` row (``store``: an ownership
+        request), count the miss and return its latency.  Each leg's hop
+        distance is computed once from the coordinate arrays; the line's
+        home node is ``line % nodes``."""
+        cfg = self.cfg
+        home = line_no % self._num_nodes
+        hx, hy = self._node_x[home], self._node_y[home]
+        x, y = self._core_x[cid], self._core_y[cid]
+        to_home = abs(x - hx) + abs(y - hy)
+        owner, sharers = entry.owner, entry.sharers
+        if owner is not None and owner != cid:
+            found = OWNED
+            ox, oy = self._core_x[owner], self._core_y[owner]
+            hops = to_home + abs(hx - ox) + abs(hy - oy) + abs(ox - x) + abs(oy - y)
+            latency = cfg.c_remote_base + cfg.noc_per_hop * hops
+        elif store and sharers.others(cid):
+            found = SHARED
+            far = sharers.farthest_hop(home, exclude=cid)
+            latency = cfg.c_remote_base + cfg.noc_per_hop * (2 * to_home + far)
+        elif sharers:
+            # a reader holds no copy here; an ownership request is alone
+            found = SOLE if store else SHARED
+            latency = cfg.c_remote_base + cfg.noc_per_hop * 2 * to_home
+        else:
+            found = UNCACHED
+            latency = cfg.c_mem_base + cfg.noc_per_hop * 2 * to_home
+        obs = self.sim.obs
+        if obs is not None:
+            transition = TRANSITIONS[store, found]
+            obs.counters.miss(cid, line_no, op, transition, latency)
+            if "cache.miss" in obs.wanted:
+                obs.emit("cache.miss", cid, line_no, op, transition, latency)
+            if store:
+                self._emit_invals(obs, entry, line_no, cid)
+        return latency
+
+    def _read(self, entry: _Line, line_no: int, cid: int, op: str) -> Generator:
+        """One read transaction (a load or prefetch): ``cid`` becomes a
+        sharer.  The directory orders the read and answers quickly; the
+        data transfer is pipelined, so the read holds the entry only for
+        a short occupancy and concurrent readers do not serialize for the
+        full transfer.  The state changes after that occupancy."""
+        if not entry.res.try_acquire():
+            yield from entry.res.acquire()
+        try:
+            # recheck: an own transaction queued ahead of us may have
+            # installed a copy while we waited
+            if entry.owner == cid or cid in entry.sharers:
+                latency = occupancy = 0
+            else:
+                latency = self._miss(entry, line_no, cid, op, READ)
+                occupancy = min(self.cfg.c_dir_read_occupancy, latency)
+                if occupancy:
+                    yield occupancy
+                # downgrade an owner, install as sharer
+                owner = entry.owner
+                if owner is not None and owner != cid:
+                    entry.sharers.add(owner)
+                    entry.owner = None
+                entry.sharers.add(cid)
+        finally:
+            entry.res.release()
+        remainder = latency - occupancy
+        if remainder > 0:
+            yield remainder
+
+    def _own(self, entry: _Line, line_no: int, cid: int, op: str,
+             rmr_core: Optional[Core] = None) -> Generator:
+        """One ownership step, under ``entry.res``: ``cid`` becomes the sole
+        owner after the full latency.  ``rmr_core`` is charged the RMR of
+        a fetch (a buffered store counted its RMR at issue instead)."""
+        if entry.owner != cid:
+            if rmr_core is not None:
+                rmr_core.rmr += 1
+            latency = self._miss(entry, line_no, cid, op, OWN)
+            if latency:
+                yield latency
+            entry.sharers.clear()
+            entry.owner = cid
 
     # -- core operations (generators; drive with ``yield from``) -----------
     def load(self, core: Core, addr: int) -> Generator[Any, Any, int]:
@@ -222,10 +333,7 @@ class CoherentMemory:
         core.loads += 1
         line_no = addr // self._line_words
         if not self._coherent:
-            self._private_check(core, line_no, "load")
-            core.busy += self._c_hit
-            yield self._c_hit
-            return self.store_backing.read(addr)
+            return (yield from self._private_access(core, addr, "a load", self._c_hit))
         entry = self._lines.get(line_no)
         cid = core.cid
         # join an in-flight prefetch for this line, if any (MSHR hit):
@@ -246,38 +354,7 @@ class CoherentMemory:
         entry = self._line(line_no)
         core.rmr += 1
         t0 = self.sim.now
-        yield from entry.res.acquire()
-        try:
-            # recheck: an own in-flight store transaction queued ahead of
-            # us may have taken ownership while we waited
-            if entry.owner == cid or cid in entry.sharers:
-                latency = occupancy = 0
-            else:
-                latency = self._miss_latency(entry, line_no, cid, False)
-                obs = self.sim.obs
-                if obs is not None:
-                    transition = self._load_transition(entry, cid)
-                    obs.counters.miss(cid, line_no, "load", transition, latency)
-                    if "cache.miss" in obs.wanted:
-                        obs.emit("cache.miss", cid, line_no, "load",
-                                 transition, latency)
-                # The directory orders the read and answers quickly; the
-                # data transfer itself is pipelined, so the read holds
-                # the entry only briefly and concurrent readers do not
-                # serialize for the full transfer.
-                occupancy = min(self.cfg.c_dir_read_occupancy, latency)
-                if occupancy:
-                    yield occupancy
-                # downgrade an owner, install as sharer
-                if entry.owner is not None and entry.owner != cid:
-                    entry.sharers.add(entry.owner)
-                    entry.owner = None
-                entry.sharers.add(cid)
-        finally:
-            entry.res.release()
-        remainder = latency - occupancy
-        if remainder > 0:
-            yield remainder
+        yield from self._read(entry, line_no, cid, "load")
         # the value is observed when the data arrives -- reading it at
         # completion (not at the ordering point) keeps the load's result
         # consistent with any wakeup notifications fired in between
@@ -309,68 +386,13 @@ class CoherentMemory:
             return  # already in flight
         done = Event(self.sim)
         self._prefetches[(cid, line_no)] = done
-        self.sim.spawn(self._prefetch_txn(core, line_no, cid, done),
+        self.sim.spawn(self._prefetch_txn(line_no, cid, done),
                        name=f"prefetch-c{cid}-l{line_no}")
 
-    def _prefetch_txn(self, core: Core, line_no: int, cid: int, done) -> Generator:
-        entry = self._line(line_no)
-        yield from entry.res.acquire()
-        try:
-            if entry.owner == cid or cid in entry.sharers:
-                latency = occupancy = 0
-            else:
-                latency = self._miss_latency(entry, line_no, cid, False)
-                obs = self.sim.obs
-                if obs is not None:
-                    transition = self._load_transition(entry, cid)
-                    obs.counters.miss(cid, line_no, "prefetch", transition, latency)
-                    if "cache.miss" in obs.wanted:
-                        obs.emit("cache.miss", cid, line_no, "prefetch",
-                                 transition, latency)
-                occupancy = min(self.cfg.c_dir_read_occupancy, latency)
-                if occupancy:
-                    yield occupancy
-                if entry.owner is not None and entry.owner != cid:
-                    entry.sharers.add(entry.owner)
-                    entry.owner = None
-                entry.sharers.add(cid)
-        finally:
-            entry.res.release()
-        remainder = latency - occupancy
-        if remainder > 0:
-            yield remainder
+    def _prefetch_txn(self, line_no: int, cid: int, done) -> Generator:
+        yield from self._read(self._line(line_no), line_no, cid, "prefetch")
         del self._prefetches[(cid, line_no)]
         done.trigger()
-
-    def _miss_latency(self, entry: _Line, line_no: int, cid: int, store: bool) -> int:
-        """Cycles for ``cid``'s load (or store) miss on this line.
-
-        Each requester -> home, home -> owner and owner -> requester
-        distance is computed once, from the coordinate arrays; the
-        line's home node is ``line % nodes``.
-        """
-        cfg = self.cfg
-        home = line_no % self._num_nodes
-        hx, hy = self._node_x[home], self._node_y[home]
-        x, y = self._core_x[cid], self._core_y[cid]
-        to_home = abs(x - hx) + abs(y - hy)
-        owner = entry.owner
-        if owner is not None and owner != cid:
-            # 3-hop: requester -> home -> owner -> requester
-            ox, oy = self._core_x[owner], self._core_y[owner]
-            hops = to_home + abs(hx - ox) + abs(hy - oy) + abs(ox - x) + abs(oy - y)
-            return cfg.c_remote_base + cfg.noc_per_hop * hops
-        sharers = entry.sharers
-        if store and sharers.others(cid):
-            # invalidate sharers: round trip to home + farthest sharer ack
-            far = sharers.farthest_hop(home, exclude=cid)
-            return cfg.c_remote_base + cfg.noc_per_hop * (2 * to_home + far)
-        if sharers:
-            # clean copy at home/L3 (a load), or a store's S -> M upgrade
-            # (the requester is the only sharer): a round trip to home
-            return cfg.c_remote_base + cfg.noc_per_hop * 2 * to_home
-        # from memory
-        return cfg.c_mem_base + cfg.noc_per_hop * 2 * to_home
 
     def store(self, core: Core, addr: int, value: int) -> Generator[Any, Any, None]:
         """Coherent 64-bit store through a one-entry merging store buffer.
@@ -388,11 +410,7 @@ class CoherentMemory:
         line_no = addr // self._line_words
         c_hit = self._c_hit
         if not self._coherent:
-            self._private_check(core, line_no, "store")
-            core.busy += c_hit
-            yield c_hit
-            self.store_backing.write(addr, value)
-            self.wake_line(line_no)  # wake same-core siblings
+            yield from self._private_access(core, addr, "a store", c_hit, lambda v: value)
             return
         entry = self._lines.get(line_no)
         cid = core.cid
@@ -439,22 +457,10 @@ class CoherentMemory:
         orphan would lose the ownership this transaction installs.
         """
         entry = self._line(line_no)
-        yield from entry.res.acquire()
+        if not entry.res.try_acquire():
+            yield from entry.res.acquire()
         try:
-            if entry.owner != cid:
-                latency = self._miss_latency(entry, line_no, cid, True)
-                obs = self.sim.obs
-                if obs is not None:
-                    transition = self._store_transition(entry, cid)
-                    obs.counters.miss(cid, line_no, "store", transition, latency)
-                    if "cache.miss" in obs.wanted:
-                        obs.emit("cache.miss", cid, line_no, "store",
-                                 transition, latency)
-                    self._emit_invals(obs, entry, line_no, cid)
-                if latency:
-                    yield latency
-                entry.sharers.clear()
-                entry.owner = cid
+            yield from self._own(entry, line_no, cid, "store")
         finally:
             entry.res.release()
         done.trigger()
@@ -497,17 +503,30 @@ class CoherentMemory:
             value = yield from self.load(core, addr)
         return value
 
-    # -- atomics (delegated to the attached executor) -----------------------
+    # -- atomics (one path; coherent memory delegates to the executor) -----
+    def _rmw(self, core: Core, addr: int, op: Callable[[int], int]) -> Generator[Any, Any, int]:
+        """Every atomic's RMW: the attached executor's, or a private one."""
+        core.atomic_ops += 1
+        if self._coherent:
+            return self.atomics.rmw(core, addr, op)
+        return self._private_access(core, addr, "an atomic", self.cfg.c_atomic_local, op)
+
+    def _apply_rmw(self, addr: int, op: Callable[[int], int]) -> int:
+        """Apply ``op`` to the word in memory; returns the old value."""
+        old = self.store_backing.read(addr)
+        self.store_backing.write(addr, op(old))
+        return old
+
     def faa(self, core: Core, addr: int, delta: int) -> Generator[Any, Any, int]:
         """Fetch-and-add; returns the previous value."""
         core.faa_ops += 1
-        old = yield from self.atomics.rmw(core, addr, lambda v: (v + delta) & WORD_MASK)
+        old = yield from self._rmw(core, addr, lambda v: (v + delta) & WORD_MASK)
         return old
 
     def swap(self, core: Core, addr: int, value: int) -> Generator[Any, Any, int]:
         """Atomic exchange; returns the previous value."""
         core.swap_ops += 1
-        old = yield from self.atomics.rmw(core, addr, lambda v: value & WORD_MASK)
+        old = yield from self._rmw(core, addr, lambda v: value & WORD_MASK)
         return old
 
     def cas(self, core: Core, addr: int, expected: int, new: int) -> Generator[Any, Any, bool]:
@@ -515,7 +534,7 @@ class CoherentMemory:
         core.cas_ops += 1
         expected &= WORD_MASK
         new &= WORD_MASK
-        old = yield from self.atomics.rmw(core, addr, lambda v: new if v == expected else v)
+        old = yield from self._rmw(core, addr, lambda v: new if v == expected else v)
         if old == expected:
             return True
         core.cas_failures += 1
@@ -592,13 +611,11 @@ class CoherentMemory:
 
     # -- invariants ----------------------------------------------------------
     def _check_swmr(self, entry: _Line) -> None:
-        assert not (entry.owner is not None and entry.sharers), (
-            "SWMR violated: owner and sharers coexist"
-        )
+        assert entry.owner is None or not entry.sharers, (
+            f"SWMR violated on line {entry.line_no}: owner={entry.owner}, "
+            f"sharers={entry.sharers}")
 
     def check_all_swmr(self) -> None:
         """Assert the SWMR invariant over every line (test hook)."""
-        for line_no, entry in self._lines.items():
-            assert not (entry.owner is not None and entry.sharers), (
-                f"SWMR violated on line {line_no}: owner={entry.owner}, sharers={entry.sharers}"
-            )
+        for entry in self._lines.values():
+            self._check_swmr(entry)

@@ -10,9 +10,9 @@ to.  Every publish site guards with both::
 
     obs = self.sim.obs
     if obs is not None:
-        obs.counters.miss(cid, line_no, "load", transition, latency)
-        if "cache.miss" in obs.wanted:
-            obs.emit("cache.miss", cid, line_no, "load", transition, latency)
+        obs.counters.cas_fail(line_no)
+        if "atomic.cas_fail" in obs.wanted:
+            obs.emit("atomic.cas_fail", core.cid, line_no)
 
 so a run without observability pays one attribute load and a ``None``
 comparison per would-be event, and an observed run pays one set probe

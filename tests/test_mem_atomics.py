@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.machine import Machine, tile_gx, x86_like
+from repro.machine import Machine, scc_like, tile_gx, x86_like
 
 
 def run_thread(m, tid, gen_fn):
@@ -120,6 +120,30 @@ def test_cas_loop_counter_is_exact(machine):
         m.spawn(ctx, prog(ctx))
     m.run()
     assert m.mem.peek(a) == N * K
+
+
+@pytest.mark.parametrize("atomic_at", ["controller", "cache"])
+def test_private_memory_atomic_rejected_on_either_executor(atomic_at):
+    """Without coherent shared memory a line belongs to the first core
+    that touches it: another core's atomic on it is an error whichever
+    executor the profile names, and never builds a directory entry."""
+    m = Machine(scc_like(atomic_at=atomic_at))
+    a = m.mem.alloc(1, isolated=True)
+    t0, t1 = m.thread(0), m.thread(1)
+
+    def owner(ctx):
+        yield from ctx.store(a, 5)
+
+    def intruder(ctx):
+        yield 100
+        return (yield from ctx.faa(a, 1))
+
+    m.spawn(t0, owner(t0))
+    m.spawn(t1, intruder(t1))
+    with pytest.raises(RuntimeError, match="core 1 issued an atomic"):
+        m.run()
+    assert m.mem.peek(a) == 5
+    assert m.mem.directory_stats()["peak_entries"] == 0
 
 
 # -- controller-specific behaviour ---------------------------------------------
