@@ -4,14 +4,14 @@ Runs the same closed-loop counter workload four ways --
 
 * ``off``       -- no observability at all (the figure-reproduction
   default);
-* ``obs``       -- event bus + perf counters (``--perf``), no
+* ``obs``       -- event bus + perf counters (``--obs counters``), no
   continuous telemetry; no consumer wants any kind, so the bus builds
   no event and the cost is the inline counter writes;
 * ``sampling``  -- the time-series sampler + spatial atlas on top
   (``timeseries=True, spatial=True``: the engine clock hook,
   ring-buffer series and the per-link/per-tile congestion counters);
-* ``full``      -- the whole continuous stack ``python -m repro
-  report`` enables: sampling + SLO monitoring + flight recorder +
+* ``full``      -- the whole continuous stack ``python -m repro run
+  --obs report`` enables: sampling + SLO monitoring + flight recorder +
   spatial atlas with hop-by-hop latency attribution
 
 -- interleaved over :data:`REPS` repetitions, and asserts the

@@ -30,7 +30,7 @@ def main() -> None:
     print("\nThe two hardware-message-passing approaches (mp-server, HybComb)")
     print("win because their servicing thread reads requests from its local")
     print("hardware queue and responds asynchronously: no coherence stalls")
-    print("remain on the critical path (see `python -m repro.experiments fig4a`).")
+    print("remain on the critical path (see `python -m repro run fig4a`).")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ One observed run of the mp-server counter benchmark with every layer on:
 Run:  python examples/telemetry_tour.py [out_dir]
 
 (Equivalent one-liners for the real experiments:
- ``python -m repro report fig3a overload`` and
+ ``python -m repro run fig3a overload --obs report --out DIR`` and
  ``python -m repro diff BENCH_a.json BENCH_b.json``.)
 """
 

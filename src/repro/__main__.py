@@ -4,18 +4,14 @@ Subcommands:
 
 * ``info``        -- package, machine profiles, experiment registry
 * ``quickstart``  -- the counter shootout at one concurrency level
-* ``report``      -- run experiments under continuous telemetry and
-  render self-contained HTML dashboards (+ terminal summary); SLO
-  monitors and the flight recorder dump incident bundles on the way,
-  and the spatial atlas adds a mesh heatmap / SVG per experiment
+* ``run``         -- the experiment runner:
+  ``run EXP... [--full] [--jobs N] [--out DIR] [--obs SPEC]`` prints
+  each figure under a header with its host cost (points, simulator
+  events, wall time, events/s); ``--obs`` observes every machine the
+  sweeps build -- counters, traces, critical path, dashboards with SLOs
+  and incident bundles, cProfile (see :mod:`repro.experiments.registry`)
 * ``diff``        -- compare two benchmark records (``BENCH_*.json`` or
   figure JSON) metric by metric; deterministic verdict, optional gate
-* ``bench``       -- run one experiment as a host-performance benchmark
-  (wall time + simulator events/sec); ``--profile`` wraps the run in
-  cProfile and prints the hottest functions, which is how the engine-v3
-  hot-path work was located and is the supported way to profile any
-  experiment series
-* ``experiments`` -- forwarded to ``repro.experiments`` (all flags work)
 * ``explore``     -- forwarded to ``repro.explore.cli`` (schedule search)
 """
 
@@ -43,7 +39,7 @@ def cmd_info(_args) -> int:
         feats.append(f"atomics@{cfg.atomic_at}")
         print(f"  {cfg.name:<12s} {cfg.num_cores:>3d} cores @ "
               f"{cfg.clock_mhz} MHz   [{', '.join(feats)}]")
-    print("\nexperiments (python -m repro experiments <id> [--full]):")
+    print("\nexperiments (python -m repro run <id> [--full]):")
     for exp_id in EXPERIMENTS:
         print(f"  {exp_id}")
     print("\napproaches: mp-server, HybComb, shm-server, CC-Synch")
@@ -62,107 +58,6 @@ def cmd_quickstart(args) -> int:
         r = run_counter_benchmark(approach, args.threads, spec=spec)
         print(f"  {approach:>11s}: {r.throughput_mops:6.1f} Mops/s   "
               f"latency {r.mean_latency_cycles:6.0f} cycles")
-    return 0
-
-
-def _slos_for(exp_id: str):
-    """Default SLO set monitored by ``report`` for one experiment."""
-    if exp_id == "overload":
-        from repro.experiments.overload import overload_slos
-        return overload_slos()
-    from repro.obs import SLO
-    # closed-loop figures: a loose op-latency objective that healthy
-    # runs satisfy -- a breach here means the run itself went sideways
-    return (SLO("op-p99", kind="latency", target=100_000.0),)
-
-
-def cmd_report(args) -> int:
-    """Run experiments with continuous telemetry; write dashboards."""
-    import repro.obs as obs_mod
-    from repro.analysis.dashboard import render_dashboard_text, write_dashboard
-    from repro.experiments.registry import EXPERIMENTS, run_experiment
-
-    exps = args.experiments or ["fig3a", "overload"]
-    unknown = [e for e in exps if e not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiment(s) {unknown}; choose from "
-              f"{sorted(EXPERIMENTS)}", file=sys.stderr)
-        return 2
-    # layer flags narrow the default everything-on telemetry stack
-    any_layer = args.timeseries or args.slo or args.flight
-    timeseries = args.timeseries or not any_layer
-    slo = args.slo or not any_layer
-    flight = args.flight or not any_layer
-    for exp_id in exps:
-        incident_dir = (os.path.join(args.out, "incidents", exp_id)
-                        if flight else None)
-        with obs_mod.observed(
-                timeseries=timeseries,
-                sample_every=args.sample_every,
-                slos=_slos_for(exp_id) if slo else (),
-                flight=flight, incident_dir=incident_dir,
-                spatial=True, spatial_hops=True) as session:
-            fig = run_experiment(exp_id, quick=not args.full, jobs=1)
-        title = f"{exp_id}: {fig.title}"
-        print(render_dashboard_text(session, title=title))
-        path = write_dashboard(
-            os.path.join(args.out, f"{exp_id}-dashboard.html"),
-            session, title=title, notes=fig.notes)
-        print(f"[dashboard written to {path}]")
-        spatial = session.spatial_summary()
-        if spatial is not None and spatial.get("tiles"):
-            from repro.analysis.dashboard import write_mesh_svg
-            mesh_path = write_mesh_svg(
-                os.path.join(args.out, f"{exp_id}-mesh.svg"),
-                spatial, title=f"{exp_id}: NoC congestion atlas")
-            print(f"[mesh heatmap written to {mesh_path}]")
-        dumped = [p for ob in session.machines if ob.flight is not None
-                  for p in ob.flight.paths]
-        if dumped:
-            print(f"[{len(dumped)} incident bundle(s) under "
-                  f"{os.path.join(args.out, 'incidents', exp_id)}]")
-    return 0
-
-
-def cmd_bench(args) -> int:
-    """Run one experiment for host-perf numbers, optionally profiled."""
-    import time
-
-    from repro.experiments.registry import EXPERIMENTS, run_experiment
-
-    if args.experiment not in EXPERIMENTS:
-        print(f"unknown experiment {args.experiment!r}; choose from "
-              f"{sorted(EXPERIMENTS)}", file=sys.stderr)
-        return 2
-
-    def go():
-        # jobs pinned to 1: the numbers (and the profile) must cover the
-        # work itself, not the idle wait on a pool of worker processes
-        return run_experiment(args.experiment, quick=not args.full, jobs=1)
-
-    prof = None
-    t0 = time.perf_counter()
-    if args.profile:
-        import cProfile
-        prof = cProfile.Profile()
-        fig = prof.runcall(go)
-    else:
-        fig = go()
-    wall = time.perf_counter() - t0
-
-    points = [r for s in fig.series.values() for _x, r in s.points]
-    events = sum(r.host_events_processed for r in points)
-    line = (f"{args.experiment}: {len(points)} points, "
-            f"{events} simulator events in {wall:.2f}s wall")
-    if wall > 0 and events:
-        line += f" ({events / wall / 1e6:.2f}M events/sec)"
-    if args.profile:
-        line += "  [under cProfile: expect ~2x slowdown]"
-    print(line)
-    if prof is not None:
-        import pstats
-        stats = pstats.Stats(prof, stream=sys.stdout)
-        stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
     return 0
 
 
@@ -199,59 +94,39 @@ def cmd_diff(args) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # forward `experiments` / `explore` wholesale so their flags keep working
-    if argv and argv[0] == "experiments":
-        from repro.experiments.registry import main as exp_main
-        return exp_main(argv[1:])
-    if argv and argv[0] == "run":
-        # `python -m repro run scale` -- alias for `experiments`, reading
-        # the way the quickstart docs phrase it
-        from repro.experiments.registry import main as exp_main
-        return exp_main(argv[1:])
+    # forward `explore` wholesale so its flags keep working
     if argv and argv[0] == "explore":
         from repro.explore.cli import main as explore_main
         return explore_main(argv[1:])
+    from repro.experiments import registry
 
     parser = argparse.ArgumentParser(prog="python -m repro")
     sub = parser.add_subparsers(dest="cmd")
     sub.add_parser("info", help="package and registry overview")
     q = sub.add_parser("quickstart", help="counter shootout")
     q.add_argument("threads", nargs="?", type=int, default=20)
-    rep = sub.add_parser(
-        "report",
-        help="run experiments under continuous telemetry and write "
-             "self-contained HTML dashboards (default: fig3a overload)")
-    rep.add_argument("experiments", nargs="*", default=[],
-                     help="experiment ids (default: fig3a overload)")
-    rep.add_argument("--full", action="store_true",
+    run = sub.add_parser(
+        "run", help="reproduce figures, optionally observed (--obs)",
+        description="Reproduce figures from the paper's evaluation.")
+    run.add_argument("experiments", nargs="*", metavar="EXP",
+                     type=registry.experiment_id,
+                     help=f"ids to run (default: all): "
+                          f"{sorted(registry.EXPERIMENTS)}")
+    run.add_argument("--full", action="store_true",
                      help="use the large windows/sweeps (slow)")
-    rep.add_argument("--out", metavar="DIR", default="report",
-                     help="output directory for dashboards and incident "
-                          "bundles (default: report)")
-    rep.add_argument("--sample-every", type=int, default=512, metavar="CYC",
-                     help="telemetry sample cadence in cycles (default: 512)")
-    rep.add_argument("--timeseries", action="store_true",
-                     help="only the time-series layer (default: all layers)")
-    rep.add_argument("--slo", action="store_true",
-                     help="only SLO monitoring (default: all layers)")
-    rep.add_argument("--flight", action="store_true",
-                     help="only the flight recorder (default: all layers)")
-    ben = sub.add_parser(
-        "bench",
-        help="run one experiment as a host-performance benchmark; "
-             "--profile prints the cProfile hot spots")
-    ben.add_argument("experiment",
-                     help="experiment id (see python -m repro info)")
-    ben.add_argument("--full", action="store_true",
-                     help="use the large windows/sweeps (slow)")
-    ben.add_argument("--profile", action="store_true",
-                     help="run under cProfile and print the top functions")
-    ben.add_argument("--top", type=int, default=25, metavar="N",
-                     help="profile rows to print (default: 25)")
-    ben.add_argument("--sort", choices=("cumulative", "tottime", "ncalls"),
-                     default="tottime",
-                     help="profile sort order (default: tottime -- self "
-                          "time, where the hot loop shows up)")
+    run.add_argument("--jobs", type=int, default=None, metavar="N",
+                     help="run sweep points across N worker processes "
+                          "(default: REPRO_JOBS or serial); results merge "
+                          "in deterministic submission order, so figures "
+                          "are identical to a serial run")
+    run.add_argument("--out", metavar="DIR",
+                     help="write <exp>.csv and every --obs export here "
+                          "(default: write nothing)")
+    run.add_argument("--obs", metavar="SPEC", type=registry.parse_obs,
+                     default={},
+                     help="comma list of: counters, trace, critpath[=K], "
+                          "latencies, report, profile[=N] "
+                          "(e.g. trace,critpath=15)")
     dif = sub.add_parser(
         "diff",
         help="compare two benchmark records (BENCH_*.json or figure "
@@ -272,10 +147,6 @@ def main(argv=None) -> int:
                           "e.g. --gate throughput_mops)")
     dif.add_argument("--show-unchanged", action="store_true",
                      help="list unchanged metrics too in the text report")
-    sub.add_parser("experiments", help="run figure reproductions "
-                                       "(see python -m repro.experiments -h)")
-    sub.add_parser("run", help="alias for `experiments` "
-                               "(e.g. python -m repro run scale)")
     sub.add_parser("explore", help="adversarial schedule search "
                                    "(see python -m repro explore -h)")
     args = parser.parse_args(argv)
@@ -283,10 +154,10 @@ def main(argv=None) -> int:
         return cmd_info(args)
     if args.cmd == "quickstart":
         return cmd_quickstart(args)
-    if args.cmd == "report":
-        return cmd_report(args)
-    if args.cmd == "bench":
-        return cmd_bench(args)
+    if args.cmd == "run":
+        return registry.run_experiments(args.experiments, args.obs,
+                                        full=args.full, jobs=args.jobs,
+                                        out=args.out)
     if args.cmd == "diff":
         return cmd_diff(args)
     parser.print_help()

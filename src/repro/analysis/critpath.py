@@ -469,7 +469,9 @@ def _critical_path(ops: List[OpTrace]) -> Tuple[List[Tuple[int, int, int, str]],
 # -- derived reports --------------------------------------------------------
 
 def stragglers(report: CritPathReport, k: int = 10) -> List[OpTrace]:
-    """The ``k`` slowest measured ops, slowest first."""
+    """The ``k`` slowest measured ops, slowest first (``k`` >= 1)."""
+    if k < 1:
+        raise ValueError(f"straggler count must be >= 1, got {k}")
     return sorted(report.measured_ops, key=lambda o: -o.latency)[:k]
 
 

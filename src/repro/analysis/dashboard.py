@@ -1,14 +1,15 @@
 """Run dashboards: sparkline grids, SLO burn charts, incident lists.
 
-``python -m repro report`` renders one **self-contained HTML file** per
-experiment from the continuous-telemetry layer (DESIGN.md §14): every
-observed machine contributes a grid of per-subsystem sparklines (core
-cycles, cache misses, UDN occupancy/backpressure, NoC flits, admission
-queue depth, goodput), each SLO gets a burn-rate chart with its alert
-threshold and breach/recover markers, and flight-recorder incidents are
-listed with their bundle paths.  Everything is inline SVG + inline CSS
--- no external scripts, stylesheets, or image fetches -- so the file
-can be archived as a CI artifact and opened offline years later.
+``python -m repro run --obs report`` renders one **self-contained HTML
+file** per experiment from the continuous-telemetry layer (DESIGN.md
+§14): every observed machine contributes a grid of per-subsystem
+sparklines (core cycles, cache misses, UDN occupancy/backpressure, NoC
+flits, admission queue depth, goodput), each SLO gets a burn-rate chart
+with its alert threshold and breach/recover markers, and flight-recorder
+incidents are listed with their bundle paths. Everything is inline SVG +
+inline CSS -- no external scripts, stylesheets, or image fetches -- so
+the file can be archived as a CI artifact and opened offline years
+later.
 
 :func:`render_dashboard_text` is the terminal twin (unicode block
 sparklines) printed by the CLI so headless runs still get the shape of

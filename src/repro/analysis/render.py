@@ -225,7 +225,7 @@ def render_critpath_diff(a: CritPathReport, b: CritPathReport,
 
 def render_cdf(samples: Sequence[int], *, width: int = 60, height: int = 16,
                title: str = "op latency CDF") -> str:
-    """Full latency CDF from raw per-op samples (``--latency-dump``)."""
+    """Full latency CDF from raw per-op samples (``--obs latencies``)."""
     out = io.StringIO()
     out.write(f"{title} ({len(samples)} samples)\n")
     if not samples:

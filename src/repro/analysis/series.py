@@ -24,7 +24,7 @@ _HOST_FIELDS = ("host_wall_seconds", "host_events_processed",
 def cdf_points(samples: List[int]) -> List[Tuple[int, float]]:
     """Empirical CDF of raw latency samples as (latency, fraction<=).
 
-    The full-distribution view behind ``--latency-dump``: p50/p99 hide
+    The full-distribution view behind ``--obs latencies``: p50/p99 hide
     the straggler tail the paper's latency discussion is about.
     """
     xs = sorted(samples)

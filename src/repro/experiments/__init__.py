@@ -16,7 +16,7 @@ sweeps behind EXPERIMENTS.md) and returns
 :class:`~repro.analysis.series.FigureData`.
 
 ``repro.experiments.registry`` maps experiment ids to callables, and
-``python -m repro.experiments`` runs any subset from the command line.
+``python -m repro run`` runs any subset from the command line.
 """
 
 from repro.experiments.registry import EXPERIMENTS, run_experiment

@@ -1,7 +1,7 @@
-"""``python -m repro.experiments`` -- run reproduction experiments."""
+"""``python -m repro.experiments`` -- forwards to ``python -m repro run``."""
 
 import sys
 
-from repro.experiments.registry import main
+from repro.__main__ import main
 
-sys.exit(main())
+sys.exit(main(["run", *sys.argv[1:]]))

@@ -70,7 +70,7 @@ FULL_MULTIPLIERS = (0.5, 0.75, 1.0, 1.1, 1.2, 1.35, 1.5, 1.75, 2.0)
 
 
 def overload_slos() -> Tuple[SLO, ...]:
-    """The SLOs ``python -m repro report overload`` monitors live.
+    """The SLOs ``python -m repro run overload --obs report`` monitors live.
 
     They restate the experiment's own acceptance story as objectives:
     the sojourn SLO the time-in-SLO metric uses, a goodput floor well

@@ -22,7 +22,7 @@ Job count resolution, most specific wins:
 A crashed worker (or a point that raises) surfaces as a
 :class:`PointFailure` naming the exact point, instead of a hung or
 half-merged sweep.  When a machine-wide observability session is active
-(``--perf``/``--trace``/``--critpath``), sweeps run serially: workers
+(``python -m repro run --obs ...``), sweeps run serially: workers
 would register their machines with a session in the worker process and
 the parent's aggregation would silently see nothing.
 """

@@ -65,7 +65,7 @@ class Machine:
         self._threads: Dict[int, "ThreadCtx"] = {}
         self._procs_by_tid: Dict[int, List[Process]] = {}
         # join the active observability session, if one is open
-        # (``python -m repro.experiments --trace`` / repro.obs.observed())
+        # (``python -m repro run --obs trace`` / repro.obs.observed())
         import repro.obs as _obs
         self.obs = _obs.attach(self)
 

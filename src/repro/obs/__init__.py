@@ -36,8 +36,8 @@ Per machine::
     obs.export_chrome_trace("trace.json")
     obs.sampler.series["core.busy"].points()
 
-Across machines (how ``python -m repro report`` observes every machine
-a sweep builds internally)::
+Across machines (how ``python -m repro run --obs ...`` observes every
+machine a sweep builds internally)::
 
     with repro.obs.observed(timeseries=True, slos=my_slos) as session:
         result = run_counter_benchmark("mp-server", 10)
@@ -84,11 +84,12 @@ __all__ = [
 
 
 def _check_limits(trace_limit: int, flight_limit: int,
-                  spatial_hop_limit: int) -> None:
-    """Reject a cap that would silently keep nothing, naming the option."""
+                  spatial_hop_limit: int, sample_every: int) -> None:
+    """Reject a cap or cadence that cannot work, naming the option."""
     for name, value, least in (("trace_limit", trace_limit, 0),
                                ("flight_limit", flight_limit, 1),
-                               ("spatial_hop_limit", spatial_hop_limit, 0)):
+                               ("spatial_hop_limit", spatial_hop_limit, 0),
+                               ("sample_every", sample_every, 1)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
 
@@ -106,7 +107,8 @@ class Observability:
                  spatial_hop_limit: int = 100_000):
         if machine.sim.obs is not None:
             raise RuntimeError("observability already enabled on this machine")
-        _check_limits(trace_limit, flight_limit, spatial_hop_limit)
+        _check_limits(trace_limit, flight_limit, spatial_hop_limit,
+                      sample_every)
         self.machine = machine
         #: free-form run label (process name in merged traces)
         self.label = label or machine.cfg.name
@@ -188,7 +190,7 @@ class ObsSession:
         bound.apply_defaults()
         args = bound.arguments
         _check_limits(args["trace_limit"], args["flight_limit"],
-                      args["spatial_hop_limit"])
+                      args["spatial_hop_limit"], args["sample_every"])
         self.options = options
         self.machines: List[Observability] = []
 

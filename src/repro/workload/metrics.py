@@ -46,7 +46,7 @@ class RunResult:
     extra: Dict[str, float] = field(default_factory=dict)
 
     #: raw per-op latency samples from the measurement window, in issue
-    #: order (full-CDF analysis / ``--latency-dump``); None when the run
+    #: order (full-CDF analysis / ``--obs latencies``); None when the run
     #: predates sampling
     latency_samples: Optional[List[int]] = None
 

@@ -166,3 +166,17 @@ def assert_event_stalls_equal_hw(ref) -> None:
         ev = snap["core"].get(cid, {})
         for reg in ("stall_mem", "stall_atomic", "stall_fence"):
             assert ev.get(reg, 0) == hw[reg], (cid, reg)
+
+
+def tiny_experiment(quick=True, jobs=None):
+    """Stub registry entry for runner tests: one short mp-server point."""
+    from repro.analysis.series import FigureData
+    from repro.workload import WorkloadSpec
+    from repro.workload.scenarios import run_counter_benchmark
+
+    spec = WorkloadSpec(warmup_cycles=5_000, measure_cycles=30_000)
+    fig = FigureData("tiny", "tiny shootout", "threads", "Mops/s")
+    fig.add_point("mp-server", 4.0,
+                  run_counter_benchmark("mp-server", 4, spec=spec))
+    fig.note("stub experiment for CLI tests")
+    return fig

@@ -8,6 +8,8 @@ that the whole-run verdict agrees with the Figure 4a counter breakdown
 on real runs.
 """
 
+import pytest
+
 import repro.obs as obs
 from repro.analysis.critpath import (
     CATEGORIES,
@@ -16,6 +18,7 @@ from repro.analysis.critpath import (
     diff_reports,
     stragglers,
 )
+from repro.analysis.render import render_stragglers
 from repro.workload.driver import WorkloadSpec
 from repro.workload.scenarios import run_counter_benchmark
 from tests.helpers import ev
@@ -168,6 +171,17 @@ def test_stragglers_returns_slowest_measured_first():
     rep = analyze(events)
     top = stragglers(rep, k=2)
     assert [o.latency for o in top] == [90, 60]
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_straggler_count_below_one_rejected(k):
+    """K < 1 once printed every op but the K fastest (k=-2) or a
+    "[no measured ops]" table for a run that measured ops (k=0)."""
+    rep = analyze(_op([], t0=0, t1=50))
+    with pytest.raises(ValueError, match="straggler count"):
+        stragglers(rep, k=k)
+    with pytest.raises(ValueError, match="straggler count"):
+        render_stragglers(rep, k)
 
 
 def test_diff_reports_mean_per_op_delta():

@@ -1,4 +1,4 @@
-"""Dashboard rendering (HTML + terminal) and the `report` CLI."""
+"""Dashboard rendering (HTML + terminal) and ``run --obs report``."""
 
 import json
 
@@ -18,6 +18,7 @@ from repro.analysis.dashboard import (
 from repro.obs import SLO
 from repro.workload import WorkloadSpec
 from repro.workload.scenarios import run_counter_benchmark
+from tests.helpers import tiny_experiment
 
 SPEC = WorkloadSpec(warmup_cycles=5_000, measure_cycles=30_000)
 
@@ -167,25 +168,15 @@ def test_render_diff_html_structure_and_escaping():
         assert needle not in page
 
 
-# -- the report CLI --------------------------------------------------------
-
-def _tiny_experiment(quick=True, jobs=None):
-    from repro.analysis.series import FigureData
-    fig = FigureData("tiny", "tiny shootout", "threads", "Mops/s")
-    fig.add_point("mp-server", 4.0,
-                  run_counter_benchmark("mp-server", 4, spec=SPEC))
-    fig.note("stub experiment for CLI tests")
-    return fig
-
+# -- the report spec of the runner (``run --obs report``) ------------------
 
 def test_report_cli_writes_dashboard(tmp_path, monkeypatch, capsys):
     import repro.experiments.registry as registry
     from repro.__main__ import main
 
-    monkeypatch.setitem(registry.EXPERIMENTS, "tiny", _tiny_experiment)
+    monkeypatch.setitem(registry.EXPERIMENTS, "tiny", tiny_experiment)
     out = str(tmp_path / "report")
-    rc = main(["report", "tiny", "--out", out, "--sample-every", "256"])
-    assert rc == 0
+    assert main(["run", "tiny", "--obs", "report", "--out", out]) == 0
     captured = capsys.readouterr().out
     assert "tiny shootout" in captured
     html = (tmp_path / "report" / "tiny-dashboard.html").read_text()
@@ -195,11 +186,16 @@ def test_report_cli_writes_dashboard(tmp_path, monkeypatch, capsys):
 def test_report_cli_rejects_unknown_experiment(capsys):
     from repro.__main__ import main
 
-    assert main(["report", "no-such-exp"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "no-such-exp", "--obs", "report"])
+    assert exc.value.code == 2
     assert "no-such-exp" in capsys.readouterr().err
 
 
-def test_report_cli_layer_flag_narrows_stack(tmp_path, monkeypatch):
+def test_report_spec_turns_on_every_layer(tmp_path, monkeypatch):
+    """``--obs report`` is time series + the experiment's default SLOs +
+    the flight recorder (bundles under the output directory) + hop
+    attribution, in one session."""
     import repro.experiments.registry as registry
     from repro.__main__ import main
 
@@ -210,12 +206,16 @@ def test_report_cli_layer_flag_narrows_stack(tmp_path, monkeypatch):
         seen.update(options)
         return real_observed(**options)
 
-    monkeypatch.setitem(registry.EXPERIMENTS, "tiny", _tiny_experiment)
+    monkeypatch.setitem(registry.EXPERIMENTS, "tiny", tiny_experiment)
     monkeypatch.setattr("repro.obs.observed", spy)
     out = str(tmp_path / "r2")
-    assert main(["report", "tiny", "--out", out, "--timeseries"]) == 0
-    assert seen["timeseries"] is True
-    assert seen["slos"] == () and seen["flight"] is False
+    assert main(["run", "tiny", "--obs", "report", "--out", out]) == 0
+    assert seen["timeseries"] is True and seen["flight"] is True
+    assert seen["spatial"] is True and seen["spatial_hops"] is True
+    assert seen["slos"] == registry.slos_for("tiny")
+    assert [s.name for s in seen["slos"]] == ["op-p99"]
+    assert seen["incident_dir"] == str(tmp_path / "r2" / "incidents" / "tiny")
+    assert "trace" not in seen
 
 
 def test_incident_bundles_land_under_out_dir(tmp_path, monkeypatch):
@@ -235,7 +235,7 @@ def test_incident_bundles_land_under_out_dir(tmp_path, monkeypatch):
 
     monkeypatch.setitem(registry.EXPERIMENTS, "crashy", crashy)
     out = tmp_path / "r3"
-    assert main(["report", "crashy", "--out", str(out)]) == 0
+    assert main(["run", "crashy", "--obs", "report", "--out", str(out)]) == 0
     bundles = list((out / "incidents" / "crashy").glob("incident-*.json"))
     assert bundles
     with open(bundles[0]) as f:

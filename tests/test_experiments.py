@@ -11,7 +11,8 @@ from repro.experiments import EXPERIMENTS, run_experiment
 from repro.experiments.fig3 import run_fig3a_3b, run_fig3c
 from repro.experiments.fig4 import run_fig4a, run_fig4b, run_fig4c
 from repro.experiments.fig5 import run_fig5a, run_fig5b
-from repro.experiments.registry import main, metric_for
+from repro.__main__ import main
+from repro.experiments.registry import metric_for
 
 
 def test_registry_is_complete():
@@ -95,7 +96,7 @@ def test_metric_selection():
 
 
 def test_cli_runs_one_experiment_and_exports_csv(tmp_path, capsys):
-    rc = main(["fig4a", "--csv", str(tmp_path)])
+    rc = main(["run", "fig4a", "--out", str(tmp_path)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "fig4a" in out
@@ -105,6 +106,7 @@ def test_cli_runs_one_experiment_and_exports_csv(tmp_path, capsys):
 
 
 def test_cli_rejects_unknown(capsys):
-    with pytest.raises(SystemExit):
-        main(["nonsense"])
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "nonsense"])
+    assert exc.value.code == 2
     assert "unknown experiment" in capsys.readouterr().err

@@ -45,7 +45,8 @@ def test_double_enable_raises():
 
 
 @pytest.mark.parametrize("option, value", [
-    ("trace_limit", -1), ("spatial_hop_limit", -1), ("flight_limit", 0)])
+    ("trace_limit", -1), ("spatial_hop_limit", -1), ("flight_limit", 0),
+    ("sample_every", 0)])
 def test_negative_caps_rejected_naming_the_option(option, value):
     with pytest.raises(ValueError, match=option):
         obs.enable(**{option: value})
