@@ -6,6 +6,11 @@ cost of the memory/UDN primitives so a performance regression in the
 substrate is caught before it turns every figure run to molasses.
 """
 
+import cProfile
+import os
+import pstats
+
+import repro.obs
 from repro.machine import Machine, tile_gx, x86_like
 from repro.sim import Simulator
 
@@ -82,6 +87,13 @@ def test_coherence_miss_pingpong(benchmark):
 
 def _round_trips(machine, n=2_000):
     """``n`` request/response message pairs between threads 0 and 1."""
+    p = _spawn_round_trips(machine, n)
+    machine.run()
+    return p.result, machine.sim.events_processed, machine.now
+
+
+def _spawn_round_trips(machine, n=2_000):
+    """Spawn :func:`_round_trips`'s two threads; returns the client."""
     t0 = machine.thread(0)
     t1 = machine.thread(1)
 
@@ -99,9 +111,7 @@ def _round_trips(machine, n=2_000):
         return total
 
     machine.spawn(t0, server())
-    p = machine.spawn(t1, client())
-    machine.run()
-    return p.result, machine.sim.events_processed, machine.now
+    return machine.spawn(t1, client())
 
 
 def test_udn_message_round_trips(benchmark):
@@ -114,6 +124,37 @@ def test_udn_message_round_trips(benchmark):
     # host-only speed-up must not add, drop or move a single event
     expected = sum(i + 1 for i in range(2_000))
     assert benchmark(run) == (expected, 16_002, 40_000)
+
+
+def test_observed_round_trips_write_counters_without_an_obs_call():
+    """The ping-pong with the counter file on: every publish site writes
+    its registers in place, so the run makes no call into a function
+    defined in ``repro.obs`` (one per send, delivery and receive and one
+    for the latency bucket were made when the file had write methods:
+    16,002 in all).  Only repro functions are counted, so the pin is the
+    same on every Python version; the snapshot is the one those methods
+    wrote."""
+    obs_dir = os.path.dirname(repro.obs.__file__) + os.sep
+    m = Machine(tile_gx())
+    counters = m.enable_observability().counters
+    client = _spawn_round_trips(m)
+    prof = cProfile.Profile()
+    prof.runcall(m.run)
+    obs_calls = sum(nc for (path, _, _), (_, nc, *_) in
+                    pstats.Stats(prof).stats.items()
+                    if path.startswith(obs_dir))
+    assert (client.result, m.sim.events_processed, m.now) == (
+        sum(i + 1 for i in range(2_000)), 16_002, 40_000)
+    assert obs_calls == 0
+    snap = counters.snapshot()
+    assert snap["core"] == {
+        cid: {"udn_words_sent": 2_000, "udn_msgs_sent": 2_000,
+              "udn_words_received": 2_000, "udn_msgs_received": 2_000,
+              "udn_wait_cycles": wait}
+        for cid, wait in ((0, 29_993), (1, 30_000))}
+    assert snap["udn_hist"] == {3: 4_000}
+    assert snap["global"] == {"udn_deliveries": 4_000}
+    assert snap["line"] == snap["link"] == {}
 
 
 def test_udn_message_round_trips_with_hop_ledger(benchmark):
@@ -173,7 +214,7 @@ def test_contended_udn_round_trips_emit_nothing_for_the_atlas(benchmark):
     assert ob.bus.wanted == frozenset() and ob.bus.events_emitted == 0
     atlas = ob.spatial
     hops = atlas.mesh.hops(ob.machine.cores[0].node, ob.machine.cores[1].node)
-    assert [len(rec[5]) for rec in atlas._records] == [hops] * 4_000
+    assert [len(rec.hops) for rec in atlas.records] == [hops] * 4_000
     assert atlas.summary()["hops"]["records"] == 4_000
 
 

@@ -92,6 +92,11 @@ _DIRECTION: Dict[str, int] = {
         "mem.dir_peak_entries mem.dir_nominal_bytes udn.msgs_per_op "
         "noc.packets_per_op noc.flit_cycles_per_op core.service_cycles_per_op "
         "obs.bus_events_per_op").split(), -1),
+    # the e2e ledger's profiled Python calls per op: exact for a seed and
+    # a Python version, so a rise is added host work, not host noise
+    # (``layer.*.us_per_op`` and ``layer.*.share`` stay neutral)
+    **{f"layer.{layer}.calls_per_op": -1 for layer in (
+        "sim machine mem udn noc core objects workload obs py").split()},
 }
 
 #: substring heuristics for metrics not in the explicit table (extras

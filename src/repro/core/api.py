@@ -170,7 +170,9 @@ class SyncPrimitive:
         obs = self.machine.sim.obs
         if obs is not None and self._session_ctx is not None:
             ctx = self._session_ctx
-            obs.counters.combined(ops)
+            glob = obs.counters.global_
+            glob["combining_sessions"] += 1
+            glob["combined_ops"] += ops
             if "combiner.close" in obs.wanted:
                 obs.emit("combiner.close", ctx.core.cid, ctx.tid, self.name,
                          ops, self._session_t0 if self._session_t0 is not None

@@ -45,6 +45,7 @@ from typing import Any, Dict, Generator, Optional
 
 from repro.core.api import NULL_ARG, OpTable, SyncPrimitive
 from repro.machine.machine import Machine, ThreadCtx
+from repro.obs.counters import REQUESTS_SERVED, SERVICE_CYCLES, SERVICES
 
 __all__ = ["CCSynch"]
 
@@ -129,7 +130,7 @@ class CCSynch(SyncPrimitive):
             obs = ctx.sim.obs
             client = self._node_owner.get(tmp)
             if obs is not None:
-                obs.counters.served(ctx.core.cid)
+                obs.counters.core[ctx.core.cid][REQUESTS_SERVED] += 1
                 if "server.req" in obs.wanted:
                     obs.emit("server.req", ctx.core.cid, client, self.name)
             ret = yield from execute(ctx, op, a)
@@ -137,7 +138,9 @@ class CCSynch(SyncPrimitive):
             yield from ctx.store(tmp + _COMPLETED, 1)
             yield from ctx.store(tmp + _WAIT, 0)
             if obs is not None:
-                obs.counters.service(ctx.core.cid, ctx.sim.now - svc_start)
+                row = obs.counters.core[ctx.core.cid]
+                row[SERVICE_CYCLES] += ctx.sim.now - svc_start
+                row[SERVICES] += 1
                 if "server.done" in obs.wanted:
                     obs.emit("server.done", ctx.core.cid, client, self.name,
                              svc_start)
@@ -204,7 +207,9 @@ class CCSynch(SyncPrimitive):
                 yield from ctx.store(tmp + _COMPLETED, 1)
             yield from ctx.store(tmp + _WAIT, 0)
             if obs is not None:
-                obs.counters.service(ctx.core.cid, ctx.sim.now - svc_start)
+                row = obs.counters.core[ctx.core.cid]
+                row[SERVICE_CYCLES] += ctx.sim.now - svc_start
+                row[SERVICES] += 1
                 if "server.done" in obs.wanted:
                     obs.emit("server.done", ctx.core.cid,
                              self._node_owner.get(tmp), self.name, svc_start)

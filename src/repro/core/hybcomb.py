@@ -58,6 +58,7 @@ from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.core.api import NULL_ARG, OpTable, SyncPrimitive
 from repro.machine.machine import Machine, ThreadCtx
+from repro.obs.counters import REQUESTS_SERVED, SERVICE_CYCLES, SERVICES
 from repro.udn.udn import ReceiveTimeout, SendTimeout
 
 __all__ = ["HybComb"]
@@ -205,13 +206,15 @@ class HybComb(SyncPrimitive):
             svc_start = self.machine.now
             obs = ctx.sim.obs
             if obs is not None:
-                obs.counters.served(ctx.core.cid)
+                obs.counters.core[ctx.core.cid][REQUESTS_SERVED] += 1
                 if "server.req" in obs.wanted:
                     obs.emit("server.req", ctx.core.cid, sender, self.name)
             r = yield from execute(ctx, fp, farg)
             yield from ctx.send(sender, [r])
             if obs is not None:
-                obs.counters.service(ctx.core.cid, self.machine.now - svc_start)
+                row = obs.counters.core[ctx.core.cid]
+                row[SERVICE_CYCLES] += self.machine.now - svc_start
+                row[SERVICES] += 1
                 if "server.done" in obs.wanted:
                     obs.emit("server.done", ctx.core.cid, sender, self.name, svc_start)
 
@@ -243,7 +246,7 @@ class HybComb(SyncPrimitive):
                 self.takeovers += 1
                 obs = ctx.sim.obs
                 if obs is not None:
-                    obs.counters.count("takeovers")
+                    obs.counters.global_["takeovers"] += 1
                     if "fault.takeover" in obs.wanted:
                         obs.emit("fault.takeover", ctx.core.cid, ctx.tid, self.name)
                 return
@@ -288,7 +291,7 @@ class HybComb(SyncPrimitive):
                             self.ops_retried += 1
                             obs = ctx.sim.obs
                             if obs is not None:
-                                obs.counters.count("ops_retried")
+                                obs.counters.global_["ops_retried"] += 1
                                 if "fault.retry" in obs.wanted:
                                     obs.emit("fault.retry", ctx.core.cid, tid,
                                              self.name)
@@ -312,7 +315,7 @@ class HybComb(SyncPrimitive):
                     self.ops_retried += 1
                     obs = ctx.sim.obs
                     if obs is not None:
-                        obs.counters.count("ops_retried")
+                        obs.counters.global_["ops_retried"] += 1
                         if "fault.retry" in obs.wanted:
                             obs.emit("fault.retry", ctx.core.cid, tid, self.name)
                     if first_timeout_at is None:
@@ -364,7 +367,9 @@ class HybComb(SyncPrimitive):
         retval = yield from execute(ctx, opcode, arg)
         self.self_combined += 1
         if obs is not None:
-            obs.counters.service(ctx.core.cid, self.machine.now - svc_start)
+            row = obs.counters.core[ctx.core.cid]
+            row[SERVICE_CYCLES] += self.machine.now - svc_start
+            row[SERVICES] += 1
             if "server.done" in obs.wanted:
                 obs.emit("server.done", ctx.core.cid, tid, self.name, svc_start)
         if ctx.sim.policy is not None:
@@ -383,7 +388,9 @@ class HybComb(SyncPrimitive):
             yield from ctx.send(sender, [r])
             ops_completed += 1
             if obs is not None:
-                obs.counters.service(ctx.core.cid, self.machine.now - svc_start)
+                row = obs.counters.core[ctx.core.cid]
+                row[SERVICE_CYCLES] += self.machine.now - svc_start
+                row[SERVICES] += 1
                 if "server.done" in obs.wanted:
                     obs.emit("server.done", ctx.core.cid, sender, self.name, svc_start)
             if self._recovery:
@@ -409,7 +416,9 @@ class HybComb(SyncPrimitive):
             yield from ctx.send(sender, [r])
             ops_completed += 1
             if obs is not None:
-                obs.counters.service(ctx.core.cid, self.machine.now - svc_start)
+                row = obs.counters.core[ctx.core.cid]
+                row[SERVICE_CYCLES] += self.machine.now - svc_start
+                row[SERVICES] += 1
                 if "server.done" in obs.wanted:
                     obs.emit("server.done", ctx.core.cid, sender, self.name, svc_start)
             if self._recovery:

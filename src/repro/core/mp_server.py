@@ -55,6 +55,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.core.api import NULL_ARG, DispatchTimeout, OpTable, SyncPrimitive
 from repro.machine.machine import Machine, ThreadCtx
+from repro.obs.counters import REQUESTS_SERVED, SERVICE_CYCLES, SERVICES
 from repro.udn.udn import ReceiveTimeout, SendTimeout
 
 __all__ = ["MPServer", "ServerUnavailable"]
@@ -187,14 +188,16 @@ class MPServer(SyncPrimitive):
             svc_start = ctx.sim.now
             obs = ctx.sim.obs
             if obs is not None:
-                obs.counters.served(ctx.core.cid)
+                obs.counters.core[ctx.core.cid][REQUESTS_SERVED] += 1
                 if "server.req" in obs.wanted:
                     obs.emit("server.req", ctx.core.cid, sender, self.name)
             retval = yield from execute(ctx, opcode, arg)
             yield from ctx.send(sender, [retval])
             self.requests_served += 1
             if obs is not None:
-                obs.counters.service(ctx.core.cid, ctx.sim.now - svc_start)
+                row = obs.counters.core[ctx.core.cid]
+                row[SERVICE_CYCLES] += ctx.sim.now - svc_start
+                row[SERVICES] += 1
                 if "server.done" in obs.wanted:
                     obs.emit("server.done", ctx.core.cid, sender, self.name, svc_start)
 
@@ -211,7 +214,7 @@ class MPServer(SyncPrimitive):
             svc_start = ctx.sim.now
             obs = ctx.sim.obs
             if obs is not None:
-                obs.counters.served(ctx.core.cid)
+                obs.counters.core[ctx.core.cid][REQUESTS_SERVED] += 1
                 if "server.req" in obs.wanted:
                     obs.emit("server.req", ctx.core.cid, sender, self.name)
             slot = self._slot_for(sender)
@@ -236,7 +239,9 @@ class MPServer(SyncPrimitive):
             yield from ctx.send(sender, [seq, retval])
             self.requests_served += 1
             if obs is not None:
-                obs.counters.service(ctx.core.cid, ctx.sim.now - svc_start)
+                row = obs.counters.core[ctx.core.cid]
+                row[SERVICE_CYCLES] += ctx.sim.now - svc_start
+                row[SERVICES] += 1
                 if "server.done" in obs.wanted:
                     obs.emit("server.done", ctx.core.cid, sender, self.name, svc_start)
 
@@ -299,7 +304,7 @@ class MPServer(SyncPrimitive):
                 self.ops_retried += 1
                 obs = ctx.sim.obs
                 if obs is not None:
-                    obs.counters.count("ops_retried")
+                    obs.counters.global_["ops_retried"] += 1
                     if "fault.retry" in obs.wanted:
                         obs.emit("fault.retry", ctx.core.cid, tid, self.name)
                 if first_timeout_at is None:
@@ -314,7 +319,7 @@ class MPServer(SyncPrimitive):
                         self._client_server[tid] + 1) % len(servers)
                     self.failovers += 1
                     if obs is not None:
-                        obs.counters.count("failovers")
+                        obs.counters.global_["failovers"] += 1
                         if "fault.failover" in obs.wanted:
                             obs.emit("fault.failover", ctx.core.cid, tid, self.name)
                 backoff = min(self.backoff_base << (attempt - 1), self.backoff_cap)

@@ -29,14 +29,26 @@ import hashlib
 from dataclasses import asdict, dataclass, replace
 from typing import Tuple
 
-__all__ = ["MAX_MESH_DIM", "MachineConfig", "controller_nodes_for_mesh",
-           "mesh_profile", "scc_like", "tile_gx", "x86_like"]
+__all__ = ["COST_FIELDS", "MAX_MESH_DIM", "MachineConfig",
+           "controller_nodes_for_mesh", "mesh_profile", "scc_like", "tile_gx",
+           "x86_like"]
 
 #: largest supported rectangular mesh edge (32x32 = 1024 cores).  The
 #: simulator's data structures stay O(1) per event well past this, but
 #: thread/process bookkeeping is still O(cores) per *run*, and the cap
 #: keeps a typo'd config from silently requesting a million cores.
 MAX_MESH_DIM = 32
+
+#: the cycle-cost knobs: 0 is a free step, a negative cost is refused
+#: (it schedules work in the past or charges negative busy time)
+COST_FIELDS = (
+    "noc_base", "noc_per_hop", "noc_per_word", "link_occupancy",
+    "c_hit", "c_remote_base", "c_mem_base", "c_fence",
+    "c_dir_read_occupancy", "c_atomic_service", "c_atomic_service_cold",
+    "c_atomic_issue", "c_atomic_travel_extra", "c_atomic_local",
+    "udn_send_base", "udn_send_per_word", "udn_recv_base",
+    "udn_recv_per_word", "udn_probe_cost", "work_cycles_per_iteration",
+)
 
 
 @dataclass
@@ -167,6 +179,16 @@ class MachineConfig:
             raise ValueError("line_words must be >= 1")
         if self.udn_demux_queues < 1:
             raise ValueError("need at least one demux queue")
+        # a 0 MHz clock reports every throughput as 0.0 Mops/s, and a
+        # 0-word buffer can hold no message
+        for name in ("clock_mhz", "udn_buffer_words"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in COST_FIELDS:
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be >= 0 cycles, got {getattr(self, name)}")
 
     @property
     def num_cores(self) -> int:

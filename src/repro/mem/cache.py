@@ -38,6 +38,7 @@ from repro.machine.core import Core
 from repro.mem.memory import Allocator, BackingStore, WORD_MASK
 from repro.mem.sharers import ENTRY_BASE_BYTES, MeshGeometry, SparseSharerSet
 from repro.noc.topology import Mesh
+from repro.obs.counters import ATOMICS, ATOMICS_COLD, INVALIDATIONS, MISSES
 from repro.sim.engine import Event, Simulator
 from repro.sim.resources import Condition, Resource
 
@@ -161,7 +162,7 @@ class CoherentMemory:
         core.stall_mem += cycles
         obs = self.sim.obs
         if obs is not None:
-            obs.counters.stall(line_no, cycles)
+            obs.counters.line[line_no]["stall_cycles"] += cycles
             if "cache.stall" in obs.wanted:
                 obs.emit("cache.stall", core.cid, cycles, line_no, why,
                          self.sim.now - cycles)
@@ -178,7 +179,7 @@ class CoherentMemory:
         core.stall_atomic += cycles
         obs = self.sim.obs
         if obs is not None:
-            obs.counters.stall(line_no, cycles)
+            obs.counters.line[line_no]["stall_cycles"] += cycles
             if "atomic.stall" in obs.wanted:
                 obs.emit("atomic.stall", core.cid, cycles, line_no,
                          self.sim.now - cycles)
@@ -187,17 +188,25 @@ class CoherentMemory:
         # ``ctrl`` is the executing controller's node, None in the cache
         obs = self.sim.obs
         if obs is not None:
-            obs.counters.atomic(core.cid, line_no, cold, service)
+            counters = obs.counters
+            row = counters.core[core.cid]
+            row[ATOMICS] += 1
+            if cold:
+                row[ATOMICS_COLD] += 1
+            counters.line[line_no]["atomics"] += 1
+            counters.global_["atomic_service_cycles"] += service
             if "atomic.exec" in obs.wanted:
                 obs.emit("atomic.exec", core.cid, line_no, ctrl, cold, service)
 
     def _emit_invals(self, obs, entry: _Line, line_no: int, by) -> None:
         """Count and publish one ``cache.inval`` per core losing its copy."""
         publish = "cache.inval" in obs.wanted
+        counters = obs.counters
         holders = entry.sharers if entry.owner is None else (entry.owner,)  # SWMR
         for victim in holders:
             if victim != by:
-                obs.counters.inval(victim, line_no)
+                counters.core[victim][INVALIDATIONS] += 1
+                counters.line[line_no]["invalidations"] += 1
                 if publish:
                     obs.emit("cache.inval", victim, line_no, by)
 
@@ -276,7 +285,12 @@ class CoherentMemory:
         obs = self.sim.obs
         if obs is not None:
             transition = TRANSITIONS[store, found]
-            obs.counters.miss(cid, line_no, op, transition, latency)
+            counters = obs.counters
+            counters.core[cid][MISSES] += 1
+            counters.miss_kinds[cid, op, transition] += 1
+            ln = counters.line[line_no]
+            ln["misses"] += 1
+            ln["miss_latency_cycles"] += latency
             if "cache.miss" in obs.wanted:
                 obs.emit("cache.miss", cid, line_no, op, transition, latency)
             if store:
@@ -541,7 +555,7 @@ class CoherentMemory:
         obs = self.sim.obs
         if obs is not None:
             line_no = self.line_of(addr)
-            obs.counters.cas_fail(line_no)
+            obs.counters.line[line_no]["cas_failures"] += 1
             if "atomic.cas_fail" in obs.wanted:
                 obs.emit("atomic.cas_fail", core.cid, line_no)
         return False

@@ -84,7 +84,10 @@ class ContendedMesh:
                 self.total_flit_cycles += busy
                 obs = sim.obs
                 if obs is not None:
-                    obs.counters.link_busy(a, b, busy, wait)
+                    lk = obs.counters.link[a, b]
+                    lk["flit_cycles"] += busy
+                    lk["wait_cycles"] += wait
+                    lk["packets"] += 1
                     if hops is not None:
                         hops.append((a, b, wait))
                     if "noc.link" in obs.wanted:
@@ -103,7 +106,9 @@ class ContendedMesh:
         obs = sim.obs
         if obs is not None:
             cycles = sim.now - t0
-            obs.counters.packet(cycles)
+            glob = obs.counters.global_
+            glob["noc_packets"] += 1
+            glob["noc_packet_cycles"] += cycles
             if "noc.packet" in obs.wanted:
                 obs.emit("noc.packet", src, dst, words, cycles)
         return sim.now - t0

@@ -10,7 +10,7 @@ to.  Every publish site guards with both::
 
     obs = self.sim.obs
     if obs is not None:
-        obs.counters.cas_fail(line_no)
+        obs.counters.line[line_no]["cas_failures"] += 1
         if "atomic.cas_fail" in obs.wanted:
             obs.emit("atomic.cas_fail", core.cid, line_no)
 
@@ -21,9 +21,9 @@ check sits at the call site, not inside :meth:`EventBus.emit`: the
 Python call is the cost it saves.
 
 The bus narrates; it does not count.  Publish sites write the perf
-counter file (:attr:`EventBus.counters`) themselves, inside the
-``None`` guard and outside the ``wanted`` check, so the registers are
-the same whoever listens.
+counter file's registers (:attr:`EventBus.counters`) in place, inside
+the ``None`` guard and outside the ``wanted`` check, so the registers
+are the same whoever listens.
 
 What is wanted
 --------------

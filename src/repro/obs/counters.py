@@ -15,10 +15,25 @@ PMUs the file is queried with before/after snapshots::
     delta["link"]["4->5"]["flit_cycles"] # mesh link occupancy
     delta["udn_hist"][6]                 # deliveries with latency in [32,64)
 
-Every site that publishes a counted event first calls one write method
-below, inside its ``if obs is not None:`` guard and before the ``emit``
-(a flight-recorder dump the event triggers must see it counted).
-Unobserved runs therefore write nothing.
+Every site that publishes a counted event writes its registers in
+place, inside its ``if obs is not None:`` guard and before the ``emit``
+(a flight-recorder dump the event triggers must see it counted)::
+
+    row = obs.counters.core[cid]
+    row[UDN_WORDS_SENT] += n
+
+No Python call is made: the file costs what a register write costs, and
+unobserved runs write nothing.  The storage is laid out for that write,
+and :meth:`PerfCounters.snapshot` folds it back into the plain-dict
+shape below:
+
+* ``core[cid]`` is a fixed-slot list; :data:`CORE_SLOTS` names each slot
+  (the module's slot constants index it).  Misses by transition are a
+  sparse ``miss_kinds[(cid, op, transition)]`` count.
+* ``line[line_no]`` and ``link[(a, b)]`` are sparse dict rows and
+  ``global_`` a dict, written by register name at the site.
+* ``latency_hist[latency.bit_length()]`` is the UDN delivery-latency
+  histogram (exact for latency >= 0).
 
 Register groups
 ---------------
@@ -64,9 +79,44 @@ totals into the first window's delta -- a garbage baseline.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, List, Tuple
 
-__all__ = ["PerfCounters", "counters_csv", "merge_counters", "latency_bucket"]
+__all__ = ["CORE_SLOTS", "PerfCounters", "counters_csv", "merge_counters",
+           "latency_bucket",
+           "MISSES", "INVALIDATIONS", "ATOMICS", "ATOMICS_COLD",
+           "UDN_WORDS_SENT", "BACKPRESSURE_CYCLES", "UDN_WORDS_RECEIVED",
+           "UDN_WAIT_CYCLES", "REQUESTS_SERVED", "SERVICE_CYCLES", "SERVICES"]
+
+#: per-core register slots of ``PerfCounters.core[cid]``
+(MISSES, INVALIDATIONS, ATOMICS, ATOMICS_COLD, UDN_WORDS_SENT,
+ BACKPRESSURE_CYCLES, UDN_WORDS_RECEIVED, UDN_WAIT_CYCLES, REQUESTS_SERVED,
+ SERVICE_CYCLES, SERVICES) = range(11)
+
+#: slot -> (register name in snapshots, the slot that says it was
+#: written).  A register appears once its event has been counted, even at
+#: value 0: a receive may wait 0 cycles and a service span may last 0, so
+#: those two are shown by the count written beside them.  ``SERVICES``
+#: is that count for service spans; it is no register of its own.
+CORE_SLOTS = (
+    ("misses", MISSES),
+    ("invalidations_received", INVALIDATIONS),
+    ("atomics", ATOMICS),
+    ("atomics_cold", ATOMICS_COLD),
+    ("udn_words_sent", UDN_WORDS_SENT),
+    ("backpressure_cycles", BACKPRESSURE_CYCLES),
+    ("udn_words_received", UDN_WORDS_RECEIVED),
+    ("udn_wait_cycles", UDN_WORDS_RECEIVED),
+    ("requests_served", REQUESTS_SERVED),
+    ("service_cycles", SERVICES),
+    (None, SERVICES),
+)
+
+#: ``global`` registers summed from per-core slots: (name, slot)
+_GLOBAL_SUMS = (("requests_served", REQUESTS_SERVED),
+                ("ops_serviced", SERVICES))
+
+#: latency-histogram buckets: bit lengths of 0 .. 2**64 - 1 cycles
+_HIST_BUCKETS = 65
 
 #: ``core`` registers read from the ``hw`` group: (core name, hw name)
 _HW_CORE_REGS = (("stall_mem", "stall_mem"), ("stall_atomic", "stall_atomic"),
@@ -75,10 +125,9 @@ _HW_CORE_REGS = (("stall_mem", "stall_mem"), ("stall_atomic", "stall_atomic"),
 
 
 def latency_bucket(latency: int) -> int:
-    """Histogram bucket for a latency: 0, then ``[2^(k-1), 2^k)`` -> k."""
-    if latency <= 0:
-        return 0
-    return max(1, latency.bit_length())
+    """Histogram bucket for a latency >= 0: 0, then ``[2^(k-1), 2^k)`` -> k
+    (the bucket the UDN fabric writes in place)."""
+    return latency.bit_length()
 
 
 def _nested() -> Dict[Any, Dict[str, int]]:
@@ -105,11 +154,15 @@ class PerfCounters:
 
     def __init__(self, machine):
         self.machine = machine
-        self.core = _nested()       # cid -> register -> value
+        # cid -> slot -> value (see CORE_SLOTS)
+        self.core: List[List[int]] = [[0] * len(CORE_SLOTS)
+                                      for _ in machine.cores]
+        # (cid, op, transition) -> misses
+        self.miss_kinds: Dict[Tuple[int, str, str], int] = defaultdict(int)
         self.line = _nested()       # line no -> register -> value
         self.link = _nested()       # (a, b) -> register -> value
         self.global_: Dict[str, int] = defaultdict(int)
-        self.udn_hist: Dict[int, int] = defaultdict(int)  # bucket -> count
+        self.latency_hist = [0] * _HIST_BUCKETS  # bucket -> deliveries
         # hw registers are reported relative to enable time: without the
         # baseline, enabling observability mid-run would make the first
         # delta() include every pre-enable cycle
@@ -129,73 +182,10 @@ class PerfCounters:
         self._sources[name] = fn
         self._source_base[name] = fn()
 
-    # -- writes: one call per counted event, named in the comment ---------
-    def miss(self, cid, line, op, transition, latency):  # cache.miss
-        c = self.core[cid]
-        c["miss." + op + "." + transition] += 1
-        c["misses"] += 1
-        ln = self.line[line]
-        ln["misses"] += 1
-        ln["miss_latency_cycles"] += latency
-
-    def stall(self, line, cycles):  # cache.stall, atomic.stall
-        self.line[line]["stall_cycles"] += cycles
-
-    def inval(self, cid, line):  # cache.inval (cid = the victim)
-        self.core[cid]["invalidations_received"] += 1
-        self.line[line]["invalidations"] += 1
-
-    def atomic(self, cid, line, cold, service):  # atomic.exec
-        c = self.core[cid]
-        c["atomics"] += 1
-        if cold:
-            c["atomics_cold"] += 1
-        self.line[line]["atomics"] += 1
-        self.global_["atomic_service_cycles"] += service
-
-    def cas_fail(self, line):  # atomic.cas_fail
-        self.line[line]["cas_failures"] += 1
-
-    def udn_send(self, cid, words):  # udn.send
-        self.core[cid]["udn_words_sent"] += words
-
-    def backpressure(self, cid, cycles):  # udn.backpressure
-        self.core[cid]["backpressure_cycles"] += cycles
-        self.global_["backpressure_events"] += 1
-
-    def udn_deliver(self, latency):  # udn.deliver
-        self.udn_hist[latency_bucket(latency)] += 1
-        self.global_["udn_deliveries"] += 1
-
-    def udn_recv(self, cid, words, waited):  # udn.recv
-        c = self.core[cid]
-        c["udn_words_received"] += words
-        c["udn_wait_cycles"] += waited
-
-    def link_busy(self, a, b, busy, wait):  # noc.link
-        lk = self.link[(a, b)]
-        lk["flit_cycles"] += busy
-        lk["wait_cycles"] += wait
-        lk["packets"] += 1
-
-    def packet(self, cycles):  # noc.packet
-        self.global_["noc_packets"] += 1
-        self.global_["noc_packet_cycles"] += cycles
-
-    def combined(self, ops):  # combiner.close
-        self.global_["combining_sessions"] += 1
-        self.global_["combined_ops"] += ops
-
-    def served(self, cid):  # server.req
-        self.core[cid]["requests_served"] += 1
-        self.global_["requests_served"] += 1
-
-    def service(self, cid, cycles):  # server.done
-        self.core[cid]["service_cycles"] += cycles
-        self.global_["ops_serviced"] += 1
-
-    def count(self, name):  # proc.kill/interrupt, udn.timeout, fault.*
-        self.global_[name] += 1
+    @property
+    def udn_hist(self) -> Dict[int, int]:
+        """The delivery-latency histogram's non-empty buckets."""
+        return {k: v for k, v in enumerate(self.latency_hist) if v}
 
     # -- snapshots ----------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
@@ -206,7 +196,23 @@ class PerfCounters:
                     for name, v in c.snapshot().items()}
             for c in self.machine.cores
         }
-        core = {cid: dict(regs) for cid, regs in self.core.items()}
+        core: Dict[int, Dict[str, int]] = {}
+        for cid, row in enumerate(self.core):
+            regs = {name: row[slot]
+                    for slot, (name, written) in enumerate(CORE_SLOTS)
+                    if name is not None and row[written]}
+            if regs:
+                core[cid] = regs
+        for (cid, op, transition), v in self.miss_kinds.items():
+            core.setdefault(cid, {})["miss." + op + "." + transition] = v
+        glob = dict(self.global_)
+        for name, slot in _GLOBAL_SUMS:
+            v = sum(row[slot] for row in self.core)
+            if v:
+                glob[name] = v
+        udn_hist = self.udn_hist
+        if udn_hist:
+            glob["udn_deliveries"] = sum(udn_hist.values())
         for cid, regs in hw.items():
             for name, hw_name in _HW_CORE_REGS:
                 v = regs[hw_name]
@@ -217,8 +223,8 @@ class PerfCounters:
             "line": {ln: dict(regs) for ln, regs in self.line.items()},
             "link": {f"{a}->{b}": dict(regs)
                      for (a, b), regs in self.link.items()},
-            "udn_hist": dict(sorted(self.udn_hist.items())),
-            "global": dict(self.global_),
+            "udn_hist": udn_hist,
+            "global": glob,
             "hw": hw,
             "source": {
                 name: fn() - self._source_base[name]

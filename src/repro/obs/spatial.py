@@ -38,10 +38,12 @@ message's end-to-end delivery latency into per-hop *queueing*
 analytic one) and *transit* (``per_hop`` each), plus the
 injection/ejection overhead ``base + per_word * (words - 1)`` and an
 explicit ``skew`` residual (transit jitter / policy delays).  The
-fabric writes this ledger inline too -- per-pair delivery totals and a
-compact tuple for each of the first ``hop_limit`` messages, which on
-the contended mesh carries the per-hop waits its packet collected --
-and the atlas derives :attr:`~SpatialAtlas.hop_totals` and
+fabric writes this ledger inline too -- per-pair delivery totals and,
+for each of the first ``hop_limit`` messages, one row of five typed
+``array('q')`` columns (msg_id, src core, dst core, words, latency:
+40 bytes a message), plus on the contended mesh the per-hop waits its
+packet collected, kept in a side dict keyed by row -- and the atlas
+derives :attr:`~SpatialAtlas.hop_totals` and
 :attr:`~SpatialAtlas.records` when read.  With no jitter installed the
 attribution **conserves exactly**::
 
@@ -57,9 +59,11 @@ instead.
 
 from __future__ import annotations
 
+from array import array
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.obs.bus import named
+from repro.obs.counters import BACKPRESSURE_CYCLES
 
 __all__ = ["SpatialAtlas", "merge_spatial_summaries", "render_hotspots",
            "causal_link_flows"]
@@ -145,10 +149,12 @@ class SpatialAtlas:
         # delivered messages; written by the fabric at each delivery,
         # mapped to nodes at read time
         self._delivered: Dict[Tuple[int, int], List[int]] = {}
-        # the hop ledger's first hop_limit deliveries, as the fabric's
-        # (msg_id, src_core, dst_core, words, latency, hops) tuples;
-        # hops is [(a, b, wait), ...] on the contended mesh, else None
-        self._records: List[tuple] = []
+        # the hop ledger's first hop_limit deliveries, one row each in
+        # the columns (msg_id, src_core, dst_core, words, latency); the
+        # contended mesh's per-hop waits [(a, b, wait), ...] of a row
+        # that crossed a link are in _waits[row]
+        self._columns = tuple(array("q") for _ in range(5))
+        self._waits: Dict[int, List[Tuple[int, int, int]]] = {}
         # hand the fabric the accumulators (see module docs); a machine
         # without hardware message passing simply has nothing to count
         udn = machine.udn
@@ -156,7 +162,8 @@ class SpatialAtlas:
             udn.spatial_sends = self._fresh_pairs
             udn.spatial_delivers = self._delivered
             if hops:
-                udn.spatial_records = self._records
+                udn.spatial_records = self._columns
+                udn.spatial_waits = self._waits
                 udn.spatial_record_limit = hop_limit
 
         # -- lazily expanded views ----------------------------------------
@@ -204,9 +211,12 @@ class SpatialAtlas:
         """Per-hop attribution of the first ``hop_limit`` deliveries."""
         mesh, node_of = self.mesh, self._node_of
         per_hop = mesh.per_hop
+        waits_of = self._waits
         out = []
-        for msg_id, sc, dc, words, latency, waits in self._records:
+        for row, (msg_id, sc, dc, words, latency) in enumerate(
+                zip(*self._columns)):
             src, dst = node_of[sc], node_of[dc]
+            waits = waits_of.get(row)
             if waits:
                 # contended mesh: queueing measured per link-acquire
                 hops = [(a, b, w, per_hop) for a, b, w in waits]
@@ -226,7 +236,7 @@ class SpatialAtlas:
     def records_dropped(self) -> int:
         """Deliveries past the record budget (still in the totals)."""
         return (sum(e[0] for e in self._delivered.values())
-                - len(self._records))
+                - len(self._columns[0]))
 
     # -- lazy expansion -----------------------------------------------------
     def flush(self) -> Dict[Tuple[int, int], int]:
@@ -356,9 +366,9 @@ class SpatialAtlas:
             e["in_msgs"] += m
             e["in_words"] += w
             e["deliver_latency"] += lat
-        for cid, regs in self._counters.core.items():
-            if regs.get("backpressure_cycles"):
-                tile(node_of[cid])["backpressure"] += regs["backpressure_cycles"]
+        for cid, row in enumerate(self._counters.core):
+            if row[BACKPRESSURE_CYCLES]:
+                tile(node_of[cid])["backpressure"] += row[BACKPRESSURE_CYCLES]
         out: Dict[str, Any] = {
             "format": SUMMARY_FORMAT,
             "mesh": {"width": self.width, "height": self.height},
@@ -373,7 +383,7 @@ class SpatialAtlas:
         }
         if self.record_hops:
             out["hops"] = hops = self.hop_totals
-            hops["records"] = len(self._records)
+            hops["records"] = len(self._columns[0])
             hops["records_dropped"] = self.records_dropped
         return out
 

@@ -30,7 +30,10 @@ figure fingerprints bit-identical with sampling on).
 
 from __future__ import annotations
 
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro.obs.counters import MISSES
 
 __all__ = ["TimeSeries", "Sampler", "register_machine_sources"]
 
@@ -292,22 +295,26 @@ def register_machine_sources(sampler: Sampler, machine, counters) -> None:
     mesh's running occupancy total.  Workload drivers add ``goodput``
     and ``admit.qdepth`` on top when they run.
     """
+    # sum(map(getter, rows)) walks the cores without a Python frame each
     cores = machine.cores
+    busy, wait = attrgetter("busy"), attrgetter("wait")
+    stall_mem, stall_atomic, stall_fence = (
+        attrgetter("stall_mem"), attrgetter("stall_atomic"),
+        attrgetter("stall_fence"))
     sampler.register(
-        "core.busy", lambda: sum(c.busy for c in cores),
+        "core.busy", lambda: sum(map(busy, cores)),
         kind="counter", unit="cyc")
     sampler.register(
         "core.stall",
-        lambda: sum(c.stall_mem + c.stall_atomic + c.stall_fence
-                    for c in cores),
+        lambda: (sum(map(stall_mem, cores)) + sum(map(stall_atomic, cores))
+                 + sum(map(stall_fence, cores))),
         kind="counter", unit="cyc")
     sampler.register(
-        "core.wait", lambda: sum(c.wait for c in cores),
+        "core.wait", lambda: sum(map(wait, cores)),
         kind="counter", unit="cyc")
-    pc_core = counters.core
+    pc_core, misses = counters.core, itemgetter(MISSES)
     sampler.register(
-        "cache.misses",
-        lambda: sum(r.get("misses", 0) for r in pc_core.values()),
+        "cache.misses", lambda: sum(map(misses, pc_core)),
         kind="counter", unit="misses")
     udn = machine.udn
     if udn is not None:

@@ -308,7 +308,7 @@ class Process:
         sim = self.sim
         obs = sim.obs
         if obs is not None:
-            obs.counters.count("proc_interrupts")
+            obs.counters.global_["proc_interrupts"] += 1
             if "proc.interrupt" in obs.wanted:
                 obs.emit("proc.interrupt", self.name)
         sim._fast.append(_Throw(sim, self, Interrupt(cause), self._resume_gen))
@@ -374,7 +374,7 @@ class Process:
         sim._forget(self)
         obs = sim.obs
         if obs is not None:
-            obs.counters.count("proc_kills")
+            obs.counters.global_["proc_kills"] += 1
             if "proc.kill" in obs.wanted:
                 obs.emit("proc.kill", self.name)
         done = self._done_event

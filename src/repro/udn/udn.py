@@ -57,6 +57,12 @@ from typing import (Any, Callable, ClassVar, Deque, Dict, Generator, List,
 from repro.machine.config import MachineConfig
 from repro.machine.core import Core
 from repro.noc.topology import Mesh
+from repro.obs.counters import (
+    BACKPRESSURE_CYCLES,
+    UDN_WAIT_CYCLES,
+    UDN_WORDS_RECEIVED,
+    UDN_WORDS_SENT,
+)
 from repro.sim._engine_core import _HANDLED
 from repro.sim.engine import Event, Interrupt, Simulator, WaitTimer
 from repro.sim.resources import Condition
@@ -189,13 +195,21 @@ class _Delivery:
                 e[1] += self.n_words
                 e[2] += latency
             recs = fabric.spatial_records
-            if recs is not None and len(recs) < fabric.spatial_record_limit:
-                recs.append((self.msg_id, key[0], key[1], self.n_words,
-                             latency, hops))
+            if recs is not None:
+                ids, srcs, dsts, nwords, lats = recs
+                row = len(ids)
+                if row < fabric.spatial_record_limit:
+                    ids.append(self.msg_id)
+                    srcs.append(key[0])
+                    dsts.append(key[1])
+                    nwords.append(self.n_words)
+                    lats.append(latency)
+                    if hops:
+                        fabric.spatial_waits[row] = hops
         obs = sim.obs
         if obs is not None:
             latency = sim.now - self.sent_at
-            obs.counters.udn_deliver(latency)
+            obs.counters.latency_hist[latency.bit_length()] += 1
             if "udn.deliver" in obs.wanted:
                 obs.emit("udn.deliver", self.dst_core, self.demux,
                          self.n_words, latency, self.msg_id)
@@ -265,15 +279,16 @@ class UdnFabric:
         #: sends and deliveries ([msgs, words, latency, link queueing])
         #: are counted inline -- one dict update, no Python call.  With
         #: the hop ledger on, the first ``spatial_record_limit``
-        #: deliveries also append (msg_id, src core, dst core, words,
-        #: latency, hops) to ``spatial_records``; ``hops`` is the
-        #: contended mesh's [(a, b, wait), ...] per link, None on the
-        #: analytic one.  ``None`` (the default) costs one is-None
-        #: test per send/deliver; never read back.
+        #: deliveries also append one row to the ``spatial_records``
+        #: columns (msg_id, src core, dst core, words, latency); a row
+        #: whose packet crossed a contended link keeps that packet's
+        #: [(a, b, wait), ...] in ``spatial_waits[row]``.  ``None``
+        #: (the default) costs one is-None test per send/deliver; never
+        #: read back.
         self.spatial_sends: Optional[Dict[Tuple[int, int], List[int]]] = None
         self.spatial_delivers: Optional[Dict[Tuple[int, int], List[int]]] = None
-        self.spatial_records: Optional[List[Tuple[
-            int, int, int, int, int, Optional[List[Tuple[int, int, int]]]]]] = None
+        self.spatial_records: Optional[Tuple[Any, ...]] = None
+        self.spatial_waits: Dict[int, List[Tuple[int, int, int]]] = {}
         self.spatial_record_limit = 0
 
     @property
@@ -386,7 +401,7 @@ class UdnFabric:
                     self.backpressure_by_core[core.cid] += waited
                     obs = sim.obs
                     if obs is not None:
-                        obs.counters.count("udn_timeouts")
+                        obs.counters.global_["udn_timeouts"] += 1
                         if "udn.timeout" in obs.wanted:
                             obs.emit("udn.timeout", core.cid, "send", waited)
                     raise SendTimeout(
@@ -413,12 +428,13 @@ class UdnFabric:
                 e[1] += n
         obs = sim.obs
         if obs is not None:
-            counters = obs.counters
+            row = obs.counters.core[core.cid]
             if blocked:
-                counters.backpressure(core.cid, blocked)
+                row[BACKPRESSURE_CYCLES] += blocked
+                obs.counters.global_["backpressure_events"] += 1
                 if "udn.backpressure" in obs.wanted:
                     obs.emit("udn.backpressure", core.cid, blocked, dst_core_id, t0)
-            counters.udn_send(core.cid, n)
+            row[UDN_WORDS_SENT] += n
             if "udn.send" in obs.wanted:
                 obs.emit("udn.send", core.cid, dst_tid, dst_core_id, n, msg_id)
         inject = self._send_base + self._send_per_word * n
@@ -474,7 +490,7 @@ class UdnFabric:
         # record (its budget only shrinks, so one test at the start)
         recs = self.spatial_records
         hops = ([] if recs is not None
-                and len(recs) < self.spatial_record_limit else None)
+                and len(recs[0]) < self.spatial_record_limit else None)
         cycles = yield from self.contended.transit(src_node, dst_node, n,
                                                    entry.msg_id, hops)
         if self.transit_jitter is not None:
@@ -522,7 +538,7 @@ class UdnFabric:
                     core.wait += waited
                     obs = sim.obs
                     if obs is not None:
-                        obs.counters.count("udn_timeouts")
+                        obs.counters.global_["udn_timeouts"] += 1
                         if "udn.timeout" in obs.wanted:
                             obs.emit("udn.timeout", core.cid, "receive", waited)
                     raise ReceiveTimeout(
@@ -537,7 +553,9 @@ class UdnFabric:
             core.wait += waited
         obs = sim.obs
         if obs is not None:
-            obs.counters.udn_recv(core.cid, k, waited)
+            row = obs.counters.core[core.cid]
+            row[UDN_WORDS_RECEIVED] += k
+            row[UDN_WAIT_CYCLES] += waited
             if "udn.recv" in obs.wanted:
                 obs.emit("udn.recv", core.cid, tid, k, waited, t0)
         cost = self._recv_base + self._recv_per_word * k

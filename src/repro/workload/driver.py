@@ -2,8 +2,9 @@
 
 Both workload modes run through :class:`Window` (Section 5.2): warm up,
 measure one window, report throughput and latency.  The window owns the
-per-client op counts, the latency samples, the ``op.begin``/``op.end``
-emission, the run label, the goodput sampler and the assembly of the
+per-client op counts, the latency samples, the run-unique op ids the
+loops' ``op.begin``/``op.end`` carry, the run label, the goodput
+sampler and the assembly of the
 common :class:`~repro.workload.metrics.RunResult` fields (latency,
 recovery, telemetry, host provenance).  Each mode adds one hook, opened
 when the window opens and closed -- with the result -- when it closes.
@@ -81,10 +82,11 @@ class WorkloadSpec:
 class Window:
     """One warm-up plus one measurement window over ``n`` clients.
 
-    Op loops call :meth:`begin`/:meth:`end` around an op only when the
-    observability bus ``sim.obs`` is set (run-unique op ids let the
-    causal tracer follow one operation across cores), and
-    :meth:`complete` for an op that finishes while :attr:`on`.
+    Op loops publish ``op.begin``/``op.end`` around an op themselves,
+    under the same ``sim.obs`` and ``wanted`` guards as every other
+    publisher, numbering it with ``next(window.op_ids)`` (run-unique op
+    ids let the causal tracer follow one operation across cores); they
+    call :meth:`complete` for an op that finishes while :attr:`on`.
     """
 
     def __init__(self, machine: Machine, n: int, spec: Any, *, name: str,
@@ -96,17 +98,7 @@ class Window:
         self.on = False
         self.ops_done = [0] * n
         self.latencies: List[int] = []
-        self._op_ids = itertools.count()
-
-    def begin(self, obs: Any, ctx: ThreadCtx) -> int:
-        op_id = next(self._op_ids)
-        if "op.begin" in obs.wanted:
-            obs.emit("op.begin", ctx.core.cid, ctx.tid, op_id, self.name)
-        return op_id
-
-    def end(self, obs: Any, ctx: ThreadCtx, op_id: int, start: int) -> None:
-        if "op.end" in obs.wanted:
-            obs.emit("op.end", ctx.core.cid, ctx.tid, op_id, start, self.on)
+        self.op_ids = itertools.count()
 
     def complete(self, i: int, latency: int) -> None:
         self.ops_done[i] += 1
@@ -245,14 +237,17 @@ def run_workload(
         op = make_op(ctx)
         k = 0
         nthinks = len(thinks)
+        cid, tid, op_ids = ctx.core.cid, ctx.tid, window.op_ids
         while True:
             obs = sim.obs
             t0 = sim.now
             if obs is not None:
-                op_id = window.begin(obs, ctx)
+                op_id = next(op_ids)
+                if "op.begin" in obs.wanted:
+                    obs.emit("op.begin", cid, tid, op_id, name)
             yield from op(k)
-            if obs is not None:
-                window.end(obs, ctx, op_id, t0)
+            if obs is not None and "op.end" in obs.wanted:
+                obs.emit("op.end", cid, tid, op_id, t0, window.on)
             if window.on:
                 window.complete(i, sim.now - t0)
             k += 1

@@ -459,6 +459,7 @@ def _worker(
     span from arrival to completion."""
     state = _breaker_state()
     sim = ctx.sim
+    cid, tid = ctx.core.cid, ctx.tid
     while True:
         item = yield from queue.take()
         if item is None:
@@ -467,11 +468,13 @@ def _worker(
         t_take = sim.now
         obs = sim.obs if window is not None else None
         if obs is not None:
-            op_id = window.begin(obs, ctx)
+            op_id = next(window.op_ids)
+            if "op.begin" in obs.wanted:
+                obs.emit("op.begin", cid, tid, op_id, window.name)
         ok, retval = yield from dispatcher.dispatch(
             ctx, arg_of(ctx, k) if arg_of is not None else NULL_ARG, state)
-        if obs is not None:
-            window.end(obs, ctx, op_id, t_arr)
+        if obs is not None and "op.end" in obs.wanted:
+            obs.emit("op.end", cid, tid, op_id, t_arr, window.on)
         done(k, ok, retval, t_arr, t_take)
 
 

@@ -64,6 +64,24 @@ def test_metric_direction_table():
     assert metric_direction("some.novel.metric") == 0
 
 
+def test_layer_call_counts_are_lower_is_better():
+    """Profiled calls per op are exact, so they gate; the ledger's host
+    times and shares stay neutral."""
+    assert metric_direction("layer.obs.calls_per_op") == -1
+    assert metric_direction("layer.py.calls_per_op") == -1
+    assert metric_direction("layer.obs.us_per_op") == 0
+    assert metric_direction("layer.obs.share") == 0
+    a, b = (record_from_bench({"series": {"e2e": [
+        {"x": 1, "layer.obs.calls_per_op": calls,
+         "layer.obs.us_per_op": us}]}}, label=label)
+        for label, calls, us in (("a", 21.3, 19.0), ("b", 23.3, 29.0)))
+    d = diff_records(a, b, gate=("layer.obs.calls_per_op",))
+    metrics = _series(d, "e2e")["points"][0]["metrics"]
+    assert metrics["layer.obs.calls_per_op"]["verdict"] == "regressed"
+    assert metrics["layer.obs.us_per_op"]["verdict"] == "changed"
+    assert d["gate_failures"]
+
+
 # -- diffing ---------------------------------------------------------------
 
 #: BENCH_e2e metrics that measure the host, not the simulated program
@@ -80,12 +98,14 @@ def test_benchmark_json_directions():
     gated = 0
     for m in doc["end_to_end"] + doc["per_layer"]:
         name = m["name"]
-        if name in _E2E_HOST or name.startswith("layer."):
+        if name in _E2E_HOST or (name.startswith("layer.")
+                                 and not name.endswith(".calls_per_op")):
             assert metric_direction(name) == 0, name
         else:
             assert metric_direction(name) == sign[m["better"]], name
             gated += 1
-    assert gated == 29  # 4 simulated end-to-end + 25 per-layer counts
+    # 4 simulated end-to-end + 25 per-layer counts + 10 layer call counts
+    assert gated == 39
     for name in ("wall_s", "host_speed"):
         assert metric_direction(name) == 0
 

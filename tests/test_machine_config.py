@@ -1,8 +1,11 @@
 """Tests for machine configuration, profiles, and assembly."""
 
+from dataclasses import fields
+
 import pytest
 
-from repro.machine import Machine, tile_gx, x86_like
+from repro.machine import Machine, MachineConfig, tile_gx, x86_like
+from repro.machine.config import COST_FIELDS
 
 
 # -- config validation --------------------------------------------------------
@@ -49,6 +52,37 @@ def test_with_overrides_returns_validated_copy():
 def test_invalid_configs_rejected(bad):
     with pytest.raises(ValueError):
         tile_gx(**bad)
+
+
+#: int knobs that are counts or sizes, not cycle costs, with their floor
+_SIZE_FLOORS = {"mesh_width": 1, "mesh_height": 1, "clock_mhz": 1,
+                "line_words": 1, "udn_buffer_words": 1, "udn_demux_queues": 1}
+
+
+def test_every_int_knob_is_a_cost_or_a_size():
+    """A new int knob must be classified, so it is validated too."""
+    ints = {f.name for f in fields(MachineConfig) if f.type == "int"}
+    assert ints == set(COST_FIELDS) | set(_SIZE_FLOORS)
+    assert not set(COST_FIELDS) & set(_SIZE_FLOORS)
+
+
+@pytest.mark.parametrize("name", COST_FIELDS)
+def test_negative_cost_rejected_naming_the_knob(name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
+        tile_gx(**{name: -1})
+    assert getattr(tile_gx(**{name: 0}), name) == 0  # a free step is legal
+
+
+@pytest.mark.parametrize("name", ["clock_mhz", "udn_buffer_words"])
+def test_zero_clock_or_buffer_rejected_naming_the_knob(name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+        tile_gx(**{name: 0})
+    assert getattr(tile_gx(**{name: 1}), name) == 1
+
+
+def test_one_by_one_mesh_keeps_its_duplicate_controllers():
+    cfg = tile_gx(mesh_width=1, mesh_height=1, memory_controller_nodes=(0, 0))
+    assert Machine(cfg).cfg.num_cores == 1
 
 
 def test_mops_conversion():

@@ -1,7 +1,7 @@
 """Differential test: the inline hop ledger against its bus-fed oracle.
 
 The UDN fabric writes the spatial atlas's hop ledger inline (per-pair
-delivery totals plus one compact tuple per recorded message), and the
+delivery totals plus one row of typed columns per recorded message), and the
 atlas derives the totals and per-hop records when read.
 ``tests/spatial_hops_oracle.py`` keeps the ledger it replaced, which
 opened a record on every ``udn.send``, charged ``noc.link`` waits to it
@@ -170,10 +170,11 @@ def _retained_bytes(n):
 
 
 def test_hop_ledger_retains_little_per_message():
-    """The ledger keeps one compact tuple per recorded message; the
-    per-hop lists and record objects are built only when read."""
+    """The ledger keeps one row of five 8-byte array columns per recorded
+    message (40 B, plus the arrays' growth slack); the per-hop lists and
+    record objects are built only when read."""
     n = 10_000
-    assert _retained_bytes(n) / (2 * n) <= 150
+    assert _retained_bytes(n) / (2 * n) <= 48
 
 
 # -- occupancy and backpressure against the bus-fed atlas ---------------------
