@@ -7,8 +7,10 @@ substrate is caught before it turns every figure run to molasses.
 """
 
 import cProfile
+import gc
 import os
 import pstats
+import tracemalloc
 
 import repro.obs
 from repro.machine import Machine, tile_gx, x86_like
@@ -261,6 +263,36 @@ def test_udn_backpressure_fifo(benchmark):
     order = ("123121231212312123121231212312123121231212312"
              "123121231212312123121231212312333333333333333")
     assert benchmark(run) == (529, 5_205, 15, order)
+
+
+def test_1024_core_machine_holds_state_for_its_256_threads_only():
+    """A contended 32x32 mesh with 256 registered threads (the scale-1024
+    shape) builds one UDN queue per registered thread, no waiter deque
+    until something blocks, and no link before a packet crosses one; so
+    construction retains well under the 5.4 MB that 4,096 queues and a
+    deque per core buffer cost."""
+    from collections import deque
+
+    from repro.machine import mesh_profile
+
+    cfg = mesh_profile(32, 32, contended_noc=True)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        m = Machine(cfg)
+        for tid in range(256):
+            m.thread(tid, core_id=4 * tid)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    udn = m.udn
+    assert len(udn._queues) == 256
+    waiter_queues = [b._waiters for b in udn._buffers]
+    waiter_queues += [link._waiters for link in m.contended_mesh._links.values()]
+    assert sum(isinstance(w, deque) for w in waiter_queues) == 0
+    assert kept <= 1_200_000, kept
 
 
 def test_atomic_faa_throughput(benchmark):

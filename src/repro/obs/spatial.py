@@ -22,9 +22,10 @@ priced like the fabric's own stats registers: it hands its
 accumulators to the fabric (``spatial_sends`` / ``spatial_delivers`` /
 ``spatial_records``), which counts inline -- one dict update, no Python
 call, ``None``-checked exactly like ``sim.obs`` so the disabled cost is
-one attribute test.  Routes are expanded into links *lazily* (route
-cache shared across flushes) at sampling ticks and at :meth:`summary`
-time, never per message.
+one attribute test.  Routes are expanded into links *lazily* at
+sampling ticks and at :meth:`summary` time, never per message: each
+(src core, dst core) pair resolves once to the ``_traffic`` rows of the
+links it crosses, and a flush adds its fresh totals straight to them.
 
 With a :class:`~repro.obs.timeseries.Sampler` attached the atlas also
 publishes per-link and per-tile ring series (``spatial.link.a>b``,
@@ -40,8 +41,10 @@ injection/ejection overhead ``base + per_word * (words - 1)`` and an
 explicit ``skew`` residual (transit jitter / policy delays).  The
 fabric writes this ledger inline too -- per-pair delivery totals and,
 for each of the first ``hop_limit`` messages, one row of five typed
-``array('q')`` columns (msg_id, src core, dst core, words, latency:
-40 bytes a message), plus on the contended mesh the per-hop waits its
+``array`` columns (msg_id and latency ``'q'``; src core, dst core and
+words ``'H'`` when the machine's core count and ``udn_buffer_words``
+fit in 16 bits, else ``'q'``: 22 bytes a message on any mesh up to
+65,536 cores), plus on the contended mesh the per-hop waits its
 packet collected, kept in a side dict keyed by row -- and the atlas
 derives :attr:`~SpatialAtlas.hop_totals` and
 :attr:`~SpatialAtlas.records` when read.  With no jitter installed the
@@ -85,6 +88,10 @@ _TILE_FIELDS = ("out", "in_msgs", "in_words", "deliver_latency",
                 "backpressure")
 _HOP_FIELDS = ("messages", "latency", "queue", "transit", "eject", "skew",
                "records", "records_dropped")
+
+
+#: a link or tile the atlas has not yet asked the sampler for a series
+_UNSEEN = object()
 
 
 def _link_key(a: int, b: int) -> str:
@@ -143,17 +150,20 @@ class SpatialAtlas:
         # written inline by UdnFabric.send (installed below), mapped to
         # node pairs and expanded into links at flush time only
         self._fresh_pairs: Dict[Tuple[int, int], List[int]] = {}
-        # cumulative (src_node, dst_node) -> [msgs, words]
-        self._pairs: Dict[Tuple[int, int], List[int]] = {}
         # (src_core, dst_core) -> [msgs, words, latency, queue] of
         # delivered messages; written by the fabric at each delivery,
         # mapped to nodes at read time
         self._delivered: Dict[Tuple[int, int], List[int]] = {}
         # the hop ledger's first hop_limit deliveries, one row each in
-        # the columns (msg_id, src_core, dst_core, words, latency); the
-        # contended mesh's per-hop waits [(a, b, wait), ...] of a row
-        # that crossed a link are in _waits[row]
-        self._columns = tuple(array("q") for _ in range(5))
+        # the columns (msg_id, src_core, dst_core, words, latency), the
+        # middle three 16-bit when every core id and message size fits;
+        # the contended mesh's per-hop waits [(a, b, wait), ...] of a
+        # row that crossed a link are in _waits[row]
+        small = max(len(machine.cores) - 1,
+                    machine.cfg.udn_buffer_words) <= 0xFFFF
+        narrow = "H" if small else "q"
+        self._columns = tuple(array(code)
+                              for code in ("q", narrow, narrow, narrow, "q"))
         self._waits: Dict[int, List[Tuple[int, int, int]]] = {}
         # hand the fabric the accumulators (see module docs); a machine
         # without hardware message passing simply has nothing to count
@@ -170,10 +180,17 @@ class SpatialAtlas:
         # directed link -> [msgs, words] of analytic (route-charged) traffic
         self._traffic: Dict[Tuple[int, int], List[int]] = {}
         self._route_cache: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
+        # (src_core, dst_core) -> ((link, its _traffic row), ...) along
+        # the pair's XY route
+        self._pair_routes: Dict[Tuple[int, int],
+                                Tuple[Tuple[Tuple[int, int], List[int]], ...]] = {}
 
         # -- sampler integration ------------------------------------------
         self._sampler = None
-        self._series: Dict[str, Any] = {}
+        self._series_made = 0
+        # link / tile -> its series, or None once the cap refused it
+        self._link_series: Dict[Tuple[int, int], Any] = {}
+        self._tile_series: Dict[int, Any] = {}
         self.series_dropped = 0
         # link -> its flit_cycles register at the last recording tick
         self._busy_seen: Dict[Tuple[int, int], int] = {}
@@ -248,30 +265,37 @@ class SpatialAtlas:
         run without a sampler pays exactly one flush at the end.
         """
         traffic_delta: Dict[Tuple[int, int], int] = {}
-        if self._fresh_pairs:
-            traffic = self._traffic
-            pairs = self._pairs
-            node_of = self._node_of
-            for (sc, dc), (m, w) in self._fresh_pairs.items():
-                self.messages += m
-                self.words += w
-                s, d = node_of[sc], node_of[dc]
-                cum = pairs.get((s, d))
-                if cum is None:
-                    pairs[(s, d)] = [m, w]
-                else:
-                    cum[0] += m
-                    cum[1] += w
-                for link in self._route_links(s, d):
-                    t = traffic.get(link)
-                    if t is None:
-                        traffic[link] = [m, w]
-                    else:
-                        t[0] += m
-                        t[1] += w
+        fresh = self._fresh_pairs
+        if fresh:
+            routes = self._pair_routes
+            messages = words = 0
+            for pair, (m, w) in fresh.items():
+                messages += m
+                words += w
+                route = routes.get(pair)
+                if route is None:
+                    route = routes[pair] = self._pair_route(*pair)
+                for link, row in route:
+                    row[0] += m
+                    row[1] += w
                     traffic_delta[link] = traffic_delta.get(link, 0) + w
-            self._fresh_pairs.clear()
+            self.messages += messages
+            self.words += words
+            fresh.clear()
         return traffic_delta
+
+    def _pair_route(self, sc: int, dc: int
+                    ) -> Tuple[Tuple[Tuple[int, int], List[int]], ...]:
+        """The links core ``sc``'s messages to core ``dc`` cross, each
+        with its ``_traffic`` row (created empty on first use)."""
+        traffic = self._traffic
+        out = []
+        for link in self._route_links(self._node_of[sc], self._node_of[dc]):
+            row = traffic.get(link)
+            if row is None:
+                row = traffic[link] = [0, 0]
+            out.append((link, row))
+        return tuple(out)
 
     def _busy_delta(self) -> Dict[Tuple[int, int], int]:
         """Measured busy cycles per link since the last call, diffed
@@ -300,23 +324,6 @@ class SpatialAtlas:
         self._tick_no = 0
         sampler.subscribe(self._on_tick)
 
-    def _series_for(self, name: str, unit: str):
-        ts = self._series.get(name)
-        if ts is None:
-            if len(self._series) >= self.max_series:
-                self.series_dropped += 1
-                return None
-            sampler = self._sampler
-            ts = sampler.series.get(name)
-            if ts is None:
-                from repro.obs.timeseries import TimeSeries
-                ts = TimeSeries(name, kind="counter", buckets=sampler.buckets,
-                                bucket_cycles=sampler.every * TICK_DECIMATION,
-                                unit=unit)
-                sampler.adopt(ts)
-            self._series[name] = ts
-        return ts
-
     def _on_tick(self, now: int) -> None:
         self._tick_no += 1
         if self._tick_no % TICK_DECIMATION:
@@ -325,17 +332,44 @@ class SpatialAtlas:
         unit = "cyc" if self.contended else "words"
         link_delta = self._busy_delta() if self.contended else traffic_delta
         tile_delta: Dict[int, int] = {}
-        for (a, b), v in link_delta.items():
+        for (a, _b), v in link_delta.items():
+            if v:
+                tile_delta[a] = tile_delta.get(a, 0) + v
+        self._record(now, self._link_series, link_delta, unit,
+                     lambda link: f"spatial.link.{_link_key(*link)}")
+        self._record(now, self._tile_series, tile_delta, unit,
+                     "spatial.tile.{}".format)
+
+    def _record(self, now: int, handles: Dict[Any, Any],
+                deltas: Dict[Any, int], unit: str, name_of) -> None:
+        """Record each nonzero delta in its key's series.  A key resolves
+        its series once (``handles``): the sampler's series ``name_of
+        (key)``, adopted if new, or None past ``max_series`` -- a capped
+        key then counts in ``series_dropped`` on every tick it moves."""
+        for key, v in deltas.items():
             if not v:
                 continue
-            ts = self._series_for(f"spatial.link.{_link_key(a, b)}", unit)
-            if ts is not None:
+            ts = handles.get(key, _UNSEEN)
+            if ts is _UNSEEN:
+                ts = handles[key] = self._adopt(name_of(key), unit)
+            if ts is None:
+                self.series_dropped += 1
+            else:
                 ts.record(now, v)
-            tile_delta[a] = tile_delta.get(a, 0) + v
-        for node, v in tile_delta.items():
-            ts = self._series_for(f"spatial.tile.{node}", unit)
-            if ts is not None:
-                ts.record(now, v)
+
+    def _adopt(self, name: str, unit: str):
+        if self._series_made >= self.max_series:
+            return None
+        self._series_made += 1
+        sampler = self._sampler
+        ts = sampler.series.get(name)
+        if ts is None:
+            from repro.obs.timeseries import TimeSeries
+            ts = TimeSeries(name, kind="counter", buckets=sampler.buckets,
+                            bucket_cycles=sampler.every * TICK_DECIMATION,
+                            unit=unit)
+            sampler.adopt(ts)
+        return ts
 
     # -- views ----------------------------------------------------------------
     def summary(self) -> Dict[str, Any]:

@@ -30,6 +30,7 @@ figure fingerprints bit-identical with sampling on).
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -126,8 +127,7 @@ class TimeSeries:
         return sum(self.sums) / n if n else 0.0
 
     def peak(self) -> float:
-        return max(
-            (m for m, c in zip(self.maxes, self.counts) if c), default=0.0)
+        return max(compress(self.maxes, self.counts), default=0.0)
 
     def points(self) -> List[Tuple[int, float]]:
         """(bucket start cycle, value) pairs.

@@ -18,11 +18,19 @@ arbitration points in the machine model:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, List, Optional
+from typing import Any, Deque, Generator, List, Optional, Tuple
 
 from repro.sim.engine import Event, Interrupt, Simulator, WaitTimer
 
-__all__ = ["Resource", "Condition", "Semaphore", "Barrier", "Channel"]
+__all__ = ["Resource", "Condition", "Semaphore", "Barrier", "Channel",
+           "NO_WAITERS"]
+
+#: the waiter queue of an arbitration point nobody has blocked on yet:
+#: an immutable empty stand-in (``len``, truth tests and iteration work)
+#: that the first blocked caller replaces with a real deque, so a
+#: machine's thousands of never-contended links, directory lines and
+#: UDN buffers hold no deque each
+NO_WAITERS: Tuple[()] = ()
 
 
 class Resource:
@@ -52,7 +60,7 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.in_use = 0
-        self._waiters: Deque[Event] = deque()
+        self._waiters: "Deque[Event] | Tuple[()]" = NO_WAITERS
         #: total number of successful acquisitions (for utilization stats)
         self.total_acquisitions = 0
         #: total cycles processes spent queued for this resource
@@ -76,6 +84,8 @@ class Resource:
             return
         self.total_acquisitions += 1
         ev = Event(self.sim)
+        if self._waiters is NO_WAITERS:
+            self._waiters = deque()
         self._waiters.append(ev)
         t0 = self.sim.now
         yield ev
@@ -98,6 +108,8 @@ class Resource:
         if self.try_acquire():
             return True
         ev = Event(self.sim)
+        if self._waiters is NO_WAITERS:
+            self._waiters = deque()
         self._waiters.append(ev)
         t0 = self.sim.now
         timer = WaitTimer(self.sim, self.sim.current, self.sim.now + timeout)

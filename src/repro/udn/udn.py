@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from operator import attrgetter
 from typing import (Any, Callable, ClassVar, Deque, Dict, Generator, List,
                     Optional, Sequence, Tuple)
 
@@ -65,7 +66,7 @@ from repro.obs.counters import (
 )
 from repro.sim._engine_core import _HANDLED
 from repro.sim.engine import Event, Interrupt, Simulator, WaitTimer
-from repro.sim.resources import Condition
+from repro.sim.resources import NO_WAITERS, Condition
 
 __all__ = ["UdnFabric", "UdnTimeout", "SendTimeout", "ReceiveTimeout"]
 
@@ -101,8 +102,9 @@ class _CoreBuffer:
         self.sim = sim
         self.free_words = capacity
         self.label = label
-        # each entry: [event, words_needed, granted?]
-        self._waiters: Deque[list] = deque()
+        # each entry: [event, words_needed, granted?]; the deque is built
+        # when the first sender blocks (most buffers never see one)
+        self._waiters: "Deque[list] | Tuple[()]" = NO_WAITERS
 
     def reserve(self, n: int) -> Generator[Any, Any, None]:
         """Acquire ``n`` words of buffer space, FIFO among blocked senders."""
@@ -110,6 +112,8 @@ class _CoreBuffer:
             self.free_words -= n
             return
         entry = [Event(self.sim, label=self.label), n, False]
+        if self._waiters is NO_WAITERS:
+            self._waiters = deque()
         self._waiters.append(entry)
         try:
             yield entry[0]
@@ -144,6 +148,8 @@ class _Queue:
 
 #: one endpoint-table row: (core id, demux, queue, core buffer, mesh node)
 _Endpoint = Tuple[int, int, _Queue, _CoreBuffer, int]
+
+_free_words = attrgetter("free_words")
 
 
 class _Delivery:
@@ -243,13 +249,10 @@ class UdnFabric:
             _CoreBuffer(sim, cfg.udn_buffer_words, label=f"udn buffer space of core {c.cid}")
             for c in cores
         ]
-        self._queues = [
-            [
-                _Queue(sim, label=f"udn message arrival at core {c.cid} queue {d}")
-                for d in range(cfg.udn_demux_queues)
-            ]
-            for c in cores
-        ]
+        #: (core, demux) -> its FIFO, built when a thread first registers
+        #: there: host memory follows the endpoints a run uses, not the
+        #: ``udn_demux_queues`` x cores the hardware provides
+        self._queues: Dict[Tuple[int, int], _Queue] = {}
         # thread id -> its resolved endpoint, and (core, demux) -> owner tid
         self._endpoints: Dict[int, _Endpoint] = {}
         self._owners: Dict[Tuple[int, int], int] = {}
@@ -308,8 +311,8 @@ class UdnFabric:
         chip-wide count of message words in flight or waiting to be
         received.  O(cores) arithmetic, no queue walking.
         """
-        cap = self._buffer_words
-        return sum(cap - b.free_words for b in self._buffers)
+        bufs = self._buffers
+        return self._buffer_words * len(bufs) - sum(map(_free_words, bufs))
 
     # -- registration -------------------------------------------------------
     def register(self, tid: int, core_id: int, demux: int = 0) -> None:
@@ -329,7 +332,11 @@ class UdnFabric:
                 return
             self._check_drained(tid, old, "moving")
             del self._owners[(old[0], old[1])]
-        self._endpoints[tid] = (core_id, demux, self._queues[core_id][demux],
+        queue = self._queues.get(key)
+        if queue is None:
+            queue = self._queues[key] = _Queue(
+                self.sim, label=f"udn message arrival at core {core_id} queue {demux}")
+        self._endpoints[tid] = (core_id, demux, queue,
                                 self._buffers[core_id], self.cores[core_id].node)
         self._owners[key] = tid
 

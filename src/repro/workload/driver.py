@@ -207,6 +207,18 @@ def run_ops(
     return procs
 
 
+def think_table(rng: np.random.Generator, max_iterations: int) -> np.ndarray:
+    """One thread's cycle of 4,096 think times, each in [0, max_iterations].
+
+    The draw is int64 so the values (and the seeded stream every later
+    draw continues from) do not depend on the bound's size; the table is
+    then kept in the smallest unsigned type that holds ``max_iterations``
+    -- one byte an entry at the paper's 50.
+    """
+    thinks = rng.integers(0, max_iterations + 1, size=4096)
+    return thinks.astype(np.min_scalar_type(max_iterations))
+
+
 def run_workload(
     machine: Machine,
     ctxs: Sequence[ThreadCtx],
@@ -256,7 +268,7 @@ def run_workload(
                 yield from ctx.work(t)
 
     for i, ctx in enumerate(ctxs):
-        thinks = rng.integers(0, spec.think_max_iterations + 1, size=4096)
+        thinks = think_table(rng, spec.think_max_iterations)
         machine.spawn(ctx, app_thread(i, ctx, thinks), name=f"app-{ctx.tid}")
 
     return window.run(

@@ -220,7 +220,8 @@ def test_series_cap_counts_drops():
         m.spawn(t0, sender(t0))
         m.spawn(t1, receiver(t1))
         m.run()
-        assert len(ob.spatial._series) == 1
+        assert [n for n in ob.sampler.series if n.startswith("spatial.")] == [
+            "spatial.link.0>1"]
         assert ob.spatial.summary()["series_dropped"] > 0
 
 

@@ -279,6 +279,83 @@ def test_1024_registrations_on_a_32x32_mesh():
     assert m.udn.endpoint(5000) == (517, 3)
 
 
+def test_32x32_machine_holds_one_queue_per_registered_thread():
+    """Queues are built at registration: 256 threads on a 1024-core
+    mesh hold 256 queues, not the 4,096 the demux hardware provides."""
+    from repro.machine import mesh_profile
+
+    m = Machine(mesh_profile(32, 32, contended_noc=True))
+    for tid in range(256):
+        m.thread(tid, core_id=4 * tid)
+    udn = m.udn
+    assert len(udn._queues) == 256
+    assert sorted(udn._queues) == [(4 * t, 0) for t in range(256)]
+    # a move builds the new queue and keeps the drained old one for reuse
+    udn.register(0, 1, 2)
+    assert len(udn._queues) == 257
+    udn.register(0, 0, 0)
+    assert len(udn._queues) == 257
+
+
+def test_blocked_sender_and_link_acquirer_keep_fifo_after_first_block():
+    """The waiter queues start as an empty stand-in and become a deque
+    at the first block; grants stay in arrival order from there on."""
+    from repro.sim import Simulator
+    from repro.sim.resources import NO_WAITERS, Resource
+
+    m = make_machine(udn_buffer_words=4)
+    rcv = m.thread(1)
+    buf = m.udn._buffers[rcv.core.cid]
+    assert buf._waiters is NO_WAITERS
+    senders = [m.thread(tid) for tid in (2, 3, 4, 5)]
+    order = []
+
+    def filler(ctx):
+        yield from ctx.send(1, [0] * 4)
+
+    def blocked_sender(ctx, delay, tag):
+        yield delay
+        yield from ctx.send(1, [tag, tag])
+        order.append(tag)
+
+    def receiver(ctx):
+        yield 5000
+        yield from ctx.receive(4)
+        got = []
+        for _ in range(3):
+            w = yield from ctx.receive(2)
+            got.append(w[0])
+        return got
+
+    m.spawn(senders[0], filler(senders[0]))
+    for ctx, delay, tag in zip(senders[1:], (100, 200, 300), (11, 22, 33)):
+        m.spawn(ctx, blocked_sender(ctx, delay, tag))
+    p = m.spawn(rcv, receiver(rcv))
+    m.run()
+    assert order == [11, 22, 33]
+    assert p.result == [11, 22, 33]
+    assert not buf._waiters and buf._waiters is not NO_WAITERS
+
+    sim = Simulator()
+    link = Resource(sim)
+    assert link._waiters is NO_WAITERS and link.queue_length == 0
+    granted = []
+
+    def acquirer(tag, delay):
+        yield delay
+        yield from link.acquire()
+        granted.append((tag, sim.now))
+        yield 10
+        link.release()
+
+    for tag, delay in ((1, 0), (2, 1), (3, 2), (4, 3)):
+        sim.spawn(acquirer(tag, delay))
+    sim.run()
+    assert granted == [(1, 0), (2, 10), (3, 20), (4, 30)]
+    assert link.in_use == 0 and link.total_acquisitions == 4
+    assert link.total_wait_cycles == 9 + 18 + 27
+
+
 def test_reregistered_thread_moves_queues_and_frees_the_old_one():
     m = make_machine()
     udn = m.udn
@@ -335,7 +412,7 @@ def test_message_calls_follow_a_moved_endpoint():
     assert udn.queue_depth(7) == 2
     assert udn._buffers[4].free_words == cap - 2
     assert udn._buffers[2].free_words == cap
-    assert not udn._queues[2][0].words
+    assert not udn._queues[(2, 0)].words
 
     def receiver(ctx):
         empty = yield from ctx.is_queue_empty()

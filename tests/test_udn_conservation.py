@@ -74,10 +74,13 @@ class Law:
         bound = [0] * len(udn.cores)
         for entry in self.in_flight:
             bound[entry.dst_core] += entry.n_words
+        queued_at = [0] * len(udn.cores)
+        for (cid, _demux), q in udn._queues.items():
+            queued_at[cid] += len(q.words)
         reserved_any = False
         for cid, buf in enumerate(udn._buffers):
             reserved = cap - buf.free_words
-            queued = sum(len(q.words) for q in udn._queues[cid])
+            queued = queued_at[cid]
             assert reserved == queued + bound[cid], (
                 f"core {cid}: {reserved} words reserved, {queued} queued "
                 f"+ {bound[cid]} in flight")

@@ -1,5 +1,6 @@
 """Tests for the workload driver, metrics, and scenario builders."""
 
+import numpy as np
 import pytest
 
 from repro.core import MPServer, OpTable
@@ -13,6 +14,7 @@ from repro.workload import (
     run_stack_benchmark,
     run_workload,
 )
+from repro.workload.driver import think_table
 from repro.workload.metrics import RunResult
 
 
@@ -144,6 +146,29 @@ def test_workload_spec_accepts_boundary_values():
     spec = WorkloadSpec(warmup_cycles=0, measure_cycles=1,
                         think_max_iterations=0, seed=0)
     assert spec.measure_cycles == 1
+
+
+@pytest.mark.parametrize("bound, dtype, first, second", [
+    # a 16-bit draw would read [45, 26, 296, 232, 300, 197] here
+    (300, np.uint16, ([26, 232, 197, 132, 130, 258], 614860),
+     ([161, 44, 238, 101, 27, 297], 601706)),
+    # past 65,535: a table stored in 16 bits would wrap these
+    (70_000, np.uint32, ([6247, 54177, 45820, 30721, 30311, 60102], 143465368),
+     ([37532, 10272, 55561, 23540, 6431, 69136], 140406268)),
+])
+def test_think_tables_keep_the_int64_draw_in_a_compact_type(
+        bound, dtype, first, second):
+    """Each thread's table is drawn int64 (its values and the stream the
+    next thread's draw continues from are pinned) and stored in the
+    smallest unsigned type that holds the bound."""
+    rng = np.random.default_rng(42)
+    for head, total in (first, second):
+        thinks = think_table(rng, bound)
+        assert thinks.dtype == dtype and len(thinks) == 4096
+        assert thinks[:6].tolist() == head
+        assert int(thinks.sum(dtype=np.int64)) == total
+        assert thinks.max() <= bound
+    assert think_table(np.random.default_rng(42), 50).dtype == np.uint8
 
 
 def test_run_workload_rejects_empty_ctxs():
