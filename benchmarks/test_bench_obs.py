@@ -78,11 +78,14 @@ MODES = tuple(_OPTIONS)
 
 
 def _run(spec, mode):
+    """One run's result and its machine's record (None when off)."""
     options = _OPTIONS[mode]
     if options is None:
-        return run_counter_benchmark("mp-server", THREADS, spec=spec)
-    with obs_mod.observed(**options):
-        return run_counter_benchmark("mp-server", THREADS, spec=spec)
+        return run_counter_benchmark("mp-server", THREADS, spec=spec), None
+    with obs_mod.observed(**options) as session:
+        result = run_counter_benchmark("mp-server", THREADS, spec=spec)
+    (rec,) = session.records()
+    return result, rec
 
 
 def test_obs_overhead(benchmark, quick):
@@ -97,7 +100,9 @@ def test_obs_overhead(benchmark, quick):
                 runs[m].append(_run(spec, m))
         return runs
 
-    runs = run_once(benchmark, sweep)
+    pairs = run_once(benchmark, sweep)
+    runs = {m: [r for r, _rec in pairs[m]] for m in MODES}
+    recs = {m: [rec for _r, rec in pairs[m]] for m in MODES}
 
     # determinism: observation (any amount of it) must not change one
     # simulated number
@@ -109,13 +114,12 @@ def test_obs_overhead(benchmark, quick):
             assert r.mean_latency_cycles == ref.mean_latency_cycles, m
     # the sampled runs actually sampled, and the spatial atlas rode along
     for m in ("sampling", "full"):
-        for r in runs[m]:
-            assert r.telemetry is not None and r.telemetry["ticks"] > 0
-            assert "core.busy" in r.telemetry["series"]
-            spatial = r.telemetry["spatial"]
-            assert spatial["messages"] > 0 and spatial["links"]
-    for r in runs["obs"]:
-        assert r.telemetry is None
+        for rec in recs[m]:
+            assert rec.timeseries["ticks"] > 0
+            assert "core.busy" in rec.timeseries["series"]
+            assert rec.spatial["messages"] > 0 and rec.spatial["links"]
+    for rec in recs["obs"]:
+        assert rec.timeseries is None and rec.spatial is None
 
     ev = {m: [r.host_events_per_sec for r in runs[m]] for m in MODES}
     assert all(v > 0 for vs in ev.values() for v in vs)

@@ -51,18 +51,18 @@ def main() -> None:
                       incident_dir=os.path.join(out, "incidents")) as session:
         result = run_counter_benchmark("mp-server", 10, spec=spec)
 
-    (ob,) = session.machines
+    (rec,) = session.records()
     print(render_dashboard_text(session, title="telemetry tour: mp-server"))
     print(f"run: {result.ops} ops at {result.throughput_mops:.1f} Mops/s")
 
-    tel = result.telemetry
+    tel = rec.timeseries
     busy = tel["series"]["core.busy"]
     print(f"sampled {tel['ticks']} windows of {tel['every']} cycles; "
-          f"core.busy mean {busy['mean']:.2f} peak {busy['peak']:.2f}")
+          f"core.busy mean {busy.mean():.2f} peak {busy.peak():.2f}")
 
-    for cycle, what, name in ob.slo.events:
+    for cycle, what, name in rec.slo_events:
         print(f"SLO {what:>7s}: {name} at cycle {cycle}")
-    for path in ob.flight.paths:
+    for path in rec.incident_paths:
         print(f"incident bundle: {path}")
 
     # -- the spatial atlas: where on the mesh did the cycles go? ----------
@@ -80,11 +80,13 @@ def main() -> None:
     print(f"dashboard: {page}")
 
     # -- differential analysis: the same workload at half the threads -----
-    with obs.observed(timeseries=True, sample_every=512, spatial=True):
+    with obs.observed(timeseries=True, sample_every=512,
+                      spatial=True) as half_session:
         half = run_counter_benchmark("mp-server", 5, spec=spec)
+    (half_rec,) = half_session.records()
     diff = diff_records(
-        record_from_results("mp-server T=10", [(10.0, result)]),
-        record_from_results("mp-server T=5", [(10.0, half)]))
+        record_from_results("mp-server T=10", [(10.0, result, rec)]),
+        record_from_results("mp-server T=5", [(10.0, half, half_rec)]))
     print()
     print(render_diff_text(diff))
 

@@ -246,16 +246,15 @@ def write_mesh_svg(path: str, summary, *, title: str = "") -> str:
     return path
 
 
-def _series_groups(sampler) -> "List[Tuple[str, List[Any]]]":
+def _series_groups(series) -> "List[Tuple[str, List[Any]]]":
     """Series grouped by subsystem prefix (``core.busy`` -> ``core``)."""
     groups: Dict[str, List[Any]] = {}
-    for name in sorted(sampler.series):
+    for name in sorted(series):
         if name.startswith("slo."):
             continue  # burn series render in the SLO section
         if name.startswith("spatial."):
             continue  # per-link/per-tile rings render as the mesh panel
-        groups.setdefault(name.split(".", 1)[0], []).append(
-            sampler.series[name])
+        groups.setdefault(name.split(".", 1)[0], []).append(series[name])
     return sorted(groups.items())
 
 
@@ -283,16 +282,16 @@ td, th { border: 1px solid #d5dbdb; padding: 3px 8px; text-align: left; }
 """
 
 
-def _html_machine(ob, open_: bool) -> str:
-    """One observed machine as a collapsible dashboard section."""
+def _html_machine(rec, open_: bool) -> str:
+    """One observed machine's record as a collapsible dashboard section."""
     out = [f"<details{' open' if open_ else ''}>"
-           f"<summary>{html.escape(ob.label)}</summary>"]
-    sampler = ob.sampler
-    if sampler is None:
+           f"<summary>{html.escape(rec.label)}</summary>"]
+    if rec.timeseries is None:
         out.append('<p class="note">no telemetry sampler on this machine'
                    "</p></details>")
         return "".join(out)
-    for prefix, series_list in _series_groups(sampler):
+    series = rec.timeseries["series"]
+    for prefix, series_list in _series_groups(series):
         out.append(f"<h2>{html.escape(prefix)}</h2>")
         out.append('<div class="grid">')
         for ts in series_list:
@@ -310,28 +309,25 @@ def _html_machine(ob, open_: bool) -> str:
                 f"{chart_svg(ts.points())}"
                 f'<div class="stats">{stats}</div></div>')
         out.append("</div>")
-    atlas = getattr(ob, "spatial", None)
-    if atlas is not None:
-        s = atlas.summary()
-        if s["messages"] or s["links"]:
-            out.append("<h2>mesh</h2>")
-            out.append(
-                '<div class="card" style="max-width:480px">'
-                f"{mesh_svg(s)}"
-                f'<div class="stats">{s["messages"]} msgs &middot; '
-                f'{s["words"]} words &middot; {len(s["links"])} active '
-                "link(s)</div></div>")
-    mon = ob.slo
-    if mon is not None and mon.slos:
+    s = rec.spatial
+    if s is not None and (s["messages"] or s["links"]):
+        out.append("<h2>mesh</h2>")
+        out.append(
+            '<div class="card" style="max-width:480px">'
+            f"{mesh_svg(s)}"
+            f'<div class="stats">{s["messages"]} msgs &middot; '
+            f'{s["words"]} words &middot; {len(s["links"])} active '
+            "link(s)</div></div>")
+    if rec.slo:
         out.append("<h2>SLOs</h2>")
         out.append('<div class="grid">')
         marks_by_slo: Dict[str, List[Tuple[int, str]]] = {}
-        for cycle, what, name in mon.events:
+        for cycle, what, name in rec.slo_events:
             marks_by_slo.setdefault(name, []).append(
                 (cycle, "#c0392b" if what == "breach" else "#1e8449"))
-        for status in mon.summary():
+        for status in rec.slo:
             name = status["name"]
-            ts = mon.burn.get(name)
+            ts = series.get(f"slo.{name}.burn")
             cls = "slo-bad" if status["breaches"] else "slo-ok"
             out.append(
                 '<div class="card">'
@@ -352,9 +348,10 @@ def _html_machine(ob, open_: bool) -> str:
 def render_dashboard_html(session, *, title: str,
                           notes: Sequence[str] = ()) -> str:
     """The whole observed session as one self-contained HTML page."""
-    machines = list(session.machines)
-    incidents = session.incidents()
-    breaches = session.breaches()
+    machines = session.records()
+    incidents = [doc for rec in machines for doc in rec.incidents]
+    paths = [path for rec in machines for path in rec.incident_paths]
+    breaches = sum(rec.breaches for rec in machines)
     body = [
         "<!DOCTYPE html>",
         '<html lang="en"><head><meta charset="utf-8">',
@@ -369,10 +366,6 @@ def render_dashboard_html(session, *, title: str,
         body.append(f'<p class="note">note: {html.escape(note)}</p>')
     if incidents:
         body.append("<h2>Incidents</h2>")
-        paths: List[str] = []
-        for ob in machines:
-            if ob.flight is not None:
-                paths.extend(ob.flight.paths)
         for i, inc in enumerate(incidents):
             where = f" &mdash; <code>{html.escape(paths[i])}</code>" \
                 if i < len(paths) else ""
@@ -381,8 +374,8 @@ def render_dashboard_html(session, *, title: str,
                 f'<b>{html.escape(inc["reason"])}</b> at cycle '
                 f'{inc["cycle"]} on {html.escape(inc["label"])}: '
                 f'{html.escape(inc["detail"])}{where}</div>')
-    for i, ob in enumerate(machines):
-        body.append(_html_machine(ob, open_=(i < 2)))
+    for i, rec in enumerate(machines):
+        body.append(_html_machine(rec, open_=(i < 2)))
     body.append("</body></html>")
     return "\n".join(body)
 
@@ -390,44 +383,43 @@ def render_dashboard_html(session, *, title: str,
 def render_dashboard_text(session, *, title: str,
                           max_machines: Optional[int] = 4) -> str:
     """Terminal dashboard: block sparklines + SLO/incident status."""
-    machines = list(session.machines)
+    machines = session.records()
+    incidents = [doc for rec in machines for doc in rec.incidents]
     lines = [f"== {title} ==",
-             f"{len(machines)} machine(s), {session.breaches()} SLO "
-             f"breach(es), {len(session.incidents())} incident(s)"]
+             f"{len(machines)} machine(s), "
+             f"{sum(rec.breaches for rec in machines)} SLO "
+             f"breach(es), {len(incidents)} incident(s)"]
     shown = machines if max_machines is None else machines[:max_machines]
-    for ob in shown:
-        lines.append(f"-- {ob.label}")
-        sampler = ob.sampler
-        if sampler is None:
+    for rec in shown:
+        lines.append(f"-- {rec.label}")
+        if rec.timeseries is None:
             continue
-        for name in sorted(sampler.series):
+        series = rec.timeseries["series"]
+        for name in sorted(series):
             if name.startswith("spatial."):
                 continue  # the atlas renders as a heatmap, not 100 rows
-            ts = sampler.series[name]
+            ts = series[name]
             unit = f" {ts.unit}" if ts.unit else ""
             lines.append(
                 f"  {name:<20s} {text_sparkline(ts.points()):<40s} "
                 f"mean {_fmt(ts.mean())}{unit}  peak {_fmt(ts.peak())}{unit}")
-        atlas = getattr(ob, "spatial", None)
-        if atlas is not None:
+        s = rec.spatial
+        if s is not None and (s["messages"] or s["links"]):
             from repro.analysis.render import render_mesh_heatmap
-            s = atlas.summary()
-            if s["messages"] or s["links"]:
-                lines.append("  " + render_mesh_heatmap(
-                    s, top_links=3).rstrip().replace("\n", "\n  "))
-        if ob.slo is not None:
-            for st in ob.slo.summary():
-                flag = "BREACHED" if st["breached"] else (
-                    f'{st["breaches"]} breach(es)' if st["breaches"] else "ok")
-                lines.append(
-                    f'  slo {st["name"]:<16s} [{flag}]  burn '
-                    f'{st["burn_short"]:.2f}/{st["burn_long"]:.2f}  '
-                    f'target {_fmt(st["target"])} last '
-                    f'{_fmt(st["last_value"])}')
+            lines.append("  " + render_mesh_heatmap(
+                s, top_links=3).rstrip().replace("\n", "\n  "))
+        for st in rec.slo:
+            flag = "BREACHED" if st["breached"] else (
+                f'{st["breaches"]} breach(es)' if st["breaches"] else "ok")
+            lines.append(
+                f'  slo {st["name"]:<16s} [{flag}]  burn '
+                f'{st["burn_short"]:.2f}/{st["burn_long"]:.2f}  '
+                f'target {_fmt(st["target"])} last '
+                f'{_fmt(st["last_value"])}')
     if max_machines is not None and len(machines) > max_machines:
         lines.append(f"... {len(machines) - max_machines} more machine(s) "
                      "in the HTML dashboard")
-    for inc in session.incidents():
+    for inc in incidents:
         lines.append(f'  incident: {inc["reason"]} at cycle {inc["cycle"]} '
                      f'({inc["detail"]}) on {inc["label"]}')
     return "\n".join(lines)

@@ -1,8 +1,8 @@
 """Cross-run differential analysis: ``python -m repro diff A B``.
 
 Compares two run records -- BENCH_*.json benchmark records, live
-:class:`~repro.analysis.series.FigureData` / RunResult sweeps, or
-anything normalized into the common *record* shape below -- and emits a
+RunResults with their observed machines' records, or anything
+normalized into the common *record* shape below -- and emits a
 **deterministic structured verdict**: every shared metric of every
 shared point is classified ``improved`` / ``regressed`` / ``unchanged``
 (or ``changed`` for direction-neutral metrics) against a relative
@@ -53,7 +53,6 @@ __all__ = [
     "load_record",
     "metric_direction",
     "record_from_bench",
-    "record_from_figure",
     "record_from_results",
     "render_diff_text",
 ]
@@ -168,7 +167,7 @@ def record_from_bench(doc: Dict[str, Any], *, label: str = "bench",
     }
 
 
-def _result_metrics(r) -> Dict[str, float]:
+def _result_metrics(r, rec=None) -> Dict[str, float]:
     m: Dict[str, float] = {
         "threads": r.num_threads,
         "ops": r.ops,
@@ -181,43 +180,31 @@ def _result_metrics(r) -> Dict[str, float]:
     for k, v in r.extra.items():
         if isinstance(v, (int, float)) and not isinstance(v, bool):
             m[k] = v
-    tel = getattr(r, "telemetry", None)
-    if tel:
-        for name, s in tel.get("series", {}).items():
+    if rec is not None and rec.timeseries is not None:
+        for name, ts in rec.timeseries["series"].items():
             if name.startswith("spatial."):
                 continue  # the atlas diffs structurally, not ring by ring
-            m[f"ts.{name}.mean"] = s.get("mean", 0.0)
-            m[f"ts.{name}.peak"] = s.get("peak", 0.0)
+            m[f"ts.{name}.mean"] = ts.mean()
+            m[f"ts.{name}.peak"] = ts.peak()
     return m
 
 
-def record_from_results(label: str,
-                        points: Sequence[Tuple[float, Any]],
+def record_from_results(label: str, points: Sequence[Tuple[Any, ...]],
                         *, fingerprint: Optional[str] = None
                         ) -> Dict[str, Any]:
-    """One curve of live RunResults as a record (telemetry tour, tests)."""
+    """One curve of live RunResults as a record (telemetry tour, tests).
+
+    Each point is ``(x, result)`` or ``(x, result, obs_record)``; an
+    :class:`~repro.obs.ObsRecord` adds its sampled series' means and
+    peaks as ``ts.*`` metrics and its spatial atlas.
+    """
     pts = []
-    for x, r in points:
-        tel = getattr(r, "telemetry", None)
-        pts.append({"x": x, "metrics": _result_metrics(r),
-                    "spatial": tel.get("spatial") if tel else None})
+    for x, r, *obs_rec in points:
+        rec = obs_rec[0] if obs_rec else None
+        pts.append({"x": x, "metrics": _result_metrics(r, rec),
+                    "spatial": rec.spatial if rec is not None else None})
     return {"label": label, "figure": None, "fingerprint": fingerprint,
             "full": None, "series": {label: pts}}
-
-
-def record_from_figure(fig, *, label: Optional[str] = None
-                       ) -> Dict[str, Any]:
-    """A whole :class:`~repro.analysis.series.FigureData` as a record."""
-    series: Dict[str, List[Dict[str, Any]]] = {}
-    for curve, s in fig.series.items():
-        pts = []
-        for x, r in s.points:
-            tel = getattr(r, "telemetry", None)
-            pts.append({"x": x, "metrics": _result_metrics(r),
-                        "spatial": tel.get("spatial") if tel else None})
-        series[curve] = pts
-    return {"label": label or fig.figure_id, "figure": fig.figure_id,
-            "fingerprint": None, "full": None, "series": series}
 
 
 def blame_metrics(report) -> Dict[str, float]:

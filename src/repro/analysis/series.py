@@ -13,12 +13,11 @@ __all__ = ["Series", "FigureData", "cdf_points"]
 
 #: RunResult fields excluded from determinism fingerprints: host-side
 #: provenance varies run to run by construction, and the (late-added)
-#: queue-depth series / telemetry summary must not perturb the hashes
-#: of figures that predate them -- their deterministic content is
-#: fingerprinted through the ``ol.qdepth_*`` extras instead, and
-#: telemetry is only attached when sampling is explicitly enabled
+#: queue-depth series must not perturb the hashes of figures that
+#: predate it -- its deterministic content is fingerprinted through the
+#: ``ol.qdepth_*`` extras instead
 _HOST_FIELDS = ("host_wall_seconds", "host_events_processed",
-                "queue_depth_series", "telemetry")
+                "queue_depth_series")
 
 
 def cdf_points(samples: List[int]) -> List[Tuple[int, float]]:

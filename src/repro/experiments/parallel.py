@@ -21,18 +21,21 @@ Job count resolution, most specific wins:
 
 A crashed worker (or a point that raises) surfaces as a
 :class:`PointFailure` naming the exact point, instead of a hung or
-half-merged sweep.  When a machine-wide observability session is active
-(``python -m repro run --obs ...``), sweeps run serially: workers
-would register their machines with a session in the worker process and
-the parent's aggregation would silently see nothing.
+half-merged sweep.  Under an observability session every point, in a
+worker or inline, returns its machines' records with its result
+(:func:`repro.obs.observe_point`), merged in submission order too.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from typing import Any, Callable, List, NamedTuple, Optional, Sequence
+
+import repro.obs as obs_mod
 
 __all__ = ["PointFailure", "SweepPoint", "point", "resolve_jobs", "run_sweep"]
 
@@ -86,12 +89,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return 1
 
 
-def _obs_session_active() -> bool:
-    import repro.obs as obs_mod
-
-    return getattr(obs_mod, "_SESSION", None) is not None
-
-
 def _progress(name: str, done: int, total: int, jobs: int) -> None:
     end = "\n" if done == total else "\r"
     sys.stderr.write(f"[{name}: {done}/{total} points, jobs={jobs}]{end}")
@@ -108,41 +105,37 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: Optional[int] = None,
     ordered like ``points``, so callers can zip them back together.
     """
     pts = list(points)
-    n = resolve_jobs(jobs)
-    if n > 1 and _obs_session_active():
-        # obs sessions register machines per process; fan-out would lose
-        # every worker-side machine from the parent's aggregation
-        n = 1
+    n = min(resolve_jobs(jobs), len(pts))
+    session = obs_mod.active_session()
+    calls = [(p.fn, p.args, p.kwargs) for p in pts]
+    if session is not None:
+        # each point's incident bundles are named by sweep and index
+        tag = re.sub(r"[^A-Za-z0-9]+", "-", name)
+        calls = [(obs_mod.observe_point,
+                  (f"{tag}-p{i:03d}-", session.options) + call, {})
+                 for i, call in enumerate(calls)]
     show = len(pts) > 1
-    if n == 1 or len(pts) <= 1:
-        results = []
-        for i, p in enumerate(pts):
-            if show:
-                _progress(name, i, len(pts), 1)
-            try:
-                results.append(p.fn(*p.args, **p.kwargs))
-            except Exception as exc:
-                raise PointFailure(name, p.label, p.x, exc) from exc
-        if show:
-            _progress(name, len(pts), len(pts), 1)
-        return results
-
     results = []
-    with ProcessPoolExecutor(max_workers=min(n, len(pts))) as ex:
-        futures = [ex.submit(p.fn, *p.args, **p.kwargs) for p in pts]
-        # iterate in submission order: the merge is deterministic even
+    with ProcessPoolExecutor(max_workers=n) if n > 1 else nullcontext() as ex:
+        futures = [ex.submit(fn, *args, **kwargs)
+                   for fn, args, kwargs in calls] if ex else None
+        # collect in submission order: the merge is deterministic even
         # though completion order is not
-        for i, (p, fut) in enumerate(zip(pts, futures)):
+        for i, (p, (fn, args, kwargs)) in enumerate(zip(pts, calls)):
             if show:
                 _progress(name, i, len(pts), n)
             try:
-                results.append(fut.result())
+                out = futures[i].result() if futures else fn(*args, **kwargs)
             except Exception as exc:
                 # includes BrokenProcessPool: a worker that died (OOM,
                 # signal) fails the sweep with the point's name attached
-                for f in futures:
+                for f in futures or ():
                     f.cancel()
                 raise PointFailure(name, p.label, p.x, exc) from exc
+            if session is not None:
+                out, records = out
+                session.extend(records)
+            results.append(out)
         if show:
             _progress(name, len(pts), len(pts), n)
     return results

@@ -237,9 +237,8 @@ def run_experiments(ids: Sequence[str], obs: Dict[str, Optional[int]], *,
                     out: Optional[str] = None) -> int:
     """Run ``ids`` (all when empty) under the parsed ``--obs`` spec.
 
-    Sweeps run serially under a session (see
-    :func:`repro.experiments.parallel.run_sweep`) and under ``profile``,
-    whose numbers must cover the work, not the wait on a worker pool.
+    Sweeps run serially under ``profile``, whose numbers must cover the
+    work, not the wait on a worker pool.
     """
     options: Dict[str, object] = {}
     for word in obs:
@@ -296,7 +295,8 @@ def _save(out: Optional[str], name: str, what: str, text: str) -> None:
 def _export_obs(session, exp_id: str, out: Optional[str],
                 trace: bool = False) -> None:
     """Print counter heatmaps + hotspots; write counters, mesh, trace."""
-    if not session.machines:
+    records = session.records()
+    if not records:
         return
     agg = session.aggregate()
     print(render_line_heatmap(agg.get("line", {}),
@@ -315,12 +315,11 @@ def _export_obs(session, exp_id: str, out: Optional[str],
         # traced runs.  One machine's flows suffice for attribution
         # (the busiest machine dominates the merged atlas anyway).
         flows, partial = None, ""
-        traced = [ob for ob in session.machines
-                  if ob.trace is not None and ob.trace.events
-                  and ob.spatial is not None]
+        traced = [rec for rec in records
+                  if rec.trace is not None and rec.trace.events
+                  and rec.spatial is not None]
         if traced:
-            busiest = max(traced,
-                          key=lambda ob: ob.spatial.summary()["messages"])
+            busiest = max(traced, key=lambda rec: rec.spatial["messages"])
             flows = causal_link_flows(busiest.spatial, busiest.trace)
             partial = render_truncation(busiest.trace)
         print(render_hotspots(spatial, k=5, flows=flows))
@@ -348,22 +347,22 @@ def _export_critpath(session, exp_id: str, out: Optional[str],
     highest-thread-count machine of each approach is reported (the
     contended regime the paper's argument is about).
     """
-    best = {}  # series name -> (thread count, Observability)
-    for ob in session.machines:
-        if ob.trace is None or not ob.trace.events:
+    best = {}  # series name -> (thread count, ObsRecord)
+    for rec in session.records():
+        if rec.trace is None or not rec.trace.events:
             continue
-        name, _, tpart = ob.label.rpartition(" T=")
+        name, _, tpart = rec.label.rpartition(" T=")
         try:
             n = int(tpart)
         except ValueError:
-            name, n = ob.label, 0
+            name, n = rec.label, 0
         cur = best.get(name)
         if cur is None or n > cur[0]:
-            best[name] = (n, ob)
+            best[name] = (n, rec)
     if not best:
         return
-    reports = {name: analyze_collector(ob.trace, label=ob.label)
-               for name, (_n, ob) in sorted(best.items())}
+    reports = {name: analyze_collector(rec.trace, label=rec.label)
+               for name, (_n, rec) in sorted(best.items())}
     chunks = [render_blame_breakdown(rep) for rep in reports.values()]
     # the README's A/B example: HYBCOMB vs CC-SYNCH when both ran
     hyb = next((r for n, r in reports.items() if "hyb" in n.lower()), None)
@@ -399,8 +398,7 @@ def _export_report(session, fig: FigureData, exp_id: str,
         path = write_dashboard(os.path.join(out, f"{exp_id}-dashboard.html"),
                                session, title=title, notes=fig.notes)
         print(f"[dashboard written to {path}]")
-    dumped = sum(len(ob.flight.paths) for ob in session.machines
-                 if ob.flight is not None)
+    dumped = sum(len(rec.incident_paths) for rec in session.records())
     if dumped:
         print(f"[{dumped} incident bundle(s) under "
               f"{os.path.join(out, 'incidents', exp_id)}]")

@@ -73,13 +73,16 @@ class Machine:
         """Turn on the event bus / perf counters for this machine.
 
         Returns the :class:`repro.obs.Observability` handle (idempotent:
-        a second call returns the existing one).  ``trace=True`` also
-        records the machine's event log (``trace_limit`` caps it), which
-        ``obs.export_chrome_trace``, the critical-path analysis and
+        a second call returns the existing one); its ``record()`` is the
+        run's observed state as one picklable :class:`repro.obs.ObsRecord`.
+        ``trace=True`` also records the machine's event log
+        (``trace_limit`` caps it), which the Chrome trace export, the
+        critical-path analysis and
         :func:`repro.analysis.render.render_timeline` read; further
         options (``label``, ``timeseries``, ``sample_every``, ``slos``,
         ``flight``, ``incident_dir``, ...) enable the continuous
-        telemetry layers of DESIGN.md §14.
+        telemetry layers of DESIGN.md §14.  To observe every machine a
+        block of code builds, use :func:`repro.obs.observed` instead.
         """
         if self.obs is None:
             import repro.obs as _obs

@@ -33,21 +33,29 @@ Per machine::
     machine = Machine(tile_gx())
     obs = machine.enable_observability(trace=True, timeseries=True)
     ...  # run
-    obs.export_chrome_trace("trace.json")
-    obs.sampler.series["core.busy"].points()
+    rec = obs.record()      # an ObsRecord: plain, picklable data
+    write_chrome_trace([rec], "trace.json")
+    rec.timeseries["series"]["core.busy"].points()
 
 Across machines (how ``python -m repro run --obs ...`` observes every
-machine a sweep builds internally)::
+machine a sweep builds, in this process or in its workers)::
 
     with repro.obs.observed(timeseries=True, slos=my_slos) as session:
         result = run_counter_benchmark("mp-server", 10)
-    session.aggregate()  # merged counters across all observed machines
+    session.records()    # one ObsRecord per observed machine
+    session.aggregate()  # merged counters across all of them
+
+Every reader -- the session's merges, the dashboards, the ``--obs``
+exports -- reads records only, so a sweep point run in a worker process
+(:func:`observe_point`) returns its records with its result and the
+parent merges them in submission order.
 """
 
 from __future__ import annotations
 
 import inspect
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.bus import EventBus, EventLog
@@ -64,6 +72,7 @@ __all__ = [
     "EventLog",
     "FlightRecorder",
     "Observability",
+    "ObsRecord",
     "ObsSession",
     "PerfCounters",
     "SLO",
@@ -71,13 +80,13 @@ __all__ = [
     "Sampler",
     "SpatialAtlas",
     "TimeSeries",
+    "active_session",
     "attach",
     "counters_csv",
-    "disable",
-    "enable",
     "latency_bucket",
     "merge_counters",
     "merge_spatial_summaries",
+    "observe_point",
     "observed",
     "write_chrome_trace",
 ]
@@ -154,21 +163,56 @@ class Observability:
                                      self.flight.on_trigger)
         machine.sim.obs = self.bus
 
-    def export_chrome_trace(self, path: str) -> int:
-        """Write this machine's trace as Chrome/Perfetto JSON.
+    def record(self) -> "ObsRecord":
+        """This machine's observed state as one picklable record.
 
-        Sampled time series (when ``timeseries=True``) ride along as
-        Perfetto counter tracks, so the trace viewer and the HTML
-        dashboard read the same data.
+        Built when read, never at run end: a run nobody reads pays
+        nothing.  The record shares the sampler's rings and the event
+        log with this machine, so read it once the run is over.
         """
-        if self.trace is None:
-            raise RuntimeError("tracing was not enabled; pass trace=True")
-        counters = [(self.label, self.sampler)] if self.sampler else []
-        return write_chrome_trace([self._trace_run()], path,
-                                  counters=counters)
+        m, sampler, mon, flight = self.machine, self.sampler, self.slo, self.flight
+        return ObsRecord(
+            label=self.label, cores=len(m.cores),
+            fingerprint=m.cfg.fingerprint(),
+            counters=self.counters.snapshot(),
+            timeseries=None if sampler is None else {
+                "every": sampler.every, "ticks": sampler.ticks,
+                "series": dict(sampler.series)},
+            slo=mon.summary() if mon is not None else [],
+            slo_events=list(mon.events) if mon is not None else [],
+            spatial=self.spatial.summary() if self.spatial is not None else None,
+            incidents=list(flight.incidents) if flight is not None else [],
+            incident_paths=list(flight.paths) if flight is not None else [],
+            trace=self.trace)
 
-    def _trace_run(self) -> Tuple[str, EventLog, int]:
-        return self.label, self.trace, len(self.machine.cores)
+
+@dataclass
+class ObsRecord:
+    """One observed machine as plain data (DESIGN.md §9).
+
+    What every reader of a session reads -- its merges, the dashboards,
+    the ``--obs`` exports -- and what a sweep point run in a worker
+    process sends back to its parent.
+    """
+
+    label: str                      #: run label (trace process name)
+    cores: int
+    fingerprint: str                #: the machine config's fingerprint
+    counters: Dict[str, Any]        #: :meth:`PerfCounters.snapshot`
+    #: ``{"every", "ticks", "series": {name: TimeSeries}}``, or None
+    #: when the machine was not sampled
+    timeseries: Optional[Dict[str, Any]]
+    slo: List[Dict[str, Any]]       #: :meth:`SLOMonitor.summary` statuses
+    slo_events: List[Tuple[int, str, str]]  #: (cycle, breach|recover, slo)
+    spatial: Optional[Dict[str, Any]]       #: :meth:`SpatialAtlas.summary`
+    incidents: List[Dict[str, Any]]         #: flight-recorder bundles
+    incident_paths: List[str]               #: where they were written
+    trace: Optional[EventLog]               #: the event log (``trace=True``)
+
+    @property
+    def breaches(self) -> int:
+        """SLO breaches on this machine."""
+        return sum(st["breaches"] for st in self.slo)
 
 
 _OBS_SIGNATURE = inspect.signature(Observability)
@@ -182,7 +226,10 @@ class ObsSession:
     """Observes every :class:`Machine` constructed while it is active.
 
     ``options`` are :class:`Observability`'s keywords, passed to each
-    machine's as given and checked here, when the session starts.
+    machine's as given and checked here, when the session starts.  The
+    session's readers (:meth:`records` and the merges over it) see the
+    machines built in this process and the records sweep points sent
+    back (:func:`observe_point`), in the order they joined.
     """
 
     def __init__(self, **options):
@@ -192,20 +239,36 @@ class ObsSession:
         _check_limits(args["trace_limit"], args["flight_limit"],
                       args["spatial_hop_limit"], args["sample_every"])
         self.options = options
-        self.machines: List[Observability] = []
+        #: incident-name prefix of the machines this session builds
+        self.scope = ""
+        self._observed: List[Observability | ObsRecord] = []
+
+    @property
+    def machines(self) -> List[Observability]:
+        """The live machines observed in this process."""
+        return [ob for ob in self._observed if isinstance(ob, Observability)]
 
     def register(self, ob: Observability) -> None:
-        self.machines.append(ob)
+        if ob.flight is not None:
+            # the session's scope and the machine's ordinal in it name
+            # its bundles, the same in a worker process as in this one
+            ob.flight.rid = f"{self.scope}m{len(self.machines)}"
+        self._observed.append(ob)
 
-    def reset(self) -> None:
-        """Forget observed machines (e.g. between experiments)."""
-        self.machines.clear()
+    def extend(self, records: Sequence[ObsRecord]) -> None:
+        """Add records observed elsewhere (a sweep point's)."""
+        self._observed.extend(records)
+
+    def records(self) -> List[ObsRecord]:
+        """One record per observed machine, in the order they joined."""
+        return [ob.record() if isinstance(ob, Observability) else ob
+                for ob in self._observed]
 
     def aggregate(self) -> Dict[str, Any]:
         """Counters snapshot merged across every observed machine."""
         agg: Dict[str, Any] = {}
-        for ob in self.machines:
-            merge_counters(agg, ob.counters.snapshot())
+        for rec in self.records():
+            merge_counters(agg, rec.counters)
         return agg
 
     def metrics_csv(self) -> str:
@@ -214,16 +277,11 @@ class ObsSession:
 
     def incidents(self) -> List[Dict[str, Any]]:
         """Flight-recorder incident bundles across observed machines."""
-        out: List[Dict[str, Any]] = []
-        for ob in self.machines:
-            if ob.flight is not None:
-                out.extend(ob.flight.incidents)
-        return out
+        return [doc for rec in self.records() for doc in rec.incidents]
 
     def breaches(self) -> int:
         """Total SLO breaches across observed machines."""
-        return sum(ob.slo.breaches for ob in self.machines
-                   if ob.slo is not None)
+        return sum(rec.breaches for rec in self.records())
 
     def spatial_summary(self) -> Optional[Dict[str, Any]]:
         """Atlas summaries merged across like observed machines.
@@ -235,8 +293,8 @@ class ObsSession:
         analytic and contended meshes side by side.  Returns ``None``
         when no machine carried an atlas.
         """
-        summaries = [ob.spatial.summary() for ob in self.machines
-                     if ob.spatial is not None]
+        summaries = [rec.spatial for rec in self.records()
+                     if rec.spatial is not None]
         if not summaries:
             return None
         first = summaries[0]
@@ -250,47 +308,59 @@ class ObsSession:
         Each machine becomes one "process" in the trace, labelled with
         its run name, so a sweep's points sit side by side in Perfetto.
         """
-        traced = [ob for ob in self.machines if ob.trace is not None]
-        if not traced:
+        records = self.records()
+        if not any(rec.trace is not None for rec in records):
             raise RuntimeError("no traced machines in this session")
-        counters = [(ob.label, ob.sampler) for ob in traced
-                    if ob.sampler is not None]
-        return write_chrome_trace([ob._trace_run() for ob in traced], path,
-                                  counters=counters)
+        return write_chrome_trace(records, path)
 
 
 #: the active session new machines auto-attach to (None = off)
 _SESSION: Optional[ObsSession] = None
 
 
-def enable(**options) -> ObsSession:
-    """Start observing every machine constructed from now on.
+@contextmanager
+def observed(**options):
+    """``with repro.obs.observed(**options) as session:`` -- observe
+    every machine constructed inside the block.
 
     Keyword options are :class:`Observability`'s but ``label``:
     ``trace``, ``trace_limit``, ``timeseries``, ``sample_every``,
     ``slos``, ``flight``, ``incident_dir``, ...; a bad one raises here.
+    Sessions do not nest.
     """
     global _SESSION
     if _SESSION is not None:
         raise RuntimeError("an observability session is already active")
-    _SESSION = ObsSession(**options)
-    return _SESSION
-
-
-def disable() -> None:
-    """Stop auto-attaching observability to new machines."""
-    global _SESSION
-    _SESSION = None
-
-
-@contextmanager
-def observed(**options):
-    """``with repro.obs.observed() as session:`` scoped session."""
-    session = enable(**options)
+    _SESSION = session = ObsSession(**options)
     try:
         yield session
     finally:
-        disable()
+        _SESSION = None
+
+
+def active_session() -> Optional[ObsSession]:
+    """The session new machines join, or None."""
+    return _SESSION
+
+
+def observe_point(scope: str, options: Dict[str, Any], fn, args: tuple,
+                  kwargs: dict) -> Tuple[Any, List[ObsRecord]]:
+    """Run ``fn(*args, **kwargs)`` under a session of its own.
+
+    Returns ``(result, records)``.  The point's session stands in for
+    the active one during the call and is dropped after it: a worker
+    forked from an observed parent inherits the parent's session, and
+    a point run in the parent must not add its live machines to it.
+    ``scope`` prefixes the point's incident bundle names.
+    """
+    global _SESSION
+    outer = _SESSION
+    _SESSION = session = ObsSession(**options)
+    session.scope = scope
+    try:
+        return fn(*args, **kwargs), session.records()
+    finally:
+        _SESSION = outer
 
 
 def attach(machine) -> Optional[Observability]:

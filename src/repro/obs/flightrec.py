@@ -47,7 +47,6 @@ raised from inside a crash handler can never leave a truncated JSON.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from collections import deque
@@ -70,11 +69,6 @@ TRIGGERS = frozenset(
     ("proc.kill", "slo.breach", "dispatch.timeout", "udn.timeout",
      "admit.retry"))
 
-#: process-wide recorder ids -- many machines (a sweep builds one per
-#: point) share one incident directory, so filenames carry the
-#: recorder's creation rank to stay collision-free and deterministic
-_RECORDER_IDS = itertools.count()
-
 #: where the incident-naming triggers carry their detail
 _KILL_NAME = SCHEMA["proc.kill"][1].index("name")
 _BREACH_SLO = SCHEMA["slo.breach"][1].index("slo")
@@ -88,7 +82,10 @@ class FlightRecorder:
                  storm_threshold: int = 50, storm_window: int = 10_000,
                  max_incidents: int = 8):
         self.ob = ob
-        self.rid = next(_RECORDER_IDS)
+        #: names this recorder's bundles: many machines (a sweep builds
+        #: one per point) share one incident directory, so the session
+        #: sets it from the sweep point and the machine's ordinal there
+        self.rid = "m0"
         #: the bus-owned bounded ring of recent events (validates limit)
         self.events: deque = ob.bus.keep_recent(limit)
         #: incident bundle dicts, in detection order (capped)
@@ -178,7 +175,7 @@ class FlightRecorder:
 
     def _write(self, doc: Dict[str, Any]) -> str:
         os.makedirs(self.out_dir, exist_ok=True)
-        name = (f"incident-r{self.rid:03d}-{len(self.paths):02d}-"
+        name = (f"incident-{self.rid}-{len(self.paths):02d}-"
                 f"{doc['reason'].replace('.', '-')}-c{doc['cycle']}.json")
         path = os.path.join(self.out_dir, name)
         # write-then-rename: a crash handler dumping mid-flight must

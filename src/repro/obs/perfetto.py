@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import logging
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.bus import named
 
@@ -162,8 +162,8 @@ def trace_events(event_log, num_cores: int, pid: int) -> List[Dict[str, Any]]:
     return out
 
 
-def counter_events(pid: int, sampler) -> List[Dict[str, Any]]:
-    """A sampler's ring series as Chrome counter-track events (``ph: C``).
+def counter_events(pid: int, series: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """Sampled ring series as Chrome counter-track events (``ph: C``).
 
     Perfetto renders one counter track per (pid, series name); each
     bucket of the ring becomes one sample at the bucket's start cycle.
@@ -171,8 +171,8 @@ def counter_events(pid: int, sampler) -> List[Dict[str, Any]]:
     charts -- same rings, same downsampling.
     """
     out: List[Dict[str, Any]] = []
-    for name in sorted(sampler.series):
-        ts = sampler.series[name]
+    for name in sorted(series):
+        ts = series[name]
         label = f"{name} ({ts.unit})" if ts.unit else name
         for t, v in ts.points():
             out.append({"name": label, "cat": "telemetry", "ph": "C",
@@ -181,37 +181,28 @@ def counter_events(pid: int, sampler) -> List[Dict[str, Any]]:
     return out
 
 
-def write_chrome_trace(runs: Sequence[Tuple[str, Any, int]], path: str,
-                       counters: Sequence[Tuple[str, Any]] = ()) -> int:
-    """Write labelled machine event logs as one Chrome trace JSON file.
+def write_chrome_trace(records: Sequence[Any], path: str) -> int:
+    """Write observed machines' records as one Chrome trace JSON file.
 
-    Each ``(label, event_log, num_cores)`` run becomes one "process" in
-    the trace, so several benchmark runs can be compared side by side
-    in Perfetto.  ``counters`` pairs labels with
-    :class:`~repro.obs.timeseries.Sampler` instances whose series are
-    emitted as counter tracks on the matching process (labels not
-    matching any run get their own process).  Returns the number of
-    trace events written.
+    Each :class:`~repro.obs.ObsRecord` with an event log or sampled
+    series becomes one "process", named by its label, so several
+    benchmark runs can be compared side by side in Perfetto; its
+    series ride along as counter tracks.  Returns the number of trace
+    events written.
     """
+    shown = [rec for rec in records
+             if rec.trace is not None or rec.timeseries is not None]
     events: List[Dict[str, Any]] = []
     dropped = 0
-    pid_of: Dict[str, int] = {}
-    for pid, (label, event_log, num_cores) in enumerate(runs):
-        pid_of.setdefault(label, pid)
+    for pid, rec in enumerate(shown):
         events.append({"name": "process_name", "ph": "M", "pid": pid,
-                       "args": {"name": label}})
-        events.extend(trace_events(event_log, num_cores, pid))
-        dropped += event_log.dropped
-    next_pid = len(runs)
-    for label, sampler in counters:
-        pid = pid_of.get(label)
-        if pid is None:
-            pid = next_pid
-            next_pid += 1
-            pid_of[label] = pid
-            events.append({"name": "process_name", "ph": "M", "pid": pid,
-                           "args": {"name": label}})
-        events.extend(counter_events(pid, sampler))
+                       "args": {"name": rec.label}})
+        if rec.trace is not None:
+            events.extend(trace_events(rec.trace, rec.cores, pid))
+            dropped += rec.trace.dropped
+    for pid, rec in enumerate(shown):
+        if rec.timeseries is not None:
+            events.extend(counter_events(pid, rec.timeseries["series"]))
     other: Dict[str, Any] = {"unit": "simulated cycles"}
     if dropped:
         log.warning("trace %s is truncated: %d events were dropped at the "

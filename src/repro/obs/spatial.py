@@ -65,6 +65,7 @@ from __future__ import annotations
 from array import array
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.noc.topology import Mesh
 from repro.obs.bus import named
 from repro.obs.counters import BACKPRESSURE_CYCLES
 
@@ -421,11 +422,6 @@ class SpatialAtlas:
             hops["records_dropped"] = self.records_dropped
         return out
 
-    def top_links(self, k: int = 5) -> List[Tuple[str, Dict[str, Any]]]:
-        s = self.summary()
-        return sorted(s["links"].items(),
-                      key=lambda kv: (-kv[1]["share"], kv[0]))[:k]
-
 
 def merge_spatial_summaries(summaries) -> Optional[Dict[str, Any]]:
     """Sum atlas summaries of same-shaped meshes (a sweep's machines).
@@ -480,18 +476,21 @@ def merge_spatial_summaries(summaries) -> Optional[Dict[str, Any]]:
     return out
 
 
-def causal_link_flows(atlas: SpatialAtlas, event_log) -> Dict[str, Any]:
+def causal_link_flows(summary: Dict[str, Any],
+                      event_log) -> Dict[str, Dict[str, int]]:
     """Join link traffic to the ops that crossed each link.
 
     Walks the machine's :class:`~repro.obs.bus.EventLog`,
     tracking the current (tid, prim) op per core from ``op.begin`` and
-    charging each ``udn.send``'s XY route to that op's flow.  Returns
-    ``{link_key: {flow_label: msgs}}``.  Post-hoc and O(events): the
-    hot path never pays for this join.
+    charging each ``udn.send``'s XY route to that op's flow.  Routes
+    come from the atlas ``summary``'s mesh (core ``i`` sits on node
+    ``i``), so a record read in another process resolves them too.
+    Returns ``{link_key: {flow_label: msgs}}``.  Post-hoc and
+    O(events): the hot path never pays for this join.
     """
+    mesh = Mesh(summary["mesh"]["width"], summary["mesh"]["height"])
     flows: Dict[str, Dict[str, int]] = {}
     cur: Dict[int, str] = {}  # core -> flow label of its current op
-    node_of = atlas._node_of
     for _t, kind, args in event_log.events:
         if kind not in ("op.begin", "udn.send"):
             continue
@@ -500,12 +499,8 @@ def causal_link_flows(atlas: SpatialAtlas, event_log) -> Dict[str, Any]:
             cur[f["core"]] = f"{f['prim']}/t{f['tid']}"
         elif kind == "udn.send":
             label = cur.get(f["core"], f"core{f['core']}")
-            src, dst = node_of[f["core"]], node_of[f["dst_core"]]
-            for a, b in atlas._route_links(src, dst):
-                key = _link_key(a, b)
-                per = flows.get(key)
-                if per is None:
-                    per = flows[key] = {}
+            for a, b in mesh.links(f["core"], f["dst_core"]):
+                per = flows.setdefault(_link_key(a, b), {})
                 per[label] = per.get(label, 0) + 1
     return flows
 

@@ -266,16 +266,6 @@ class Sampler:
         for cb in self._subs:
             cb(now)
 
-    def summary(self) -> Dict[str, Any]:
-        """Compact JSON-ready overview (aggregates, no point lists)."""
-        out: Dict[str, Any] = {"every": self.every, "ticks": self.ticks,
-                               "series": {}}
-        for name in sorted(self.series):
-            d = self.series[name].to_dict()
-            del d["points"]
-            out["series"][name] = d
-        return out
-
     def dump(self, *, tail: Optional[int] = None) -> Dict[str, Any]:
         """Full JSON-ready dump, optionally only each series' tail."""
         return {

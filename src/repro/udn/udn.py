@@ -96,12 +96,12 @@ class _CoreBuffer:
     than the currently free space.
     """
 
-    __slots__ = ("sim", "free_words", "label", "_waiters")
+    __slots__ = ("sim", "free_words", "core", "_waiters")
 
-    def __init__(self, sim: Simulator, capacity: int, label: str):
+    def __init__(self, sim: Simulator, capacity: int, core: int):
         self.sim = sim
         self.free_words = capacity
-        self.label = label
+        self.core = core
         # each entry: [event, words_needed, granted?]; the deque is built
         # when the first sender blocks (most buffers never see one)
         self._waiters: "Deque[list] | Tuple[()]" = NO_WAITERS
@@ -111,7 +111,9 @@ class _CoreBuffer:
         if not self._waiters and self.free_words >= n:
             self.free_words -= n
             return
-        entry = [Event(self.sim, label=self.label), n, False]
+        # the label is formatted only here, when a sender blocks
+        entry = [Event(self.sim, label=f"udn buffer space of core {self.core}"),
+                 n, False]
         if self._waiters is NO_WAITERS:
             self._waiters = deque()
         self._waiters.append(entry)
@@ -245,10 +247,7 @@ class UdnFabric:
         self._probe_cost = cfg.udn_probe_cost
         self._noc_base, self._noc_per_hop = mesh.base, mesh.per_hop
         self._noc_per_word, self._xs, self._ys = mesh.per_word, mesh.xs, mesh.ys
-        self._buffers = [
-            _CoreBuffer(sim, cfg.udn_buffer_words, label=f"udn buffer space of core {c.cid}")
-            for c in cores
-        ]
+        self._buffers = [_CoreBuffer(sim, cfg.udn_buffer_words, c.cid) for c in cores]
         #: (core, demux) -> its FIFO, built when a thread first registers
         #: there: host memory follows the endpoints a run uses, not the
         #: ``udn_demux_queues`` x cores the hardware provides

@@ -155,15 +155,8 @@ class Window:
             result.failovers = int(stats.get("failovers", 0))
             result.takeovers = int(stats.get("takeovers", 0))
 
-        # continuous-telemetry summary and host-perf provenance: both are
-        # excluded from figure fingerprints as fields and never feed back
-        # into simulated results
-        if sampler is not None:
-            result.telemetry = sampler.summary()
-        if obs is not None and getattr(obs, "spatial", None) is not None:
-            if result.telemetry is None:
-                result.telemetry = {}
-            result.telemetry["spatial"] = obs.spatial.summary()
+        # host-perf provenance: excluded from figure fingerprints as
+        # fields and never fed back into simulated results
         result.host_wall_seconds = time.perf_counter() - self.host_t0
         result.host_events_processed = (
             machine.sim.events_processed - self.host_ev0)

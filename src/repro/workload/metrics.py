@@ -65,14 +65,6 @@ class RunResult:
     #: surface in the ``ol.qdepth_*`` extras, which are fingerprinted.
     queue_depth_series: Optional[List[List[int]]] = None
 
-    #: continuous-telemetry summary from the observability sampler
-    #: (:mod:`repro.obs.timeseries`): per-series aggregates, no point
-    #: lists.  None when the run was not observed with ``timeseries``.
-    #: Excluded from determinism fingerprints *as a field* (like the
-    #: queue-depth series) so figures hash identically with and without
-    #: sampling enabled; the underlying samples are deterministic.
-    telemetry: Optional[Dict] = None
-
     #: host-side cost of producing this point (wall-clock seconds and
     #: simulator events over the whole run, warm-up included).  Pure
     #: provenance for the host-perf trend in BENCH_*.json -- simulated

@@ -218,6 +218,46 @@ def test_report_spec_turns_on_every_layer(tmp_path, monkeypatch):
     assert "trace" not in seen
 
 
+def _crashing_sweep(quick=True, jobs=None):
+    """Stub registry entry: two swept points, each dumping a bundle."""
+    from repro.analysis.series import FigureData
+    from repro.experiments.parallel import point, run_sweep
+    from repro.faults import CrashThread, FaultPlan
+
+    plan = FaultPlan(seed=1, faults=(
+        CrashThread(tid=3, at_cycle=SPEC.warmup_cycles + 2_000),))
+    pts = [point("mp-server", t, run_counter_benchmark, "mp-server", t,
+                 spec=SPEC, fault_plan=plan) for t in (4, 5)]
+    fig = FigureData("crashy", "crashy", "threads", "Mops/s")
+    for p, r in zip(pts, run_sweep(pts, jobs=jobs, name="crashy")):
+        fig.add_point(p.label, p.x, r)
+    return fig
+
+
+def test_incident_names_do_not_depend_on_what_ran_before(tmp_path,
+                                                          monkeypatch):
+    """Bundle names come from the sweep point and the machine's ordinal
+    in it: an earlier experiment in the same process, or a worker pool,
+    leaves them unchanged, and the bundles are byte-identical."""
+    from repro.__main__ import main
+    import repro.experiments.registry as registry
+
+    monkeypatch.setitem(registry.EXPERIMENTS, "tiny", tiny_experiment)
+    monkeypatch.setitem(registry.EXPERIMENTS, "crashy", _crashing_sweep)
+    after, alone = tmp_path / "after", tmp_path / "alone"
+    assert main(["run", "tiny", "crashy", "--obs", "report", "--jobs", "2",
+                 "--out", str(after)]) == 0
+    assert main(["run", "crashy", "--obs", "report", "--jobs", "1",
+                 "--out", str(alone)]) == 0
+    names = sorted(p.name for p in (alone / "incidents" / "crashy").iterdir())
+    assert names == sorted(
+        p.name for p in (after / "incidents" / "crashy").iterdir())
+    assert names[0].startswith("incident-crashy-p000-m0-00-proc-kill-")
+    for name in names:
+        assert (after / "incidents" / "crashy" / name).read_bytes() == \
+            (alone / "incidents" / "crashy" / name).read_bytes()
+
+
 def test_incident_bundles_land_under_out_dir(tmp_path, monkeypatch):
     from repro.__main__ import main
     from repro.faults import CrashThread, FaultPlan

@@ -307,6 +307,28 @@ def test_record_from_results_and_diff():
     assert d["verdict"] == "regressed"
 
 
+def test_record_from_results_reads_the_observed_machines_record():
+    """A point given with its machine's ObsRecord carries the sampled
+    series as ``ts.*`` metrics and the spatial atlas for the diff."""
+    import repro.obs as obs
+    from repro.workload import WorkloadSpec
+    from repro.workload.scenarios import run_counter_benchmark
+
+    with obs.observed(timeseries=True, spatial=True) as session:
+        r = run_counter_benchmark("mp-server", 4, spec=WorkloadSpec(
+            warmup_cycles=2_000, measure_cycles=10_000))
+    (rec,) = session.records()
+    (pt,) = record_from_results("obs", [(4, r, rec)])["series"]["obs"]
+    busy = rec.timeseries["series"]["core.busy"]
+    assert pt["metrics"]["ts.core.busy.mean"] == busy.mean() > 0
+    assert pt["metrics"]["ts.core.busy.peak"] == busy.peak()
+    assert not any(k.startswith("ts.spatial.") for k in pt["metrics"])
+    assert pt["spatial"] is rec.spatial and pt["spatial"]["links"]
+    (plain,) = record_from_results("obs", [(4, r)])["series"]["obs"]
+    assert plain["spatial"] is None
+    assert not any(k.startswith("ts.") for k in plain["metrics"])
+
+
 def test_blame_metrics_normalizes_per_op():
     class Rep:
         label = "x"

@@ -49,7 +49,8 @@ def test_double_enable_raises():
     ("sample_every", 0)])
 def test_negative_caps_rejected_naming_the_option(option, value):
     with pytest.raises(ValueError, match=option):
-        obs.enable(**{option: value})
+        with obs.observed(**{option: value}):
+            pass
     with pytest.raises(ValueError, match=option):
         Machine(tile_gx()).enable_observability(
             flight=True, **{option: value})
@@ -60,11 +61,9 @@ def test_negative_caps_rejected_naming_the_option(option, value):
     {"bogus": True}, {"ts_buckets": 64}, {"label": "x"},
     {"trace": True, "spatial_hop_limit": -1}])
 def test_session_options_checked_when_the_session_starts(options):
-    """Unknown names and out-of-range caps fail at enable()/observed(),
-    before any machine is built."""
+    """Unknown names and out-of-range caps fail at observed(), before
+    any machine is built."""
     error = ValueError if "spatial_hop_limit" in options else TypeError
-    with pytest.raises(error):
-        obs.enable(**options)
     with pytest.raises(error):
         with obs.observed(**options):
             pass
@@ -158,10 +157,42 @@ def test_observed_session_auto_attaches_machines():
     assert m3.obs is None
 
 
+def test_full_stack_record_survives_a_pickle_round_trip():
+    """A record is what a sweep worker sends its parent: every layer of
+    the report stack plus the event log must cross a pickle intact."""
+    import dataclasses
+    import pickle
+
+    from repro.workload import WorkloadSpec
+    from repro.workload.scenarios import run_counter_benchmark
+
+    slo = obs.SLO("op-p50-1cyc", kind="latency", target=1.0, quantile=0.5)
+    with obs.observed(trace=True, timeseries=True, sample_every=256,
+                      slos=(slo,), flight=True, spatial_hops=True) as session:
+        run_counter_benchmark("mp-server", 4, spec=WorkloadSpec(
+            warmup_cycles=2_000, measure_cycles=10_000))
+    (rec,) = session.records()
+    assert rec.trace.events and rec.incidents and rec.slo_events
+    assert rec.spatial["hops"]["records"] > 0 and rec.breaches >= 1
+    back = pickle.loads(pickle.dumps(rec))
+    for f in dataclasses.fields(rec):
+        if f.name not in ("timeseries", "trace"):
+            assert getattr(back, f.name) == getattr(rec, f.name), f.name
+    assert back.trace.events == rec.trace.events
+    assert back.trace.dropped == rec.trace.dropped
+    series = rec.timeseries["series"]
+    assert {n: ts.to_dict() for n, ts in back.timeseries["series"].items()} \
+        == {n: ts.to_dict() for n, ts in series.items()}
+    assert "slo.op-p50-1cyc.burn" in series and "core.busy" in series
+
+
 def test_nested_sessions_rejected():
-    with obs.observed():
+    with obs.observed() as outer:
         with pytest.raises(RuntimeError):
-            obs.enable()
+            with obs.observed():
+                pass
+        assert obs.active_session() is outer
+    assert obs.active_session() is None
 
 
 # -- counters --------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 import repro.obs as obs
 from repro.analysis.critpath import CATEGORIES, CAUSAL_KINDS, analyze_collector
 from repro.obs.bus import EventBus, EventLog
-from repro.obs.perfetto import TRACE_KINDS
+from repro.obs.perfetto import TRACE_KINDS, write_chrome_trace
 from repro.workload.driver import WorkloadSpec
 from repro.workload.scenarios import run_counter_benchmark
 from tests.helpers import ev
@@ -161,7 +161,7 @@ def _flow_chains(trace_doc):
 def test_trace_contains_complete_flow_chains(approach, tmp_path):
     _r, ob = _causal_run(approach)
     path = tmp_path / "trace.json"
-    ob.export_chrome_trace(str(path))
+    write_chrome_trace([ob.record()], str(path))
     doc = json.loads(path.read_text())
     chains = _flow_chains(doc)
     full = [c for c in chains.values()
@@ -181,7 +181,7 @@ def test_server_flows_cross_cores(approach, tmp_path):
     client core's track to the server core's track and back."""
     _r, ob = _causal_run(approach)
     path = tmp_path / "trace.json"
-    ob.export_chrome_trace(str(path))
+    write_chrome_trace([ob.record()], str(path))
     chains = _flow_chains(json.loads(path.read_text()))
     crossing = 0
     for c in chains.values():

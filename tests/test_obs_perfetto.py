@@ -198,7 +198,7 @@ def test_counter_events_shape():
     sampler.register("goodput", lambda: 3.0, kind="gauge", unit="Mops")
     sampler.register("plain", lambda: 1.0)
     sampler.on_tick(10)
-    events = counter_events(7, sampler)
+    events = counter_events(7, sampler.series)
     assert events
     for e in events:
         assert e["ph"] == "C" and e["cat"] == "telemetry"
@@ -234,14 +234,22 @@ def test_unmatched_counter_labels_get_their_own_process(tmp_path):
     sampler = Sampler(None, every=10, buckets=8)
     sampler.register("g", lambda: 1.0)
     sampler.on_tick(10)
+    series = {"every": 10, "ticks": 1, "series": sampler.series}
+
+    def record(label, trace):
+        return obs.ObsRecord(
+            label=label, cores=1, fingerprint="", counters={},
+            timeseries=series, slo=[], slo_events=[], spatial=None,
+            incidents=[], incident_paths=[], trace=trace)
+
     path = str(tmp_path / "t.json")
-    write_chrome_trace([("run-a", EventLog(), 1)], path,
-                       counters=[("run-a", sampler), ("other", sampler)])
+    write_chrome_trace([record("run-a", EventLog()), record("other", None)],
+                       path)
     doc = json.loads((tmp_path / "t.json").read_text())
     meta = {e["args"]["name"]: e["pid"] for e in doc["traceEvents"]
             if e.get("ph") == "M" and e["name"] == "process_name"}
     assert meta["run-a"] == 0
-    assert meta["other"] == 1  # fresh pid for the unmatched label
+    assert meta["other"] == 1  # an untraced sampled machine: its own pid
     counter_pids = {e["pid"] for e in doc["traceEvents"]
                     if e.get("ph") == "C"}
     assert counter_pids == {0, 1}

@@ -8,6 +8,7 @@ rewrite (the "before/after" proof: the optimized engine reproduces the
 pre-optimization numbers exactly).
 """
 
+import os
 import pickle
 
 import pytest
@@ -121,22 +122,46 @@ def test_resolve_jobs_precedence(monkeypatch):
         resolve_jobs(None)
 
 
-def test_obs_session_forces_serial_sweeps():
-    # an active observability session aggregates machines in-process;
-    # the runner must quietly fall back to serial so nothing is lost
+def _observed_sweep(jobs, incident_dir):
+    """Three observed points with every record field populated (an
+    impossible SLO breaches, and the breach dumps a bundle)."""
     import repro.obs as obs_mod
 
-    session = obs_mod.enable()
-    try:
-        fig = FigureData("obs-serial", "t", "x", "y")
-        pts = [point("mp-server", t, run_counter_benchmark, "mp-server", t,
-                     spec=WorkloadSpec(warmup_cycles=2000,
-                                       measure_cycles=10_000))
-               for t in (1, 2)]
-        for p, r in zip(pts, run_sweep(pts, jobs=4)):
+    slo = obs_mod.SLO("op-p50-1cyc", kind="latency", target=1.0,
+                      quantile=0.5)
+    spec = WorkloadSpec(warmup_cycles=2000, measure_cycles=10_000)
+    pts = [point("mp-server", t, run_counter_benchmark, "mp-server", t,
+                 spec=spec) for t in (1, 2, 3)]
+    with obs_mod.observed(timeseries=True, sample_every=256, slos=(slo,),
+                          flight=True, spatial_hops=True,
+                          incident_dir=incident_dir) as session:
+        fig = FigureData("obs-sweep", "t", "x", "y")
+        for p, r in zip(pts, run_sweep(pts, jobs=jobs, name="obs/sweep")):
             fig.add_point(p.label, p.x, r)
-        # machines were observed by the parent-process session: fan-out
-        # to workers would have left this empty
-        assert len(session.machines) == 2
-    finally:
-        obs_mod.disable()
+    return fig, session.records()
+
+
+def _record_data(rec):
+    """A record's content as plain comparable data."""
+    tel = rec.timeseries
+    return (rec.label, rec.cores, rec.fingerprint, rec.counters,
+            tel["every"], tel["ticks"],
+            {name: ts.to_dict() for name, ts in tel["series"].items()},
+            rec.slo, rec.slo_events, rec.spatial, rec.incidents,
+            [os.path.basename(path) for path in rec.incident_paths])
+
+
+def test_observed_parallel_sweep_records_match_serial(tmp_path):
+    """Under a session, points fan out like unobserved ones: each worker
+    sends its machines' records back and the parent adds them in
+    submission order, so jobs=2 observes exactly what jobs=1 does."""
+    serial, srecs = _observed_sweep(1, str(tmp_path / "serial"))
+    fanned, precs = _observed_sweep(2, str(tmp_path / "fanned"))
+    assert fanned.fingerprint() == serial.fingerprint()
+    assert [r.label for r in srecs] == [
+        "mp-server T=1", "mp-server T=2", "mp-server T=3"]
+    assert all(r.incidents and r.breaches for r in srecs)
+    assert [_record_data(r) for r in precs] == [_record_data(r) for r in srecs]
+    names = sorted(os.listdir(tmp_path / "serial"))
+    assert names == sorted(os.listdir(tmp_path / "fanned"))
+    assert names[0].startswith("incident-obs-sweep-p000-m0-00-slo-breach-")

@@ -119,10 +119,11 @@ def test_atlas_is_a_pure_observer():
     assert r_on.latency_samples == r_off.latency_samples
 
 
-def test_spatial_summary_rides_result_telemetry():
-    with obs.observed(spatial=True):
-        r = run_counter_benchmark("mp-server", 6, spec=SPEC)
-    s = r.telemetry["spatial"]
+def test_spatial_summary_rides_the_machine_record():
+    with obs.observed(spatial=True) as session:
+        run_counter_benchmark("mp-server", 6, spec=SPEC)
+    (rec,) = session.records()
+    s = rec.spatial
     assert s["messages"] > 0 and s["links"]
 
 
@@ -282,7 +283,7 @@ def test_hotspot_report_names_top_links_and_flows():
         _send_receive(m, [(0, 14, 3), (0, 14, 3), (2, 14, 1)])
         atlas = m.obs.spatial
         s = atlas.summary()
-        flows = causal_link_flows(atlas, m.obs.trace)
+        flows = causal_link_flows(s, m.obs.trace)
     txt = render_hotspots(s, k=3, flows=flows)
     assert "hotspots" in txt and "link" in txt and "tile" in txt
     assert render_hotspots({"links": {}}) == \

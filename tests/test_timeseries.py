@@ -130,7 +130,7 @@ def test_remove_source_keeps_history_and_reports_removal():
     assert sampler.remove_source("g") is True
     # the recorded series survives for summaries and dashboards ...
     assert sampler.series["g"].last_value == 5.0
-    assert "g" in sampler.summary()["series"]
+    assert "g" in sampler.dump()["series"]
     # ... but future ticks stop reading the source
     before = sampler.series["g"].points()
     sampler.on_tick(20)
@@ -228,7 +228,7 @@ def test_clear_sample_hook():
 
 def test_sampling_does_not_change_simulated_results():
     spec = WorkloadSpec(warmup_cycles=5_000, measure_cycles=30_000)
-    with obs.observed():
+    with obs.observed() as plain_session:
         plain = run_counter_benchmark("mp-server", 6, spec=spec)
     with obs.observed(timeseries=True, sample_every=256) as session:
         sampled = run_counter_benchmark("mp-server", 6, spec=spec)
@@ -237,19 +237,19 @@ def test_sampling_does_not_change_simulated_results():
     assert sampled.latency_samples == plain.latency_samples
     # and the obs.* extras (fingerprinted) are identical too
     assert sampled.extra == plain.extra
-    assert plain.telemetry is None
-    tel = sampled.telemetry
+    assert plain_session.records()[0].timeseries is None
+    (rec,) = session.records()
+    tel = rec.timeseries
     assert tel is not None and tel["ticks"] > 0
     # the ops completed after the final sample tick are not in the
     # series, so the total trails the exact count by < one window
-    assert 0 < tel["series"]["goodput"]["total"] <= sampled.ops
-    ob = session.machines[0]
-    assert ob.sampler.series["core.busy"].samples == ob.sampler.ticks
+    assert 0 < tel["series"]["goodput"].total() <= sampled.ops
+    assert tel["series"]["core.busy"].samples == tel["ticks"]
 
 
 def test_figure_fingerprint_identical_with_sampling(monkeypatch):
     # fingerprints must not move when sampling rides along -- the
-    # telemetry summary is excluded from figure hashes as a field
+    # sampled series live in the machine's record, not the result
     from repro.analysis.series import FigureData
 
     spec = WorkloadSpec(warmup_cycles=2_000, measure_cycles=10_000)

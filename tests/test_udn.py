@@ -297,6 +297,31 @@ def test_32x32_machine_holds_one_queue_per_registered_thread():
     assert len(udn._queues) == 257
 
 
+def test_blocked_sender_event_names_its_core_buffer():
+    """A core buffer keeps its core id; the label of the event a blocked
+    sender waits on is formatted only then, with the same text."""
+    m = make_machine(udn_buffer_words=4)
+    t0, rcv = m.thread(0), m.thread(1)
+    buf = m.udn._buffers[rcv.core.cid]
+    labels = []
+
+    def sender(ctx):
+        yield from ctx.send(1, [0] * 4)
+        yield from ctx.send(1, [1, 1])  # blocks: the buffer is full
+
+    def receiver(ctx):
+        yield 1000
+        labels.extend(entry[0].label for entry in buf._waiters)
+        yield from ctx.receive(4)
+        yield from ctx.receive(2)
+
+    m.spawn(t0, sender(t0))
+    m.spawn(rcv, receiver(rcv))
+    m.run()
+    assert labels == ["udn buffer space of core 1"]
+    assert buf.core == 1 and not hasattr(buf, "label")
+
+
 def test_blocked_sender_and_link_acquirer_keep_fifo_after_first_block():
     """The waiter queues start as an empty stand-in and become a deque
     at the first block; grants stay in arrival order from there on."""
