@@ -16,7 +16,7 @@ from repro.obs.bus import named
 from repro.workload.metrics import RunResult
 
 __all__ = ["ascii_chart", "bar_chart", "markdown_table",
-           "render_blame_breakdown", "render_cdf", "render_critpath_diff",
+           "render_blame_breakdown", "render_critpath_diff",
            "render_latency_histogram", "render_line_heatmap",
            "render_mesh_heatmap", "render_stragglers", "render_timeline",
            "render_truncation", "to_csv"]
@@ -220,33 +220,6 @@ def render_critpath_diff(a: CritPathReport, b: CritPathReport,
         out.write(f"  {cat:>13s} {v['a']:>10.1f} {v['b']:>10.1f}"
                   f" {v['delta']:>+10.1f} |{bar}\n")
     out.write(f"  dominant: A={a.dominant}  B={b.dominant}\n")
-    return out.getvalue()
-
-
-def render_cdf(samples: Sequence[int], *, width: int = 60, height: int = 16,
-               title: str = "op latency CDF") -> str:
-    """Full latency CDF from raw per-op samples (``--obs latencies``)."""
-    out = io.StringIO()
-    out.write(f"{title} ({len(samples)} samples)\n")
-    if not samples:
-        out.write("  [no samples]\n")
-        return out.getvalue()
-    xs = sorted(samples)
-    lo, hi = xs[0], xs[-1]
-    span = (hi - lo) or 1
-    n = len(xs)
-    grid = [[" "] * width for _ in range(height)]
-    from bisect import bisect_right
-    for col in range(width):
-        x = lo + span * col / (width - 1 if width > 1 else 1)
-        frac = bisect_right(xs, x) / n
-        row = min(height - 1, int(frac * (height - 1)))
-        grid[height - 1 - row][col] = "*"
-    for i, row in enumerate(grid):
-        frac = (height - 1 - i) / (height - 1)
-        out.write(f"  {frac:4.2f} |" + "".join(row) + "\n")
-    out.write("       +" + "-" * width + "\n")
-    out.write(f"        cycles: {lo} .. {hi}\n")
     return out.getvalue()
 
 

@@ -9,7 +9,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.workload.metrics import RunResult
 
-__all__ = ["Series", "FigureData", "cdf_points"]
+__all__ = ["Series", "FigureData"]
 
 #: RunResult fields excluded from determinism fingerprints: host-side
 #: provenance varies run to run by construction, and the (late-added)
@@ -18,21 +18,6 @@ __all__ = ["Series", "FigureData", "cdf_points"]
 #: ``ol.qdepth_*`` extras instead
 _HOST_FIELDS = ("host_wall_seconds", "host_events_processed",
                 "queue_depth_series")
-
-
-def cdf_points(samples: List[int]) -> List[Tuple[int, float]]:
-    """Empirical CDF of raw latency samples as (latency, fraction<=).
-
-    The full-distribution view behind ``--obs latencies``: p50/p99 hide
-    the straggler tail the paper's latency discussion is about.
-    """
-    xs = sorted(samples)
-    n = len(xs)
-    out: List[Tuple[int, float]] = []
-    for i, x in enumerate(xs):
-        if i + 1 == n or xs[i + 1] != x:
-            out.append((x, (i + 1) / n))
-    return out
 
 
 @dataclass

@@ -22,13 +22,18 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.analysis.series import FigureData
-from repro.core import MPServer, OpTable
+from repro.core import OpTable
 from repro.experiments.parallel import point, run_sweep
 from repro.machine import Machine, tile_gx, x86_like
 from repro.objects import LockedCounter
-from repro.workload.driver import WorkloadSpec, run_workload
+from repro.workload.driver import WorkloadSpec
 from repro.workload.metrics import RunResult
-from repro.workload.scenarios import run_counter_benchmark
+from repro.workload.scenarios import (
+    CounterRun,
+    build_approach,
+    build_counter,
+    run_counter_benchmark,
+)
 
 __all__ = [
     "run_x86_comparison",
@@ -77,24 +82,14 @@ def run_x86_comparison(quick: bool = True,
 def _oversub_point(tpc: int, num_cores: int, spec: WorkloadSpec) -> RunResult:
     """One oversubscription point (module-level: must ship to workers)."""
     machine = Machine(tile_gx())
-    table = OpTable()
-    prim = MPServer(machine, table, server_tid=0)
+    prim, _ = build_approach("mp-server", machine, OpTable(), num_cores)
     counter = LockedCounter(prim)
     prim.start()
-    ctxs = []
-    tid = 1
-    for core in range(1, num_cores + 1):
-        for d in range(tpc):
-            ctxs.append(machine.thread(tid, core_id=core, demux=d))
-            tid += 1
-
-    def make_op(ctx):
-        def op(k):
-            yield from counter.increment(ctx)
-        return op
-
-    return run_workload(machine, ctxs, make_op, spec,
-                        name=f"{tpc} threads/core", prim=prim)
+    # tpc client threads on each of cores 1..num_cores, one demux queue each
+    ctxs = [machine.thread(1 + c * tpc + d, core_id=1 + c, demux=d)
+            for c in range(num_cores) for d in range(tpc)]
+    return CounterRun(machine, prim, counter, ctxs).closed_loop(
+        spec, f"{tpc} threads/core")
 
 
 def run_oversubscription(quick: bool = True, threads_per_core: int = 4,
@@ -120,20 +115,10 @@ def run_oversubscription(quick: bool = True, threads_per_core: int = 4,
 def _backpressure_point(clients: int, buffer_words: int,
                         spec: WorkloadSpec) -> RunResult:
     """One backpressure point (module-level: must ship to workers)."""
-    machine = Machine(tile_gx(udn_buffer_words=buffer_words))
-    table = OpTable()
-    prim = MPServer(machine, table, server_tid=0)
-    counter = LockedCounter(prim)
-    prim.start()
-    ctxs = [machine.thread(t) for t in range(1, clients + 1)]
-
-    def make_op(ctx):
-        def op(k):
-            yield from counter.increment(ctx)
-        return op
-
-    r = run_workload(machine, ctxs, make_op, spec, name="mp-server", prim=prim)
-    r.extra["backpressure_cycles"] = machine.udn.backpressure_cycles
+    run = build_counter("mp-server", clients,
+                        cfg=tile_gx(udn_buffer_words=buffer_words))
+    r = run.closed_loop(spec, "mp-server")
+    r.extra["backpressure_cycles"] = run.machine.udn.backpressure_cycles
     return r
 
 

@@ -22,6 +22,11 @@ primary at 1.5x capacity under bounded admission: failover must
 preserve exactly-once semantics while saturated (the scripted
 linearizability version of the same claim lives in
 tests/test_overload.py and the explore matrix).
+
+Every arm is assembled by :func:`~repro.workload.scenarios.build_counter`
+from the approach table: ``HybComb-lease`` is ``HybComb`` with the
+lease/takeover keywords on, and ``mp-server-ft`` is the table's
+primary/backup pair with a 2,000-cycle request timeout.
 """
 
 from __future__ import annotations
@@ -29,12 +34,9 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.analysis.series import FigureData
-from repro.core import CCSynch, HybComb, MPServer, OpTable, ShmServer
 from repro.experiments.parallel import point, run_sweep
-from repro.faults import CrashThread, FaultInjector, FaultPlan
-from repro.machine import Machine, tile_gx
+from repro.faults import CrashThread, FaultPlan
 from repro.obs import SLO
-from repro.objects import LockedCounter
 from repro.workload.driver import WorkloadSpec
 from repro.workload.metrics import RunResult
 from repro.workload.openloop import (
@@ -43,7 +45,7 @@ from repro.workload.openloop import (
     OpenLoopSpec,
     run_openloop_workload,
 )
-from repro.workload.scenarios import run_counter_benchmark
+from repro.workload.scenarios import build_counter, run_counter_benchmark
 
 __all__ = ["APPROACHES", "measure_capacity", "overload_slos",
            "run_overload", "run_overload_point"]
@@ -90,38 +92,17 @@ def overload_slos() -> Tuple[SLO, ...]:
     )
 
 
-def _build(approach: str, machine: Machine, optable: OpTable,
-           n_clients: int) -> Tuple:
-    """(prim, client tids) for an approach label, lease variant included."""
-    if approach == "mp-server":
-        prim = MPServer(machine, optable, server_tid=0)
-        tids = range(1, n_clients + 1)
-    elif approach == "mp-server-ft":
-        prim = MPServer(machine, optable, server_tid=0, server_core=0,
-                        backup_tid=1, backup_core=1, request_timeout=2_000)
-        tids = range(2, n_clients + 2)
-    elif approach == "shm-server":
-        prim = ShmServer(machine, optable, server_tid=0,
-                         client_tids=range(1, n_clients + 1))
-        tids = range(1, n_clients + 1)
-    elif approach == "HybComb":
-        prim = HybComb(machine, optable)
-        tids = range(n_clients)
-    elif approach == "HybComb-lease":
-        prim = HybComb(machine, optable, lease_cycles=3_000,
-                       request_timeout=6_000)
-        tids = range(n_clients)
-    elif approach == "CC-Synch":
-        prim = CCSynch(machine, optable)
-        tids = range(n_clients)
-    else:
-        raise ValueError(f"unknown approach {approach!r}")
-    return prim, list(tids)
+#: overload labels that are another approach with constructor keywords
+_VARIANTS: Dict[str, Tuple[str, Dict[str, int]]] = {
+    "HybComb-lease": ("HybComb", {"lease_cycles": 3_000,
+                                  "request_timeout": 6_000}),
+    "mp-server-ft": ("mp-server-ft", {"request_timeout": 2_000}),
+}
 
 
 def measure_capacity(approach: str, *, quick: bool = True) -> float:
     """Closed-loop capacity (Mops/s) of ``approach`` at NUM_CLIENTS."""
-    base = "HybComb" if approach == "HybComb-lease" else approach
+    base = _VARIANTS.get(approach, (approach, {}))[0]
     spec = WorkloadSpec.quick() if quick else WorkloadSpec.full()
     r = run_counter_benchmark(base, NUM_CLIENTS, spec=spec)
     return r.throughput_mops
@@ -157,37 +138,30 @@ def run_overload_point(
     thread 0 a third into the measurement window (mp-server-ft only:
     the backup takes over and dedup keeps the run exactly-once).
     """
-    machine = Machine(tile_gx())
-    optable = OpTable()
-    prim, tids = _build(approach, machine, optable, NUM_CLIENTS)
-    counter = LockedCounter(prim)
-    prim.start()
-    ctxs = [machine.thread(t) for t in tids]
+    warmup, measure = (20_000, 120_000) if quick else (60_000, 360_000)
+    crash = (CrashThread(tid=0, at_cycle=warmup + measure // 3),)
+    plan = FaultPlan(seed=seed, faults=crash) if crash_primary else None
+    base, kw = _VARIANTS.get(approach, (approach, {}))
+    run = build_counter(base, NUM_CLIENTS, fault_plan=plan, **kw)
 
-    clock = machine.cfg.clock_mhz
-    offered_per_cycle = multiplier * capacity_mops / clock
-    gap = len(ctxs) / offered_per_cycle
+    offered_per_cycle = multiplier * capacity_mops / run.machine.cfg.clock_mhz
+    gap = len(run.ctxs) / offered_per_cycle
     spec = OpenLoopSpec(
         arrivals=ArrivalSpec(process="poisson", mean_gap_cycles=gap),
         admission=_admission(policy),
-        warmup_cycles=20_000 if quick else 60_000,
-        measure_cycles=120_000 if quick else 360_000,
+        warmup_cycles=warmup,
+        measure_cycles=measure,
         seed=seed,
     )
-    if crash_primary:
-        crash_at = spec.warmup_cycles + spec.measure_cycles // 3
-        plan = FaultPlan(seed=seed,
-                         faults=(CrashThread(tid=0, at_cycle=crash_at),))
-        FaultInjector(machine, plan).install()
 
     label = f"{approach}/{policy}" + ("+crash" if crash_primary else "")
-    result = run_openloop_workload(machine, ctxs, prim, counter._op_inc,
-                                   spec, name=label)
+    result = run_openloop_workload(run.machine, run.ctxs, run.prim,
+                                   run.counter._op_inc, spec, name=label)
     result.extra["ol.multiplier"] = multiplier
     result.extra["ol.capacity_mops"] = capacity_mops
     # ground truth for exactly-once: the counter's final value must equal
     # the number of completed increments over the *whole* run
-    result.extra["ol.counter_value"] = float(counter.value())
+    result.extra["ol.counter_value"] = float(run.counter.value())
     return result
 
 

@@ -28,18 +28,16 @@ re-placed along the mesh edge; at 6x6 it *is* ``tile_gx``, so the
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.analysis.series import FigureData
-from repro.core import OpTable
 from repro.core.locks import MCSLock
 from repro.experiments.parallel import point, run_sweep
 from repro.machine.config import mesh_profile
 from repro.machine.machine import Machine, ThreadCtx
-from repro.objects import LockedCounter
 from repro.workload.driver import WorkloadSpec, run_workload
 from repro.workload.metrics import RunResult
-from repro.workload.scenarios import build_approach
+from repro.workload.scenarios import build_counter
 
 __all__ = ["MESHES", "SCALE_APPROACHES", "run_scale", "run_scale_point",
            "run_scale_smoke"]
@@ -82,9 +80,8 @@ def run_scale_point(approach: str, num_cores: int, *,
                     quick: bool = True) -> RunResult:
     """One (approach, core-count) point of the scaling curve.
 
-    Unlike the fig3 runners this builds the machine locally so the
-    directory footprint can be read back after the run and attached as
-    deterministic ``dir.*`` extras.
+    The directory footprint is read back from the run's machine and
+    attached as deterministic ``dir.*`` extras.
     """
     try:
         width, height = MESHES[num_cores]
@@ -94,9 +91,9 @@ def run_scale_point(approach: str, num_cores: int, *,
             f"pick one of {sorted(MESHES)}") from None
     spec = spec or _spec(quick)
     cfg = mesh_profile(width, height)
-    machine = Machine(cfg)
 
     if approach == "mcs-lock":
+        machine = Machine(cfg)
         lock = MCSLock(machine)
         addr = machine.mem.alloc(1, isolated=True)
         ctxs = [machine.thread(t) for t in range(num_cores)]
@@ -112,22 +109,10 @@ def run_scale_point(approach: str, num_cores: int, *,
         result = run_workload(machine, ctxs, make_op, spec, name="mcs-lock")
         return _attach_dir_stats(machine, result)
 
-    optable = OpTable()
     clients = num_cores - 1 if approach in ("mp-server", "shm-server") \
         else num_cores
-    prim, tids = build_approach(approach, machine, optable, clients)
-    counter = LockedCounter(prim)
-    prim.start()
-    ctxs = [machine.thread(tid) for tid in tids]
-
-    def make_op(ctx: ThreadCtx):
-        def op(k: int) -> Generator[Any, Any, None]:
-            yield from counter.increment(ctx)
-        return op
-
-    result = run_workload(machine, ctxs, make_op, spec, name=approach,
-                          prim=prim)
-    return _attach_dir_stats(machine, result)
+    run = build_counter(approach, clients, cfg=cfg)
+    return _attach_dir_stats(run.machine, run.closed_loop(spec, approach))
 
 
 def run_scale(quick: bool = True,

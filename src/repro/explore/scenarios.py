@@ -33,6 +33,12 @@ Scenario-design notes (why the matrix has no false positives):
   middle of a critical section.  For a correct delegation algorithm
   that is harmless by construction (mutual exclusion); for a broken one
   it turns the race window into duplicate tickets the checker rejects.
+
+Delegation scenarios take their primitive and clients from the approach
+table, :func:`repro.workload.scenarios.build_approach`:
+``shm-server-cancel`` is ``shm-server`` with ``cancellable=True`` (the
+withdrawable-request protocol), ``mp-server-ft`` has a 9,000-cycle
+request timeout, and only the mutation's ``hybcomb-buggy`` is built here.
 """
 
 from __future__ import annotations
@@ -55,12 +61,13 @@ from repro.analysis.linearizability import (
     StackSpec,
     check_linearizable,
 )
-from repro.core import CCSynch, FlatCombining, HybComb, MPServer, OpTable, ShmServer
+from repro.core import OpTable
 from repro.explore.policy import SchedulePolicy
 from repro.faults import CrashThread, FaultInjector, FaultPlan
 from repro.machine import Machine, mesh_profile, tile_gx
 from repro.objects import LCRQ, EliminationStack, LockedStack, OneLockMSQueue, TreiberStack
 from repro.workload.driver import run_ops
+from repro.workload.scenarios import build_approach
 from repro.workload.openloop import (
     AdmissionQueue,
     AdmissionSpec,
@@ -172,46 +179,23 @@ def _register_counter(machine: Machine, optable: OpTable) -> Tuple[int, int]:
     return addr, opcode
 
 
-def _build_prim(scn: Scenario, machine: Machine, optable: OpTable):
-    """Returns (prim, client_tids, faults) for a delegation scenario."""
-    n = scn.nthreads
-    faults: Tuple = ()
-    if scn.algo == "mp-server":
-        prim = MPServer(machine, optable, server_tid=0)
-        tids = range(1, n + 1)
-    elif scn.algo == "mp-server-ft":
-        prim = MPServer(machine, optable, server_tid=0, server_core=0,
-                        backup_tid=1, backup_core=1, request_timeout=9_000)
-        tids = range(2, n + 2)
-        if scn.fault == "crash-server":
-            faults = (CrashThread(tid=0, at_cycle=2_500),)
-    elif scn.algo == "shm-server":
-        prim = ShmServer(machine, optable, server_tid=0,
-                         client_tids=range(1, n + 1))
-        tids = range(1, n + 1)
-    elif scn.algo == "shm-server-cancel":
-        # the withdrawable-request protocol: timed dispatches race the
-        # server for the claim word (see repro.core.shm_server)
-        prim = ShmServer(machine, optable, server_tid=0,
-                         client_tids=range(1, n + 1), cancellable=True)
-        tids = range(1, n + 1)
-    elif scn.algo == "HybComb":
-        prim = HybComb(machine, optable, max_ops=scn.max_ops)
-        tids = range(n)
-    elif scn.algo == "hybcomb-buggy":
+#: algorithm ids that are an approach-table label with constructor keywords
+_VARIANTS: Dict[str, Tuple[str, Dict[str, Any]]] = {
+    "shm-server-cancel": ("shm-server", {"cancellable": True}),
+    "mp-server-ft": ("mp-server-ft", {"request_timeout": 9_000}),
+}
+
+
+def _approach(scn: Scenario, machine: Machine, optable: OpTable):
+    """(prim, client tids) for a delegation scenario."""
+    if scn.algo == "hybcomb-buggy":
         from repro.explore.mutations import BuggyHybComb
         prim = BuggyHybComb(machine, optable, max_ops=scn.max_ops,
                             lease_cycles=600, request_timeout=1_200)
-        tids = range(n)
-    elif scn.algo == "CC-Synch":
-        prim = CCSynch(machine, optable, max_ops=scn.max_ops)
-        tids = range(n)
-    elif scn.algo == "flat-combining":
-        prim = FlatCombining(machine, optable)
-        tids = range(n)
-    else:
-        raise ValueError(f"unknown algorithm {scn.algo!r}")
-    return prim, list(tids), faults
+        return prim, list(range(scn.nthreads))
+    label, kw = _VARIANTS.get(scn.algo, (scn.algo, {}))
+    return build_approach(label, machine, optable, scn.nthreads,
+                          max_ops=scn.max_ops, **kw)
 
 
 def _client_ctxs(scn: Scenario, machine: Machine,
@@ -248,12 +232,11 @@ def run_scenario(scn: Scenario, policy: Optional[SchedulePolicy] = None,
     think_unit = machine.cfg.work_cycles_per_iteration
     invariant_err: List[str] = []
     prims: List[Any] = []
-    faults: Tuple = ()
 
     if scn.obj == "counter":
         optable = OpTable()
         addr, opcode = _register_counter(machine, optable)
-        prim, tids, faults = _build_prim(scn, machine, optable)
+        prim, tids = _approach(scn, machine, optable)
         prim.start()
         prims.append(prim)
         tickets: List[int] = []
@@ -368,7 +351,7 @@ def run_scenario(scn: Scenario, policy: Optional[SchedulePolicy] = None,
             tids = list(range(scn.nthreads))
         else:
             optable = OpTable()
-            prim, tids, faults = _build_prim(scn, machine, optable)
+            prim, tids = _approach(scn, machine, optable)
             if scn.obj == "msqueue":
                 obj = OneLockMSQueue(prim)
                 push, pop, names = obj.enqueue, obj.dequeue, ("enq", "deq")
@@ -415,8 +398,10 @@ def run_scenario(scn: Scenario, policy: Optional[SchedulePolicy] = None,
     else:
         raise ValueError(f"unknown object {scn.obj!r}")
 
-    if faults:
-        FaultInjector(machine, FaultPlan(seed=scn.seed, faults=faults)).install()
+    if scn.fault == "crash-server":
+        plan = FaultPlan(seed=scn.seed,
+                         faults=(CrashThread(tid=0, at_cycle=2_500),))
+        FaultInjector(machine, plan).install()
 
     try:
         run_ops(machine, scripts, prims=prims)

@@ -192,25 +192,35 @@ def write_chrome_trace(records: Sequence[Any], path: str) -> int:
     """
     shown = [rec for rec in records
              if rec.trace is not None or rec.timeseries is not None]
-    events: List[Dict[str, Any]] = []
-    dropped = 0
-    for pid, rec in enumerate(shown):
-        events.append({"name": "process_name", "ph": "M", "pid": pid,
-                       "args": {"name": rec.label}})
-        if rec.trace is not None:
-            events.extend(trace_events(rec.trace, rec.cores, pid))
-            dropped += rec.trace.dropped
-    for pid, rec in enumerate(shown):
-        if rec.timeseries is not None:
-            events.extend(counter_events(pid, rec.timeseries["series"]))
+    dropped = sum(rec.trace.dropped for rec in shown if rec.trace is not None)
     other: Dict[str, Any] = {"unit": "simulated cycles"}
     if dropped:
         log.warning("trace %s is truncated: %d events were dropped at the "
                     "event-log cap", path, dropped)
         other["truncated"] = True
         other["dropped_events"] = dropped
-    doc = {"traceEvents": events, "displayTimeUnit": "ns",
-           "otherData": other}
+
+    def batches():
+        # one machine's events at a time: the whole document's dicts
+        # never sit in memory together
+        for pid, rec in enumerate(shown):
+            yield [{"name": "process_name", "ph": "M", "pid": pid,
+                    "args": {"name": rec.label}}]
+            if rec.trace is not None:
+                yield trace_events(rec.trace, rec.cores, pid)
+        for pid, rec in enumerate(shown):
+            if rec.timeseries is not None:
+                yield counter_events(pid, rec.timeseries["series"])
+
+    # the bytes ``json.dump`` of the whole document would write
+    written = 0
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-    return len(events)
+        fh.write('{"traceEvents": [')
+        for batch in batches():
+            if batch:
+                fh.write((", " if written else "") + json.dumps(batch)[1:-1])
+                written += len(batch)
+        fh.write('], "displayTimeUnit": "ns", "otherData": ')
+        json.dump(other, fh)
+        fh.write("}")
+    return written

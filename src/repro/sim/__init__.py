@@ -11,7 +11,7 @@ kept deliberately tiny so the hot path (the trampoline in
 :class:`~repro.sim.engine.Simulator`) stays cheap: the only primitive
 effects are an ``int`` (advance simulated time) and an
 :class:`~repro.sim.engine.Event` (block until triggered).  Everything else
-(resources, channels, memory operations, message queues) is composed from
+(resources, conditions, memory operations, message queues) is composed from
 those two via ``yield from``.
 """
 
@@ -23,18 +23,15 @@ from repro.sim.engine import (
     Simulator,
     WaitTimer,
 )
-from repro.sim.resources import Barrier, Channel, Condition, Resource, Semaphore
+from repro.sim.resources import Condition, Resource
 
 __all__ = [
-    "Barrier",
-    "Channel",
     "Condition",
     "DeadlockError",
     "Event",
     "Interrupt",
     "Process",
     "Resource",
-    "Semaphore",
     "Simulator",
     "WaitTimer",
 ]

@@ -9,10 +9,8 @@ arbitration points in the machine model:
   (in contended-NoC mode) mesh links.
 * :class:`Condition` -- a re-armable broadcast wakeup; used for cache-line
   invalidation notifications that wake spinning cores.
-* :class:`Channel` -- an unbounded FIFO of items with blocking ``get``;
-  a convenience for tests and simple producer/consumer processes (the
-  real hardware message queues live in :mod:`repro.udn` and add capacity
-  and word-level accounting).
+
+The hardware message queues live in :mod:`repro.udn`.
 """
 
 from __future__ import annotations
@@ -22,8 +20,7 @@ from typing import Any, Deque, Generator, List, Optional, Tuple
 
 from repro.sim.engine import Event, Interrupt, Simulator, WaitTimer
 
-__all__ = ["Resource", "Condition", "Semaphore", "Barrier", "Channel",
-           "NO_WAITERS"]
+__all__ = ["Resource", "Condition", "NO_WAITERS"]
 
 #: the waiter queue of an arbitration point nobody has blocked on yet:
 #: an immutable empty stand-in (``len``, truth tests and iteration work)
@@ -43,10 +40,6 @@ class Resource:
             yield service_time
         finally:
             res.release()
-
-    Or the common acquire-hold-release pattern in one call::
-
-        yield from res.use(service_time)
 
     Fairness is strict FIFO: waiters are granted slots in arrival order,
     which models a hardware arbitration queue.
@@ -136,15 +129,6 @@ class Resource:
         else:
             self.in_use -= 1
 
-    def use(self, hold_cycles: int) -> Generator[Any, Any, None]:
-        """Acquire, hold for ``hold_cycles``, release."""
-        yield from self.acquire()
-        try:
-            if hold_cycles:
-                yield hold_cycles
-        finally:
-            self.release()
-
 
 class Condition:
     """A re-armable broadcast notification (no stored value, no memory).
@@ -181,101 +165,3 @@ class Condition:
         waiters, self._waiters = self._waiters, []
         for ev in waiters:
             ev.trigger()
-
-
-class Semaphore:
-    """A counting semaphore over simulated time.
-
-    ``down()`` blocks while the count is zero; ``up()`` releases one
-    waiter (FIFO) or increments the count.  Used by test harnesses and
-    examples to coordinate simulated phases; the hardware models use
-    the lower-level :class:`Resource`/:class:`Condition` directly.
-    """
-
-    __slots__ = ("sim", "count", "_waiters")
-
-    def __init__(self, sim: Simulator, initial: int = 0):
-        if initial < 0:
-            raise ValueError("initial count must be >= 0")
-        self.sim = sim
-        self.count = initial
-        self._waiters: Deque[Event] = deque()
-
-    def down(self) -> Generator[Any, Any, None]:
-        if self.count > 0 and not self._waiters:
-            self.count -= 1
-            return
-        ev = Event(self.sim)
-        self._waiters.append(ev)
-        yield ev
-
-    def up(self) -> None:
-        if self._waiters:
-            self._waiters.popleft().trigger()
-        else:
-            self.count += 1
-
-
-class Barrier:
-    """An N-party reusable barrier.
-
-    The first N-1 arrivals block; the Nth releases everyone and re-arms
-    the barrier for the next round.  ``wait()`` returns the arrival
-    index within the round (0-based), so one party per round can be
-    elected (e.g. to reset shared state between benchmark phases).
-    """
-
-    __slots__ = ("sim", "parties", "_arrived", "_event")
-
-    def __init__(self, sim: Simulator, parties: int):
-        if parties < 1:
-            raise ValueError("parties must be >= 1")
-        self.sim = sim
-        self.parties = parties
-        self._arrived = 0
-        self._event = Event(sim)
-
-    def wait(self) -> Generator[Any, Any, int]:
-        index = self._arrived
-        self._arrived += 1
-        if self._arrived == self.parties:
-            # release this round and re-arm
-            ev, self._event = self._event, Event(self.sim)
-            self._arrived = 0
-            ev.trigger()
-            return index
-        ev = self._event
-        yield ev
-        return index
-
-
-class Channel:
-    """Unbounded FIFO of Python objects with blocking ``get``.
-
-    ``put`` is immediate (zero cycles); ``get`` blocks while empty.
-    Multiple blocked getters are served in FIFO order, one item each.
-    """
-
-    __slots__ = ("sim", "_items", "_getters")
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            self._getters.popleft().trigger(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Generator[Any, Any, Any]:
-        if self._items:
-            return self._items.popleft()
-        ev = Event(self.sim)
-        self._getters.append(ev)
-        item = yield ev
-        return item

@@ -24,9 +24,11 @@ where variance matters).
   bounded admission queues with drop/retry/circuit-breaker policies
   (the one dispatch path, through ``apply_op(..., timeout=)``), and the
   overload-degradation metrics (goodput, p99.9, time-in-SLO).
-* :mod:`repro.workload.scenarios` -- assembled experiments (counter /
-  queue / stack / variable-length CS) on any approach; these are the
-  entry points the figures and the public quickstart use.
+* :mod:`repro.workload.scenarios` -- the approach table
+  (``build_approach``: a paper label to its primitive and client
+  threads) and assembled experiments (counter / queue / stack /
+  variable-length CS) on any approach; these are the entry points the
+  figures and the public quickstart use.
 """
 
 from repro.workload.driver import WorkloadSpec, run_workload

@@ -7,7 +7,12 @@ the paper's thread-placement rules (server thread = thread 0 on core 0,
 application threads pinned in ascending core order) and runs the
 Section 5.2 loop via :func:`~repro.workload.driver.run_workload`.
 
-Implementation labels follow the paper's legends:
+Implementation labels follow the paper's legends.  :func:`build_approach`
+is the approach table: the only place a label becomes a primitive and
+its client threads.  It knows ``mp-server``, ``mp-server-ft`` (with a
+hot standby on thread 1), ``shm-server``, ``HybComb``, ``CC-Synch`` and
+``flat-combining``; :func:`build_counter` is the one assembly of a
+contended-counter run on top of it.
 
 * counter / CS-length: ``mp-server``, ``HybComb``, ``shm-server``,
   ``CC-Synch``;
@@ -19,9 +24,9 @@ Implementation labels follow the paper's legends:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.core import CCSynch, HybComb, MPServer, OpTable, ShmServer
+from repro.core import CCSynch, FlatCombining, HybComb, MPServer, OpTable, ShmServer
 from repro.core.api import SyncPrimitive
 from repro.faults import FaultInjector, FaultPlan
 from repro.machine import Machine, MachineConfig, tile_gx
@@ -43,13 +48,28 @@ __all__ = [
     "APPROACH_BUILDERS",
     "QUEUE_IMPLS",
     "STACK_IMPLS",
+    "CounterRun",
     "build_approach",
+    "build_counter",
     "run_counter_benchmark",
     "run_cs_length_benchmark",
     "run_fault_recovery_benchmark",
     "run_queue_benchmark",
     "run_stack_benchmark",
 ]
+
+#: label -> (primitive, server threads ahead of the clients).  Section
+#: 5.2: "thread i is pinned to core i.  With server-based approaches the
+#: server code is executed by thread 0"; a hot standby runs on thread 1.
+_APPROACHES: Dict[str, Tuple[type, int]] = {
+    "mp-server": (MPServer, 1),
+    "mp-server-ft": (MPServer, 2),
+    "shm-server": (ShmServer, 1),
+    "HybComb": (HybComb, 0),
+    "CC-Synch": (CCSynch, 0),
+    "flat-combining": (FlatCombining, 0),
+}
+
 
 def build_approach(
     name: str,
@@ -58,38 +78,37 @@ def build_approach(
     num_threads: int,
     *,
     max_ops: int = 200,
+    **kw: Any,
 ) -> Tuple[SyncPrimitive, List[int]]:
-    """Create an approach by its paper label; returns (prim, app_tids).
+    """Create an approach by its label; returns (prim, client tids).
 
-    Placement per Section 5.2: "thread i is pinned to core i.  With
-    server-based approaches the server code is executed by thread 0, and
-    other threads execute application code."
+    ``kw`` goes to the primitive's constructor (``request_timeout``,
+    ``lease_cycles``, ``cancellable``, ``fixed_combiner_tid``); only the
+    combiners take ``max_ops``.  A fixed combiner on thread 0 (Figure
+    4a) serves like a server, so the clients shift to 1..n.
     """
-    limit = machine.cfg.num_cores
-    if name == "mp-server":
-        if num_threads + 1 > limit:
-            raise ValueError(f"{num_threads} clients + server exceed {limit} cores")
-        prim = MPServer(machine, optable, server_tid=0)
-        tids = list(range(1, num_threads + 1))
-    elif name == "shm-server":
-        if num_threads + 1 > limit:
-            raise ValueError(f"{num_threads} clients + server exceed {limit} cores")
-        prim = ShmServer(machine, optable, server_tid=0,
-                         client_tids=range(1, num_threads + 1))
-        tids = list(range(1, num_threads + 1))
-    elif name == "HybComb":
-        if num_threads > limit:
-            raise ValueError(f"{num_threads} threads exceed {limit} cores")
-        prim = HybComb(machine, optable, max_ops=max_ops)
-        tids = list(range(num_threads))
-    elif name == "CC-Synch":
-        if num_threads > limit:
-            raise ValueError(f"{num_threads} threads exceed {limit} cores")
-        prim = CCSynch(machine, optable, max_ops=max_ops)
-        tids = list(range(num_threads))
-    else:
+    try:
+        cls, servers = _APPROACHES[name]
+    except KeyError:
         raise ValueError(f"unknown approach {name!r}; pick one of "
-                         "mp-server / HybComb / shm-server / CC-Synch")
+                         + " / ".join(_APPROACHES)) from None
+    if kw.get("fixed_combiner_tid") is not None:
+        servers = 1
+    limit = machine.cfg.num_cores
+    if num_threads + servers > limit:
+        who = ("threads", "clients + server", "clients + two servers")[servers]
+        raise ValueError(f"{num_threads} {who} exceed {limit} cores")
+    tids = list(range(servers, servers + num_threads))
+    if cls is MPServer:
+        backup = {"backup_tid": 1} if servers == 2 else {}
+        prim = MPServer(machine, optable, server_tid=0, **backup, **kw)
+    elif cls is ShmServer:
+        prim = ShmServer(machine, optable, server_tid=0, client_tids=tids,
+                         **kw)
+    elif cls is FlatCombining:
+        prim = FlatCombining(machine, optable, **kw)
+    else:
+        prim = cls(machine, optable, max_ops=max_ops, **kw)
     return prim, tids
 
 
@@ -97,10 +116,6 @@ APPROACH_BUILDERS = ("mp-server", "HybComb", "shm-server", "CC-Synch")
 QUEUE_IMPLS = ("mp-server-1", "HybComb-1", "shm-server-1", "CC-Synch-1",
                "mp-server-2", "LCRQ")
 STACK_IMPLS = ("mp-server", "HybComb", "shm-server", "CC-Synch", "Treiber")
-
-
-def _fresh_machine(cfg: Optional[MachineConfig]) -> Machine:
-    return Machine(cfg if cfg is not None else tile_gx())
 
 
 def _increments(counter: LockedCounter):
@@ -132,8 +147,44 @@ def _alternating(push, pop, empties: Dict[str, int]):
 
 
 # ---------------------------------------------------------------------------
-# counter (Figures 3a, 3b, 3c, 4a, 4b)
+# counter (Figures 3a, 3b, 3c, 4a, 4b), fault recovery, overload, scale
 # ---------------------------------------------------------------------------
+
+class CounterRun(NamedTuple):
+    """A started contended counter: what every counter run reads."""
+
+    machine: Machine
+    prim: SyncPrimitive
+    counter: LockedCounter
+    ctxs: List[ThreadCtx]
+
+    def closed_loop(self, spec: WorkloadSpec, name: str) -> RunResult:
+        """The Section 5.2 loop: every client increments back to back."""
+        return run_workload(self.machine, self.ctxs, _increments(self.counter),
+                            spec, name=name, prim=self.prim)
+
+
+def build_counter(
+    approach: str,
+    num_threads: int,
+    *,
+    cfg: Optional[MachineConfig] = None,
+    fault_plan: Optional[FaultPlan] = None,
+    **kw: Any,
+) -> CounterRun:
+    """The one assembly of a contended-counter run, in a fixed order:
+    allocation order fixes memory addresses, and through them every
+    simulated number.  ``kw`` goes to :func:`build_approach`."""
+    machine = Machine(cfg or tile_gx())
+    prim, tids = build_approach(approach, machine, OpTable(), num_threads,
+                                **kw)
+    counter = LockedCounter(prim)
+    prim.start()
+    ctxs = [machine.thread(tid) for tid in tids]
+    if fault_plan:
+        FaultInjector(machine, fault_plan).install()
+    return CounterRun(machine, prim, counter, ctxs)
+
 
 def run_counter_benchmark(
     approach: str = "mp-server",
@@ -154,30 +205,13 @@ def run_counter_benchmark(
     ``fault_plan`` injects faults (see :mod:`repro.faults`) into the run;
     an empty plan leaves the run bit-for-bit unchanged.
     """
-    spec = spec or WorkloadSpec()
-    machine = _fresh_machine(cfg)
-    optable = OpTable()
-    if fixed_combiner and approach in ("HybComb", "CC-Synch"):
-        # footnote 4: a permanent combiner on thread 0 (= MAX_OPS inf);
-        # application threads are 1..T, like the server approaches
-        cls = HybComb if approach == "HybComb" else CCSynch
-        prim = cls(machine, optable, fixed_combiner_tid=0)
-        tids = list(range(1, num_threads + 1))
-    else:
-        prim, tids = build_approach(approach, machine, optable, num_threads,
-                                    max_ops=max_ops)
-    counter = LockedCounter(prim)
-    prim.start()
-    ctxs = [machine.thread(tid) for tid in tids]
-    if fault_plan is not None and fault_plan:
-        FaultInjector(machine, fault_plan).install()
-    return run_workload(machine, ctxs, _increments(counter), spec,
-                        name=approach, prim=prim)
+    # footnote 4: a permanent combiner on thread 0 (= MAX_OPS inf)
+    fixed = ({"fixed_combiner_tid": 0}
+             if fixed_combiner and approach in ("HybComb", "CC-Synch") else {})
+    run = build_counter(approach, num_threads, cfg=cfg, fault_plan=fault_plan,
+                        max_ops=max_ops, **fixed)
+    return run.closed_loop(spec or WorkloadSpec(), approach)
 
-
-# ---------------------------------------------------------------------------
-# fault recovery (robustness extension; the disc-faults experiment)
-# ---------------------------------------------------------------------------
 
 def run_fault_recovery_benchmark(
     num_clients: int = 8,
@@ -194,25 +228,10 @@ def run_fault_recovery_benchmark(
     the primary mid-window: clients time out, back off, fail over to the
     backup, and the run completes with recovery metrics in the result.
     """
-    spec = spec or WorkloadSpec()
-    machine = _fresh_machine(cfg)
-    if num_clients + 2 > machine.cfg.num_cores:
-        raise ValueError(
-            f"{num_clients} clients + two servers exceed "
-            f"{machine.cfg.num_cores} cores"
-        )
-    optable = OpTable()
-    prim = MPServer(machine, optable, server_tid=0, server_core=0,
-                    backup_tid=1, backup_core=1,
-                    request_timeout=request_timeout)
-    counter = LockedCounter(prim)
-    prim.start()
-    ctxs = [machine.thread(tid) for tid in range(2, num_clients + 2)]
-    if fault_plan is not None and fault_plan:
-        FaultInjector(machine, fault_plan).install()
+    run = build_counter("mp-server-ft", num_clients, cfg=cfg,
+                        fault_plan=fault_plan, request_timeout=request_timeout)
     name = "mp-server-ft" + ("-faulty" if fault_plan else "")
-    return run_workload(machine, ctxs, _increments(counter), spec, name=name,
-                        prim=prim)
+    return run.closed_loop(spec or WorkloadSpec(), name)
 
 
 def run_cs_length_benchmark(
@@ -226,7 +245,7 @@ def run_cs_length_benchmark(
 ) -> RunResult:
     """Figure 4c: a CS that increments array elements in a loop."""
     spec = spec or WorkloadSpec()
-    machine = _fresh_machine(cfg)
+    machine = Machine(cfg or tile_gx())
     optable = OpTable()
     prim, tids = build_approach(approach, machine, optable, num_threads, max_ops=max_ops)
     arr = ArrayCS(prim)
@@ -261,7 +280,7 @@ def run_queue_benchmark(
     any window enqueues and dequeues are issued in equal numbers.
     """
     spec = spec or WorkloadSpec()
-    machine = _fresh_machine(cfg)
+    machine = Machine(cfg or tile_gx())
     prim = None
     limit = machine.cfg.num_cores
 
@@ -308,7 +327,7 @@ def run_stack_benchmark(
 ) -> RunResult:
     """Figure 5b: coarse-lock stacks vs Treiber under balanced load."""
     spec = spec or WorkloadSpec()
-    machine = _fresh_machine(cfg)
+    machine = Machine(cfg or tile_gx())
     prim = None
 
     if impl == "Treiber":

@@ -253,3 +253,67 @@ def test_unmatched_counter_labels_get_their_own_process(tmp_path):
     counter_pids = {e["pid"] for e in doc["traceEvents"]
                     if e.get("ph") == "C"}
     assert counter_pids == {0, 1}
+
+
+def _traced_record(**options):
+    with obs.observed(trace=True, **options) as session:
+        m = _run_mpserver()
+        m.run()
+    (ob,) = session.machines
+    return ob.record()
+
+
+def test_streamed_trace_equals_one_document(tmp_path):
+    """The writer streams one machine at a time, yet writes exactly the
+    bytes ``json.dumps`` gives for the whole document: process names and
+    spans per machine, then every machine's counter tracks, then the
+    truncation marks."""
+    import dataclasses
+
+    from repro.obs.perfetto import counter_events, write_chrome_trace
+
+    full = _traced_record(timeseries=True, sample_every=64)
+    short = EventLog(limit=len(full.trace.events) // 2)
+    for t, kind, args in full.trace.events:
+        short.on_event(t, kind, args)
+    assert short.dropped > 0
+    records = [full, dataclasses.replace(full, label="cut", trace=short),
+               dataclasses.replace(full, label="untraced", trace=None)]
+
+    path = tmp_path / "t.json"
+    n = write_chrome_trace(records, str(path))
+
+    events = []
+    for pid, rec in enumerate(records):
+        events.append({"name": "process_name", "ph": "M", "pid": pid,
+                       "args": {"name": rec.label}})
+        if rec.trace is not None:
+            events.extend(trace_events(rec.trace, rec.cores, pid))
+    for pid, rec in enumerate(records):
+        events.extend(counter_events(pid, rec.timeseries["series"]))
+    doc = {"traceEvents": events, "displayTimeUnit": "ns",
+           "otherData": {"unit": "simulated cycles", "truncated": True,
+                         "dropped_events": short.dropped}}
+    assert n == len(events)
+    assert path.read_text() == json.dumps(doc)
+
+
+def test_trace_writer_holds_one_machine_at_a_time(tmp_path):
+    """Writing four identical traced records must not cost four times the
+    memory of one: only one machine's event dicts are alive at once."""
+    import tracemalloc
+
+    from repro.obs.perfetto import write_chrome_trace
+
+    rec = _traced_record()
+
+    def peak(records):
+        tracemalloc.start()
+        try:
+            write_chrome_trace(records, str(tmp_path / "t.json"))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak([rec])
+    assert peak([rec] * 4) < 2 * one

@@ -100,11 +100,12 @@ def test_saturated_failover_recovery_visible_in_trace(mp_capacity):
     from the clients, and a causal op stream the blame tools can use."""
     import repro.obs as obs
     from repro.core import OpTable
-    from repro.experiments.overload import _admission, _build
+    from repro.experiments.overload import _admission
     from repro.faults import CrashThread, FaultInjector, FaultPlan
     from repro.objects import LockedCounter
     from repro.workload.openloop import (ArrivalSpec, OpenLoopSpec,
                                          run_openloop_workload)
+    from repro.workload.scenarios import build_approach
 
     kinds = set()
     with obs.observed(trace=True) as session:
@@ -113,7 +114,8 @@ def test_saturated_failover_recovery_visible_in_trace(mp_capacity):
         (ob,) = session.machines
         ob.bus.subscribe(lambda t, k, f: kinds.add(k))
 
-        prim, tids = _build("mp-server-ft", machine, OpTable(), NUM_CLIENTS)
+        prim, tids = build_approach("mp-server-ft", machine, OpTable(),
+                                    NUM_CLIENTS, request_timeout=2_000)
         counter = LockedCounter(prim)
         prim.start()
         ctxs = [machine.thread(t) for t in tids]

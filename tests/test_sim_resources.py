@@ -1,8 +1,8 @@
-"""Unit tests for Resource / Condition / Channel (repro.sim.resources)."""
+"""Unit tests for Resource / Condition (repro.sim.resources)."""
 
 import pytest
 
-from repro.sim import Channel, Condition, Resource, Simulator
+from repro.sim import Condition, Resource, Simulator
 
 
 def test_resource_uncontended_acquire_is_immediate():
@@ -43,7 +43,9 @@ def test_resource_capacity_two():
     starts = []
 
     def proc():
-        yield from res.use(10)
+        yield from res.acquire()
+        yield 10
+        res.release()
         starts.append(sim.now)
 
     for _ in range(4):
@@ -65,10 +67,14 @@ def test_resource_wait_stats():
     res = Resource(sim)
 
     def holder():
-        yield from res.use(50)
+        yield from res.acquire()
+        yield 50
+        res.release()
 
     def waiter():
-        yield from res.use(1)
+        yield from res.acquire()
+        yield 1
+        res.release()
 
     sim.spawn(holder())
     sim.spawn(waiter())
@@ -125,198 +131,6 @@ def test_condition_is_rearmable():
     sim.spawn(notifier())
     sim.run()
     assert count == [5, 9, 14]
-
-
-def test_channel_put_then_get():
-    sim = Simulator()
-    ch = Channel(sim)
-    ch.put("x")
-
-    def getter():
-        item = yield from ch.get()
-        return item
-
-    p = sim.spawn(getter())
-    sim.run()
-    assert p.result == "x"
-
-
-def test_channel_get_blocks_until_put():
-    sim = Simulator()
-    ch = Channel(sim)
-
-    def getter():
-        item = yield from ch.get()
-        return (item, sim.now)
-
-    def putter():
-        yield 30
-        ch.put("late")
-
-    g = sim.spawn(getter())
-    sim.spawn(putter())
-    sim.run()
-    assert g.result == ("late", 30)
-
-
-def test_channel_multiple_getters_fifo():
-    sim = Simulator()
-    ch = Channel(sim)
-    got = []
-
-    def getter(name):
-        item = yield from ch.get()
-        got.append((name, item))
-
-    def putter():
-        yield 1
-        ch.put(1)
-        yield 1
-        ch.put(2)
-
-    sim.spawn(getter("g1"))
-    sim.spawn(getter("g2"))
-    sim.spawn(putter())
-    sim.run()
-    assert got == [("g1", 1), ("g2", 2)]
-
-
-def test_channel_len():
-    sim = Simulator()
-    ch = Channel(sim)
-    assert len(ch) == 0
-    ch.put(1)
-    ch.put(2)
-    assert len(ch) == 2
-
-
-# -- Semaphore ---------------------------------------------------------------
-
-def test_semaphore_down_with_credit_is_immediate():
-    from repro.sim import Semaphore
-    sim = Simulator()
-    sem = Semaphore(sim, initial=2)
-
-    def proc():
-        yield from sem.down()
-        yield from sem.down()
-        return sim.now
-
-    p = sim.spawn(proc())
-    sim.run()
-    assert p.result == 0
-    assert sem.count == 0
-
-
-def test_semaphore_blocks_until_up():
-    from repro.sim import Semaphore
-    sim = Simulator()
-    sem = Semaphore(sim)
-
-    def waiter():
-        yield from sem.down()
-        return sim.now
-
-    def poster():
-        yield 40
-        sem.up()
-
-    p = sim.spawn(waiter())
-    sim.spawn(poster())
-    sim.run()
-    assert p.result == 40
-
-
-def test_semaphore_fifo_wakeups():
-    from repro.sim import Semaphore
-    sim = Simulator()
-    sem = Semaphore(sim)
-    order = []
-
-    def waiter(name, delay):
-        yield delay
-        yield from sem.down()
-        order.append(name)
-
-    def poster():
-        yield 100
-        sem.up()
-        sem.up()
-
-    sim.spawn(waiter("a", 1))
-    sim.spawn(waiter("b", 2))
-    sim.spawn(poster())
-    sim.run()
-    assert order == ["a", "b"]
-
-
-def test_semaphore_validates_initial():
-    from repro.sim import Semaphore
-    with pytest.raises(ValueError):
-        Semaphore(Simulator(), initial=-1)
-
-
-# -- Barrier -------------------------------------------------------------------
-
-def test_barrier_releases_all_at_once():
-    from repro.sim import Barrier
-    sim = Simulator()
-    bar = Barrier(sim, parties=3)
-    done = []
-
-    def party(delay):
-        yield delay
-        idx = yield from bar.wait()
-        done.append((sim.now, idx))
-
-    for d in (5, 10, 30):
-        sim.spawn(party(d))
-    sim.run()
-    times = [t for t, _ in done]
-    assert times == [30, 30, 30]
-    assert sorted(idx for _, idx in done) == [0, 1, 2]
-
-
-def test_barrier_is_reusable():
-    from repro.sim import Barrier
-    sim = Simulator()
-    bar = Barrier(sim, parties=2)
-    rounds = []
-
-    def party(name):
-        for r in range(3):
-            yield 10
-            yield from bar.wait()
-            rounds.append((name, r, sim.now))
-
-    sim.spawn(party("x"))
-    sim.spawn(party("y"))
-    sim.run()
-    assert len(rounds) == 6
-    # both parties finish each round at the same instant
-    for r in range(3):
-        ts = [t for n, rr, t in rounds if rr == r]
-        assert ts[0] == ts[1]
-
-
-def test_barrier_single_party_never_blocks():
-    from repro.sim import Barrier
-    sim = Simulator()
-    bar = Barrier(sim, parties=1)
-
-    def proc():
-        idx = yield from bar.wait()
-        return idx, sim.now
-
-    p = sim.spawn(proc())
-    sim.run()
-    assert p.result == (0, 0)
-
-
-def test_barrier_validates_parties():
-    from repro.sim import Barrier
-    with pytest.raises(ValueError):
-        Barrier(Simulator(), parties=0)
 
 
 @pytest.mark.parametrize("capacity", [1, 2])
