@@ -398,10 +398,9 @@ class CoherentMemory:
             return  # already cached
         if (cid, line_no) in self._prefetches:
             return  # already in flight
-        done = Event(self.sim)
+        done = Event(self.sim, "an in-flight prefetch")
         self._prefetches[(cid, line_no)] = done
-        self.sim.spawn(self._prefetch_txn(line_no, cid, done),
-                       name=f"prefetch-c{cid}-l{line_no}")
+        self.sim.start(self._prefetch_txn(line_no, cid, done))
 
     def _prefetch_txn(self, line_no: int, cid: int, done) -> Generator:
         yield from self._read(self._line(line_no), line_no, cid, "prefetch")
@@ -413,8 +412,8 @@ class CoherentMemory:
 
         A store hit in an owned line is immediate.  A store miss issues
         in one cycle, commits its value, and drains in the background
-        (the ownership transaction runs as a separate simulator
-        process); the core only stalls when the buffer is still draining
+        (the ownership transaction runs as a background simulator
+        task); the core only stalls when the buffer is still draining
         a *different* line -- further stores to the draining line merge
         for free.  This is what lets a servicing thread's response write
         (W(i) of Figure 1) overlap the next critical section, and what a
@@ -456,11 +455,10 @@ class CoherentMemory:
         core.busy += c_hit
         yield c_hit
         self.store_backing.write(addr, value)
-        done = Event(self.sim)
+        done = Event(self.sim, "a store-buffer drain")
         self._sb_line[cid] = line_no
         self._sb_event[cid] = done
-        self.sim.spawn(self._store_txn(line_no, cid, done),
-                       name=f"store-txn-c{cid}-l{line_no}")
+        self.sim.start(self._store_txn(line_no, cid, done))
 
     def _store_txn(self, line_no: int, cid: int, done) -> Generator:
         """Background ownership acquisition for a buffered store miss.

@@ -16,7 +16,7 @@ memory-controller serialization, never to NoC congestion).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional
+from typing import Any, Callable, Dict, Generator, Optional
 
 from repro.noc.topology import Mesh
 from repro.sim.engine import Simulator
@@ -46,16 +46,21 @@ class ContendedMesh:
 
     def transit(self, src: int, dst: int, words: int = 1,
                 msg_id: Any = None, hops: Optional[list] = None,
+                arrive: Optional[Callable[..., Generator]] = None,
                 ) -> Generator[Any, Any, int]:
         """Move a packet from ``src`` to ``dst``; returns total transit cycles.
 
-        Must be driven by a simulator process (``yield from``).  The
-        caller decides what "delivery" means (e.g. appending to a UDN
-        buffer) once this generator returns.  ``msg_id`` and ``hops``
-        are pure observability, used only while it is on: ``msg_id``
-        tags the ``noc.link`` events, and each hop appends ``(a, b,
-        wait)`` to ``hops`` for the spatial hop ledger; protocols never
-        read either.
+        Driven by the simulator, either with ``yield from`` inside a
+        process or as a background task of its own
+        (``sim.start(mesh.transit(...))``).  What "delivery" means (e.g.
+        appending to a UDN buffer) is the caller's: ``arrive(src, dst,
+        cycles, hops)``, a generator, runs as the packet's last step
+        (so a task needs no wrapper frame around every hop), or the
+        caller acts once this generator returns.  ``msg_id`` and
+        ``hops`` are pure observability, used only while it is on:
+        ``msg_id`` tags the ``noc.link`` events, and each hop appends
+        ``(a, b, wait)`` to ``hops`` for the spatial hop ledger;
+        protocols never read either.
         """
         sim = self.sim
         mesh = self.mesh
@@ -96,19 +101,21 @@ class ContendedMesh:
                     yield per_hop
                 finally:
                     if tail > 0:
-                        sim.call_after(tail, link.release)
+                        link.release_at(sim.now + tail)
                     else:
                         link.release()
                 a = b
         # Router pipeline / injection+ejection overhead.
         yield mesh.base + mesh.per_word * (words - 1)
         self.packets_delivered += 1
+        cycles = sim.now - t0
         obs = sim.obs
         if obs is not None:
-            cycles = sim.now - t0
             glob = obs.counters.global_
             glob["noc_packets"] += 1
             glob["noc_packet_cycles"] += cycles
             if "noc.packet" in obs.wanted:
                 obs.emit("noc.packet", src, dst, words, cycles)
-        return sim.now - t0
+        if arrive is not None:
+            yield from arrive(src, dst, cycles, hops)
+        return cycles

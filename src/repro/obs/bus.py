@@ -109,9 +109,11 @@ SCHEMA: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "noc.link": ("hardware", ("a", "b", "wait", "busy", "hop", "msg_id")),
     # a packet fully traversed the contended mesh
     "noc.packet": ("hardware", ("src", "dst", "words", "cycles")),
-    # a simulator process started
+    # a simulator process started: threads and drivers only, since the
+    # background hardware transactions (store drains, prefetches,
+    # contended packets) run as unnamed tasks and emit nothing
     "proc.spawn": ("hardware", ("name",)),
-    # a process finished normally
+    # a process finished normally (threads and drivers only, as above)
     "proc.exit": ("hardware", ("name",)),
     # a process was fail-stop crashed
     "proc.kill": ("narrated", ("name",)),

@@ -26,8 +26,11 @@ tuples and the global sequence counter are gone: bucket position *is*
 the FIFO order.
 
 **Entry protocol instead of kind tags.**  Lane and bucket entries are
-the schedulable objects themselves -- a :class:`Process`, or one of two
-rare wrappers (:class:`_Callback`, :class:`_Throw`).  Every entry
+the schedulable objects themselves -- a :class:`Process`, a background
+:class:`_Task`, one of two rare wrappers (:class:`_Callback`,
+:class:`_Throw`), or a model object that delivers itself (a UDN
+``_Delivery``, a :class:`~repro.sim.resources.Resource` releasing at a
+set cycle).  Every entry
 exposes ``_bare`` (live-entry flag), ``_slow``, ``_val`` (payload
 slot), ``pinned`` (exploration may not move it) and ``_send``
 (deliver).  Dispatch in the run loop is a handful of identity checks on
@@ -434,6 +437,33 @@ class _Callback:
         return _HANDLED
 
 
+class _Task:
+    """Scheduler entry for a background hardware transaction
+    (:meth:`Simulator.start`): a generator stepped exactly like a
+    :class:`Process`, and permuted like one under schedule exploration,
+    but with no name, registry entry, join, kill, interrupt or
+    suspension -- a packet crossing the mesh or a store buffer draining
+    a line cannot be addressed.  It ends silently when its generator
+    returns, and deadlock detection never sees it: a thread waiting on
+    its outcome is what a :class:`DeadlockError` names.
+    """
+
+    pinned: ClassVar[bool] = False
+    _slow: ClassVar[bool] = False
+    #: never interrupted, so ``Event.trigger`` always delivers
+    _throw_pending: ClassVar[int] = 0
+    #: what an error about a bad yielded effect calls it
+    name: ClassVar[str] = "background task"
+
+    __slots__ = ("_send", "_bare", "_val", "_waiting_on")
+
+    def __init__(self, gen: Generator):
+        self._send: Callable[[Any], Any] = gen.send
+        self._bare = True
+        self._val: Any = None
+        self._waiting_on: Optional[Event] = None
+
+
 class _Throw:
     """Scheduler entry delivering an exception into a process.
 
@@ -567,6 +597,12 @@ class Simulator:
         self._fast.append(proc)
         return proc
 
+    def start(self, gen: Generator) -> None:
+        """Run ``gen`` as a background task from the current cycle: the
+        lane position :meth:`spawn` would give a process, with none of a
+        process's bookkeeping (see :class:`_Task`)."""
+        self._fast.append(_Task(gen))
+
     def event(self, label: Optional[str] = None) -> Event:
         """Create a fresh (un-triggered) event bound to this simulator."""
         return Event(self, label)
@@ -655,6 +691,7 @@ class Simulator:
         INT = int
         EVENT = Event
         PROCESS = Process
+        TASK = _Task
         THROW = _Throw
         HANDLED = _HANDLED
         STALE = _STALE
@@ -728,6 +765,8 @@ class Simulator:
                                 if e.__class__ is PROCESS:
                                     e._finish(stop.value)
                                     continue
+                                if e.__class__ is TASK:
+                                    continue
                                 raise
                             if effect is HANDLED:
                                 continue
@@ -756,6 +795,8 @@ class Simulator:
                         except StopIteration as stop:
                             if e.__class__ is PROCESS:
                                 e._finish(stop.value)
+                                continue
+                            if e.__class__ is TASK:
                                 continue
                             raise
                         # Dispatch on the yielded effect; ``_bare`` still
@@ -842,6 +883,8 @@ class Simulator:
                             if e.__class__ is PROCESS:
                                 e._finish(stop.value)
                                 continue
+                            if e.__class__ is TASK:
+                                continue
                             raise
                         if effect is HANDLED:
                             continue
@@ -885,6 +928,8 @@ class Simulator:
                     except StopIteration as stop:
                         if e.__class__ is PROCESS:
                             e._finish(stop.value)
+                            continue
+                        if e.__class__ is TASK:
                             continue
                         raise
                     if effect is ZERO:

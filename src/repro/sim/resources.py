@@ -16,8 +16,9 @@ The hardware message queues live in :mod:`repro.udn`.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, List, Optional, Tuple
+from typing import Any, ClassVar, Deque, Generator, List, Optional, Tuple
 
+from repro.sim._engine_core import _HANDLED
 from repro.sim.engine import Event, Interrupt, Simulator, WaitTimer
 
 __all__ = ["Resource", "Condition", "NO_WAITERS"]
@@ -43,7 +44,16 @@ class Resource:
 
     Fairness is strict FIFO: waiters are granted slots in arrival order,
     which models a hardware arbitration queue.
+
+    A resource is also its own deferred-release scheduler entry
+    (:meth:`release_at`): always live, and pinned in place under schedule
+    exploration like the plain callback it replaces.
     """
+
+    pinned: ClassVar[bool] = True
+    _bare: ClassVar[bool] = True
+    _slow: ClassVar[bool] = False
+    _val: ClassVar[None] = None
 
     __slots__ = ("sim", "capacity", "in_use", "_waiters", "total_acquisitions", "total_wait_cycles")
 
@@ -128,6 +138,24 @@ class Resource:
             self._waiters.popleft().trigger()
         else:
             self.in_use -= 1
+
+    def release_at(self, when: int) -> None:
+        """:meth:`release` at cycle ``when`` (>= now): the resource itself
+        is queued, exactly where ``sim.call_at(when, res.release)`` would
+        queue a callback."""
+        sim = self.sim
+        if when > sim.now:
+            sim._bucket_push(when, self)
+        elif when == sim.now:
+            sim._fast.append(self)
+        else:
+            raise ValueError(f"cannot schedule in the past ({when} < {sim.now})")
+
+    def _send(self, _val: Any) -> Any:
+        # the engine's delivery hook: runs between process steps
+        self.sim._current = None
+        self.release()
+        return _HANDLED
 
 
 class Condition:

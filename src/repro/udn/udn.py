@@ -158,7 +158,8 @@ class _Delivery:
     """One message, from its buffer reservation to its arrival: an engine
     entry (always live, and pinned under schedule exploration like a
     plain callback) whose ``_send`` hook delivers it.  On a contended
-    mesh a packet process carries it and calls that hook on arrival."""
+    mesh the packet's background task carries it instead, and
+    :meth:`_arrive` delivers it at the end of the packet's transit."""
 
     pinned: ClassVar[bool] = True
     _bare: ClassVar[bool] = True
@@ -225,6 +226,24 @@ class _Delivery:
         if cond._waiters:
             cond.notify_all()
         return _HANDLED
+
+    def _arrive(self, src_node: int, dst_node: int, cycles: int,
+                hops: Any) -> Generator[Any, Any, None]:
+        """A contended packet's last step, once its ``cycles`` of mesh
+        transit are done: fault jitter, then delivery, then the atlas's
+        link-queueing share."""
+        fabric = self.fabric
+        jitter = fabric.transit_jitter
+        if jitter is not None:
+            extra = int(jitter(src_node, dst_node, self.n_words))
+            if extra:
+                yield extra
+        self._send(hops)
+        sp = fabric.spatial_delivers
+        if sp is not None:
+            # link queueing: the packet's transit beyond the idle mesh's
+            sp[(self.src_core, self.dst_core)][3] += (
+                cycles - fabric.mesh.latency(src_node, dst_node, self.n_words))
 
 
 class UdnFabric:
@@ -452,8 +471,14 @@ class UdnFabric:
         entry.sent_at = sent_at = sim.now
         src = core.node
         if self.contended is not None:
-            sim.spawn(self._contended_delivery(src, dst_node, entry),
-                      name=f"udn-pkt->{dst_tid}")
+            # the packet is a background task, hop by hop to its arrival;
+            # the per-hop waits travel with a message the hop ledger will
+            # record (its budget only shrinks, so one test at the send)
+            recs = self.spatial_records
+            hops = ([] if recs is not None
+                    and len(recs[0]) < self.spatial_record_limit else None)
+            sim.start(self.contended.transit(src, dst_node, n, msg_id, hops,
+                                             entry._arrive))
             return
         xs, ys = self._xs, self._ys  # Mesh.latency, inline
         transit = (self._noc_base + self._noc_per_word * (n - 1) + self._noc_per_hop
@@ -488,27 +513,6 @@ class UdnFabric:
         else:
             raise ValueError(
                 f"cannot schedule in the past ({sent_at + transit} < {sent_at})")
-
-    def _contended_delivery(self, src_node: int, dst_node: int,
-                            entry: _Delivery) -> Generator[Any, Any, None]:
-        n = entry.n_words
-        # the per-hop waits travel with a message the hop ledger will
-        # record (its budget only shrinks, so one test at the start)
-        recs = self.spatial_records
-        hops = ([] if recs is not None
-                and len(recs[0]) < self.spatial_record_limit else None)
-        cycles = yield from self.contended.transit(src_node, dst_node, n,
-                                                   entry.msg_id, hops)
-        if self.transit_jitter is not None:
-            extra = int(self.transit_jitter(src_node, dst_node, n))
-            if extra:
-                yield extra
-        entry._send(hops)  # this process's last step: no ``current`` to keep
-        sp = self.spatial_delivers
-        if sp is not None:
-            # link queueing: the packet's transit beyond the idle mesh's
-            sp[(entry.src_core, entry.dst_core)][3] += (
-                cycles - self.mesh.latency(src_node, dst_node, n))
 
     def receive(self, core: Core, tid: int, k: int = 1,
                 timeout: Optional[int] = None) -> Generator[Any, Any, List[int]]:

@@ -14,7 +14,11 @@ recorded on the PR4 engine replay bit-identically on v3.
 import json
 import os
 
-from repro.explore import ReplayPolicy, run_scenario, scenario_by_id
+import pytest
+
+from repro.explore import (RandomWalkPolicy, ReplayPolicy, run_scenario,
+                           scenario_by_id)
+from repro.sim._engine_core import _Task
 from repro.sim.engine import IS_COMPILED, Interrupt, Simulator, WaitTimer
 from repro.sim.resources import Resource
 
@@ -261,3 +265,194 @@ def test_is_compiled_flag_reflects_module_form():
     # under plain CPython (the tier-1 environment) the core is source
     if _engine_core.__file__.endswith(".py"):
         assert IS_COMPILED is False
+
+
+# -- background tasks and self-releasing resources ----------------------------
+
+
+def _same_cycle_program(launcher, policy=None):
+    """A program whose helpers all step in shared cycles: each of four
+    threads launches three helpers (with ``sim.spawn`` or ``sim.start``,
+    as ``launcher`` names) that sleep, park on one event and queue on
+    one resource.  Returns the ``(cycle, who, step)`` trace and the
+    simulator."""
+    sim = Simulator()
+    sim.policy = policy
+    launch = getattr(sim, launcher)
+    gate = sim.event()
+    res = Resource(sim)
+    trace = []
+
+    def helper(who, delays):
+        for step, d in enumerate(delays):
+            trace.append((sim.now, who, step))
+            yield d
+        got = yield gate
+        trace.append((sim.now, who, got))
+        yield from res.acquire()
+        trace.append((sim.now, who, "held"))
+        yield 0
+        res.release()
+
+    def thread(i):
+        for k in range(3):
+            trace.append((sim.now, f"t{i}", k))
+            launch(helper(f"h{i}.{k}", (0, i % 2, 0, 1)))
+            yield k % 2
+        if i == 0:
+            yield 2
+            gate.trigger("open")
+
+    for i in range(4):
+        sim.spawn(thread(i), name=f"t{i}")
+    sim.run()
+    return trace, sim
+
+
+def test_start_leaves_the_same_cycle_trace_unchanged():
+    spawned, s1 = _same_cycle_program("spawn")
+    started, s2 = _same_cycle_program("start")
+    assert started == spawned
+    assert s2.now == s1.now and s2.events_processed == s1.events_processed
+    # every helper reached the resource, in the FIFO order it queued
+    opened = [w for _t, w, s in started if s == "open"]
+    assert [w for _t, w, s in started if s == "held"] == opened
+    assert len(opened) == 12
+
+
+def test_start_is_permuted_like_spawn_under_random_walk():
+    plain, _ = _same_cycle_program("start")
+    spawned, s1 = _same_cycle_program("spawn", RandomWalkPolicy(7, p_lane=1.0))
+    started, s2 = _same_cycle_program("start", RandomWalkPolicy(7, p_lane=1.0))
+    assert s1.policy.forced_choices > 0
+    assert spawned != plain  # the policy did reorder something
+    assert started == spawned
+    assert s2.policy.trace == s1.policy.trace
+
+
+def test_task_waits_on_a_delay_an_event_and_a_resource_fifo():
+    sim = Simulator()
+    ev = sim.event()
+    res = Resource(sim)
+    log = []
+
+    def task(who):
+        yield 5
+        log.append((sim.now, who, "slept"))
+        got = yield ev
+        log.append((sim.now, who, got))
+        yield from res.acquire()
+        log.append((sim.now, who, "held"))
+        yield 10
+        res.release()
+
+    def trigger():
+        yield 20
+        ev.trigger("go")
+
+    for who in "abc":
+        sim.start(task(who))
+    sim.spawn(trigger())
+    sim.run()
+    assert log == [(5, "a", "slept"), (5, "b", "slept"), (5, "c", "slept"),
+                   (20, "a", "go"), (20, "a", "held"), (20, "b", "go"),
+                   (20, "c", "go"), (30, "b", "held"), (40, "c", "held")]
+    assert sim.now == 50 and res.in_use == 0
+    assert res.total_wait_cycles == 10 + 20
+
+
+def test_finished_task_is_not_a_live_process():
+    sim = Simulator()
+    done = []
+
+    def task():
+        yield 10
+        done.append(sim.now)
+
+    def thread():
+        yield 30
+
+    sim.start(task())
+    p = sim.spawn(thread(), name="thread")
+    sim.run(until=5)
+    assert sim.live_processes() == [p]  # a task is never registered
+    sim.run(until=20)
+    assert done == [10] and sim.live_processes() == [p]
+    sim.run()
+    assert sim.live_processes() == []
+
+
+def _release_trace(how, policy=None):
+    """Waiters on one resource whose holders hand it on with ``how``:
+    ``release_at`` or ``call_at(w, res.release)``, at a later cycle
+    (a bucket entry) or at the current cycle (a lane entry among the
+    same-cycle steps of two spinning processes)."""
+    sim = Simulator()
+    sim.policy = policy
+    res = Resource(sim)
+    trace = []
+
+    def release(when):
+        if how == "release_at":
+            res.release_at(when)
+        else:
+            sim.call_at(when, res.release)
+
+    def holder():
+        yield from res.acquire()
+        trace.append((sim.now, "holder", "held"))
+        release(sim.now + 3)
+        yield 3
+        yield from res.acquire()
+        trace.append((sim.now, "holder", "again"))
+        release(sim.now)
+
+    def waiter(i):
+        yield i % 2
+        trace.append((sim.now, f"w{i}", "waiting"))
+        yield from res.acquire()
+        trace.append((sim.now, f"w{i}", "held"))
+        yield 0
+        trace.append((sim.now, f"w{i}", "step"))
+        release(sim.now + i % 2)  # even: this cycle; odd: the next one
+
+    def spinner(j):
+        for k in range(40):
+            trace.append((sim.now, f"s{j}", k))
+            yield 1 if k % 3 == 2 else 0
+
+    sim.spawn(holder(), name="holder")
+    for i in range(5):
+        sim.spawn(waiter(i), name=f"w{i}")
+    for j in range(2):
+        sim.spawn(spinner(j), name=f"s{j}")
+    sim.run()
+    return trace, sim
+
+
+def test_release_at_grants_where_a_release_callback_would():
+    via_callback, s1 = _release_trace("call_at")
+    via_entry, s2 = _release_trace("release_at")
+    assert via_entry == via_callback
+    assert s2.events_processed == s1.events_processed and s2.now == s1.now
+    assert [w for _t, w, s in via_entry if s == "held"] == [
+        "holder", "w0", "w2", "w4", "w1", "w3"]
+
+
+def test_release_at_stays_pinned_under_a_policy():
+    assert Resource.pinned and not _Task.pinned
+    via_callback, s1 = _release_trace("call_at",
+                                      RandomWalkPolicy(3, p_lane=1.0))
+    via_entry, s2 = _release_trace("release_at",
+                                   RandomWalkPolicy(3, p_lane=1.0))
+    assert s1.policy.forced_choices > 0
+    assert via_entry == via_callback
+    assert s2.policy.trace == s1.policy.trace
+
+
+def test_release_at_rejects_the_past():
+    sim = Simulator()
+    res = Resource(sim)
+    sim.run(until=10)
+    with pytest.raises(ValueError, match="past"):
+        res.release_at(9)

@@ -1,8 +1,11 @@
 """Tests for the coherence protocol: states, costs, RMR/stall accounting."""
 
 
+import pytest
+
 from repro.machine import Machine, tile_gx
 from repro.mem import LineState
+from repro.sim.engine import DeadlockError
 
 
 def make_machine(**over):
@@ -333,3 +336,27 @@ def test_concurrent_stores_serialize_on_line():
     m.mem.check_all_swmr()
     # last committed value must be one of the final writes
     assert m.mem.peek(a) in (49, 1049)
+
+
+# -- background store drains ------------------------------------------------
+
+def test_store_drain_that_never_wins_its_line_names_the_waiting_thread():
+    """A buffered store miss drains as a background task, which deadlock
+    detection does not list: a thread fencing on a drain that can never
+    win its line's directory slot is what the error names."""
+    m = make_machine()
+    a = m.mem.alloc(1)
+    # hold the line's directory slot for ever: its drain queues behind it
+    assert m.mem._line(a // m.mem._line_words).res.try_acquire()
+
+    def prog(ctx):
+        yield from ctx.store(a, 1)  # a miss: buffered, drains in the background
+        yield from ctx.fence()      # waits for that drain
+
+    ctx = m.thread(0)
+    p = m.spawn(ctx, prog(ctx), name="writer")
+    with pytest.raises(DeadlockError) as ei:
+        m.run()
+    assert ei.value.blocked == [p]
+    assert "process 'writer' blocked on a store-buffer drain" in str(ei.value)
+    assert m.mem.peek(a) == 1  # the value committed at issue
