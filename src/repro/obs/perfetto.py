@@ -212,14 +212,17 @@ def write_chrome_trace(records: Sequence[Any], path: str) -> int:
             if rec.timeseries is not None:
                 yield counter_events(pid, rec.timeseries["series"])
 
-    # the bytes ``json.dump`` of the whole document would write
+    # the bytes ``json.dump`` of the whole document would write, one
+    # event's string at a time beside the batch
     written = 0
     with open(path, "w") as fh:
         fh.write('{"traceEvents": [')
         for batch in batches():
-            if batch:
-                fh.write((", " if written else "") + json.dumps(batch)[1:-1])
-                written += len(batch)
+            for ev in batch:
+                if written:
+                    fh.write(", ")
+                fh.write(json.dumps(ev))
+                written += 1
         fh.write('], "displayTimeUnit": "ns", "otherData": ')
         json.dump(other, fh)
         fh.write("}")

@@ -23,7 +23,10 @@ at the jump (the first live entry of a bucket advances the clock and
 fires the hook), and timeout/admission deadlines are ordinary bucket
 entries so they need no special casing.  The per-entry ``(when, seq)``
 tuples and the global sequence counter are gone: bucket position *is*
-the FIFO order.
+the FIFO order.  ``Simulator.run`` has one hot stepping body and one
+exact-``max_events`` body, each shared by lane chunks and bucket
+drains, and every module outside it queues entries through
+``Simulator._queue``.
 
 **Entry protocol instead of kind tags.**  Lane and bucket entries are
 the schedulable objects themselves -- a :class:`Process`, a background
@@ -41,7 +44,11 @@ themselves and return the :data:`_HANDLED`/:data:`_STALE` sentinels.
 **Staleness via one flag, not per-entry generations.**  A process has
 at most one live entry at any time, so "this entry is stale" collapses
 to a boolean on the process: parking, finishing, killing and
-interrupting clear ``_bare`` and thereby zombie any queued entry.
+interrupting clear ``_bare`` and thereby zombie any queued entry.  An
+interrupt also swaps a queued wakeup for :data:`_DEAD` (the process,
+stepped by the throw, could otherwise queue itself again ahead of its
+own zombie), and a step that interrupts or kills its own process is
+void: it neither sleeps nor parks.
 ``_resume_gen`` survives for the two consumers that need *step
 counting* rather than liveness -- :class:`_Throw` wrappers (an
 interrupt must supersede older interrupts) and ``WaitTimer``'s
@@ -52,7 +59,8 @@ The public semantics -- FIFO same-cycle order, resume-generation fault
 model, crash shields, suspension, deadlock detection, the sample hook's
 idle-gap collapse, ``max_events`` accounting -- are unchanged; golden
 fingerprints (tests/test_parallel.py, tests/test_engine_v3.py) pin this
-bit-for-bit against the frozen PR 4 engine.
+bit-for-bit against the frozen PR 4 engine, and tests/test_engine_oracle.py
+checks the order against a plain one-heap reference scheduler.
 """
 
 from __future__ import annotations
@@ -144,8 +152,6 @@ class Event:
             proc = waiters[0]
             waiters.clear()
             proc._waiting_on = None
-            if proc._throw_pending:
-                return  # a queued interrupt supersedes this wakeup
             proc._val = value
             proc._bare = True
             self.sim._fast.append(proc)
@@ -154,8 +160,6 @@ class Event:
             fappend = self.sim._fast.append
             for proc in waiters:
                 proc._waiting_on = None
-                if proc._throw_pending:
-                    continue  # a queued interrupt supersedes this wakeup
                 proc._val = value
                 proc._bare = True
                 fappend(proc)
@@ -164,12 +168,6 @@ class Event:
         return self.label or "anonymous event"
 
     # -- engine internal -------------------------------------------------
-    def _add_waiter(self, proc: "Process") -> None:
-        if self.triggered:
-            self.sim._schedule_resume(proc, self.value)
-        else:
-            self._waiters.append(proc)
-
     def _discard_waiter(self, proc: "Process") -> None:
         try:
             self._waiters.remove(proc)
@@ -215,7 +213,6 @@ class Process:
         "_bare",
         "_val",
         "_watch",
-        "_throw_pending",
     )
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = "?",
@@ -259,13 +256,6 @@ class Process:
         #: non-zero, consumes route through the slow path and bump
         #: ``_resume_gen`` so the timer can tell "stepped" from "parked"
         self._watch = 0
-        #: count of queued :class:`_Throw` entries.  While non-zero, a
-        #: wakeup produced by ``Event.trigger`` must lose to the throw
-        #: (the per-entry-generation engine staled it at throw consume);
-        #: with liveness collapsed onto one flag, the race is resolved at
-        #: trigger time instead.  Only a process that interrupts itself
-        #: and re-parks in the same step can ever see this non-zero.
-        self._throw_pending = 0
 
     def join(self) -> Generator[Any, Any, Any]:
         """``yield from proc.join()`` waits for termination, returns its result."""
@@ -303,12 +293,12 @@ class Process:
         if ev is not None:
             ev._discard_waiter(self)
             self._waiting_on = None
+        sim = self.sim
         if self._bare:
             self._bare = False  # zombie any queued wakeup
             self._val = None
+            sim._drop_queued(self)
         self._resume_gen += 1  # supersede older throws / timer checks
-        self._throw_pending += 1
-        sim = self.sim
         obs = sim.obs
         if obs is not None:
             obs.counters.global_["proc_interrupts"] += 1
@@ -412,7 +402,7 @@ class Process:
 
 
 class _Callback:
-    """Scheduler entry for a plain callback (``call_at``/``call_after``).
+    """Scheduler entry for a plain callback (``call_at``).
 
     Model-internal machinery (store-buffer drains, link releases, timer
     watchdogs): always live, always counted, pinned in place under
@@ -450,8 +440,6 @@ class _Task:
 
     pinned: ClassVar[bool] = False
     _slow: ClassVar[bool] = False
-    #: never interrupted, so ``Event.trigger`` always delivers
-    _throw_pending: ClassVar[int] = 0
     #: what an error about a bad yielded effect calls it
     name: ClassVar[str] = "background task"
 
@@ -489,15 +477,13 @@ class _Throw:
     def _send(self, _val: Any) -> Any:
         proc = self.proc
         if self.gen != proc._resume_gen:
-            proc._throw_pending -= 1
             return _STALE  # superseded: drop, uncounted
         sim = self.sim
         if proc._suspended_until > sim.now:
             # preempted: deliver once the context is rescheduled
             # (still pending: triggers keep losing to it meanwhile)
-            sim._bucket_push(proc._suspended_until, self)
+            sim._queue(self, proc._suspended_until)
             return _HANDLED
-        proc._throw_pending -= 1
         if proc._pending_kill is not None and proc._shield == 0:
             proc._do_kill(proc._pending_kill)  # deferred crash lands
             return _HANDLED
@@ -512,6 +498,20 @@ class _Throw:
             return _HANDLED
         sim._dispatch(proc, effect)
         return _HANDLED
+
+
+class _Dead:
+    """A dropped queue entry (see :meth:`Simulator._drop_queued`)."""
+
+    pinned: ClassVar[bool] = False
+    _bare: ClassVar[bool] = False
+    _slow: ClassVar[bool] = False
+    _val: ClassVar[None] = None
+
+    __slots__ = ()
+
+
+_DEAD = _Dead()
 
 
 class Simulator:
@@ -609,30 +609,7 @@ class Simulator:
 
     def call_at(self, when: int, fn: Callable[[], None]) -> None:
         """Run plain callback ``fn`` at absolute cycle ``when`` (>= now)."""
-        now = self.now
-        if when <= now:
-            if when < now:
-                raise ValueError(f"cannot schedule in the past ({when} < {now})")
-            self._fast.append(_Callback(self, fn))
-            return
-        b = self._buckets.get(when)
-        if b is None:
-            self._buckets[when] = [_Callback(self, fn)]
-            heapq.heappush(self._heap, when)
-        else:
-            b.append(_Callback(self, fn))
-
-    def call_after(self, delay: int, fn: Callable[[], None]) -> None:
-        """Run plain callback ``fn`` after ``delay`` cycles."""
-        when = self.now + delay
-        if delay <= 0:
-            return self.call_at(when, fn)  # same cycle, or an error
-        b = self._buckets.get(when)
-        if b is None:
-            self._buckets[when] = [_Callback(self, fn)]
-            heapq.heappush(self._heap, when)
-        else:
-            b.append(_Callback(self, fn))
+        self._queue(_Callback(self, fn), when)
 
     def set_sample_hook(self, every: int, fn: Callable[[int], None]) -> None:
         """Call ``fn(cycle)`` whenever the clock crosses an ``every``-cycle
@@ -705,21 +682,20 @@ class Simulator:
             if fast or heap:
                 self.now = until
                 return
-        # The lane is consumed in *chunks*: grab the current list, hand
-        # the simulator a fresh one, and sweep the grabbed chunk while
-        # entries scheduled during the sweep accumulate in the new list.
-        # FIFO is preserved (everything in the chunk was scheduled before
-        # anything appended while sweeping it).  A bucket drain is the
-        # same sweep over the popped per-cycle list, with the clock
-        # advanced lazily at its first *live* entry so that a bucket of
-        # zombies moves neither the clock nor the sample hook -- exactly
-        # the old per-entry heap behaviour, minus the per-entry pops.
+        # One sweep steps every chunk of entries.  A lane chunk is the
+        # lane list grabbed whole (the simulator gets a fresh one, so
+        # entries queued while sweeping wait for the next chunk and FIFO
+        # holds); only lane chunks are offered to the policy.  A bucket
+        # drain pops the next occupied cycle, drops the zombies and stale
+        # throws ahead of its first live entry (an all-dead bucket moves
+        # neither the clock nor the sample hook), advances the clock
+        # there, and sweeps the rest like a lane chunk.
         #
         # Accounting: chunks are pre-counted in bulk (``pre``/``nevents``)
-        # and zombies/stale throws refunded via ``dropped``; when a chunk
-        # would cross ``max_events`` the *careful* twin loops count
-        # per-event so the cap lands on exactly the same event as the
-        # per-entry engine.  ``nevents`` shadows ``self._nevents``.
+        # and zombies/stale throws refunded via ``dropped``; a chunk that
+        # would cross ``max_events`` is swept by the exact-cap body, which
+        # counts per event so the cap lands on exactly the same event as
+        # the per-entry engine.  ``nevents`` shadows ``self._nevents``.
         chunk = iter(())
         nevents = self._nevents
         now = self.now
@@ -728,7 +704,6 @@ class Simulator:
         try:
             while True:
                 if fast:
-                    # ---- lane sweep: the hot path ------------------------
                     grabbed = fast
                     self._fast = fast = []
                     fappend = fast.append
@@ -737,134 +712,37 @@ class Simulator:
                         # same-cycle tie-break order (all entries are due
                         # at ``now``; zombies still drop via ``_bare``)
                         grabbed = policy.reorder_lane(grabbed, now)
-                    n = len(grabbed)
                     chunk = iter(grabbed)
-                    if nevents + n > max_events:
-                        # -- careful twin: per-event count, exact cap ------
-                        for e in chunk:
-                            if e.__class__ is THROW:
-                                if e.gen != e.proc._resume_gen:
-                                    continue  # stale: drop, uncounted
-                            elif not e._bare:
-                                continue  # zombie: drop, uncounted
-                            nevents += 1
-                            if nevents > max_events:
-                                raise RuntimeError(
-                                    "simulation exceeded "
-                                    f"{self.max_events} events")
-                            if e._slow:
-                                if self._resume_slow(e):
-                                    continue
-                            val = e._val
-                            if val is not None:
-                                e._val = None
-                            self._current = e
-                            try:
-                                effect = e._send(val)
-                            except StopIteration as stop:
-                                if e.__class__ is PROCESS:
-                                    e._finish(stop.value)
-                                    continue
-                                if e.__class__ is TASK:
-                                    continue
-                                raise
-                            if effect is HANDLED:
-                                continue
-                            if effect is STALE:
-                                nevents -= 1
-                                continue
-                            self._dispatch(e, effect)
-                        self._current = None
-                        continue
-                    pre = n
-                    nevents += n
-                    for e in chunk:
-                        if not e._bare:
-                            dropped += 1
-                            continue  # zombie wakeup: drop
-                        if e._slow:
-                            # suspended, kill pending or watched: out of line
-                            if self._resume_slow(e):
-                                continue
-                        val = e._val
-                        if val is not None:
-                            e._val = None
-                        self._current = e
-                        try:
-                            effect = e._send(val)
-                        except StopIteration as stop:
-                            if e.__class__ is PROCESS:
-                                e._finish(stop.value)
-                                continue
-                            if e.__class__ is TASK:
-                                continue
-                            raise
-                        # Dispatch on the yielded effect; ``_bare`` still
-                        # set means the body did not invalidate itself
-                        # (self-interrupt/kill), so reschedule.
-                        if effect is ZERO:
-                            if e._bare:
-                                fappend(e)
+                else:
+                    if not heap:
+                        break
+                    when = heap[0]
+                    if when > horizon:
+                        self.now = until
+                        if until >= self._sample_due:
+                            self._sample_tick(until)
+                        return
+                    pop(heap)
+                    grabbed = buckets.pop(when)
+                    head = grabbed[0]  # most buckets hold one live entry
+                    if not head._bare or (head.__class__ is THROW
+                                          and head.gen != head.proc._resume_gen):
+                        grabbed = _live_tail(grabbed)
+                        if not grabbed:
                             continue
-                        cls = effect.__class__
-                        if cls is INT:
-                            if effect:
-                                if e._bare:
-                                    when2 = now + effect
-                                    b = buckets.get(when2)
-                                    if b is None:
-                                        buckets[when2] = [e]
-                                        push(heap, when2)
-                                    else:
-                                        b.append(e)
-                            elif e._bare:
-                                fappend(e)
-                        elif cls is EVENT:
-                            if effect.triggered:
-                                if e._bare:
-                                    e._val = effect.value
-                                    fappend(e)
-                            else:
-                                e._bare = False  # park: entry goes dead
-                                e._waiting_on = effect
-                                effect._waiters.append(e)
-                        elif effect is HANDLED:
-                            pass
-                        elif effect is STALE:
-                            dropped += 1
-                        else:
-                            self._dispatch(e, effect)
-                    self._current = None
-                    if dropped:
-                        nevents -= dropped
-                        dropped = 0
-                    pre = 0
-                    continue
-                if not heap:
-                    break
-                when = heap[0]
-                if when > horizon:
-                    self.now = until
-                    if until >= self._sample_due:
-                        self._sample_tick(until)
-                    return
-                # ---- bucket drain: advance the clock one whole cycle ----
-                pop(heap)
-                batch = buckets.pop(when)
-                n = len(batch)
-                chunk = iter(batch)
+                    chunk = iter(grabbed)
+                    self.now = now = when
+                    if when >= self._sample_due:
+                        self._sample_tick(when)
+                n = len(grabbed)
                 if nevents + n > max_events:
-                    # -- careful twin: per-event count, exact cap ----------
+                    # ---- exact cap: count per event ----------------------
                     for e in chunk:
                         if e.__class__ is THROW:
                             if e.gen != e.proc._resume_gen:
-                                continue  # stale: no clock advance
+                                continue  # stale: drop, uncounted
                         elif not e._bare:
-                            continue  # zombie: no clock advance
-                        if now != when:
-                            self.now = now = when
-                            if when >= self._sample_due:
-                                self._sample_tick(when)
+                            continue  # zombie: drop, uncounted
                         nevents += 1
                         if nevents > max_events:
                             raise RuntimeError(
@@ -886,37 +764,19 @@ class Simulator:
                             if e.__class__ is TASK:
                                 continue
                             raise
-                        if effect is HANDLED:
-                            continue
-                        if effect is STALE:
-                            nevents -= 1
-                            continue
-                        self._dispatch(e, effect)
+                        if effect is not HANDLED:
+                            self._dispatch(e, effect)
                     self._current = None
                     continue
+                # ---- hot path: pre-counted sweep -------------------------
                 pre = n
                 nevents += n
                 for e in chunk:
-                    if now != when:
-                        # clock not yet at this cycle: only a live entry
-                        # advances it (and fires a due sample) -- zombies
-                        # and stale throws leave both untouched
-                        cls_e = e.__class__
-                        if cls_e is PROCESS:
-                            if not e._bare:
-                                dropped += 1
-                                continue
-                        elif cls_e is THROW:
-                            if e.gen != e.proc._resume_gen:
-                                dropped += 1
-                                continue
-                        self.now = now = when
-                        if when >= self._sample_due:
-                            self._sample_tick(when)
-                    elif not e._bare:
+                    if not e._bare:
                         dropped += 1
                         continue  # zombie wakeup: drop
                     if e._slow:
+                        # suspended, kill pending or watched: out of line
                         if self._resume_slow(e):
                             continue
                     val = e._val
@@ -932,6 +792,9 @@ class Simulator:
                         if e.__class__ is TASK:
                             continue
                         raise
+                    # Dispatch on the yielded effect; ``_bare`` still set
+                    # means the step did not void itself (self-interrupt
+                    # or self-kill), so reschedule or park.
                     if effect is ZERO:
                         if e._bare:
                             fappend(e)
@@ -954,7 +817,7 @@ class Simulator:
                             if e._bare:
                                 e._val = effect.value
                                 fappend(e)
-                        else:
+                        elif e._bare:
                             e._bare = False  # park: entry goes dead
                             e._waiting_on = effect
                             effect._waiters.append(e)
@@ -973,11 +836,10 @@ class Simulator:
             # keep state consistent when an exception propagates out of a
             # process body mid-chunk (max_events, user errors): unconsumed
             # chunk entries were scheduled before everything in the
-            # current lane list, so they go back in front of it.  (For a
-            # bucket chunk the clock has already advanced to its cycle --
-            # nothing that raises can precede the advance -- so the lane
-            # is where its remainder belongs.)  Pre-counted but not yet
-            # delivered events are refunded.
+            # current lane list, so they go back in front of it.  (A
+            # bucket drain advances the clock before its chunk is swept,
+            # so the lane is where its remainder belongs too.)
+            # Pre-counted but not yet delivered events are refunded.
             self._current = None
             rest = list(chunk)
             self._nevents = nevents - dropped - (len(rest) if pre else 0)
@@ -1005,28 +867,42 @@ class Simulator:
     def _forget(self, proc: Process) -> None:
         self._processes.discard(proc)
 
-    def _bucket_push(self, when: int, e: Any) -> None:
-        """Queue entry ``e`` for future cycle ``when`` (> now)."""
-        b = self._buckets.get(when)
-        if b is None:
-            self._buckets[when] = [e]
-            heapq.heappush(self._heap, when)
+    def _queue(self, e: Any, when: int) -> None:
+        """Queue entry ``e`` for cycle ``when``: the lane when that is now,
+        that cycle's bucket when it is later.  The one way any module
+        outside the run loop schedules an entry."""
+        now = self.now
+        if when > now:
+            b = self._buckets.get(when)
+            if b is None:
+                self._buckets[when] = [e]
+                heapq.heappush(self._heap, when)
+            else:
+                b.append(e)
+        elif when == now:
+            self._fast.append(e)
         else:
-            b.append(e)
+            raise ValueError(f"cannot schedule in the past ({when} < {now})")
 
-    def _schedule_resume(self, proc: Process, value: Any, delay: int = 0) -> None:
-        """Schedule a wakeup delivering ``value`` to ``proc`` after ``delay``."""
-        if proc._throw_pending:
-            return  # a queued interrupt supersedes this wakeup
-        proc._val = value
-        proc._bare = True
-        if delay:
-            self._bucket_push(self.now + delay, proc)
-        else:
-            self._fast.append(proc)
+    def _drop_queued(self, proc: Process) -> None:
+        """Take an interrupted process's queued wakeup out of the lane or
+        its future bucket, leaving :data:`_DEAD` in its place.
+
+        The entry is the process itself, so a zombie left there would
+        come back to life once the interrupt's throw had stepped the
+        process and it had queued itself again: in a later bucket it runs
+        a second step, and in the lane a policy may permute it behind the
+        throw.  (A zombie in the chunk being swept is harmless: the throw
+        runs in a later chunk.)
+        """
+        for batch in (self._fast, *self._buckets.values()):
+            for i, e in enumerate(batch):
+                if e is proc:
+                    batch[i] = _DEAD
+                    return
 
     def _resume_slow(self, proc: Process) -> bool:
-        """Out-of-line half of the lane fast path (``proc._slow`` set):
+        """Out-of-line half of the sweep (``proc._slow`` set):
         handle a suspended, kill-pending or timer-watched process.
         Returns True when the wakeup was consumed (re-queued or the
         process crashed), False when the process should resume normally.
@@ -1034,7 +910,7 @@ class Simulator:
         if proc._suspended_until > self.now:
             # preempted: deliver this wakeup once the context reschedules
             # (the entry keeps its flag and payload)
-            self._bucket_push(proc._suspended_until, proc)
+            self._queue(proc, proc._suspended_until)
             return True
         pk = proc._pending_kill
         if pk is not None:
@@ -1051,8 +927,8 @@ class Simulator:
         return False
 
     def _dispatch(self, proc: Process, effect: Any) -> None:
-        """Cold twin of the inline effect dispatch (throw deliveries,
-        non-plain-int effects): reschedule ``proc`` per ``effect``."""
+        """Out-of-line effect dispatch (throw deliveries, the exact-cap
+        body, non-plain-int effects): reschedule ``proc`` per ``effect``."""
         cls = effect.__class__
         if cls is int:
             delay = effect
@@ -1061,7 +937,7 @@ class Simulator:
                 if proc._bare:
                     proc._val = effect.value
                     self._fast.append(proc)
-            else:
+            elif proc._bare:
                 proc._bare = False  # park: entry goes dead
                 proc._waiting_on = effect
                 effect._waiters.append(proc)
@@ -1069,10 +945,18 @@ class Simulator:
         else:
             delay = _coerce_delay(proc, effect)
         if proc._bare:
-            if delay:
-                self._bucket_push(self.now + delay, proc)
-            else:
-                self._fast.append(proc)
+            self._queue(proc, self.now + delay)
+
+
+def _live_tail(batch: List[Any]) -> List[Any]:
+    """``batch`` from its first live entry on (empty when all are dead):
+    the zombies and stale throws a bucket drain drops before it moves
+    the clock.  Out of line: most buckets open with a live entry."""
+    for i, e in enumerate(batch):
+        if e._bare and not (e.__class__ is _Throw
+                            and e.gen != e.proc._resume_gen):
+            return batch[i:]
+    return []
 
 
 def _coerce_delay(proc: Process, effect: Any) -> int:

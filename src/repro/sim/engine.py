@@ -55,7 +55,14 @@ two tiers (see DESIGN.md §11 and §16 for the invariants):
 Appends to the lane and to a bucket happen in scheduling order, so each
 tier is internally FIFO; cross-tier ordering holds because everything a
 bucket drain schedules for its own cycle lands in the lane, which is
-swept next.
+swept next.  One sweep steps both: a bucket drain drops the dead
+entries ahead of its first live one (an all-dead cycle moves neither the
+clock nor the sample hook), advances the clock there and sweeps the
+rest exactly as a lane chunk.  Code outside the run loop queues an
+entry only through ``Simulator._queue(entry, when)``, which picks the
+tier.  ``tests/engine_oracle.py`` restates this order as a plain
+one-heap scheduler, and ``tests/test_engine_oracle.py`` checks the
+engine against it on generated programs.
 
 Fault semantics
 ---------------

@@ -143,13 +143,7 @@ class Resource:
         """:meth:`release` at cycle ``when`` (>= now): the resource itself
         is queued, exactly where ``sim.call_at(when, res.release)`` would
         queue a callback."""
-        sim = self.sim
-        if when > sim.now:
-            sim._bucket_push(when, self)
-        elif when == sim.now:
-            sim._fast.append(self)
-        else:
-            raise ValueError(f"cannot schedule in the past ({when} < {sim.now})")
+        self.sim._queue(self, when)
 
     def _send(self, _val: Any) -> Any:
         # the engine's delivery hook: runs between process steps

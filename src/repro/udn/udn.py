@@ -49,7 +49,6 @@ of the entries bound for it (tests/test_udn_conservation.py).
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from operator import attrgetter
 from typing import (Any, Callable, ClassVar, Deque, Dict, Generator, List,
@@ -499,20 +498,7 @@ class UdnFabric:
                 arrive = prev
             self._policy_last_arrival[key] = arrive
             transit = arrive - sent_at
-        if transit > 0:
-            # the arrival cycle's bucket, exactly as ``sim.call_after``
-            when = sent_at + transit
-            b = sim._buckets.get(when)
-            if b is None:
-                sim._buckets[when] = [entry]
-                heapq.heappush(sim._heap, when)
-            else:
-                b.append(entry)
-        elif transit == 0:
-            sim._fast.append(entry)
-        else:
-            raise ValueError(
-                f"cannot schedule in the past ({sent_at + transit} < {sent_at})")
+        sim._queue(entry, sent_at + transit)
 
     def receive(self, core: Core, tid: int, k: int = 1,
                 timeout: Optional[int] = None) -> Generator[Any, Any, List[int]]:

@@ -317,3 +317,26 @@ def test_trace_writer_holds_one_machine_at_a_time(tmp_path):
 
     one = peak([rec])
     assert peak([rec] * 4) < 2 * one
+
+
+def test_trace_writer_peak_is_one_batch(tmp_path):
+    """Writing a machine's events costs little beyond its batch of event
+    dicts: each event's JSON string is written and dropped in turn, so
+    no whole-batch string (or a copy of it) ever sits beside the batch."""
+    import tracemalloc
+
+    from repro.obs.perfetto import write_chrome_trace
+
+    rec = _traced_record()
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    batch = peak(lambda: trace_events(rec.trace, rec.cores, 0))
+    written = peak(lambda: write_chrome_trace([rec], str(tmp_path / "t.json")))
+    assert written < 1.5 * batch

@@ -190,10 +190,10 @@ def test_run_until_with_no_events_advances_clock():
     assert sim.now == 100
 
 
-def test_call_after_callback():
+def test_call_at_relative_callback():
     sim = Simulator()
     fired = []
-    sim.call_after(25, lambda: fired.append(sim.now))
+    sim.call_at(sim.now + 25, lambda: fired.append(sim.now))
     sim.run()
     assert fired == [25]
 
