@@ -160,9 +160,10 @@ def test_observed_round_trips_write_counters_without_an_obs_call():
 
 
 def test_udn_message_round_trips_with_hop_ledger(benchmark):
-    """The same ping-pong with the spatial hop ledger on: the fabric
-    writes the ledger inline, so no send or delivery reaches a bus
-    subscriber and the run is event for event the atlas-only one."""
+    """The same ping-pong with the spatial hop totals on: the fabric
+    counts them inline per (src, dst) pair, so no send or delivery
+    reaches a bus subscriber and the run is event for event the
+    atlas-only one."""
 
     def run(**options):
         m = Machine(tile_gx())
@@ -175,12 +176,12 @@ def test_udn_message_round_trips_with_hop_ledger(benchmark):
                                16_002, 40_000)
     assert ob.bus.events_emitted == ob_plain.bus.events_emitted
     assert not {"udn.send", "udn.deliver"} & ob.bus.wanted
-    assert len(ob.spatial.records) == ob.spatial.hop_totals["messages"] == 4_000
+    assert ob.spatial.hop_totals["messages"] == 4_000
 
 
 def test_udn_round_trips_emit_only_wanted_kinds(benchmark):
     """The same ping-pong under three consumers: a publish site builds
-    an event only for a kind some consumer wants.  The hop ledger and
+    an event only for a kind some consumer wants.  The hop totals and
     the flight ring want no UDN kind, so the run emits nothing; a trace
     wants send, deliver and receive (6 events per round trip) but not
     process spawn/exit."""
@@ -201,10 +202,10 @@ def test_udn_round_trips_emit_only_wanted_kinds(benchmark):
 
 
 def test_contended_udn_round_trips_emit_nothing_for_the_atlas(benchmark):
-    """The same ping-pong on the contended mesh with the hop ledger on:
-    the atlas reads link occupancy from the counter file and each
-    recorded message carries its own per-hop waits, so no ``noc.link``
-    event is built (4,000 were while the atlas subscribed to them)."""
+    """The same ping-pong on the contended mesh with the hop totals on:
+    the atlas reads link occupancy from the counter file and the fabric
+    counts each pair's link queueing inline, so no ``noc.link`` event is
+    built (4,000 were while the atlas subscribed to them)."""
 
     def run():
         m = Machine(tile_gx(contended_noc=True))
@@ -216,8 +217,9 @@ def test_contended_udn_round_trips_emit_nothing_for_the_atlas(benchmark):
     assert ob.bus.wanted == frozenset() and ob.bus.events_emitted == 0
     atlas = ob.spatial
     hops = atlas.mesh.hops(ob.machine.cores[0].node, ob.machine.cores[1].node)
-    assert [len(rec.hops) for rec in atlas.records] == [hops] * 4_000
-    assert atlas.summary()["hops"]["records"] == 4_000
+    totals = atlas.summary()["hops"]
+    assert totals["messages"] == 4_000
+    assert totals["transit"] == 4_000 * atlas.mesh.per_hop * hops
 
 
 def test_udn_backpressure_fifo(benchmark):

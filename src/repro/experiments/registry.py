@@ -308,7 +308,8 @@ def _export_obs(session, exp_id: str, out: Optional[str],
     if spatial is not None and spatial.get("tiles"):
         from repro.analysis.dashboard import write_mesh_svg
         from repro.obs.spatial import causal_link_flows, render_hotspots
-        print(render_mesh_heatmap(spatial,
+        # the hotspot report below lists the top links with their ops
+        print(render_mesh_heatmap(spatial, top_links=0,
                                   title=f"{exp_id}: NoC congestion atlas"))
         # join link occupancy with the ops that crossed each link; the
         # event log carries the op context, so flows only resolve on

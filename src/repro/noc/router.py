@@ -45,7 +45,7 @@ class ContendedMesh:
         self.total_flit_cycles = 0
 
     def transit(self, src: int, dst: int, words: int = 1,
-                msg_id: Any = None, hops: Optional[list] = None,
+                msg_id: Any = None,
                 arrive: Optional[Callable[..., Generator]] = None,
                 ) -> Generator[Any, Any, int]:
         """Move a packet from ``src`` to ``dst``; returns total transit cycles.
@@ -54,13 +54,13 @@ class ContendedMesh:
         process or as a background task of its own
         (``sim.start(mesh.transit(...))``).  What "delivery" means (e.g.
         appending to a UDN buffer) is the caller's: ``arrive(src, dst,
-        cycles, hops)``, a generator, runs as the packet's last step
-        (so a task needs no wrapper frame around every hop), or the
-        caller acts once this generator returns.  ``msg_id`` and
-        ``hops`` are pure observability, used only while it is on:
-        ``msg_id`` tags the ``noc.link`` events, and each hop appends
-        ``(a, b, wait)`` to ``hops`` for the spatial hop ledger;
-        protocols never read either.
+        cycles)``, a generator, runs as the packet's last step (so a
+        task needs no wrapper frame around every hop), or the caller
+        acts once this generator returns.  ``msg_id`` is pure
+        observability: it tags the ``noc.link`` events, which is how a
+        traced machine's per-hop waits are joined to their message
+        (:meth:`repro.obs.spatial.SpatialAtlas.hop_records`); protocols
+        never read it.
         """
         sim = self.sim
         mesh = self.mesh
@@ -93,8 +93,6 @@ class ContendedMesh:
                     lk["flit_cycles"] += busy
                     lk["wait_cycles"] += wait
                     lk["packets"] += 1
-                    if hops is not None:
-                        hops.append((a, b, wait))
                     if "noc.link" in obs.wanted:
                         obs.emit("noc.link", a, b, wait, busy, hop, msg_id)
                 try:
@@ -117,5 +115,5 @@ class ContendedMesh:
             if "noc.packet" in obs.wanted:
                 obs.emit("noc.packet", src, dst, words, cycles)
         if arrive is not None:
-            yield from arrive(src, dst, cycles, hops)
+            yield from arrive(src, dst, cycles)
         return cycles

@@ -23,10 +23,11 @@ Layers (see DESIGN.md §9 and §14):
   recent events with automatic JSON incident bundles on deadlock,
   crash, timeout storm, or SLO breach (``flight=True``).
 * :class:`~repro.obs.spatial.SpatialAtlas` -- mesh-shaped congestion
-  atlas: per-link/per-tile traffic, occupancy and backpressure with
-  optional hop-by-hop latency attribution (``spatial=True`` /
-  ``spatial_hops=True``); feeds the heatmap renderers, the hotspot
-  report and ``repro diff``.
+  atlas: per-link/per-tile traffic, occupancy and backpressure
+  (``spatial=True``), with the hop-by-hop latency split's totals in
+  its summary (``spatial_hops=True``); feeds the heatmap renderers,
+  the hotspot report and ``repro diff``.  Per-message hop records are
+  read from the event log (:meth:`SpatialAtlas.hop_records`).
 
 Per machine::
 
@@ -93,11 +94,10 @@ __all__ = [
 
 
 def _check_limits(trace_limit: int, flight_limit: int,
-                  spatial_hop_limit: int, sample_every: int) -> None:
+                  sample_every: int) -> None:
     """Reject a cap or cadence that cannot work, naming the option."""
     for name, value, least in (("trace_limit", trace_limit, 0),
                                ("flight_limit", flight_limit, 1),
-                               ("spatial_hop_limit", spatial_hop_limit, 0),
                                ("sample_every", sample_every, 1)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
@@ -112,12 +112,10 @@ class Observability:
                  slos: Sequence[SLO] = (),
                  flight: bool = False, flight_limit: int = 4096,
                  incident_dir: Optional[str] = None,
-                 spatial: bool = False, spatial_hops: bool = False,
-                 spatial_hop_limit: int = 100_000):
+                 spatial: bool = False, spatial_hops: bool = False):
         if machine.sim.obs is not None:
             raise RuntimeError("observability already enabled on this machine")
-        _check_limits(trace_limit, flight_limit, spatial_hop_limit,
-                      sample_every)
+        _check_limits(trace_limit, flight_limit, sample_every)
         self.machine = machine
         #: free-form run label (process name in merged traces)
         self.label = label or machine.cfg.name
@@ -135,8 +133,7 @@ class Observability:
         self.spatial: Optional[SpatialAtlas] = None
         if spatial or spatial_hops:
             self.spatial = SpatialAtlas(machine, self.counters,
-                                        hops=spatial_hops,
-                                        hop_limit=spatial_hop_limit)
+                                        hops=spatial_hops)
         # continuous telemetry (DESIGN.md §14): sampler -> SLOs -> flight
         self.sampler: Optional[Sampler] = None
         self.slo: Optional[SLOMonitor] = None
@@ -237,7 +234,7 @@ class ObsSession:
         bound.apply_defaults()
         args = bound.arguments
         _check_limits(args["trace_limit"], args["flight_limit"],
-                      args["spatial_hop_limit"], args["sample_every"])
+                      args["sample_every"])
         self.options = options
         #: incident-name prefix of the machines this session builds
         self.scope = ""

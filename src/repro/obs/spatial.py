@@ -12,20 +12,20 @@ computed when read, over state the hardware models already keep:
 * measured occupancy on the contended mesh -- busy cycles, queueing
   cycles and packet counts per directed link, read from the perf
   counter file's ``link`` registers;
-* per-tile delivery counts and latency, and the hop ledger, written
-  inline by the fabric at each delivery;
+* per-tile delivery counts and latency, and the per-pair hop totals,
+  written inline by the fabric at each delivery;
 * per-sender-tile cycles blocked on a full destination buffer, summed
   from the counter file's per-core ``backpressure_cycles``.
 
 The atlas subscribes to nothing on the event bus, and its hot path is
 priced like the fabric's own stats registers: it hands its
-accumulators to the fabric (``spatial_sends`` / ``spatial_delivers`` /
-``spatial_records``), which counts inline -- one dict update, no Python
-call, ``None``-checked exactly like ``sim.obs`` so the disabled cost is
-one attribute test.  Routes are expanded into links *lazily* at
-sampling ticks and at :meth:`summary` time, never per message: each
-(src core, dst core) pair resolves once to the ``_traffic`` rows of the
-links it crosses, and a flush adds its fresh totals straight to them.
+accumulators to the fabric (``spatial_sends`` / ``spatial_delivers``),
+which counts inline -- one dict update, no Python call, ``None``-checked
+exactly like ``sim.obs`` so the disabled cost is one attribute test.
+Routes are expanded into links *lazily* at sampling ticks and at
+:meth:`summary` time, never per message: each (src core, dst core) pair
+resolves once to the ``_traffic`` rows of the links it crosses, and a
+flush adds its fresh totals straight to them.
 
 With a :class:`~repro.obs.timeseries.Sampler` attached the atlas also
 publishes per-link and per-tile ring series (``spatial.link.a>b``,
@@ -33,36 +33,37 @@ publishes per-link and per-tile ring series (``spatial.link.a>b``,
 traffic, capped at ``max_series`` so a 1024-core mesh cannot allocate
 4k rings behind your back.
 
-Hop-by-hop latency attribution (``hops=True``) splits each delivered
-message's end-to-end delivery latency into per-hop *queueing*
-(measured link-acquire waits on the contended mesh, zero on the
-analytic one) and *transit* (``per_hop`` each), plus the
-injection/ejection overhead ``base + per_word * (words - 1)`` and an
-explicit ``skew`` residual (transit jitter / policy delays).  The
-fabric writes this ledger inline too -- per-pair delivery totals and,
-for each of the first ``hop_limit`` messages, one row of five typed
-``array`` columns (msg_id and latency ``'q'``; src core, dst core and
-words ``'H'`` when the machine's core count and ``udn_buffer_words``
-fit in 16 bits, else ``'q'``: 22 bytes a message on any mesh up to
-65,536 cores), plus on the contended mesh the per-hop waits its
-packet collected, kept in a side dict keyed by row -- and the atlas
-derives :attr:`~SpatialAtlas.hop_totals` and
-:attr:`~SpatialAtlas.records` when read.  With no jitter installed the
-attribution **conserves exactly**::
+Hop-by-hop latency attribution splits each delivered message's
+end-to-end delivery latency into per-hop *queueing* (measured
+link-acquire waits on the contended mesh, zero on the analytic one) and
+*transit* (``per_hop`` each), plus the injection/ejection overhead
+``base + per_word * (words - 1)`` and an explicit ``skew`` residual
+(transit jitter / policy delays).  It has two readings, and the atlas
+keeps no per-message state for either:
+
+* :attr:`~SpatialAtlas.hop_totals` -- the split summed over every
+  delivered message, derived from the fabric's per-pair delivery totals
+  (whose ``queue`` is each contended packet's transit beyond the idle
+  mesh's).  ``hops=True`` puts it in :meth:`~SpatialAtlas.summary`.
+* :meth:`~SpatialAtlas.hop_records` -- one record per message, read
+  after the run from a traced machine's event log (``trace=True``),
+  which already holds each message once: its ``udn.send``, its
+  ``noc.link`` hops and its ``udn.deliver``, joined by ``msg_id``.
+
+With no jitter installed the attribution **conserves exactly**::
 
     sum(queue_i + transit_i) + eject + skew == end-to-end latency,
     skew == 0
 
 which the conservation tests assert message by message against the UDN
-latency histogram.  Note that backpressure is *not* part of delivery
-latency by construction: a sender blocks before ``sent_at`` is taken
-(see :mod:`repro.udn.udn`), so the atlas books it per sender tile
-instead.
+latency histogram; a run's records sum to its totals.  Note that
+backpressure is *not* part of delivery latency by construction: a
+sender blocks before ``sent_at`` is taken (see :mod:`repro.udn.udn`),
+so the atlas books it per sender tile instead.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.noc.topology import Mesh
@@ -83,12 +84,11 @@ SUMMARY_FORMAT = 1
 TICK_DECIMATION = 4
 
 
-#: per-link / per-tile / hop-ledger summary fields, in dict order
+#: per-link / per-tile / hop-total summary fields, in dict order
 _LINK_FIELDS = ("msgs", "words", "busy", "wait", "packets")
 _TILE_FIELDS = ("out", "in_msgs", "in_words", "deliver_latency",
                 "backpressure")
-_HOP_FIELDS = ("messages", "latency", "queue", "transit", "eject", "skew",
-               "records", "records_dropped")
+_HOP_FIELDS = ("messages", "latency", "queue", "transit", "eject", "skew")
 
 
 #: a link or tile the atlas has not yet asked the sampler for a series
@@ -133,7 +133,7 @@ class SpatialAtlas:
     """Mesh-shaped view of NoC/UDN traffic (see module docs)."""
 
     def __init__(self, machine, counters, *, hops: bool = False,
-                 hop_limit: int = 100_000, max_series: int = 160):
+                 max_series: int = 160):
         self.mesh = machine.mesh
         #: the machine's perf counter file (link and backpressure registers)
         self._counters = counters
@@ -143,7 +143,6 @@ class SpatialAtlas:
         self._node_of = [c.node for c in machine.cores]
         self.contended = machine.contended_mesh is not None
         self.record_hops = hops
-        self.hop_limit = hop_limit
         self.max_series = max_series
 
         # -- hot-path accumulators (one inline dict update per event) ----
@@ -155,27 +154,12 @@ class SpatialAtlas:
         # delivered messages; written by the fabric at each delivery,
         # mapped to nodes at read time
         self._delivered: Dict[Tuple[int, int], List[int]] = {}
-        # the hop ledger's first hop_limit deliveries, one row each in
-        # the columns (msg_id, src_core, dst_core, words, latency), the
-        # middle three 16-bit when every core id and message size fits;
-        # the contended mesh's per-hop waits [(a, b, wait), ...] of a
-        # row that crossed a link are in _waits[row]
-        small = max(len(machine.cores) - 1,
-                    machine.cfg.udn_buffer_words) <= 0xFFFF
-        narrow = "H" if small else "q"
-        self._columns = tuple(array(code)
-                              for code in ("q", narrow, narrow, narrow, "q"))
-        self._waits: Dict[int, List[Tuple[int, int, int]]] = {}
         # hand the fabric the accumulators (see module docs); a machine
         # without hardware message passing simply has nothing to count
         udn = machine.udn
         if udn is not None:
             udn.spatial_sends = self._fresh_pairs
             udn.spatial_delivers = self._delivered
-            if hops:
-                udn.spatial_records = self._columns
-                udn.spatial_waits = self._waits
-                udn.spatial_record_limit = hop_limit
 
         # -- lazily expanded views ----------------------------------------
         # directed link -> [msgs, words] of analytic (route-charged) traffic
@@ -206,7 +190,7 @@ class SpatialAtlas:
             self._route_cache[(src, dst)] = links
         return links
 
-    # -- the hop ledger, derived when read ------------------------------------
+    # -- hop attribution, derived when read -----------------------------------
     @property
     def hop_totals(self) -> Dict[str, int]:
         """Latency split summed over every delivered message: transit is
@@ -224,37 +208,56 @@ class SpatialAtlas:
                 "transit": transit, "eject": eject,
                 "skew": latency - queue - transit - eject}
 
-    @property
-    def records(self) -> List[_MsgRecord]:
-        """Per-hop attribution of the first ``hop_limit`` deliveries."""
+    def hop_records(self, event_log) -> List[_MsgRecord]:
+        """Per-hop attribution of each message delivered in ``event_log``
+        (this machine's :class:`~repro.obs.bus.EventLog`, so
+        ``trace=True``), in delivery order.
+
+        A ``udn.send`` opens its message, each ``noc.link`` hop of the
+        contended mesh charges its measured wait to the message its
+        ``msg_id`` names, and the ``udn.deliver`` closes it with the
+        end-to-end latency.  Costs come from this machine's mesh.  A
+        truncated log gives the records of the messages delivered before
+        its cap (every earlier event of such a message is in the log).
+        Post-hoc and O(events), like :func:`causal_link_flows`.
+        """
         mesh, node_of = self.mesh, self._node_of
         per_hop = mesh.per_hop
-        waits_of = self._waits
+        # msg_id -> (src node, dst node, words, [(a, b, wait), ...])
+        sent: Dict[int, Tuple[int, int, int, List[Tuple[int, int, int]]]] = {}
         out = []
-        for row, (msg_id, sc, dc, words, latency) in enumerate(
-                zip(*self._columns)):
-            src, dst = node_of[sc], node_of[dc]
-            waits = waits_of.get(row)
-            if waits:
-                # contended mesh: queueing measured per link-acquire
-                hops = [(a, b, w, per_hop) for a, b, w in waits]
-            else:
-                # analytic mesh (or src == dst): no queueing anywhere
-                hops = [(a, b, 0, per_hop)
-                        for a, b in self._route_links(src, dst)]
-            queue = sum(h[2] for h in hops)
-            transit = per_hop * len(hops)
-            eject = mesh.base + mesh.per_word * (words - 1)
-            out.append(_MsgRecord(msg_id, src, dst, words, latency, queue,
-                                  transit, eject,
-                                  latency - queue - transit - eject, hops))
+        for _t, kind, args in event_log.events:
+            if kind == "udn.send":
+                f = named(kind, args)
+                sent[f["msg_id"]] = (node_of[f["core"]],
+                                     node_of[f["dst_core"]], f["words"], [])
+            elif kind == "noc.link":
+                f = named(kind, args)
+                msg = sent.get(f["msg_id"])
+                if msg is not None:
+                    msg[3].append((f["a"], f["b"], f["wait"]))
+            elif kind == "udn.deliver":
+                f = named(kind, args)
+                msg = sent.pop(f["msg_id"], None)
+                if msg is None:
+                    continue
+                src, dst, words, waits = msg
+                if waits:
+                    # contended mesh: queueing measured per link-acquire
+                    hops = [(a, b, w, per_hop) for a, b, w in waits]
+                else:
+                    # analytic mesh (or src == dst): no queueing anywhere
+                    hops = [(a, b, 0, per_hop)
+                            for a, b in self._route_links(src, dst)]
+                latency = f["latency"]
+                queue = sum(h[2] for h in hops)
+                transit = per_hop * len(hops)
+                eject = mesh.base + mesh.per_word * (words - 1)
+                out.append(_MsgRecord(f["msg_id"], src, dst, words, latency,
+                                      queue, transit, eject,
+                                      latency - queue - transit - eject,
+                                      hops))
         return out
-
-    @property
-    def records_dropped(self) -> int:
-        """Deliveries past the record budget (still in the totals)."""
-        return (sum(e[0] for e in self._delivered.values())
-                - len(self._columns[0]))
 
     # -- lazy expansion -----------------------------------------------------
     def flush(self) -> Dict[Tuple[int, int], int]:
@@ -417,9 +420,7 @@ class SpatialAtlas:
             "series_dropped": self.series_dropped,
         }
         if self.record_hops:
-            out["hops"] = hops = self.hop_totals
-            hops["records"] = len(self._columns[0])
-            hops["records_dropped"] = self.records_dropped
+            out["hops"] = self.hop_totals
         return out
 
 

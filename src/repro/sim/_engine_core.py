@@ -801,7 +801,7 @@ class Simulator:
                         continue
                     cls = effect.__class__
                     if cls is INT:
-                        if effect:
+                        if effect > 0:
                             if e._bare:
                                 when2 = now + effect
                                 b = buckets.get(when2)
@@ -810,6 +810,9 @@ class Simulator:
                                     push(heap, when2)
                                 else:
                                     b.append(e)
+                        elif effect:
+                            # negative: _queue raises "in the past"
+                            self._dispatch(e, effect)
                         elif e._bare:
                             fappend(e)
                     elif cls is EVENT:

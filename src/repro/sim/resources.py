@@ -99,12 +99,14 @@ class Resource:
         """Acquire with a deadline: True on success, False on timeout.
 
         On timeout the queued request is withdrawn (later waiters keep
-        their FIFO positions) and nothing is held.  The race at the
-        deadline cycle is deterministic, with the same rule as UDN
-        receive timeouts: a slot granted in the very cycle the timeout
-        expires wins, because :class:`~repro.sim.engine.WaitTimer` only
-        interrupts a process still genuinely parked after every wakeup
-        already queued for that cycle has landed.
+        their FIFO positions) and nothing is held: a slot granted after
+        the timeout's interrupt was already queued is handed on.  The
+        race at the deadline cycle is deterministic, with the same rule
+        as UDN receive timeouts: a slot granted in the very cycle the
+        timeout expires wins, because
+        :class:`~repro.sim.engine.WaitTimer` only interrupts a process
+        still genuinely parked after every wakeup already queued for
+        that cycle has landed.
         """
         if timeout < 1:
             raise ValueError("timeout must be >= 1 cycle")
@@ -121,7 +123,12 @@ class Resource:
         except Interrupt as exc:
             if exc.cause is timer:
                 self.total_wait_cycles += self.sim.now - t0
-                self._waiters.remove(ev)
+                if ev.triggered:
+                    # a release handed us the slot in the timeout's own
+                    # cycle, after the interrupt was queued: pass it on
+                    self.release()
+                else:
+                    self._waiters.remove(ev)
                 return False
             raise
         finally:

@@ -181,9 +181,7 @@ class _Delivery:
         self.payload: Sequence[int] = ()
         self.sent_at = 0
 
-    def _send(self, hops: Any) -> Any:
-        # ``hops``: a contended packet's per-hop waits, else None (the
-        # engine's ``_val``)
+    def _send(self, _val: Any) -> Any:
         fabric = self.fabric
         sim = fabric.sim
         sim._current = None  # no process is being stepped
@@ -202,18 +200,6 @@ class _Delivery:
                 e[0] += 1
                 e[1] += self.n_words
                 e[2] += latency
-            recs = fabric.spatial_records
-            if recs is not None:
-                ids, srcs, dsts, nwords, lats = recs
-                row = len(ids)
-                if row < fabric.spatial_record_limit:
-                    ids.append(self.msg_id)
-                    srcs.append(key[0])
-                    dsts.append(key[1])
-                    nwords.append(self.n_words)
-                    lats.append(latency)
-                    if hops:
-                        fabric.spatial_waits[row] = hops
         obs = sim.obs
         if obs is not None:
             latency = sim.now - self.sent_at
@@ -226,8 +212,8 @@ class _Delivery:
             cond.notify_all()
         return _HANDLED
 
-    def _arrive(self, src_node: int, dst_node: int, cycles: int,
-                hops: Any) -> Generator[Any, Any, None]:
+    def _arrive(self, src_node: int, dst_node: int,
+                cycles: int) -> Generator[Any, Any, None]:
         """A contended packet's last step, once its ``cycles`` of mesh
         transit are done: fault jitter, then delivery, then the atlas's
         link-queueing share."""
@@ -237,7 +223,7 @@ class _Delivery:
             extra = int(jitter(src_node, dst_node, self.n_words))
             if extra:
                 yield extra
-        self._send(hops)
+        self._send(None)
         sp = fabric.spatial_delivers
         if sp is not None:
             # link queueing: the packet's transit beyond the idle mesh's
@@ -297,19 +283,14 @@ class UdnFabric:
         #: spatial-atlas hot-path hooks (see repro.obs.spatial): an
         #: attached atlas's accumulators, keyed (src core, dst core), so
         #: sends and deliveries ([msgs, words, latency, link queueing])
-        #: are counted inline -- one dict update, no Python call.  With
-        #: the hop ledger on, the first ``spatial_record_limit``
-        #: deliveries also append one row to the ``spatial_records``
-        #: columns (msg_id, src core, dst core, words, latency); a row
-        #: whose packet crossed a contended link keeps that packet's
-        #: [(a, b, wait), ...] in ``spatial_waits[row]``.  ``None``
-        #: (the default) costs one is-None test per send/deliver; never
-        #: read back.
+        #: are counted inline -- one dict update, no Python call.  No
+        #: per-message row is kept: a message's hop-by-hop record is
+        #: read from a traced machine's event log
+        #: (:meth:`~repro.obs.spatial.SpatialAtlas.hop_records`).
+        #: ``None`` (the default) costs one is-None test per
+        #: send/deliver; never read back.
         self.spatial_sends: Optional[Dict[Tuple[int, int], List[int]]] = None
         self.spatial_delivers: Optional[Dict[Tuple[int, int], List[int]]] = None
-        self.spatial_records: Optional[Tuple[Any, ...]] = None
-        self.spatial_waits: Dict[int, List[Tuple[int, int, int]]] = {}
-        self.spatial_record_limit = 0
 
     @property
     def backpressure_cycles(self) -> int:
@@ -470,13 +451,8 @@ class UdnFabric:
         entry.sent_at = sent_at = sim.now
         src = core.node
         if self.contended is not None:
-            # the packet is a background task, hop by hop to its arrival;
-            # the per-hop waits travel with a message the hop ledger will
-            # record (its budget only shrinks, so one test at the send)
-            recs = self.spatial_records
-            hops = ([] if recs is not None
-                    and len(recs[0]) < self.spatial_record_limit else None)
-            sim.start(self.contended.transit(src, dst_node, n, msg_id, hops,
+            # the packet is a background task, hop by hop to its arrival
+            sim.start(self.contended.transit(src, dst_node, n, msg_id,
                                              entry._arrive))
             return
         xs, ys = self._xs, self._ys  # Mesh.latency, inline

@@ -275,7 +275,10 @@ class Resource:
             yield ev
         except Interrupt as exc:
             if exc.cause is timer:
-                self.waiters.remove(ev)
+                if ev.triggered:
+                    self.release()  # granted after the timeout: hand it on
+                else:
+                    self.waiters.remove(ev)
                 return False
             raise
         finally:

@@ -2,10 +2,11 @@
 # every per-message record opened on ``udn.send``, charged per-hop waits
 # from ``noc.link`` and closed on ``udn.deliver``.  Used only as the
 # oracle of tests/test_spatial_hops_oracle.py, which subscribes it beside
-# the live repro.obs.SpatialAtlas (whose ledger the UDN fabric writes
-# inline) and requires identical hop totals and records.  The message
-# handling below is kept verbatim from the atlas; do not "fix" it to
-# match.
+# the live repro.obs.SpatialAtlas (whose hop totals the UDN fabric counts
+# inline, and whose per-message records are read from the machine's
+# event log) and requires identical totals and records.  The message
+# handling below is kept verbatim from the atlas (less its record
+# budget, which went with the inline rows); do not "fix" it to match.
 
 from __future__ import annotations
 
@@ -47,24 +48,15 @@ class _MsgRecord:
 class HopLedger:
     """The bus-fed per-message hop ledger of one machine."""
 
-    def __init__(self, machine, hop_limit: int = 100_000):
+    def __init__(self, machine):
         self.mesh = machine.mesh
         self._node_of = [c.node for c in machine.cores]
-        self.hop_limit = hop_limit
         self._route_cache: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
         # msg_id -> [src_node, dst_node, words, [(a, b, wait), ...]]
         self._open: Dict[int, list] = {}
         self.records: List[_MsgRecord] = []
-        self.records_dropped = 0
         self.hop_totals = {"messages": 0, "latency": 0, "queue": 0,
                            "transit": 0, "eject": 0, "skew": 0}
-
-    def summary(self) -> Dict[str, int]:
-        """What ``SpatialAtlas.summary()["hops"]`` reported."""
-        out = dict(self.hop_totals)
-        out["records"] = len(self.records)
-        out["records_dropped"] = self.records_dropped
-        return out
 
     def on_event(self, t: int, kind: str, args: Tuple[Any, ...]) -> None:
         f = named(kind, args)
@@ -112,11 +104,8 @@ class HopLedger:
         tot["transit"] += transit
         tot["eject"] += eject
         tot["skew"] += skew
-        if len(self.records) < self.hop_limit:
-            self.records.append(_MsgRecord(msg_id, src, dst, words, latency,
-                                           hops, queue, transit, eject, skew))
-        else:
-            self.records_dropped += 1
+        self.records.append(_MsgRecord(msg_id, src, dst, words, latency,
+                                       hops, queue, transit, eject, skew))
 
 
 # Reference copy of the atlas's bus-fed link occupancy and backpressure,

@@ -10,8 +10,8 @@ horizon.  Each program runs on both schedulers, once with no policy and
 once under a seeded ``RandomWalkPolicy`` (one instance per scheduler),
 and everything observable must be identical: the
 ``(cycle, process, step, value)`` trace, the final clock, the event
-count, how the run ended, each process's fate and the policy's
-decisions.
+count, how the run ended, each process's fate, the slots each resource
+still holds and the policy's decisions.
 
 Mutation check (recorded here; run each on a scratch copy of
 ``src/repro/sim/_engine_core.py``, every one must fail this test):
@@ -216,7 +216,8 @@ def _body(sim, env, name, ops):
 
 # -- program generation ------------------------------------------------------
 
-_delay = st.integers(0, 6)
+#: -1 included: a negative delay must raise, never queue into the past
+_delay = st.integers(-1, 6)
 _ev = st.integers(0, NUM_EVENTS - 1)
 _proc = st.integers(0, 11)
 _res = st.integers(0, len(CAPACITIES) - 1)
@@ -283,6 +284,7 @@ def execute(kit, prog, policy_seed=None):
         "trace": trace, "now": sim.now, "events": sim.events_processed,
         "outcome": outcome,
         "fates": [(p.alive, p.killed, p.result) for p in env.procs],
+        "held": [r.in_use for r in env.res],
         "policy": None if policy is None else policy.trace,
     }
 
@@ -345,3 +347,17 @@ def test_self_killed_park_never_steps_again():
 def test_all_dead_bucket_moves_neither_clock_nor_sample():
     _pinned([(False, [("sleep", 6)]),
              (False, [("sleep", 2), ("kill", 0)])], sample_every=4)
+
+
+def test_timed_out_waiter_hands_on_a_slot_granted_in_its_timeout_cycle():
+    """p1's release at cycle 1 grants the slot to p0, whose timeout
+    interrupt is already queued for that cycle: p0 times out and hands
+    the slot on, so nothing raises and nothing stays held."""
+    procs = [(False, [("sleep", 0), ("timed_hold", 0, 1, 0)]),
+             (False, [("release_at", 0, 1), ("timed_hold", 0, 1, 0)])]
+    _pinned(procs)
+    got = execute(ENGINE, {"procs": procs, "sample_every": None,
+                           "max_events": None, "until": None})
+    assert got["outcome"] == "ok"
+    assert got["trace"][-1] == (1, "p0", 1, False)
+    assert got["held"] == [0, 0]

@@ -210,6 +210,19 @@ def test_call_at_in_past_raises():
         sim.run()
 
 
+def test_negative_delay_raises_instead_of_running_the_clock_back():
+    sim = Simulator()
+
+    def proc():
+        yield 10
+        yield -5
+
+    sim.spawn(proc())
+    with pytest.raises(ValueError, match=r"cannot schedule in the past \(5 < 10\)"):
+        sim.run()
+    assert sim.now == 10
+
+
 def test_interrupt_blocked_process():
     sim = Simulator()
     ev = Event(sim)

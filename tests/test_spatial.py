@@ -3,10 +3,13 @@
 The conservation tests are the load-bearing ones: hop-by-hop latency
 attribution must tile each delivered message's end-to-end latency
 exactly (``queue + transit + eject + skew == latency`` with ``skew ==
-0`` when no jitter is installed), and the per-record latencies must
-reproduce the UDN delivery histogram bucket for bucket.  Everything
+0`` when no jitter is installed), the per-record latencies (read from
+the event log) must reproduce the UDN delivery histogram bucket for
+bucket, and the records must sum to the inline hop totals.  Everything
 else -- summaries, merges, renderers -- consumes the same data model.
 """
+
+import re
 
 import pytest
 
@@ -130,9 +133,10 @@ def test_spatial_summary_rides_the_machine_record():
 # -- hop-by-hop conservation ----------------------------------------------
 
 def _assert_conservation(atlas, m):
-    assert atlas.records, "no messages recorded"
+    records = atlas.hop_records(m.obs.trace)
+    assert records, "no messages recorded"
     hist = {}
-    for rec in atlas.records:
+    for rec in records:
         assert rec.queue + rec.transit + rec.eject + rec.skew == rec.latency
         assert rec.skew == 0, (rec.msg_id, rec.to_dict())
         assert rec.transit == m.mesh.per_hop * len(rec.hops)
@@ -146,13 +150,14 @@ def _assert_conservation(atlas, m):
     udn_hist = {k: v for k, v in m.obs.counters.udn_hist.items() if v}
     assert hist == udn_hist
     tot = atlas.hop_totals
-    assert tot["messages"] == len(atlas.records)
-    assert tot["latency"] == sum(r.latency for r in atlas.records)
+    assert tot["messages"] == len(records)
+    for field in ("latency", "queue", "transit", "eject", "skew"):
+        assert tot[field] == sum(getattr(r, field) for r in records)
     assert tot["skew"] == 0
 
 
 def test_hop_attribution_conserves_on_idle_analytic_mesh():
-    with obs.observed(spatial_hops=True):
+    with obs.observed(spatial_hops=True, trace=True):
         m = Machine(tile_gx())
         _send_receive(m, [(0, 14, 3), (2, 14, 1), (7, 30, 5), (9, 9, 2)])
         _assert_conservation(m.obs.spatial, m)
@@ -161,7 +166,7 @@ def test_hop_attribution_conserves_on_idle_analytic_mesh():
 
 
 def test_hop_attribution_conserves_on_backpressured_contended_mesh():
-    with obs.observed(spatial_hops=True):
+    with obs.observed(spatial_hops=True, trace=True):
         m = Machine(tile_gx(contended_noc=True, udn_buffer_words=8))
         # many senders converging on one receiver: link FIFOs queue
         pairs = [(tid, 0, 2) for tid in range(1, 9) for _ in range(4)]
@@ -173,12 +178,18 @@ def test_hop_attribution_conserves_on_backpressured_contended_mesh():
 
 
 def test_hop_ledger_is_bounded():
-    with obs.observed(spatial_hops=True, spatial_hop_limit=3):
+    """Per-message records are bounded by the event log's cap; the
+    inline totals keep counting past it."""
+    with obs.observed(spatial_hops=True, trace=True, trace_limit=12):
         m = Machine(tile_gx())
         _send_receive(m, [(0, 14, 1)] * 8)
         atlas = m.obs.spatial
-    assert len(atlas.records) == 3
-    assert atlas.records_dropped == 5
+    log = m.obs.trace
+    assert len(log.events) == 12 and log.truncated
+    records = atlas.hop_records(log)
+    assert 0 < len(records) < 8
+    assert len(records) == sum(kind == "udn.deliver"
+                               for _t, kind, _args in log.events)
     assert atlas.hop_totals["messages"] == 8  # totals keep counting
 
 
@@ -315,6 +326,20 @@ def test_mesh_heatmap_renders_and_marks_backpressure():
     assert "B" in txt  # backpressured sender tile is marked
     assert "link" in txt
     assert "no NoC traffic observed" in render_mesh_heatmap(None)
+
+
+def test_obs_export_lists_each_hot_link_once(capsys):
+    """The heatmap's grid and the hotspot report's links print
+    together; the hot links are listed once, by the hotspot report."""
+    from repro.experiments.registry import _export_obs
+    with obs.observed(spatial=True) as session:
+        m = Machine(tile_gx())
+        _send_receive(m, [(0, 14, 3), (0, 14, 3), (2, 14, 1), (7, 30, 2)])
+    _export_obs(session, "fig", None)
+    out = capsys.readouterr().out
+    assert "NoC congestion atlas" in out and "hotspots (top 5" in out
+    links = re.findall(r"^ +link +(\d+>\d+) ", out, re.M)
+    assert len(links) == 5 and len(set(links)) == len(links)
 
 
 def test_atlas_without_udn_machine_stays_empty():
