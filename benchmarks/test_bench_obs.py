@@ -30,15 +30,16 @@ and does not.  The ``full``-stack marginal is printed for
 trend-watching but not gated -- its SLO/flight layers are event-driven
 and priced separately (one C-level ring append + a dict probe per bus
 event, see ``EventBus.keep_recent`` / ``subscribe_kinds``).  Its hop
-ledger adds no bus handler: the UDN fabric writes it inline (one pair
-update and, within the record budget, one tuple per delivery), and the
-per-hop split is derived only when read.  The flight ring wants the
-narrated kinds (ops and service spans: four events per mp-server op)
-and the atlas ``udn.backpressure``/``noc.link``; UDN send/deliver/
-receive are not built.  On a 2-vCPU host, over five runs, the printed
-``obs``/``off`` engine speed reads 0.76-0.97 and the ``full``
-marginal over ``obs`` 28-37%, so ``full`` runs at 0.51-0.65 of
-``off``.
+attribution adds no bus handler: the UDN fabric updates the atlas's
+per-pair totals inline (one dict update per send and per delivery), and
+the per-hop split is derived from them only when read.  The flight ring
+wants the narrated kinds (ops and service spans: four events per
+mp-server op); the atlas subscribes to nothing, reading the counter
+file's registers and the fabric's totals, so no hardware kind (UDN
+send/deliver/receive, backpressure, link hops) is built.  On a 2-vCPU
+host, over five runs, the printed ``obs``/``off`` engine speed reads
+0.76-0.97 and the ``full`` marginal over ``obs`` 28-37%, so ``full``
+runs at 0.51-0.65 of ``off``.
 
 Simulated results must be bit-identical across all four modes (the
 sampler is a pure observer driven by the engine clock hook) -- asserted

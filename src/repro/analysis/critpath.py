@@ -1,7 +1,7 @@
 """Per-op causal tracing and critical-path blame attribution.
 
-Reconstructs, from the raw event stream a machine's
-:class:`~repro.obs.bus.EventLog` recorded, *where every cycle
+Reconstructs, from the :class:`~repro.obs.bus.LogIndex` of the events
+a machine's :class:`~repro.obs.bus.EventLog` recorded, *where every cycle
 of every operation's latency went*.  This is the lens Figures 3-5 of
 the paper argue with -- coherence stalls vs. message latency vs.
 combiner queueing -- applied per operation instead of machine-wide.
@@ -45,31 +45,20 @@ derived from causality instead of aggregate registers.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.obs.bus import named
-
 __all__ = [
     "CATEGORIES",
-    "CAUSAL_KINDS",
     "CritPathReport",
     "OpTrace",
     "analyze",
-    "analyze_collector",
     "diff_reports",
     "stragglers",
 ]
-
-#: the event kinds the happens-before reconstruction reads (a subset of
-#: the kinds a machine's event log records)
-CAUSAL_KINDS = frozenset({
-    "op.begin", "op.end", "server.done", "combiner.close",
-    "udn.send", "udn.deliver", "udn.recv", "udn.backpressure",
-    "cache.stall", "atomic.stall", "fence.stall",
-})
 
 #: blame categories in paint order (index = paint precedence and the
 #: code stored in the per-op timeline)
@@ -211,64 +200,35 @@ def _paint(buf: np.ndarray, base: int, start: int, end: int, code: int) -> None:
 
 # -- analysis ---------------------------------------------------------------
 
-def analyze(events: Sequence[Tuple[int, str, Tuple[Any, ...]]],
-            label: str = "run", truncated: bool = False) -> CritPathReport:
-    """Reconstruct per-op blame and the whole-run critical path.
+def analyze(event_log, label: str = "run") -> CritPathReport:
+    """Reconstruct per-op blame and the whole-run critical path of one
+    machine's :class:`~repro.obs.bus.EventLog`, read through its
+    :class:`~repro.obs.bus.LogIndex`."""
+    ix = event_log.index()
 
-    ``events`` is the raw ``(cycle, kind, args)`` stream of one
-    machine (what its :class:`~repro.obs.bus.EventLog` holds), in
-    emission order; kinds outside :data:`CAUSAL_KINDS` are ignored.
-    """
-    # ---- index the stream by the keys the per-op joins need ----
-    op_begin: Dict[int, Tuple[int, int, int, str]] = {}  # op -> (t, core, tid, prim)
-    op_ends: List[Tuple[int, Dict[str, Any]]] = []
-    stall_by_core: Dict[int, _Spans] = {}       # coherence + fence
-    atomic_by_core: Dict[int, _Spans] = {}
-    bp_by_core: Dict[int, _Spans] = {}
-    recv_by_tid: Dict[int, _Spans] = {}
-    comb_by_tid: Dict[int, _Spans] = {}
-    svc_by_client: Dict[int, List[Tuple[int, int, int]]] = {}  # (start, end, core)
-    sends_by_core: Dict[int, List[Tuple[int, int]]] = {}       # (t, msg_id)
-    deliver_at: Dict[int, int] = {}                            # msg_id -> t
-
-    def spans(d: Dict[int, _Spans], key: int) -> _Spans:
-        sp = d.get(key)
-        if sp is None:
-            sp = d[key] = _Spans()
-        return sp
-
-    for t, kind, args in events:
-        if kind not in CAUSAL_KINDS:
-            continue
-        f = named(kind, args)
-        if kind == "op.begin":
-            op_begin[f["op"]] = (t, f["core"], f["tid"], f["prim"])
-        elif kind == "op.end":
-            op_ends.append((t, f))
-        elif kind == "server.done":
-            client = f["client"]
-            if client is not None:
-                svc_by_client.setdefault(client, []).append(
-                    (f["start"], t, f["core"]))
-        elif kind in ("cache.stall", "fence.stall"):
-            spans(stall_by_core, f["core"]).add(t - f["cycles"], t)
-        elif kind == "atomic.stall":
-            spans(atomic_by_core, f["core"]).add(t - f["cycles"], t)
-        elif kind == "udn.backpressure":
-            spans(bp_by_core, f["core"]).add(f["start"], t)
-        elif kind == "udn.recv":
-            spans(recv_by_tid, f["tid"]).add(f["start"], f["start"] + f["waited"])
-        elif kind == "combiner.close":
-            spans(comb_by_tid, f["tid"]).add(f["start"], t)
-        elif kind == "udn.send":
-            sends_by_core.setdefault(f["core"], []).append((t, f["msg_id"]))
-        elif kind == "udn.deliver":
-            deliver_at[f["msg_id"]] = t
-
-    for d in (stall_by_core, atomic_by_core, bp_by_core, recv_by_tid,
-              comb_by_tid):
-        for sp in d.values():
+    def spans_by(key: str, *kinds: str) -> Dict[int, _Spans]:
+        by: Dict[int, _Spans] = defaultdict(_Spans)
+        for kind in kinds:
+            for r in ix.records[kind]:
+                by[getattr(r, key)].add(r.start, r.t)
+        for sp in by.values():
             sp.freeze()
+        return by
+
+    stall_by_core = spans_by("core", "cache.stall", "fence.stall")
+    atomic_by_core = spans_by("core", "atomic.stall")
+    bp_by_core = spans_by("core", "udn.backpressure")
+    recv_by_tid = spans_by("tid", "udn.recv")
+    comb_by_tid = spans_by("tid", "combiner.close")
+    svc_by_client: Dict[int, List[Tuple[int, int, int]]] = {}  # (start, end, core)
+    for r, _op in ix.services:
+        if r.client is not None:
+            svc_by_client.setdefault(r.client, []).append((r.start, r.t, r.core))
+    # (send cycle, msg_id, deliver cycle or None) per source core
+    sends_by_core: Dict[int, List[Tuple[int, int, Optional[int]]]] = {}
+    for m in ix.messages:
+        sends_by_core.setdefault(m.send.core, []).append(
+            (m.send.t, m.send.msg_id, None if m.deliver is None else m.deliver.t))
     for lst in svc_by_client.values():
         lst.sort()
     for lst in sends_by_core.values():
@@ -277,41 +237,30 @@ def analyze(events: Sequence[Tuple[int, str, Tuple[Any, ...]]],
     # ---- paint every completed op ----
     ops: List[OpTrace] = []
     blame_total: Dict[str, int] = {}
-    for t1, f in op_ends:
-        t0 = f["start"]
+    for o in sorted((o for o in ix.ops if o.end is not None),
+                    key=lambda o: o.end.seq):
+        end = o.end
+        t0, t1 = end.start, end.t
         if t1 <= t0:
             continue
-        tid, core, op_id = f["tid"], f["core"], f["op"]
-        prim = op_begin.get(op_id, (0, 0, 0, "?"))[3]
+        tid, core, op_id = end.tid, end.core, end.op
         buf = np.zeros(t1 - t0, dtype=np.int8)  # base coat: client
 
-        sp = comb_by_tid.get(tid)
-        if sp is not None:
-            for s, e in sp.overlapping(t0, t1):
-                _paint(buf, t0, s, e, _COMBINING)
-        sp = stall_by_core.get(core)
-        if sp is not None:
-            for s, e in sp.overlapping(t0, t1):
-                _paint(buf, t0, s, e, _COHERENCE)
-        sp = atomic_by_core.get(core)
-        if sp is not None:
-            for s, e in sp.overlapping(t0, t1):
-                _paint(buf, t0, s, e, _ATOMIC)
-        sp = bp_by_core.get(core)
-        if sp is not None:
-            for s, e in sp.overlapping(t0, t1):
-                _paint(buf, t0, s, e, _BACKPRESSURE)
-        sp = recv_by_tid.get(tid)
-        if sp is not None:
-            for s, e in sp.overlapping(t0, t1):
-                _paint(buf, t0, s, e, _QUEUEING)
+        for by, key, code in ((comb_by_tid, tid, _COMBINING),
+                              (stall_by_core, core, _COHERENCE),
+                              (atomic_by_core, core, _ATOMIC),
+                              (bp_by_core, core, _BACKPRESSURE),
+                              (recv_by_tid, tid, _QUEUEING)):
+            sp = by.get(key)
+            if sp is not None:
+                for s, e in sp.overlapping(t0, t1):
+                    _paint(buf, t0, s, e, code)
         # request flits in flight (send -> deliver, matched by msg_id)
         sends = sends_by_core.get(core)
         if sends:
             lo = bisect_left(sends, (t0, -1))
             hi = bisect_right(sends, (t1, 1 << 62))
-            for ts, msg in sends[lo:hi]:
-                td = deliver_at.get(msg)
+            for ts, _msg, td in sends[lo:hi]:
                 if td is not None:
                     _paint(buf, t0, ts, td, _UDN_TRANSIT)
         # service spans executed for this client, plus the serving
@@ -321,14 +270,11 @@ def analyze(events: Sequence[Tuple[int, str, Tuple[Any, ...]]],
             if s >= t1 or e <= t0 or s < t0:
                 continue
             _paint(buf, t0, s, e, _SERVICE)
-            ssp = stall_by_core.get(svc_core)
-            if ssp is not None:
-                for ss, se in ssp.overlapping(s, min(e, t1)):
-                    _paint(buf, t0, ss, se, _SERVICE_STALL)
-            ssp = atomic_by_core.get(svc_core)
-            if ssp is not None:
-                for ss, se in ssp.overlapping(s, min(e, t1)):
-                    _paint(buf, t0, ss, se, _SERVICE_STALL)
+            for by in (stall_by_core, atomic_by_core):
+                ssp = by.get(svc_core)
+                if ssp is not None:
+                    for ss, se in ssp.overlapping(s, min(e, t1)):
+                        _paint(buf, t0, ss, se, _SERVICE_STALL)
             if last_svc_end is None or e > last_svc_end:
                 last_svc_end = e
         # wait cycles after the service ended: the response coming back
@@ -347,7 +293,8 @@ def analyze(events: Sequence[Tuple[int, str, Tuple[Any, ...]]],
             for i in range(len(bounds) - 1)
         ]
         trace = OpTrace(op=op_id, tid=tid, core=core, t0=t0, t1=t1,
-                        measured=bool(f["measured"]), prim=prim,
+                        measured=bool(end.measured),
+                        prim=o.begin.prim if o.begin is not None else "?",
                         segments=segments, blame=blame)
         ops.append(trace)
         if trace.measured:
@@ -359,15 +306,9 @@ def analyze(events: Sequence[Tuple[int, str, Tuple[Any, ...]]],
     return CritPathReport(
         label=label, ops=ops, blame=blame_total, path=path,
         path_blame=path_blame,
-        incomplete_ops=len(op_begin) - len(ops),
-        truncated=truncated,
+        incomplete_ops=sum(o.begin is not None for o in ix.ops) - len(ops),
+        truncated=event_log.truncated,
     )
-
-
-def analyze_collector(event_log, label: str = "run") -> CritPathReport:
-    """Analyze one machine's :class:`~repro.obs.bus.EventLog`."""
-    return analyze(event_log.events, label=label,
-                   truncated=event_log.truncated)
 
 
 # -- whole-run critical path ------------------------------------------------
@@ -383,52 +324,34 @@ def _critical_path(ops: List[OpTrace]) -> Tuple[List[Tuple[int, int, int, str]],
     in time, so one pass over segments sorted by end cycle is a valid
     topological order for the longest-path DP.
     """
-    # nodes: (op_index, seg_index); flatten with global ids
-    segs: List[Tuple[int, int, int, int, str]] = []  # (start, end, op_idx, seg_idx, cat)
+    # nodes: every op's segments, op by op (a painted run is never
+    # empty); op ``oi``'s run from node first[oi]
+    segs: List[Tuple[int, int, int, str]] = []  # (start, end, op_idx, cat)
+    first: List[int] = []
     for oi, op in enumerate(ops):
-        for si, (s, e, cat) in enumerate(op.segments):
-            if e > s:
-                segs.append((s, e, oi, si, cat))
+        first.append(len(segs))
+        segs.extend((s, e, oi, cat) for s, e, cat in op.segments)
     if not segs:
         return [], {}
-
-    node_of: Dict[Tuple[int, int], int] = {}
-    for idx, (_s, _e, oi, si, _c) in enumerate(segs):
-        node_of[(oi, si)] = idx
-
     preds: List[List[int]] = [[] for _ in segs]
 
-    # (a) program order inside an op
-    for oi, op in enumerate(ops):
-        prev = None
-        for si, (s, e, _cat) in enumerate(op.segments):
-            if e <= s:
-                continue
-            cur = node_of[(oi, si)]
-            if prev is not None:
-                preds[cur].append(prev)
-            prev = cur
-
-    # (b) program order between one thread's consecutive ops
+    # (a) program order inside an op, and (b) between one thread's
+    # consecutive ops (ops are sorted by t0)
     last_of_tid: Dict[int, int] = {}
-    for oi, op in enumerate(ops):  # ops already sorted by t0
-        first = next((node_of[(oi, si)] for si, (s, e, _c)
-                      in enumerate(op.segments) if e > s), None)
-        last = next((node_of[(oi, si)] for si in
-                     range(len(op.segments) - 1, -1, -1)
-                     if op.segments[si][1] > op.segments[si][0]), None)
-        if first is None:
-            continue
+    for oi, op in enumerate(ops):
+        head, tail = first[oi], first[oi] + len(op.segments) - 1
+        for i in range(head + 1, tail + 1):
+            preds[i].append(i - 1)
         prev = last_of_tid.get(op.tid)
-        if prev is not None and segs[prev][1] <= segs[first][0]:
-            preds[first].append(prev)
-        last_of_tid[op.tid] = last
+        if prev is not None and segs[prev][1] <= segs[head][0]:
+            preds[head].append(prev)
+        last_of_tid[op.tid] = tail
 
     # (c) service serialization: consecutive service segments per core.
     # An op's service runs on the serving core; chain them in time order
     # so the path can ride the bottleneck core across ops.
     svc_nodes: Dict[Any, List[int]] = {}
-    for idx, (_s, _e, oi, _si, cat) in enumerate(segs):
+    for idx, (_s, _e, oi, cat) in enumerate(segs):
         if cat in ("service", "service_stall"):
             svc_nodes.setdefault(ops[oi].prim, []).append(idx)
     for nodes in svc_nodes.values():
@@ -458,7 +381,7 @@ def _critical_path(ops: List[OpTrace]) -> Tuple[List[Tuple[int, int, int, str]],
         cur = back[cur]
     chain.reverse()
 
-    path = [(ops[segs[i][2]].op, segs[i][0], segs[i][1], segs[i][4])
+    path = [(ops[segs[i][2]].op, segs[i][0], segs[i][1], segs[i][3])
             for i in chain]
     path_blame: Dict[str, int] = {}
     for _op, s, e, cat in path:

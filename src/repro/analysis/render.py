@@ -8,11 +8,10 @@ markdown tables and CSV (the precise numbers for EXPERIMENTS.md).
 from __future__ import annotations
 
 import io
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.critpath import CATEGORIES, CritPathReport, diff_reports, stragglers
 from repro.analysis.series import FigureData
-from repro.obs.bus import named
 from repro.workload.metrics import RunResult
 
 __all__ = ["ascii_chart", "bar_chart", "markdown_table",
@@ -232,21 +231,6 @@ TIMELINE_GLYPHS = {"r": "load", "w": "store-buffer", "m": "mshr",
                    "e": "service", "c": "combine", "-": "op"}
 _BACKGROUND = frozenset("ec-")
 _STALL_GLYPHS = {"load": "r", "store_buffer": "w", "mshr": "m"}
-#: span-bearing kind -> (glyph, duration field); a span starts at its
-#: ``start`` field (else the emit cycle) and lasts the duration field
-#: (else it ends at the emit cycle).  ``cache.stall`` takes its glyph
-#: from ``why``.
-_TIMELINE_KINDS: Dict[str, Tuple[Optional[str], Optional[str]]] = {
-    "cache.stall": (None, "cycles"),
-    "atomic.stall": ("A", "cycles"),
-    "fence.stall": ("F", "cycles"),
-    "udn.recv": ("v", "waited"),
-    "udn.backpressure": ("b", "cycles"),
-    "udn.send": ("s", None),
-    "server.done": ("e", None),
-    "combiner.close": ("c", None),
-    "op.end": ("-", None),
-}
 
 
 def render_timeline(event_log, *, start: Optional[int] = None,
@@ -261,30 +245,32 @@ def render_timeline(event_log, *, start: Optional[int] = None,
     the clipped cycles per kind follow the chart, and a log that hit its
     cap says how many events it dropped.
     """
-    spans: List[Tuple[int, str, int, int]] = []  # (core, glyph, lo, hi)
-    for t, kind, args in event_log.events:
-        spec = _TIMELINE_KINDS.get(kind)
-        if spec is None:
-            continue
-        glyph, dur = spec
-        f = named(kind, args)
-        s = f.get("start", t)
-        spans.append((f["core"], glyph or _STALL_GLYPHS[f["why"]], s,
-                      s + f[dur] if dur else t))
+    rec = event_log.index().records
+    # (seq, core, glyph, lo, hi) in emission order; a send is a
+    # zero-length span at its cycle
+    spans = [(r.seq, r.core, _STALL_GLYPHS[r.why], r.start, r.t)
+             for r in rec["cache.stall"]]
+    for kind, glyph in (("atomic.stall", "A"), ("fence.stall", "F"),
+                        ("udn.recv", "v"), ("udn.backpressure", "b"),
+                        ("server.done", "e"), ("combiner.close", "c"),
+                        ("op.end", "-")):
+        spans += [(r.seq, r.core, glyph, r.start, r.t) for r in rec[kind]]
+    spans += [(r.seq, r.core, "s", r.t, r.t) for r in rec["udn.send"]]
+    spans.sort()
     if not spans:
         return "[empty trace]" + ("\n" + render_truncation(event_log)
                                   if event_log.truncated else "")
-    t_lo = min(sp[2] for sp in spans) if start is None else start
-    t_hi = max(sp[3] for sp in spans) if end is None else end
+    t_lo = min(sp[3] for sp in spans) if start is None else start
+    t_hi = max(sp[4] for sp in spans) if end is None else end
     span_t = max(1, t_hi - t_lo)
     bucket = max(1, span_t // width)
     ncols = (span_t + bucket - 1) // bucket
-    rows = sorted({sp[0] for sp in spans}) if cores is None else list(cores)
+    rows = sorted({sp[1] for sp in spans}) if cores is None else list(cores)
     # per core, per bucket: glyph -> cycles
     grid: Dict[int, List[Dict[str, int]]] = {
         c: [{} for _ in range(ncols)] for c in rows}
     totals: Dict[str, int] = {}
-    for core, glyph, s, e in spans:
+    for _seq, core, glyph, s, e in spans:
         occupancy = grid.get(core)
         if occupancy is None:
             continue

@@ -27,6 +27,14 @@ NULL_ARG = 0
 OpFn = Callable[[ThreadCtx, int], Generator[Any, Any, int]]
 
 
+def check_record_width(machine: Machine, name: str, words: int) -> None:
+    """Refuse lines narrower than ``name``'s per-thread record."""
+    if machine.cfg.line_words < words:
+        raise ValueError(
+            f"line_words={machine.cfg.line_words} is too narrow for "
+            f"{name}: its per-thread record needs {words} words")
+
+
 class DispatchTimeout(Exception):
     """A timed dispatch expired *before the operation was committed*.
 
@@ -96,8 +104,12 @@ class SyncPrimitive:
     service_threads: int = 0
     #: human-readable name used in figures/legends
     name: str = "?"
+    #: words of the per-thread record (queue node, channel or slot) the
+    #: primitive lays out in one cache line; a narrower line is refused
+    record_words: int = 0
 
     def __init__(self, machine: Machine, optable: OpTable):
+        check_record_width(machine, self.name, self.record_words)
         self.machine = machine
         self.optable = optable
         self._started = False

@@ -67,6 +67,7 @@ class CCSynch(SyncPrimitive):
 
     service_threads = 0
     name = "CC-Synch"
+    record_words = _NEXT + 1
 
     def __init__(self, machine: Machine, optable: OpTable, max_ops: int = 200,
                  fixed_combiner_tid: Optional[int] = None):

@@ -49,6 +49,7 @@ class FlatCombining(SyncPrimitive):
 
     service_threads = 0
     name = "flat-combining"
+    record_words = _NEXT + 1
 
     def __init__(self, machine: Machine, optable: OpTable, scan_rounds: int = 2):
         super().__init__(machine, optable)

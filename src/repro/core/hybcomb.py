@@ -80,6 +80,7 @@ class HybComb(SyncPrimitive):
 
     service_threads = 0
     name = "HybComb"
+    record_words = _LEASE + 1
 
     def __init__(self, machine: Machine, optable: OpTable, max_ops: int = 200,
                  fixed_combiner_tid: Optional[int] = None,

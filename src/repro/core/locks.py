@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator
 
-from repro.core.api import NULL_ARG, OpTable
+from repro.core.api import NULL_ARG, OpTable, check_record_width
 from repro.machine.machine import Machine, ThreadCtx
 
 __all__ = ["TTASLock", "TicketLock", "MCSLock"]
@@ -28,8 +28,10 @@ __all__ = ["TTASLock", "TicketLock", "MCSLock"]
 
 class _LockBase:
     name = "?"
+    record_words = 0  #: words of a per-thread queue node
 
     def __init__(self, machine: Machine):
+        check_record_width(machine, self.name, self.record_words)
         self.machine = machine
 
     def acquire(self, ctx: ThreadCtx) -> Generator[Any, Any, None]:
@@ -101,6 +103,7 @@ class MCSLock(_LockBase):
     name = "mcs"
     _LOCKED = 0
     _NEXT = 1
+    record_words = _NEXT + 1
 
     def __init__(self, machine: Machine):
         super().__init__(machine)

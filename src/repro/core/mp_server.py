@@ -105,6 +105,8 @@ class MPServer(SyncPrimitive):
         / ``backoff_cap`` bound the exponential retry backoff, and
         ``max_attempts`` bounds total attempts per operation before
         :class:`ServerUnavailable` is raised."""
+        # the fault-tolerant protocol keeps one dedup slot per client
+        self.record_words = 0 if request_timeout is None else _SLOT_RETVAL + 1
         super().__init__(machine, optable)
         self.server_tid = server_tid
         self.server_ctx = machine.thread(server_tid, core_id=server_core)

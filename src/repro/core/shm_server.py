@@ -73,11 +73,9 @@ class ShmServer(SyncPrimitive):
     def __init__(self, machine: Machine, optable: OpTable, server_tid: int = 0,
                  client_tids: Sequence[int] = (), server_core: int | None = None,
                  cancellable: bool = False):
+        # a channel line; cancellable mode adds the claim word
+        self.record_words = (_CLAIM if cancellable else _RETVAL) + 1
         super().__init__(machine, optable)
-        if cancellable and machine.cfg.line_words <= _CLAIM:
-            raise ValueError(
-                f"cancellable mode needs {_CLAIM + 1} words per channel line, "
-                f"but {machine.cfg.name!r} lines hold {machine.cfg.line_words}")
         #: opt-in withdrawable-request protocol (see the module docs);
         #: off by default so the baseline stays cycle-identical
         self.cancellable = cancellable

@@ -44,7 +44,7 @@ from contextlib import nullcontext
 from typing import Callable, Dict, Optional, Sequence
 
 import repro.obs as obs_mod
-from repro.analysis.critpath import analyze_collector
+from repro.analysis.critpath import analyze
 from repro.analysis.render import (
     ascii_chart,
     bar_chart,
@@ -317,8 +317,7 @@ def _export_obs(session, exp_id: str, out: Optional[str],
         # (the busiest machine dominates the merged atlas anyway).
         flows, partial = None, ""
         traced = [rec for rec in records
-                  if rec.trace is not None and rec.trace.events
-                  and rec.spatial is not None]
+                  if rec.trace and rec.spatial is not None]
         if traced:
             busiest = max(traced, key=lambda rec: rec.spatial["messages"])
             flows = causal_link_flows(busiest.spatial, busiest.trace)
@@ -350,7 +349,7 @@ def _export_critpath(session, exp_id: str, out: Optional[str],
     """
     best = {}  # series name -> (thread count, ObsRecord)
     for rec in session.records():
-        if rec.trace is None or not rec.trace.events:
+        if not rec.trace:  # untraced, or an empty log
             continue
         name, _, tpart = rec.label.rpartition(" T=")
         try:
@@ -362,7 +361,7 @@ def _export_critpath(session, exp_id: str, out: Optional[str],
             best[name] = (n, rec)
     if not best:
         return
-    reports = {name: analyze_collector(rec.trace, label=rec.label)
+    reports = {name: analyze(rec.trace, label=rec.label)
                for name, (_n, rec) in sorted(best.items())}
     chunks = [render_blame_breakdown(rep) for rep in reports.values()]
     # the README's A/B example: HYBCOMB vs CC-SYNCH when both ran

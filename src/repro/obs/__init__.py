@@ -11,9 +11,10 @@ Layers (see DESIGN.md §9 and §14):
   histogram, written directly by the hardware models and queryable as
   before/after snapshots.
 * :class:`~repro.obs.bus.EventLog` -- the one recording of a machine's
-  bus (``trace=True``): the Chrome/Perfetto export (open the exported
-  ``trace.json`` in https://ui.perfetto.dev or ``chrome://tracing``),
-  the critical-path analysis and the ASCII timeline all read it.
+  bus (``trace=True``), held as bytes once pickled: the Chrome/Perfetto
+  export (open ``trace.json`` in https://ui.perfetto.dev), the
+  critical-path analysis, hop records, link flows and the ASCII
+  timeline all read its one index (:meth:`EventLog.index`).
 * :class:`~repro.obs.timeseries.Sampler` -- continuous telemetry: the
   engine clock snapshots counter/gauge sources into fixed-memory ring
   series every ``sample_every`` cycles (``timeseries=True``).
@@ -59,11 +60,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.bus import EventBus, EventLog
+from repro.obs.bus import LOG_KINDS, EventBus, EventLog
 from repro.obs.counters import PerfCounters, counters_csv, latency_bucket, merge_counters
 from repro.obs.flightrec import TRIGGERS as flightrec_triggers
 from repro.obs.flightrec import FlightRecorder
-from repro.obs.perfetto import TRACE_KINDS, write_chrome_trace
+from repro.obs.perfetto import write_chrome_trace
 from repro.obs.slo import SLO, SLOMonitor
 from repro.obs.spatial import SpatialAtlas, merge_spatial_summaries
 from repro.obs.timeseries import Sampler, TimeSeries, register_machine_sources
@@ -122,12 +123,11 @@ class Observability:
         self.bus = EventBus(machine.sim)
         # written directly by the hardware models; subscribes to nothing
         self.counters = self.bus.counters = PerfCounters(machine)
-        # the one recording of the bus: Perfetto export, critical path,
-        # link flows and the ASCII timeline all read it after the run
+        # the one recording of the bus, read through its one index
         self.trace: Optional[EventLog] = None
         if trace:
             self.trace = EventLog(limit=trace_limit)
-            self.bus.subscribe_kinds(TRACE_KINDS, self.trace.on_event)
+            self.bus.subscribe_kinds(LOG_KINDS, self.trace.on_event)
         # spatial congestion atlas (DESIGN.md §15): a view over the UDN
         # fabric's inline totals and the counter file; no subscription
         self.spatial: Optional[SpatialAtlas] = None

@@ -45,9 +45,9 @@ Events are ``(cycle, kind, args)`` triples.  ``kind`` is a dotted
 string naming the subsystem and occurrence; ``args`` is the tuple of
 the kind's field values, in the order :data:`SCHEMA` names them -- the
 one place a kind's class and fields are written down.  As in a UDN
-request, the words carry no names: a post-run reader asks
-:func:`named` for a dict, a hot reader looks its field's index up in
-:data:`SCHEMA` once.  A *narrated* kind is always in the flight ring
+request, the words carry no names: a post-run reader gets them named
+(the log's index, :func:`named`), a hot reader looks its field's index
+up in :data:`SCHEMA` once.  A *narrated* kind is always in the flight ring
 when a recorder is attached; a *hardware* kind is built only when a
 subscriber asks for it (a trace, a full subscriber).  The perf counter
 file and the spatial atlas read registers the models write directly
@@ -58,20 +58,23 @@ not touch simulation state (the bus is an observer, never an actor --
 enabling it cannot change an execution).  ``args`` is a tuple, so an
 event is read-only and a subscriber may keep it without copying.
 
-:class:`EventLog` is the one recording of a machine's bus: the Perfetto
-export, the critical-path analysis, the link-flow join and the ASCII
-timeline all read its ``(cycle, kind, args)`` events after the run.
+:class:`EventLog` is the one recording of a machine's bus, and
+:meth:`EventLog.index` its one reading (:class:`LogIndex`): the Perfetto
+export, the critical-path analysis, the atlas's hop records, the
+link-flow join and the ASCII timeline all read the index after the run.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
+from dataclasses import dataclass, field
 import logging
+import pickle
 from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Tuple)
 
-__all__ = ["EventBus", "EventLog", "KINDS", "NARRATED_KINDS", "SCHEMA",
-           "named"]
+__all__ = ["EventBus", "EventLog", "KINDS", "LOG_KINDS", "LogIndex",
+           "NARRATED_KINDS", "SCHEMA", "named"]
 
 log = logging.getLogger(__name__)
 
@@ -277,27 +280,52 @@ class EventBus:
 class EventLog:
     """A machine's raw bus events, in emission order, up to a cap.
 
-    Subscribed kind-filtered to the kinds its readers need.  Each event
-    keeps the argument tuple :meth:`EventBus.emit` was called with (no
-    copy, no dict).  Past ``limit`` events the log drops the rest,
-    counts them in :attr:`dropped` and flags itself :attr:`truncated`,
-    so readers can say "partial data" instead of silently lying.
+    Subscribed kind-filtered to :data:`LOG_KINDS`, the kinds its one
+    reader, :meth:`index`, reads.  Each event keeps the argument tuple
+    :meth:`EventBus.emit` was called with (no copy, no dict).  Past
+    ``limit`` events the log drops the rest, counts them in
+    :attr:`dropped` and flags itself :attr:`truncated`.  A log pickles
+    as one bytes blob and an unpickled log keeps it: :meth:`index`
+    decodes it for one reading only, and ``len`` not at all.
     """
 
-    __slots__ = ("limit", "dropped", "events")
+    __slots__ = ("limit", "dropped", "_events", "_blob", "_count")
 
     def __init__(self, limit: int = 2_000_000):
         self.limit = limit
         self.dropped = 0
-        #: (cycle, kind, args) in emission order
-        self.events: List[Tuple[int, str, Tuple[Any, ...]]] = []
+        self._events: Optional[List[Tuple[int, str, Tuple[Any, ...]]]] = []
+        self._blob: Optional[bytes] = None  # the events, pickled elsewhere
+        self._count = 0
 
     @property
     def truncated(self) -> bool:
         return self.dropped > 0
 
+    @property
+    def events(self) -> List[Tuple[int, str, Tuple[Any, ...]]]:
+        """``(cycle, kind, args)`` in emission order.  Reading them
+        decodes a held log for good; readers use :meth:`index`."""
+        if self._blob is not None:
+            self._events, self._blob = pickle.loads(self._blob), None
+        return self._events
+
+    def __len__(self) -> int:
+        return self._count if self._blob is not None else len(self._events)
+
+    def __getstate__(self):
+        blob = self._blob
+        if blob is None:
+            blob = pickle.dumps(self._events, pickle.HIGHEST_PROTOCOL)
+        return self.limit, self.dropped, len(self), blob
+
+    def __setstate__(self, state) -> None:
+        self.limit, self.dropped, self._count, self._blob = state
+        self._events = None
+
     def on_event(self, t: int, kind: str, args: Tuple[Any, ...]) -> None:
-        if len(self.events) >= self.limit:
+        events = self._events
+        if len(events) >= self.limit:
             if self.dropped == 0:
                 log.warning(
                     "event log hit its %d-event cap; traces and "
@@ -305,4 +333,96 @@ class EventLog:
                     "from partial data", self.limit)
             self.dropped += 1
             return
-        self.events.append((t, kind, args))
+        events.append((t, kind, args))
+
+    def index(self) -> "LogIndex":
+        """Read the log once, in emission order (see :class:`LogIndex`)."""
+        blob = self._blob
+        return LogIndex(self._events if blob is None else pickle.loads(blob))
+
+
+#: the kinds an :class:`EventLog` records and its index reads
+LOG_KINDS: FrozenSet[str] = frozenset({
+    "op.begin", "op.end", "server.req", "server.done", "combiner.close",
+    "udn.send", "udn.deliver", "udn.recv", "udn.backpressure", "udn.timeout",
+    "noc.link", "cache.stall", "cache.miss", "fence.stall", "atomic.stall",
+    "atomic.cas_fail", "proc.kill", "proc.interrupt",
+})
+
+#: kind -> the named tuple an index keeps per event of it: ``seq`` (the
+#: event's position in the log), ``t`` (its cycle), then its SCHEMA
+#: fields.  A span's fields run from ``start`` to ``t``.
+_RECORD = {kind: namedtuple(kind.replace(".", "_"), ("seq", "t") + SCHEMA[kind][1])
+           for kind in sorted(LOG_KINDS)}
+
+
+@dataclass(eq=False, slots=True)
+class Op:
+    """One operation's ``op.begin`` and ``op.end`` records, joined by op
+    id (either may be missing from a log)."""
+
+    begin: Optional[Any] = None
+    end: Optional[Any] = None
+
+
+@dataclass(eq=False, slots=True)
+class Msg:
+    """One UDN message's ``udn.send``, the ``noc.link`` records of the
+    links it held and its ``udn.deliver`` (None in flight), joined by
+    ``msg_id``, with the op current on its source core when it was sent."""
+
+    send: Any
+    op: Optional[Op]
+    hops: List[Any] = field(default_factory=list)
+    deliver: Optional[Any] = None
+
+
+class LogIndex:
+    """One reading of an event log, made in one pass in emission order.
+
+    * ``records[kind]``: each event's record, per kind, in order: every
+      core's spans (stalls, receive waits, backpressure, combining and
+      service sessions) and instants -- sort by ``seq`` across kinds;
+    * ``ops``: an :class:`Op` per operation, in first-event order;
+    * ``messages``: a :class:`Msg` per UDN message sent, in send order;
+    * ``services``: ``(server.done record, the client thread's op)``.
+    """
+
+    def __init__(self, events: List[Tuple[int, str, Tuple[Any, ...]]]):
+        self.records: Dict[str, List[Any]] = {kind: [] for kind in _RECORD}
+        self.ops: List[Op] = []
+        self.messages: List[Msg] = []
+        self.services: List[Tuple[Any, Optional[Op]]] = []
+        # ops and messages by id until they end; each thread's and
+        # each core's last op
+        open_ops, open_msgs, op_of_tid, op_of_core = {}, {}, {}, {}
+        records, record, new = self.records, _RECORD.get, tuple.__new__
+        for seq, (t, kind, args) in enumerate(events):
+            cls = record(kind)
+            if cls is None:
+                continue
+            rec = new(cls, (seq, t, *args))
+            records[kind].append(rec)
+            if kind == "udn.send":
+                msg = open_msgs[rec.msg_id] = Msg(rec, op_of_core.get(rec.core))
+                self.messages.append(msg)
+            elif kind == "noc.link":
+                msg = open_msgs.get(rec.msg_id)
+                if msg is not None:
+                    msg.hops.append(rec)
+            elif kind == "udn.deliver":
+                msg = open_msgs.pop(rec.msg_id, None)
+                if msg is not None:
+                    msg.deliver = rec
+            elif kind == "op.begin":
+                op = open_ops[rec.op] = Op(rec)
+                op_of_tid[rec.tid] = op_of_core[rec.core] = op
+                self.ops.append(op)
+            elif kind == "op.end":
+                op = open_ops.pop(rec.op, None)
+                if op is None:
+                    op = Op()
+                    self.ops.append(op)
+                op.end = rec
+            elif kind == "server.done":
+                self.services.append((rec, op_of_tid.get(rec.client)))

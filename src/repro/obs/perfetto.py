@@ -3,8 +3,9 @@
 :func:`trace_events` converts the :class:`~repro.obs.bus.EventLog` a
 traced run recorded into the Chrome Trace Event format (the JSON
 flavour both ``chrome://tracing`` and https://ui.perfetto.dev open
-directly).  The conversion runs once, at export, over the events in
-emission order; the run itself only appends raw events to the log.
+directly).  The conversion runs once, at export, over the log's
+:class:`~repro.obs.bus.LogIndex`; the run itself only appends raw
+events to the log.
 
 Track layout (one traced machine = one "process"):
 
@@ -27,42 +28,27 @@ from __future__ import annotations
 
 import json
 import logging
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.bus import named
-
-__all__ = ["TRACE_KINDS", "counter_events", "trace_events",
-           "write_chrome_trace"]
+__all__ = ["counter_events", "trace_events", "write_chrome_trace"]
 
 log = logging.getLogger(__name__)
-
-#: the event kinds the export reads -- and so the kinds a machine's
-#: event log records; every other kind is filtered at the bus
-TRACE_KINDS = frozenset({
-    "cache.stall", "fence.stall", "cache.miss",
-    "atomic.stall", "atomic.cas_fail",
-    "udn.send", "udn.backpressure", "udn.recv", "udn.deliver",
-    "udn.timeout", "noc.link",
-    "combiner.close", "server.req", "server.done",
-    "op.begin", "op.end",
-    "proc.kill", "proc.interrupt",
-})
 
 
 def trace_events(event_log, num_cores: int, pid: int) -> List[Dict[str, Any]]:
     """One machine's event log as Chrome trace-event dicts."""
+    ix = event_log.index()
+    rec = ix.records
     sim_track = num_cores
     udn_track = num_cores + 1
-    link_tracks: Dict[str, int] = {}
-    spans: List[Dict[str, Any]] = []
+    link_tracks: Dict[str, int] = {}  # allocated in first-use order
+    #: (ts, tid, seq, event), sorted: equal (ts, tid) keep emission order
+    spans: List[Tuple[int, int, int, Dict[str, Any]]] = []
     #: flow-event bindings (``ph`` one of "s"/"t"/"f") link one op's
-    #: spans across core tracks
-    flows: List[Dict[str, Any]] = []
-    #: per-thread current op id (from ``op.begin``), so service spans
-    #: can join the issuing op's flow
-    cur_op: Dict[int, int] = {}
+    #: spans across core tracks; (id, ts, seq, event), sorted likewise
+    flows: List[Tuple[int, int, int, Dict[str, Any]]] = []
 
-    def add(ts: int, dur: Optional[int], tid: int, name: str, cat: str,
+    def add(r, ts: int, dur: Optional[int], tid: int, name: str, cat: str,
             args: Dict[str, Any]) -> None:
         ev: Dict[str, Any] = {"name": name, "cat": cat, "pid": pid,
                               "tid": tid, "ts": ts, "args": args}
@@ -72,93 +58,82 @@ def trace_events(event_log, num_cores: int, pid: int) -> List[Dict[str, Any]]:
         else:
             ev["ph"] = "X"
             ev["dur"] = dur
-        spans.append(ev)
+        spans.append((ts, tid, r.seq, ev))
 
-    def add_flow(ts: int, tid: int, flow_id: int, phase: str) -> None:
+    def add_flow(r, ts: int, tid: int, flow_id: int, phase: str) -> None:
         ev = {"name": "op-flow", "cat": "op", "pid": pid, "tid": tid,
               "ts": ts, "ph": phase, "id": flow_id}
         if phase == "f":
             ev["bp"] = "e"
-        flows.append(ev)
+        flows.append((flow_id, ts, r.seq, ev))
 
-    def link_track(a: int, b: int) -> int:
-        key = f"{a}->{b}"
-        tid = link_tracks.get(key)
-        if tid is None:
-            tid = link_tracks[key] = num_cores + 2 + len(link_tracks)
-        return tid
-
-    for t, kind, args in event_log.events:
-        f = named(kind, args)
-        if kind == "cache.stall":
-            add(f["start"], f["cycles"], f["core"],
-                "stall:" + f["why"], "cache", {"line": f["line"]})
-        elif kind == "fence.stall":
-            add(f["start"], f["cycles"], f["core"],
-                "stall:" + f["why"], "cache", {})
-        elif kind == "cache.miss":
-            add(t, None, f["core"], f"miss:{f['op']}:{f['transition']}",
-                "cache", {"line": f["line"], "latency": f["latency"]})
-        elif kind == "atomic.stall":
-            add(f["start"], f["cycles"], f["core"], "atomic", "atomic",
-                {"line": f["line"]})
-        elif kind == "atomic.cas_fail":
-            add(t, None, f["core"], "cas-fail", "atomic", {"line": f["line"]})
-        elif kind == "udn.send":
-            add(t, None, f["core"], f"send->t{f['dst_tid']}", "udn",
-                {"words": f["words"], "dst_core": f["dst_core"]})
-        elif kind == "udn.backpressure":
-            add(f["start"], f["cycles"], f["core"], "backpressure", "udn",
-                {"dst_core": f["dst_core"]})
-        elif kind == "udn.recv":
-            add(f["start"], f["waited"], f["core"], "recv", "udn",
-                {"words": f["words"], "tid": f["tid"]})
-        elif kind == "udn.deliver":
-            add(t, None, udn_track, f"deliver@c{f['core']}", "udn",
-                {"words": f["words"], "latency": f["latency"]})
-        elif kind == "udn.timeout":
-            add(t, None, f["core"], f"timeout:{f['op']}", "fault",
-                {"waited": f["waited"]})
-        elif kind == "noc.link":
-            add(t, f["busy"], link_track(f["a"], f["b"]),
-                f"link {f['a']}->{f['b']}", "noc", {"wait": f["wait"]})
-        elif kind == "combiner.close":
-            add(f["start"], t - f["start"], f["core"], "combine", "combiner",
-                {"ops": f["ops"], "prim": f["prim"]})
-        elif kind == "server.req":
-            add(t, None, f["core"], "req", "server",
-                {"client": f["client"], "prim": f["prim"]})
-        elif kind == "op.begin":
-            cur_op[f["tid"]] = f["op"]
-            add_flow(t, f["core"], f["op"], "s")
-        elif kind == "op.end":
-            add(f["start"], t - f["start"], f["core"], "op", "op",
-                {"op": f["op"], "tid": f["tid"], "measured": f["measured"]})
-            add_flow(t, f["core"], f["op"], "f")
-        elif kind == "server.done":
-            add(f["start"], t - f["start"], f["core"], "svc", "server",
-                {"client": f["client"], "prim": f["prim"]})
-            op = cur_op.get(f["client"])
-            if op is not None:
-                add_flow(f["start"], f["core"], op, "t")
-        elif kind in ("proc.kill", "proc.interrupt"):
-            add(t, None, sim_track, kind, "fault", {"name": f["name"]})
+    for r in rec["cache.stall"]:
+        add(r, r.start, r.cycles, r.core, "stall:" + r.why, "cache",
+            {"line": r.line})
+    for r in rec["fence.stall"]:
+        add(r, r.start, r.cycles, r.core, "stall:" + r.why, "cache", {})
+    for r in rec["cache.miss"]:
+        add(r, r.t, None, r.core, f"miss:{r.op}:{r.transition}", "cache",
+            {"line": r.line, "latency": r.latency})
+    for r in rec["atomic.stall"]:
+        add(r, r.start, r.cycles, r.core, "atomic", "atomic", {"line": r.line})
+    for r in rec["atomic.cas_fail"]:
+        add(r, r.t, None, r.core, "cas-fail", "atomic", {"line": r.line})
+    for r in rec["udn.send"]:
+        add(r, r.t, None, r.core, f"send->t{r.dst_tid}", "udn",
+            {"words": r.words, "dst_core": r.dst_core})
+    for r in rec["udn.backpressure"]:
+        add(r, r.start, r.cycles, r.core, "backpressure", "udn",
+            {"dst_core": r.dst_core})
+    for r in rec["udn.recv"]:
+        add(r, r.start, r.waited, r.core, "recv", "udn",
+            {"words": r.words, "tid": r.tid})
+    for r in rec["udn.deliver"]:
+        add(r, r.t, None, udn_track, f"deliver@c{r.core}", "udn",
+            {"words": r.words, "latency": r.latency})
+    for r in rec["udn.timeout"]:
+        add(r, r.t, None, r.core, f"timeout:{r.op}", "fault",
+            {"waited": r.waited})
+    for r in rec["noc.link"]:
+        key = f"{r.a}->{r.b}"
+        tid = link_tracks.setdefault(key, num_cores + 2 + len(link_tracks))
+        add(r, r.t, r.busy, tid, f"link {key}", "noc", {"wait": r.wait})
+    for r in rec["combiner.close"]:
+        add(r, r.start, r.t - r.start, r.core, "combine", "combiner",
+            {"ops": r.ops, "prim": r.prim})
+    for r in rec["server.req"]:
+        add(r, r.t, None, r.core, "req", "server",
+            {"client": r.client, "prim": r.prim})
+    for r in rec["op.begin"]:
+        add_flow(r, r.t, r.core, r.op, "s")
+    for r in rec["op.end"]:
+        add(r, r.start, r.t - r.start, r.core, "op", "op",
+            {"op": r.op, "tid": r.tid, "measured": r.measured})
+        add_flow(r, r.t, r.core, r.op, "f")
+    for r, op in ix.services:
+        add(r, r.start, r.t - r.start, r.core, "svc", "server",
+            {"client": r.client, "prim": r.prim})
+        if op is not None:
+            add_flow(r, r.start, r.core, op.begin.op, "t")
+    for kind in ("proc.kill", "proc.interrupt"):
+        for r in rec[kind]:
+            add(r, r.t, None, sim_track, kind, "fault", {"name": r.name})
+    del ix, rec  # the index is spent: let it go before the sort
 
     names = {cid: f"core {cid}" for cid in range(num_cores)}
     names[sim_track] = "sim"
     names[udn_track] = "udn"
     for key, tid in link_tracks.items():
         names[tid] = f"link {key}"
-    used = {ev["tid"] for ev in spans}
+    used = {tid for _ts, tid, _seq, _ev in spans}
     out: List[Dict[str, Any]] = [
         {"name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
          "args": {"name": name}}
         for tid, name in sorted(names.items()) if tid in used]
-    # stable sorts: same-key events keep their emission order
-    spans.sort(key=lambda ev: (ev["ts"], ev["tid"]))
-    flows.sort(key=lambda ev: (ev["id"], ev["ts"]))
-    out.extend(spans)
-    out.extend(flows)
+    spans.sort()
+    flows.sort()
+    out.extend(ev for _ts, _tid, _seq, ev in spans)
+    out.extend(ev for _id, _ts, _seq, ev in flows)
     return out
 
 

@@ -67,7 +67,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.noc.topology import Mesh
-from repro.obs.bus import named
 from repro.obs.counters import BACKPRESSURE_CYCLES
 
 __all__ = ["SpatialAtlas", "merge_spatial_summaries", "render_hotspots",
@@ -213,50 +212,34 @@ class SpatialAtlas:
         (this machine's :class:`~repro.obs.bus.EventLog`, so
         ``trace=True``), in delivery order.
 
-        A ``udn.send`` opens its message, each ``noc.link`` hop of the
-        contended mesh charges its measured wait to the message its
-        ``msg_id`` names, and the ``udn.deliver`` closes it with the
-        end-to-end latency.  Costs come from this machine's mesh.  A
-        truncated log gives the records of the messages delivered before
-        its cap (every earlier event of such a message is in the log).
-        Post-hoc and O(events), like :func:`causal_link_flows`.
+        Each message of the log's index brings its send, the waits of its
+        contended-mesh links and its latency; costs come from this
+        machine's mesh.  A truncated log gives the records of the
+        messages delivered before its cap.  Post-hoc and O(events).
         """
         mesh, node_of = self.mesh, self._node_of
         per_hop = mesh.per_hop
-        # msg_id -> (src node, dst node, words, [(a, b, wait), ...])
-        sent: Dict[int, Tuple[int, int, int, List[Tuple[int, int, int]]]] = {}
+        delivered = sorted((m for m in event_log.index().messages
+                            if m.deliver is not None),
+                           key=lambda m: m.deliver.seq)
         out = []
-        for _t, kind, args in event_log.events:
-            if kind == "udn.send":
-                f = named(kind, args)
-                sent[f["msg_id"]] = (node_of[f["core"]],
-                                     node_of[f["dst_core"]], f["words"], [])
-            elif kind == "noc.link":
-                f = named(kind, args)
-                msg = sent.get(f["msg_id"])
-                if msg is not None:
-                    msg[3].append((f["a"], f["b"], f["wait"]))
-            elif kind == "udn.deliver":
-                f = named(kind, args)
-                msg = sent.pop(f["msg_id"], None)
-                if msg is None:
-                    continue
-                src, dst, words, waits = msg
-                if waits:
-                    # contended mesh: queueing measured per link-acquire
-                    hops = [(a, b, w, per_hop) for a, b, w in waits]
-                else:
-                    # analytic mesh (or src == dst): no queueing anywhere
-                    hops = [(a, b, 0, per_hop)
-                            for a, b in self._route_links(src, dst)]
-                latency = f["latency"]
-                queue = sum(h[2] for h in hops)
-                transit = per_hop * len(hops)
-                eject = mesh.base + mesh.per_word * (words - 1)
-                out.append(_MsgRecord(f["msg_id"], src, dst, words, latency,
-                                      queue, transit, eject,
-                                      latency - queue - transit - eject,
-                                      hops))
+        for m in delivered:
+            send = m.send
+            src, dst, words = node_of[send.core], node_of[send.dst_core], send.words
+            if m.hops:
+                # contended mesh: queueing measured per link-acquire
+                hops = [(h.a, h.b, h.wait, per_hop) for h in m.hops]
+            else:
+                # analytic mesh (or src == dst): no queueing anywhere
+                hops = [(a, b, 0, per_hop)
+                        for a, b in self._route_links(src, dst)]
+            latency = m.deliver.latency
+            queue = sum(h[2] for h in hops)
+            transit = per_hop * len(hops)
+            eject = mesh.base + mesh.per_word * (words - 1)
+            out.append(_MsgRecord(send.msg_id, src, dst, words, latency,
+                                  queue, transit, eject,
+                                  latency - queue - transit - eject, hops))
         return out
 
     # -- lazy expansion -----------------------------------------------------
@@ -481,9 +464,9 @@ def causal_link_flows(summary: Dict[str, Any],
                       event_log) -> Dict[str, Dict[str, int]]:
     """Join link traffic to the ops that crossed each link.
 
-    Walks the machine's :class:`~repro.obs.bus.EventLog`,
-    tracking the current (tid, prim) op per core from ``op.begin`` and
-    charging each ``udn.send``'s XY route to that op's flow.  Routes
+    Reads the messages of the machine's :class:`~repro.obs.bus.EventLog`
+    through its index and charges each one's XY route to the flow of
+    the op that sent it (``prim/tN``; ``coreN`` with no op yet).  Routes
     come from the atlas ``summary``'s mesh (core ``i`` sits on node
     ``i``), so a record read in another process resolves them too.
     Returns ``{link_key: {flow_label: msgs}}``.  Post-hoc and
@@ -491,18 +474,13 @@ def causal_link_flows(summary: Dict[str, Any],
     """
     mesh = Mesh(summary["mesh"]["width"], summary["mesh"]["height"])
     flows: Dict[str, Dict[str, int]] = {}
-    cur: Dict[int, str] = {}  # core -> flow label of its current op
-    for _t, kind, args in event_log.events:
-        if kind not in ("op.begin", "udn.send"):
-            continue
-        f = named(kind, args)
-        if kind == "op.begin":
-            cur[f["core"]] = f"{f['prim']}/t{f['tid']}"
-        elif kind == "udn.send":
-            label = cur.get(f["core"], f"core{f['core']}")
-            for a, b in mesh.links(f["core"], f["dst_core"]):
-                per = flows.setdefault(_link_key(a, b), {})
-                per[label] = per.get(label, 0) + 1
+    for m in event_log.index().messages:
+        send = m.send
+        label = (f"core{send.core}" if m.op is None
+                 else f"{m.op.begin.prim}/t{m.op.begin.tid}")
+        for a, b in mesh.links(send.core, send.dst_core):
+            per = flows.setdefault(_link_key(a, b), {})
+            per[label] = per.get(label, 0) + 1
     return flows
 
 

@@ -7,7 +7,7 @@ import numpy as np
 from repro.analysis.linearizability import History
 from repro.core import CCSynch, HybComb, MPServer, OpTable, ShmServer
 from repro.machine import Machine, tile_gx
-from repro.obs.bus import SCHEMA
+from repro.obs.bus import SCHEMA, EventLog
 from repro.workload.driver import run_ops
 
 
@@ -23,6 +23,15 @@ def ev(t: int, kind: str, **fields):
         raise ValueError(
             f"{kind} takes fields {names}, got {tuple(sorted(fields))}")
     return t, kind, tuple(fields[n] for n in names)
+
+
+def log_of(events, limit: int = 2_000_000) -> EventLog:
+    """An :class:`~repro.obs.bus.EventLog` that recorded ``events``
+    (``(cycle, kind, args)`` triples) in order."""
+    log = EventLog(limit=limit)
+    for t, kind, args in events:
+        log.on_event(t, kind, args)
+    return log
 
 
 def make_counter(machine: Machine, optable: OpTable):

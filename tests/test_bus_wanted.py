@@ -4,12 +4,14 @@ Every publish site checks ``"<kind>" in obs.wanted`` before it builds an
 event, so which consumers are attached decides which events exist --
 never what the simulation does.  These tests pin the taxonomy (the
 kinds ``src/`` emits are the rows of :data:`repro.obs.bus.SCHEMA`, each
-emit passes its row's fields positionally, and every consumer's kind
-set is a subset of the kinds it reads from), the ``wanted``
-bookkeeping, and the stream equivalence the guard promises: on five
-scenarios, a run under the report stack publishes exactly a
-fully-observed run's events filtered to its ``wanted`` kinds, with the
-same results and counters, while a counters-only run publishes nothing.
+emit passes its row's fields positionally, every consumer's kind set
+names SCHEMA kinds, and the event log records exactly the kinds its
+index reads), the ``wanted`` bookkeeping, and the stream equivalence
+the guard promises: on five scenarios, a run under the report stack
+publishes exactly a fully-observed run's events filtered to its
+``wanted`` kinds, with the same results and counters, while a
+counters-only run publishes nothing; and the log's readers give the
+same answers from the log as from the full stream.
 """
 
 import ast
@@ -22,15 +24,16 @@ import pytest
 
 import repro
 import repro.obs as obs
-from repro.analysis.critpath import CAUSAL_KINDS
-from repro.analysis.render import _TIMELINE_KINDS
+from repro.analysis.critpath import analyze
+from repro.analysis.render import render_timeline
 from repro.core import OpTable, ShmServer
 from repro.faults import CrashThread, FaultPlan
 from repro.machine import Machine, mesh_profile, tile_gx, x86_like
 from repro.objects import LockedCounter
-from repro.obs.bus import KINDS, NARRATED_KINDS, SCHEMA, EventBus
+from repro.obs.bus import KINDS, LOG_KINDS, NARRATED_KINDS, SCHEMA, EventBus
 from repro.obs.flightrec import TRIGGERS
-from repro.obs.perfetto import TRACE_KINDS
+from repro.obs.perfetto import trace_events
+from repro.obs.spatial import causal_link_flows
 from repro.workload import WorkloadSpec
 from repro.workload.openloop import (
     AdmissionSpec,
@@ -42,7 +45,7 @@ from repro.workload.scenarios import (
     run_counter_benchmark,
     run_fault_recovery_benchmark,
 )
-from tests.helpers import ev
+from tests.helpers import ev, log_of
 
 SPEC = WorkloadSpec(warmup_cycles=5_000, measure_cycles=20_000)
 
@@ -96,17 +99,19 @@ def test_emitted_kinds_are_the_taxonomy():
 
 
 def test_consumer_kinds_are_schema_kinds():
-    """Each consumer's kind set names SCHEMA kinds, and a log reader
-    reads only kinds the log records."""
-    timeline = set(_TIMELINE_KINDS)
-    for kinds in (TRACE_KINDS, CAUSAL_KINDS, timeline, TRIGGERS):
+    """Each consumer's kind set names SCHEMA kinds, and the event log
+    records exactly the kinds its one reader, the index, reads: alone
+    in a log, an event of a LOG_KINDS kind leaves a record in the index
+    and an event of any other kind leaves none."""
+    for kinds in (LOG_KINDS, TRIGGERS):
         assert kinds <= KINDS
-    # the link-flow join (spatial.causal_link_flows) reads these two
-    for kinds in (CAUSAL_KINDS, timeline, {"op.begin", "udn.send"}):
-        assert kinds <= TRACE_KINDS
     assert TRIGGERS <= NARRATED_KINDS
-    for kind, (_glyph, dur) in _TIMELINE_KINDS.items():
-        assert dur is None or dur in SCHEMA[kind][1]
+    read = set()
+    for kind, (_cls, fields) in SCHEMA.items():
+        ix = log_of([(1, kind, tuple(range(len(fields))))]).index()
+        if any(ix.records.values()):
+            read.add(kind)
+    assert read == LOG_KINDS == set(ix.records)
 
 
 def test_every_emit_site_checks_wanted():
@@ -315,3 +320,23 @@ def test_report_stack_stream_is_the_full_stream_filtered(scenario):
         assert doc["kinds"] == sorted(wanted)
     if scenario == "mp-server-ft-crash":
         assert [d["reason"] for d in b.flight.incidents][:1] == ["proc.kill"]
+
+
+@pytest.mark.parametrize("scenario", ["mp-server", "hybcomb-contended-4x4"])
+def test_log_readers_answer_as_from_the_full_stream(scenario):
+    """Every kind a reader reads is recorded: each of the five log
+    readers gives the same answer from the machine's event log as from
+    a log of the machine's full, unfiltered stream."""
+    _r, ob, full = _run(scenario, "all", trace=True, spatial_hops=True)
+    logs = (ob.trace, log_of(full))
+    assert len(logs[1]) > len(logs[0])
+
+    def answers(log):
+        rep = analyze(log)
+        return (trace_events(log, len(ob.machine.cores), 0),
+                [(o.op, o.segments) for o in rep.ops], rep.path,
+                ob.spatial.hop_records(log),
+                causal_link_flows(ob.spatial.summary(), log),
+                render_timeline(log))
+
+    assert answers(logs[0]) == answers(logs[1])

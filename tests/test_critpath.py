@@ -2,8 +2,9 @@
 
 These pin down the painting semantics -- precedence order, exact
 partition of the op interval, response refinement after the last
-service span, msg_id-matched transit -- on tiny synthetic event streams
-where every expected cycle count can be worked out by hand, then check
+service span, msg_id-matched transit -- on tiny synthetic event streams,
+recorded by an event log, where every expected cycle count can be
+worked out by hand, then check
 that the whole-run verdict agrees with the Figure 4a counter breakdown
 on real runs.
 """
@@ -11,17 +12,11 @@ on real runs.
 import pytest
 
 import repro.obs as obs
-from repro.analysis.critpath import (
-    CATEGORIES,
-    analyze,
-    analyze_collector,
-    diff_reports,
-    stragglers,
-)
+from repro.analysis.critpath import CATEGORIES, analyze, diff_reports, stragglers
 from repro.analysis.render import render_stragglers
 from repro.workload.driver import WorkloadSpec
 from repro.workload.scenarios import run_counter_benchmark
-from tests.helpers import ev
+from tests.helpers import ev, log_of
 
 
 def _op(events, op=0, tid=1, core=1, t0=0, t1=100, measured=True, prim="x"):
@@ -34,10 +29,15 @@ def _op(events, op=0, tid=1, core=1, t0=0, t1=100, measured=True, prim="x"):
     )
 
 
+def _analyze(events):
+    """Analyze a hand-built stream, recorded by an event log."""
+    return analyze(log_of(events))
+
+
 # -- painting semantics -----------------------------------------------------
 
 def test_bare_op_is_all_client():
-    rep = analyze(_op([]))
+    rep = _analyze(_op([]))
     (o,) = rep.ops
     assert o.blame == {"client": 100}
     assert o.segments == [(0, 100, "client")]
@@ -46,7 +46,7 @@ def test_bare_op_is_all_client():
 
 def test_paint_precedence_and_exact_partition():
     # stall [10,20), recv wait [30,80), service [40,50) on another core
-    rep = analyze(_op([
+    rep = _analyze(_op([
         ev(20, "cache.stall", core=1, cycles=10, why="miss", line=0,
            start=10),
         ev(80, "udn.recv", tid=1, core=1, start=30, waited=50, words=1),
@@ -64,7 +64,7 @@ def test_paint_precedence_and_exact_partition():
 
 
 def test_serving_core_stalls_become_service_stall():
-    rep = analyze(_op([
+    rep = _analyze(_op([
         ev(50, "server.done", core=0, client=1, prim="x", start=40),
         # the *serving* core stalled for [43,48) inside the service span
         ev(48, "cache.stall", core=0, cycles=5, why="miss", line=0,
@@ -76,7 +76,7 @@ def test_serving_core_stalls_become_service_stall():
 
 
 def test_atomic_and_backpressure_paint_over_client():
-    rep = analyze(_op([
+    rep = _analyze(_op([
         ev(15, "atomic.stall", core=1, cycles=5, line=0, start=10),
         ev(40, "udn.backpressure", core=1, start=30, cycles=10, dst_core=0),
     ]))
@@ -85,7 +85,7 @@ def test_atomic_and_backpressure_paint_over_client():
 
 
 def test_udn_transit_matched_by_msg_id():
-    rep = analyze(_op([
+    rep = _analyze(_op([
         ev(5, "udn.send", core=1, msg_id=7, dst_tid=0, dst_core=0, words=3),
         ev(12, "udn.deliver", core=0, msg_id=7, words=3, latency=7,
            demux=0),
@@ -98,7 +98,7 @@ def test_udn_transit_matched_by_msg_id():
 
 
 def test_combining_for_others_is_separated_from_client_time():
-    rep = analyze(_op([
+    rep = _analyze(_op([
         ev(70, "combiner.close", tid=1, core=1, start=20, ops=4, prim="x"),
     ]))
     (o,) = rep.ops
@@ -106,7 +106,7 @@ def test_combining_for_others_is_separated_from_client_time():
 
 
 def test_spans_outside_the_op_are_clipped():
-    rep = analyze(_op([
+    rep = _analyze(_op([
         # stall straddles t0: only [0,5) lands in the op
         ev(5, "cache.stall", core=1, cycles=10, why="miss", line=0,
            start=-5),
@@ -120,7 +120,7 @@ def test_spans_outside_the_op_are_clipped():
 
 
 def test_begin_without_end_counts_incomplete():
-    rep = analyze([ev(0, "op.begin", op=0, tid=1, core=1, prim="x")])
+    rep = _analyze([ev(0, "op.begin", op=0, tid=1, core=1, prim="x")])
     assert rep.ops == []
     assert rep.incomplete_ops == 1
 
@@ -128,7 +128,7 @@ def test_begin_without_end_counts_incomplete():
 def test_unmeasured_ops_excluded_from_run_blame():
     events = (_op([], op=0, t0=0, t1=50, measured=False)
               + _op([], op=1, t0=60, t1=100, measured=True))
-    rep = analyze(events)
+    rep = _analyze(events)
     assert len(rep.ops) == 2
     assert len(rep.measured_ops) == 1
     assert rep.blame == {"client": 40}
@@ -138,7 +138,7 @@ def test_unmeasured_ops_excluded_from_run_blame():
 
 def test_path_chains_one_threads_consecutive_ops():
     events = (_op([], op=0, t0=0, t1=40) + _op([], op=1, t0=60, t1=100))
-    rep = analyze(events)
+    rep = _analyze(events)
     assert [o for o, _s, _e, _c in rep.path] == [0, 1]
     assert rep.path_cycles == 80
 
@@ -152,7 +152,7 @@ def test_path_rides_the_serialized_service_resource():
         + _op([ev(90, "server.done", core=0, client=2, prim="x", start=82)],
             op=1, tid=2, core=2, t0=5, t1=95)
     )
-    rep = analyze(events)
+    rep = _analyze(events)
     assert rep.path_blame.get("service", 0) > 0
     ops_on_path = {o for o, _s, _e, _c in rep.path}
     assert ops_on_path == {0, 1}
@@ -168,7 +168,7 @@ def test_stragglers_returns_slowest_measured_first():
     for i, lat in enumerate((30, 90, 60)):
         events += _op([], op=i, tid=1, core=1, t0=i * 200,
                       t1=i * 200 + lat)
-    rep = analyze(events)
+    rep = _analyze(events)
     top = stragglers(rep, k=2)
     assert [o.latency for o in top] == [90, 60]
 
@@ -177,7 +177,7 @@ def test_stragglers_returns_slowest_measured_first():
 def test_straggler_count_below_one_rejected(k):
     """K < 1 once printed every op but the K fastest (k=-2) or a
     "[no measured ops]" table for a run that measured ops (k=0)."""
-    rep = analyze(_op([], t0=0, t1=50))
+    rep = _analyze(_op([], t0=0, t1=50))
     with pytest.raises(ValueError, match="straggler count"):
         stragglers(rep, k=k)
     with pytest.raises(ValueError, match="straggler count"):
@@ -185,8 +185,8 @@ def test_straggler_count_below_one_rejected(k):
 
 
 def test_diff_reports_mean_per_op_delta():
-    a = analyze(_op([], t0=0, t1=50))
-    b = analyze(_op([ev(40, "atomic.stall", core=1, cycles=10, line=0,
+    a = _analyze(_op([], t0=0, t1=50))
+    b = _analyze(_op([ev(40, "atomic.stall", core=1, cycles=10, line=0,
                         start=30)], t0=0, t1=100))
     d = diff_reports(a, b)
     assert d["client"] == {"a": 50.0, "b": 90.0, "delta": 40.0}
@@ -207,7 +207,7 @@ def test_path_verdict_matches_fig4a_counters():
         with obs.observed(trace=True) as session:
             r = run_counter_benchmark(approach, 10, spec=spec)
         (ob,) = session.machines
-        rep = analyze_collector(ob.trace, label=approach)
+        rep = analyze(ob.trace, label=approach)
         svc = rep.blame.get("service", 0)
         stall = rep.blame.get("service_stall", 0)
         path_share = stall / max(svc + stall, 1)

@@ -4,7 +4,7 @@ Store-buffer drains, prefetches and contended mesh packets run as light
 scheduler entries rather than processes.  Each one must step in exactly
 the cycle and the same-cycle position its process did, or the order of
 the events the hardware models emit moves.  These pins are the sha256
-of a seed-42 ``EventLog`` -- every :data:`repro.obs.TRACE_KINDS` event
+of a seed-42 ``EventLog`` -- every :data:`repro.obs.bus.LOG_KINDS` event
 with its cycle, in emission order -- for two short runs that exercise
 all three transaction kinds, recorded while each was still a spawned
 process:

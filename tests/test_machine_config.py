@@ -169,3 +169,60 @@ def test_max_events_guard_on_machine():
     m.spawn(ctx, spin())
     with pytest.raises(RuntimeError, match="exceeded"):
         m.run()
+
+
+# -- cache lines narrower than a primitive's per-thread record -------------------
+
+#: approach -> words of its per-thread record
+_RECORD_WORDS = {"CC-Synch": 6, "flat-combining": 6, "shm-server": 5,
+                 "HybComb": 4}
+
+
+@pytest.mark.parametrize("approach", sorted(_RECORD_WORDS))
+def test_line_narrower_than_a_record_is_refused(approach):
+    """A record one word wider than the line once deadlocked CC-Synch,
+    fed flat combining an unknown opcode and silently starved all but
+    one SHM-SERVER client.  Construction now refuses the line, naming
+    the knob, the primitive and the width; the exact width runs every
+    client."""
+    from repro.workload.driver import WorkloadSpec
+    from repro.workload.scenarios import run_counter_benchmark
+
+    words = _RECORD_WORDS[approach]
+    spec = WorkloadSpec(warmup_cycles=2_000, measure_cycles=10_000)
+    with pytest.raises(ValueError, match=(
+            rf"^line_words={words - 1} is too narrow for {approach}: "
+            rf"its per-thread record needs {words} words$")):
+        run_counter_benchmark(approach, 8, spec=spec,
+                              cfg=tile_gx(line_words=words - 1))
+    r = run_counter_benchmark(approach, 8, spec=spec,
+                              cfg=tile_gx(line_words=words))
+    assert min(r.per_thread_ops) > 0
+
+
+def test_cancellable_channel_needs_the_claim_word():
+    from repro.core import OpTable, ShmServer
+
+    m = Machine(tile_gx(line_words=5))
+    ShmServer(m, OpTable(), client_tids=[1])
+    with pytest.raises(ValueError, match="^line_words=5 is too narrow for "
+                                         "shm-server: its per-thread record needs 6"):
+        ShmServer(Machine(tile_gx(line_words=5)), OpTable(), client_tids=[1],
+                  cancellable=True)
+
+
+def test_two_word_records_need_two_word_lines():
+    """The fault-tolerant MP-SERVER's dedup slot and the MCS queue node
+    hold two words; the plain MP-SERVER keeps no per-client record."""
+    from repro.core import MCSLock, MPServer, OpTable
+
+    def narrow():
+        return Machine(tile_gx(line_words=1))
+
+    with pytest.raises(ValueError, match="^line_words=1 is too narrow for "
+                                         "mp-server: its per-thread record needs 2"):
+        MPServer(narrow(), OpTable(), request_timeout=1_000)
+    MPServer(narrow(), OpTable())
+    with pytest.raises(ValueError, match="^line_words=1 is too narrow for mcs"):
+        MCSLock(narrow())
+    MCSLock(Machine(tile_gx(line_words=2)))

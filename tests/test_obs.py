@@ -186,6 +186,32 @@ def test_full_stack_record_survives_a_pickle_round_trip():
     assert "slo.op-p50-1cyc.burn" in series and "core.busy" in series
 
 
+def test_round_tripped_log_stays_bytes_until_read():
+    """A sweep worker's record reaches its parent with the event log as
+    one bytes blob.  Its length, its cap and its index come without
+    decoding it for good; only reading ``events`` keeps the decoded
+    list, and a held log pickles again as the same blob."""
+    import pickle
+
+    from repro.workload import WorkloadSpec
+    from repro.workload.scenarios import run_counter_benchmark
+
+    with obs.observed(trace=True) as session:
+        run_counter_benchmark("mp-server", 3, spec=WorkloadSpec(
+            warmup_cycles=1_000, measure_cycles=4_000))
+    (rec,) = session.records()
+    back = pickle.loads(pickle.dumps(rec)).trace
+    assert back._events is None and isinstance(back._blob, bytes)
+    assert len(back) == len(rec.trace) > 0
+    assert (back.limit, back.dropped) == (rec.trace.limit, rec.trace.dropped)
+    ix = back.index()
+    assert ix.records == rec.trace.index().records
+    assert back._events is None
+    assert pickle.loads(pickle.dumps(back))._blob == back._blob
+    assert back.events == rec.trace.events
+    assert back._blob is None and len(back) == len(rec.trace)
+
+
 def test_nested_sessions_rejected():
     with obs.observed() as outer:
         with pytest.raises(RuntimeError):

@@ -12,9 +12,9 @@ import json
 import pytest
 
 import repro.obs as obs
-from repro.analysis.critpath import CATEGORIES, CAUSAL_KINDS, analyze_collector
-from repro.obs.bus import EventBus, EventLog
-from repro.obs.perfetto import TRACE_KINDS, write_chrome_trace
+from repro.analysis.critpath import CATEGORIES, analyze
+from repro.obs.bus import LOG_KINDS, EventBus, EventLog
+from repro.obs.perfetto import write_chrome_trace
 from repro.workload.driver import WorkloadSpec
 from repro.workload.scenarios import run_counter_benchmark
 from tests.helpers import ev
@@ -35,7 +35,7 @@ def _causal_run(approach, threads=5, spec=SPEC):
 @pytest.mark.parametrize("approach", APPROACHES)
 def test_blame_partitions_latency_exactly(approach):
     r, ob = _causal_run(approach)
-    rep = analyze_collector(ob.trace, label=approach)
+    rep = analyze(ob.trace, label=approach)
     assert rep.ops, "no completed ops reconstructed"
     for o in rep.ops:
         assert sum(o.blame.values()) == o.latency, (
@@ -46,7 +46,7 @@ def test_blame_partitions_latency_exactly(approach):
 @pytest.mark.parametrize("approach", APPROACHES)
 def test_segments_partition_the_op_interval(approach):
     _r, ob = _causal_run(approach)
-    rep = analyze_collector(ob.trace, label=approach)
+    rep = analyze(ob.trace, label=approach)
     for o in rep.ops:
         assert o.segments[0][0] == o.t0
         assert o.segments[-1][1] == o.t1
@@ -59,7 +59,7 @@ def test_segments_partition_the_op_interval(approach):
 @pytest.mark.parametrize("approach", APPROACHES)
 def test_reconstructed_latencies_match_driver_samples(approach):
     r, ob = _causal_run(approach)
-    rep = analyze_collector(ob.trace, label=approach)
+    rep = analyze(ob.trace, label=approach)
     got = sorted(o.latency for o in rep.measured_ops)
     want = sorted(r.latency_samples)
     assert got == want, (
@@ -70,7 +70,7 @@ def test_reconstructed_latencies_match_driver_samples(approach):
 
 def test_whole_run_path_exists_and_is_labelled():
     _r, ob = _causal_run("mp-server")
-    rep = analyze_collector(ob.trace, label="mp-server")
+    rep = analyze(ob.trace, label="mp-server")
     assert rep.path, "empty whole-run critical path"
     assert rep.path_cycles > 0
     assert sum(rep.path_blame.values()) == rep.path_cycles
@@ -82,7 +82,7 @@ def test_whole_run_path_exists_and_is_labelled():
 
 def test_in_flight_ops_at_window_end_are_counted_incomplete():
     _r, ob = _causal_run("mp-server", threads=4)
-    rep = analyze_collector(ob.trace)
+    rep = analyze(ob.trace)
     # each app thread has at most one op open when the run stops
     assert 0 <= rep.incomplete_ops <= 4
 
@@ -97,19 +97,17 @@ def test_event_log_truncates_at_limit_and_flags_it():
     assert len(log.events) == 5
     assert log.dropped == 4
     assert log.truncated
-    rep = analyze_collector(log)
+    rep = analyze(log)
     assert rep.truncated
 
 
 def test_event_log_records_only_trace_kinds():
-    """The log subscribes to the kinds its readers use; the causal
-    kinds the critical path reads are among them."""
-    assert CAUSAL_KINDS <= TRACE_KINDS
+    """The log subscribes to the kinds its index reads."""
     with obs.observed(trace=True) as session:
         run_counter_benchmark("mp-server", 3, spec=SPEC)
     (ob,) = session.machines
     kinds = {k for _t, k, _f in ob.trace.events}
-    assert kinds <= TRACE_KINDS
+    assert kinds <= LOG_KINDS
     assert {"op.begin", "op.end", "udn.send", "server.done"} <= kinds
     assert ob.trace.dropped == 0
 

@@ -8,7 +8,7 @@ matching the cores' own hardware registers exactly.
 """
 
 import repro.obs as obs
-from repro.analysis.critpath import analyze_collector
+from repro.analysis.critpath import analyze
 from repro.faults import CrashThread, FaultPlan, PreemptThread
 from repro.workload.driver import WorkloadSpec
 from repro.workload.scenarios import run_counter_benchmark, run_fault_recovery_benchmark
@@ -42,7 +42,7 @@ def _run(approach, plan, threads=5, spec=SPEC, recovery=False):
 
 def test_crashed_client_leaves_no_dangling_blame():
     r, ob = _run("mp-server", CLIENT_CRASH)
-    rep = analyze_collector(ob.trace)
+    rep = analyze(ob.trace)
     # completed ops are still cycle-exact...
     assert rep.ops
     for o in rep.ops:
@@ -56,7 +56,7 @@ def test_crashed_client_leaves_no_dangling_blame():
 
 def test_preempted_client_books_stay_exact():
     r, ob = _run("mp-server", PREEMPT)
-    rep = analyze_collector(ob.trace)
+    rep = analyze(ob.trace)
     assert rep.ops
     for o in rep.ops:
         assert sum(o.blame.values()) == o.latency
@@ -84,7 +84,7 @@ def test_server_crash_and_failover_keeps_counters_consistent():
     ))
     r, ob = _run(None, plan, threads=4, recovery=True)
     assert r.ops > 0
-    rep = analyze_collector(ob.trace)
+    rep = analyze(ob.trace)
     for o in rep.ops:
         assert sum(o.blame.values()) == o.latency
     assert all(v >= 0 for o in rep.ops for v in o.blame.values())

@@ -340,3 +340,29 @@ def test_trace_writer_peak_is_one_batch(tmp_path):
     batch = peak(lambda: trace_events(rec.trace, rec.cores, 0))
     written = peak(lambda: write_chrome_trace([rec], str(tmp_path / "t.json")))
     assert written < 1.5 * batch
+
+
+def test_held_logs_are_decoded_one_at_a_time(tmp_path):
+    """Exporting four records whose logs are held as bytes (what a
+    sweep's parent holds) peaks under 1.5x exporting one record whose
+    log is decoded already: each held log is decoded for its own
+    machine's batch and let go before the next."""
+    import pickle
+    import tracemalloc
+
+    from repro.obs.perfetto import write_chrome_trace
+
+    rec = _traced_record()
+    held = [pickle.loads(pickle.dumps(rec)) for _ in range(4)]
+
+    def peak(records):
+        tracemalloc.start()
+        try:
+            write_chrome_trace(records, str(tmp_path / "t.json"))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak([rec])
+    assert peak(held) < 1.5 * one
+    assert all(r.trace._events is None for r in held)
