@@ -29,7 +29,7 @@ import hashlib
 from dataclasses import asdict, dataclass, replace
 from typing import Tuple
 
-__all__ = ["COST_FIELDS", "MAX_MESH_DIM", "MachineConfig",
+__all__ = ["COST_FIELDS", "MAX_MESH_DIM", "SIZE_FIELDS", "MachineConfig",
            "controller_nodes_for_mesh", "mesh_profile", "scc_like", "tile_gx",
            "x86_like"]
 
@@ -48,6 +48,13 @@ COST_FIELDS = (
     "c_atomic_issue", "c_atomic_travel_extra", "c_atomic_local",
     "udn_send_base", "udn_send_per_word", "udn_recv_base",
     "udn_recv_per_word", "udn_probe_cost", "work_cycles_per_iteration",
+)
+
+#: the count and size knobs, each at least 1: a 0 MHz clock reports
+#: every throughput as 0.0 Mops/s, and a 0-word buffer holds no message
+SIZE_FIELDS = (
+    "mesh_width", "mesh_height", "clock_mhz", "line_words",
+    "udn_buffer_words", "udn_demux_queues",
 )
 
 
@@ -159,32 +166,32 @@ class MachineConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.mesh_width < 1 or self.mesh_height < 1:
-            raise ValueError("mesh dimensions must be positive")
-        if self.mesh_width > MAX_MESH_DIM or self.mesh_height > MAX_MESH_DIM:
-            raise ValueError(
-                f"mesh {self.mesh_width}x{self.mesh_height} exceeds the "
-                f"supported maximum of {MAX_MESH_DIM}x{MAX_MESH_DIM} "
-                f"({MAX_MESH_DIM * MAX_MESH_DIM} cores)"
-            )
-        n = self.mesh_width * self.mesh_height
-        for node in self.memory_controller_nodes:
-            if not (0 <= node < n):
-                raise ValueError(f"memory controller node {node} outside mesh")
-        if not self.memory_controller_nodes:
-            raise ValueError("need at least one memory controller")
-        if self.atomic_at not in ("controller", "cache"):
-            raise ValueError("atomic_at must be 'controller' or 'cache'")
-        if self.line_words < 1:
-            raise ValueError("line_words must be >= 1")
-        if self.udn_demux_queues < 1:
-            raise ValueError("need at least one demux queue")
-        # a 0 MHz clock reports every throughput as 0.0 Mops/s, and a
-        # 0-word buffer can hold no message
-        for name in ("clock_mhz", "udn_buffer_words"):
+        """Refuse a config no run can use; each error starts with the
+        name of the field at fault."""
+        for name in SIZE_FIELDS:
             if getattr(self, name) < 1:
                 raise ValueError(
                     f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("mesh_width", "mesh_height"):
+            if getattr(self, name) > MAX_MESH_DIM:
+                raise ValueError(
+                    f"{name} must be <= {MAX_MESH_DIM}, got "
+                    f"{getattr(self, name)} (at most {MAX_MESH_DIM}x"
+                    f"{MAX_MESH_DIM} = {MAX_MESH_DIM * MAX_MESH_DIM} cores)")
+        n = self.mesh_width * self.mesh_height
+        if not self.memory_controller_nodes:
+            raise ValueError(
+                "memory_controller_nodes is empty: need at least one "
+                "memory controller")
+        for node in self.memory_controller_nodes:
+            if not (0 <= node < n):
+                raise ValueError(
+                    f"memory_controller_nodes: node {node} outside the "
+                    f"{n}-node mesh")
+        if self.atomic_at not in ("controller", "cache"):
+            raise ValueError(
+                "atomic_at must be 'controller' or 'cache', "
+                f"got {self.atomic_at!r}")
         for name in COST_FIELDS:
             if getattr(self, name) < 0:
                 raise ValueError(

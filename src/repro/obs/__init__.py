@@ -56,6 +56,7 @@ parent merges them in submission order.
 from __future__ import annotations
 
 import inspect
+import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -348,14 +349,19 @@ def observe_point(scope: str, options: Dict[str, Any], fn, args: tuple,
     the active one during the call and is dropped after it: a worker
     forked from an observed parent inherits the parent's session, and
     a point run in the parent must not add its live machines to it.
-    ``scope`` prefixes the point's incident bundle names.
+    ``scope`` prefixes the point's incident bundle names.  The records
+    make one pickle round trip, so a point run in this process hands
+    back what a worker's would: each event log held as bytes until
+    read, and no reference left to the point's machines.
     """
     global _SESSION
     outer = _SESSION
     _SESSION = session = ObsSession(**options)
     session.scope = scope
     try:
-        return fn(*args, **kwargs), session.records()
+        result = fn(*args, **kwargs)
+        records = pickle.dumps(session.records(), pickle.HIGHEST_PROTOCOL)
+        return result, pickle.loads(records)
     finally:
         _SESSION = outer
 

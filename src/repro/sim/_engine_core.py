@@ -10,8 +10,8 @@ the interpreter imported a compiled extension instead of this source
 file; the CI compiled leg asserts that both flavours produce
 bit-identical golden fingerprints.
 
-What changed relative to the PR 4 engine (frozen verbatim as
-``benchmarks/_pr4_engine.py``; see DESIGN.md §16 for the equivalence
+What changed relative to the PR 4 fast-lane engine, which kept one
+heap entry per future event (see DESIGN.md §16 for the equivalence
 argument):
 
 **Batched cycle advancement.**  Future work is kept in per-cycle
@@ -59,8 +59,9 @@ The public semantics -- FIFO same-cycle order, resume-generation fault
 model, crash shields, suspension, deadlock detection, the sample hook's
 idle-gap collapse, ``max_events`` accounting -- are unchanged; golden
 fingerprints (tests/test_parallel.py, tests/test_engine_v3.py) pin this
-bit-for-bit against the frozen PR 4 engine, and tests/test_engine_oracle.py
-checks the order against a plain one-heap reference scheduler.
+bit-for-bit against the PR 4 engine's runs, and tests/test_engine_oracle.py
+checks the order against a plain one-heap reference scheduler, which
+``benchmarks/test_bench_engine.py`` also uses as its speed yardstick.
 """
 
 from __future__ import annotations

@@ -1,11 +1,17 @@
 """Reference scheduler: the engine's ordering contract, written plainly.
 
-Used only as the oracle of tests/test_engine_oracle.py, which runs the
-same generated programs on this scheduler and on
+The oracle of tests/test_engine_oracle.py, which runs the same
+generated programs on this scheduler and on
 :class:`repro.sim.engine.Simulator` and requires identical traces.  It
 has one ``heapq`` of ``(cycle, seq, entry)``: no fast lane, no per-cycle
-buckets, no gap jumps and no flags standing in for liveness.  Speed is
-no concern here; every rule below is one plain statement in the code.
+buckets, no gap jumps and no flags standing in for liveness.  Every
+rule below is one plain statement in the code.
+
+It is also the yardstick of the engine's speed gates in
+``benchmarks/test_bench_engine.py``, whose bounds are ratios to this
+scheduler's run time and are recorded against this file's sha256.  A
+change here re-records those bounds and the digest in the same change;
+speeding this scheduler up to make a gate pass defeats both its roles.
 
 The ordering contract
 ---------------------

@@ -5,7 +5,7 @@ from dataclasses import fields
 import pytest
 
 from repro.machine import Machine, MachineConfig, tile_gx, x86_like
-from repro.machine.config import COST_FIELDS
+from repro.machine.config import COST_FIELDS, MAX_MESH_DIM, SIZE_FIELDS
 
 
 # -- config validation --------------------------------------------------------
@@ -48,22 +48,22 @@ def test_with_overrides_returns_validated_copy():
     dict(atomic_at="nowhere"),
     dict(line_words=0),
     dict(udn_demux_queues=0),
+    dict(mesh_height=0),
+    dict(mesh_width=MAX_MESH_DIM + 1),
+    dict(mesh_height=MAX_MESH_DIM + 1),
 ])
 def test_invalid_configs_rejected(bad):
-    with pytest.raises(ValueError):
+    """Each refusal starts with the name of the field at fault."""
+    (field,) = bad
+    with pytest.raises(ValueError, match=f"^{field}\\b"):
         tile_gx(**bad)
-
-
-#: int knobs that are counts or sizes, not cycle costs, with their floor
-_SIZE_FLOORS = {"mesh_width": 1, "mesh_height": 1, "clock_mhz": 1,
-                "line_words": 1, "udn_buffer_words": 1, "udn_demux_queues": 1}
 
 
 def test_every_int_knob_is_a_cost_or_a_size():
     """A new int knob must be classified, so it is validated too."""
     ints = {f.name for f in fields(MachineConfig) if f.type == "int"}
-    assert ints == set(COST_FIELDS) | set(_SIZE_FLOORS)
-    assert not set(COST_FIELDS) & set(_SIZE_FLOORS)
+    assert ints == set(COST_FIELDS) | set(SIZE_FIELDS)
+    assert not set(COST_FIELDS) & set(SIZE_FIELDS)
 
 
 @pytest.mark.parametrize("name", COST_FIELDS)

@@ -165,3 +165,21 @@ def test_observed_parallel_sweep_records_match_serial(tmp_path):
     names = sorted(os.listdir(tmp_path / "serial"))
     assert names == sorted(os.listdir(tmp_path / "fanned"))
     assert names[0].startswith("incident-obs-sweep-p000-m0-00-slo-breach-")
+
+
+def test_serial_traced_sweep_holds_event_logs_as_bytes():
+    """A point run inline hands back records in the form a worker's
+    arrive in: each event log still pickled, decoded only when read."""
+    import repro.obs as obs_mod
+
+    spec = WorkloadSpec(warmup_cycles=2000, measure_cycles=10_000)
+    pts = [point("mp-server", t, run_counter_benchmark, "mp-server", t,
+                 spec=spec) for t in (1, 2)]
+    with obs_mod.observed(trace=True) as session:
+        run_sweep(pts, jobs=1, name="traced")
+    recs = session.records()
+    assert [r.label for r in recs] == ["mp-server T=1", "mp-server T=2"]
+    for rec in recs:
+        assert rec.trace._events is None and rec.trace._blob
+        assert len(rec.trace) > 0
+        assert rec.trace.index().ops
