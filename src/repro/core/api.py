@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.machine.machine import Machine, ThreadCtx
+from repro.obs.counters import SERVICE_CYCLES, SERVICES
 
 __all__ = ["DispatchTimeout", "OpTable", "SyncPrimitive", "NULL_ARG"]
 
@@ -191,6 +192,19 @@ class SyncPrimitive:
                          else self.machine.now)
         self._session_t0 = None
         self._session_ctx = None
+
+    def record_service(self, obs, ctx: ThreadCtx, client: Optional[int],
+                       start: int) -> None:
+        """Close one service span on the observed bus ``obs``: ``ctx``
+        executed ``client``'s request and issued its response, from
+        cycle ``start`` to now.  The one writer of the servicing core's
+        ``SERVICE_CYCLES``/``SERVICES`` and the one ``server.done``."""
+        cid = ctx.core.cid
+        row = obs.counters.core[cid]
+        row[SERVICE_CYCLES] += self.machine.now - start
+        row[SERVICES] += 1
+        if "server.done" in obs.wanted:
+            obs.emit("server.done", cid, client, self.name, start)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -45,7 +45,6 @@ from typing import Any, Dict, Generator, Optional
 
 from repro.core.api import NULL_ARG, OpTable, SyncPrimitive
 from repro.machine.machine import Machine, ThreadCtx
-from repro.obs.counters import REQUESTS_SERVED, SERVICE_CYCLES, SERVICES
 
 __all__ = ["CCSynch"]
 
@@ -130,21 +129,12 @@ class CCSynch(SyncPrimitive):
             a = yield from ctx.load(tmp + _ARG)
             obs = ctx.sim.obs
             client = self._node_owner.get(tmp)
-            if obs is not None:
-                obs.counters.core[ctx.core.cid][REQUESTS_SERVED] += 1
-                if "server.req" in obs.wanted:
-                    obs.emit("server.req", ctx.core.cid, client, self.name)
             ret = yield from execute(ctx, op, a)
             yield from ctx.store(tmp + _RET, ret)
             yield from ctx.store(tmp + _COMPLETED, 1)
             yield from ctx.store(tmp + _WAIT, 0)
             if obs is not None:
-                row = obs.counters.core[ctx.core.cid]
-                row[SERVICE_CYCLES] += ctx.sim.now - svc_start
-                row[SERVICES] += 1
-                if "server.done" in obs.wanted:
-                    obs.emit("server.done", ctx.core.cid, client, self.name,
-                             svc_start)
+                self.record_service(obs, ctx, client, svc_start)
             tmp = nxt
 
     def apply_op(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG,
@@ -208,12 +198,8 @@ class CCSynch(SyncPrimitive):
                 yield from ctx.store(tmp + _COMPLETED, 1)
             yield from ctx.store(tmp + _WAIT, 0)
             if obs is not None:
-                row = obs.counters.core[ctx.core.cid]
-                row[SERVICE_CYCLES] += ctx.sim.now - svc_start
-                row[SERVICES] += 1
-                if "server.done" in obs.wanted:
-                    obs.emit("server.done", ctx.core.cid,
-                             self._node_owner.get(tmp), self.name, svc_start)
+                self.record_service(obs, ctx, self._node_owner.get(tmp),
+                                    svc_start)
             tmp = nxt
         if ctx.sim.policy is not None:
             # exploration seam: combiner handover window

@@ -58,7 +58,6 @@ from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.core.api import NULL_ARG, OpTable, SyncPrimitive
 from repro.machine.machine import Machine, ThreadCtx
-from repro.obs.counters import REQUESTS_SERVED, SERVICE_CYCLES, SERVICES
 from repro.udn.udn import ReceiveTimeout, SendTimeout
 
 __all__ = ["HybComb"]
@@ -206,18 +205,10 @@ class HybComb(SyncPrimitive):
                     continue
             svc_start = self.machine.now
             obs = ctx.sim.obs
-            if obs is not None:
-                obs.counters.core[ctx.core.cid][REQUESTS_SERVED] += 1
-                if "server.req" in obs.wanted:
-                    obs.emit("server.req", ctx.core.cid, sender, self.name)
             r = yield from execute(ctx, fp, farg)
             yield from ctx.send(sender, [r])
             if obs is not None:
-                row = obs.counters.core[ctx.core.cid]
-                row[SERVICE_CYCLES] += self.machine.now - svc_start
-                row[SERVICES] += 1
-                if "server.done" in obs.wanted:
-                    obs.emit("server.done", ctx.core.cid, sender, self.name, svc_start)
+                self.record_service(obs, ctx, sender, svc_start)
 
     # -- lease helpers ---------------------------------------------------------
     def _heartbeat(self, ctx: ThreadCtx, my_node: int) -> Generator[Any, Any, None]:
@@ -368,11 +359,7 @@ class HybComb(SyncPrimitive):
         retval = yield from execute(ctx, opcode, arg)
         self.self_combined += 1
         if obs is not None:
-            row = obs.counters.core[ctx.core.cid]
-            row[SERVICE_CYCLES] += self.machine.now - svc_start
-            row[SERVICES] += 1
-            if "server.done" in obs.wanted:
-                obs.emit("server.done", ctx.core.cid, tid, self.name, svc_start)
+            self.record_service(obs, ctx, tid, svc_start)
         if ctx.sim.policy is not None:
             # exploration seam: mid-section preemption here is what a
             # stale-lease takeover races against
@@ -389,11 +376,7 @@ class HybComb(SyncPrimitive):
             yield from ctx.send(sender, [r])
             ops_completed += 1
             if obs is not None:
-                row = obs.counters.core[ctx.core.cid]
-                row[SERVICE_CYCLES] += self.machine.now - svc_start
-                row[SERVICES] += 1
-                if "server.done" in obs.wanted:
-                    obs.emit("server.done", ctx.core.cid, sender, self.name, svc_start)
+                self.record_service(obs, ctx, sender, svc_start)
             if self._recovery:
                 yield from self._heartbeat(ctx, my_node)
         # Lines 29-32: close combining for new requests
@@ -417,11 +400,7 @@ class HybComb(SyncPrimitive):
             yield from ctx.send(sender, [r])
             ops_completed += 1
             if obs is not None:
-                row = obs.counters.core[ctx.core.cid]
-                row[SERVICE_CYCLES] += self.machine.now - svc_start
-                row[SERVICES] += 1
-                if "server.done" in obs.wanted:
-                    obs.emit("server.done", ctx.core.cid, sender, self.name, svc_start)
+                self.record_service(obs, ctx, sender, svc_start)
             if self._recovery:
                 yield from self._heartbeat(ctx, my_node)
         # Lines 38-42: exchange nodes with the departed-combiner slot,

@@ -55,7 +55,6 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.core.api import NULL_ARG, DispatchTimeout, OpTable, SyncPrimitive
 from repro.machine.machine import Machine, ThreadCtx
-from repro.obs.counters import REQUESTS_SERVED, SERVICE_CYCLES, SERVICES
 from repro.udn.udn import ReceiveTimeout, SendTimeout
 
 __all__ = ["MPServer", "ServerUnavailable"]
@@ -189,19 +188,11 @@ class MPServer(SyncPrimitive):
             sender, opcode, arg = yield from ctx.receive(REQUEST_WORDS)
             svc_start = ctx.sim.now
             obs = ctx.sim.obs
-            if obs is not None:
-                obs.counters.core[ctx.core.cid][REQUESTS_SERVED] += 1
-                if "server.req" in obs.wanted:
-                    obs.emit("server.req", ctx.core.cid, sender, self.name)
             retval = yield from execute(ctx, opcode, arg)
             yield from ctx.send(sender, [retval])
             self.requests_served += 1
             if obs is not None:
-                row = obs.counters.core[ctx.core.cid]
-                row[SERVICE_CYCLES] += ctx.sim.now - svc_start
-                row[SERVICES] += 1
-                if "server.done" in obs.wanted:
-                    obs.emit("server.done", ctx.core.cid, sender, self.name, svc_start)
+                self.record_service(obs, ctx, sender, svc_start)
 
     # -- fault-tolerant protocol --------------------------------------------
     def _ft_server_loop(self, ctx: ThreadCtx) -> Generator[Any, Any, None]:
@@ -215,10 +206,6 @@ class MPServer(SyncPrimitive):
             sender, seq, opcode, arg = yield from ctx.receive(FT_REQUEST_WORDS)
             svc_start = ctx.sim.now
             obs = ctx.sim.obs
-            if obs is not None:
-                obs.counters.core[ctx.core.cid][REQUESTS_SERVED] += 1
-                if "server.req" in obs.wanted:
-                    obs.emit("server.req", ctx.core.cid, sender, self.name)
             slot = self._slot_for(sender)
             last = yield from ctx.load(slot + _SLOT_SEQ)
             if seq <= last:
@@ -241,11 +228,7 @@ class MPServer(SyncPrimitive):
             yield from ctx.send(sender, [seq, retval])
             self.requests_served += 1
             if obs is not None:
-                row = obs.counters.core[ctx.core.cid]
-                row[SERVICE_CYCLES] += ctx.sim.now - svc_start
-                row[SERVICES] += 1
-                if "server.done" in obs.wanted:
-                    obs.emit("server.done", ctx.core.cid, sender, self.name, svc_start)
+                self.record_service(obs, ctx, sender, svc_start)
 
     def apply_op(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG,
                  timeout: Optional[int] = None) -> Generator[Any, Any, int]:

@@ -47,7 +47,6 @@ from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from repro.core.api import DispatchTimeout, NULL_ARG, OpTable, SyncPrimitive
 from repro.machine.machine import Machine, ThreadCtx
-from repro.obs.counters import REQUESTS_SERVED, SERVICE_CYCLES, SERVICES
 from repro.sim.engine import Interrupt, WaitTimer
 
 __all__ = ["ShmServer"]
@@ -144,10 +143,6 @@ class ShmServer(SyncPrimitive):
                 opcode = yield from ctx.load(ch + _OPCODE)     # same line: hits
                 arg = yield from ctx.load(ch + _ARG)
                 obs = ctx.sim.obs
-                if obs is not None:
-                    obs.counters.core[ctx.core.cid][REQUESTS_SERVED] += 1
-                    if "server.req" in obs.wanted:
-                        obs.emit("server.req", ctx.core.cid, tid, self.name)
                 # software-pipeline the next channel read behind this CS
                 # (the paper: RMRs "get partially overlapped with the CS
                 # execution" -- the O3-compiled server hoists the next
@@ -161,11 +156,7 @@ class ShmServer(SyncPrimitive):
                 served[tid] = seq
                 self.requests_served += 1
                 if obs is not None:
-                    row = obs.counters.core[ctx.core.cid]
-                    row[SERVICE_CYCLES] += ctx.sim.now - svc_start
-                    row[SERVICES] += 1
-                    if "server.done" in obs.wanted:
-                        obs.emit("server.done", ctx.core.cid, tid, self.name, svc_start)
+                    self.record_service(obs, ctx, tid, svc_start)
             # loop-closing branch of the scan
             yield from ctx.work(1)
 

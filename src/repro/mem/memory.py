@@ -74,7 +74,3 @@ class Allocator:
             self._next += lw - self._next % lw
         self.allocations.append((addr, nwords))
         return addr
-
-    def alloc_line(self) -> int:
-        """Allocate one full isolated cache line; return its first address."""
-        return self.alloc(self.line_words, isolated=True)

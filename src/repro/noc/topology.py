@@ -96,12 +96,6 @@ class Mesh:
         path = self.route(src, dst)
         return zip(path, path[1:])
 
-    def nearest(self, node: int, candidates: List[int]) -> int:
-        """The candidate node closest (in hops) to ``node``; ties -> lowest id."""
-        if not candidates:
-            raise ValueError("no candidates")
-        return min(candidates, key=lambda c: (self.hops(node, c), c))
-
     def _check(self, node: int) -> None:
         if not (0 <= node < self.num_nodes):
             raise ValueError(f"node {node} outside mesh of {self.num_nodes} nodes")

@@ -129,8 +129,9 @@ class Observability:
         if trace:
             self.trace = EventLog(limit=trace_limit)
             self.bus.subscribe_kinds(LOG_KINDS, self.trace.on_event)
-        # spatial congestion atlas (DESIGN.md §15): a view over the UDN
-        # fabric's inline totals and the counter file; no subscription
+        # spatial congestion atlas (DESIGN.md §15): a view over the
+        # counter file's pair, link and backpressure registers; it hooks
+        # into nothing
         self.spatial: Optional[SpatialAtlas] = None
         if spatial or spatial_hops:
             self.spatial = SpatialAtlas(machine, self.counters,

@@ -27,12 +27,12 @@ are the same whoever listens.
 
 What is wanted
 --------------
-:attr:`EventBus.wanted` is recomputed on every :meth:`~EventBus.subscribe`,
-:meth:`~EventBus.unsubscribe`, :meth:`~EventBus.subscribe_kinds` and
+Every subscription names its kinds (:meth:`~EventBus.subscribe_kinds`;
+a consumer of everything passes :data:`KINDS`).
+:attr:`EventBus.wanted` is recomputed on every subscription and on
 :meth:`~EventBus.keep_recent`, as the union of:
 
-* the kinds of every kind-filtered subscription;
-* :data:`KINDS` (every kind) while any full subscriber is registered;
+* the kinds of every subscription;
 * :data:`NARRATED_KINDS` while the bus keeps a recent-events ring (the
   flight recorder's always-on tail).
 
@@ -49,7 +49,7 @@ request, the words carry no names: a post-run reader gets them named
 (the log's index, :func:`named`), a hot reader looks its field's index
 up in :data:`SCHEMA` once.  A *narrated* kind is always in the flight ring
 when a recorder is attached; a *hardware* kind is built only when a
-subscriber asks for it (a trace, a full subscriber).  The perf counter
+subscriber asks for it (a trace, a consumer of every kind).  The perf counter
 file and the spatial atlas read registers the models write directly
 and subscribe to nothing.
 
@@ -126,8 +126,6 @@ SCHEMA: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "combiner.open": ("narrated", ("core", "tid", "prim")),
     # a combining session of ``ops`` requests ended
     "combiner.close": ("narrated", ("core", "tid", "prim", "ops", "start")),
-    # a dedicated servicing thread completed one request
-    "server.req": ("narrated", ("core", "client", "prim")),
     # a service span ended: one request executed and its response issued
     "server.done": ("narrated", ("core", "client", "prim", "start")),
     # an application thread issued op ``op`` (a run-unique id)
@@ -158,7 +156,7 @@ SCHEMA: Dict[str, Tuple[str, Tuple[str, ...]]] = {
                                  "burn_short", "burn_long")),
 }
 
-#: every kind the simulator emits: what a full subscriber wants
+#: every kind the simulator emits: what a consumer of everything subscribes to
 KINDS: FrozenSet[str] = frozenset(SCHEMA)
 
 #: the kinds the flight ring narrates: ops, service spans, combining
@@ -175,7 +173,7 @@ def named(kind: str, args: Tuple[Any, ...]) -> Dict[str, Any]:
 class EventBus:
     """Fan-out of structured observability events to subscribers."""
 
-    __slots__ = ("sim", "counters", "events_emitted", "wanted", "_subs",
+    __slots__ = ("sim", "counters", "events_emitted", "wanted",
                  "recent", "_recent_append", "_kind_subs")
 
     def __init__(self, sim):
@@ -187,7 +185,6 @@ class EventBus:
         #: the kinds some consumer listens to; publish sites build an
         #: event only when its kind is in here
         self.wanted: FrozenSet[str] = frozenset()
-        self._subs: List[Subscriber] = []
         #: bounded ring of the most recent events (see :meth:`keep_recent`)
         self.recent: Optional[deque] = None
         self._recent_append = None
@@ -195,45 +192,22 @@ class EventBus:
 
     def _rewant(self) -> None:
         wanted = set(self._kind_subs or ())
-        if self._subs:
-            wanted |= KINDS
         if self.recent is not None:
             wanted |= NARRATED_KINDS
         self.wanted = frozenset(wanted)
 
-    def subscribe(self, fn: Subscriber) -> None:
-        """Register ``fn(cycle, kind, args)`` for every event."""
-        self._subs.append(fn)
-        self._rewant()
-
-    def unsubscribe(self, fn: Subscriber) -> None:
-        """Remove ``fn`` from the full and the kind-filtered subscribers."""
-        found = fn in self._subs
-        if found:
-            self._subs.remove(fn)
-        ks = self._kind_subs or {}
-        for kind, fns in list(ks.items()):
-            if fn in fns:
-                found = True
-                fns.remove(fn)
-                if not fns:
-                    del ks[kind]
-        if not found:
-            raise ValueError(f"{fn!r} is not subscribed to this bus")
-        self._kind_subs = ks or None
-        self._rewant()
-
     def subscribe_kinds(self, kinds: Iterable[str], fn: Subscriber) -> None:
-        """Register ``fn`` for the listed kinds only.
+        """Register ``fn(cycle, kind, args)`` for the listed kinds.
 
-        Kind-filtered subscribers cost one dict probe per event instead
-        of a Python call -- the difference between "can leave it on" and
-        "10% tax" for consumers that care about a handful of kinds (SLO
-        monitors want ``op.end``, the flight recorder wants its trigger
-        kinds) -- and leave every other kind unbuilt unless someone else
-        wants it.  They run *after* every full subscriber, so a filtered
-        handler always observes counter/monitor state already updated
-        for the triggering event.
+        Any other kind costs ``fn`` nothing: its events cost one dict
+        probe in :meth:`emit` instead of a Python call -- the difference
+        between "can leave it on" and "10% tax" for consumers that care
+        about a handful of kinds (SLO monitors want ``op.end``, the
+        flight recorder wants its trigger kinds) -- and are not built at
+        all unless another subscription lists them.
+        A kind's subscribers run in the order they subscribed, so a
+        handler observes the state every earlier one updated for the
+        triggering event.
         """
         if self._kind_subs is None:
             self._kind_subs = {}
@@ -267,8 +241,6 @@ class EventBus:
         ra = self._recent_append
         if ra is not None:
             ra((t, kind, args))
-        for fn in self._subs:
-            fn(t, kind, args)
         ks = self._kind_subs
         if ks is not None:
             fns = ks.get(kind)
@@ -343,7 +315,7 @@ class EventLog:
 
 #: the kinds an :class:`EventLog` records and its index reads
 LOG_KINDS: FrozenSet[str] = frozenset({
-    "op.begin", "op.end", "server.req", "server.done", "combiner.close",
+    "op.begin", "op.end", "server.done", "combiner.close",
     "udn.send", "udn.deliver", "udn.recv", "udn.backpressure", "udn.timeout",
     "noc.link", "cache.stall", "cache.miss", "fence.stall", "atomic.stall",
     "atomic.cas_fail", "proc.kill", "proc.interrupt",

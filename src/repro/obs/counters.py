@@ -20,10 +20,13 @@ place, inside its ``if obs is not None:`` guard and before the ``emit``
 (a flight-recorder dump the event triggers must see it counted)::
 
     row = obs.counters.core[cid]
-    row[UDN_WORDS_SENT] += n
+    row[UDN_WORDS_RECEIVED] += k
 
 No Python call is made: the file costs what a register write costs, and
-unobserved runs write nothing.  The storage is laid out for that write,
+unobserved runs write nothing.  The one exception is a service span,
+which the delegation cores close through one recorder,
+:meth:`~repro.core.api.SyncPrimitive.record_service`, that also emits
+its ``server.done``.  The storage is laid out for that write,
 and :meth:`PerfCounters.snapshot` folds it back into the plain-dict
 shape below:
 
@@ -32,6 +35,8 @@ shape below:
   sparse ``miss_kinds[(cid, op, transition)]`` count.
 * ``line[line_no]`` and ``link[(a, b)]`` are sparse dict rows and
   ``global_`` a dict, written by register name at the site.
+* ``pair[(src core, dst core)]`` is a fixed-slot list per UDN core pair
+  (:data:`PAIR_SLOTS`), created by the pair's first send or delivery.
 * ``latency_hist[latency.bit_length()]`` is the UDN delivery-latency
   histogram (exact for latency >= 0).
 
@@ -41,7 +46,8 @@ Register groups
               ``miss.store.inv``, ...), ``invalidations_received``,
               ``cas_failures``, stall cycles (``stall_mem`` /
               ``stall_atomic`` / ``stall_fence``), UDN words/messages
-              sent and received, backpressure cycles.
+              sent and received, backpressure cycles, service spans.
+              ``udn_words_sent`` is summed from the ``pair`` rows.
 ``line``      per-cache-line: ``misses``, ``invalidations``,
               ``stall_cycles``, ``atomics``, ``cas_failures`` -- the raw
               material of the contention heatmap.
@@ -49,6 +55,11 @@ Register groups
               ``wait_cycles`` (queueing) and ``packets`` (link
               acquisitions).  Keyed ``(a, b)`` in the file, ``"a->b"``
               in snapshots; the spatial atlas reads it directly.
+``pair``      per (src core, dst core) UDN pair: messages and words
+              sent, then messages, words, latency and link queueing
+              delivered.  The UDN fabric's one ledger of its traffic:
+              the spatial atlas reads it, and it stays out of
+              snapshots (the per-core sums go in).
 ``udn_hist``  histogram of message delivery latencies; bucket ``k``
               counts deliveries with latency in ``[2^(k-1), 2^k)``
               cycles (bucket 0 is latency 0).
@@ -66,7 +77,8 @@ Register groups
 counted twice, and appear only when non-zero.  ``backpressure_cycles``
 is counted here: the fabric's per-sender total also holds timed-out sends.
 The spatial atlas (:mod:`repro.obs.spatial`) keeps no copy of the
-``link`` registers or of ``backpressure_cycles``; it reads them here.
+``pair`` rows, the ``link`` registers or ``backpressure_cycles``; it
+reads them here.
 
 Every register group is **baselined at enable time**: the ``hw``
 registers subtract the core snapshots taken when this PerfCounters was
@@ -81,16 +93,25 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Any, Callable, Dict, List, Tuple
 
-__all__ = ["CORE_SLOTS", "PerfCounters", "counters_csv", "merge_counters",
-           "latency_bucket",
+__all__ = ["CORE_SLOTS", "PAIR_SLOTS", "PerfCounters", "counters_csv",
+           "merge_counters", "latency_bucket",
            "MISSES", "INVALIDATIONS", "ATOMICS", "ATOMICS_COLD",
-           "UDN_WORDS_SENT", "BACKPRESSURE_CYCLES", "UDN_WORDS_RECEIVED",
-           "UDN_WAIT_CYCLES", "REQUESTS_SERVED", "SERVICE_CYCLES", "SERVICES"]
+           "BACKPRESSURE_CYCLES", "UDN_WORDS_RECEIVED", "UDN_WAIT_CYCLES",
+           "SERVICE_CYCLES", "SERVICES",
+           "PAIR_SENT", "PAIR_SENT_WORDS", "PAIR_DELIVERED",
+           "PAIR_DELIVERED_WORDS", "PAIR_LATENCY", "PAIR_QUEUE"]
 
 #: per-core register slots of ``PerfCounters.core[cid]``
-(MISSES, INVALIDATIONS, ATOMICS, ATOMICS_COLD, UDN_WORDS_SENT,
- BACKPRESSURE_CYCLES, UDN_WORDS_RECEIVED, UDN_WAIT_CYCLES, REQUESTS_SERVED,
- SERVICE_CYCLES, SERVICES) = range(11)
+(MISSES, INVALIDATIONS, ATOMICS, ATOMICS_COLD, BACKPRESSURE_CYCLES,
+ UDN_WORDS_RECEIVED, UDN_WAIT_CYCLES, SERVICE_CYCLES, SERVICES) = range(9)
+
+#: slots of ``PerfCounters.pair[(src core, dst core)]``: messages and
+#: words sent, then messages, words, summed latency and summed link
+#: queueing (contended transit beyond the idle mesh's) of those delivered
+PAIR_SLOTS = ("sent", "sent_words", "delivered", "delivered_words",
+              "latency", "queue")
+(PAIR_SENT, PAIR_SENT_WORDS, PAIR_DELIVERED, PAIR_DELIVERED_WORDS,
+ PAIR_LATENCY, PAIR_QUEUE) = range(len(PAIR_SLOTS))
 
 #: slot -> (register name in snapshots, the slot that says it was
 #: written).  A register appears once its event has been counted, even at
@@ -102,18 +123,15 @@ CORE_SLOTS = (
     ("invalidations_received", INVALIDATIONS),
     ("atomics", ATOMICS),
     ("atomics_cold", ATOMICS_COLD),
-    ("udn_words_sent", UDN_WORDS_SENT),
     ("backpressure_cycles", BACKPRESSURE_CYCLES),
     ("udn_words_received", UDN_WORDS_RECEIVED),
     ("udn_wait_cycles", UDN_WORDS_RECEIVED),
-    ("requests_served", REQUESTS_SERVED),
     ("service_cycles", SERVICES),
     (None, SERVICES),
 )
 
 #: ``global`` registers summed from per-core slots: (name, slot)
-_GLOBAL_SUMS = (("requests_served", REQUESTS_SERVED),
-                ("ops_serviced", SERVICES))
+_GLOBAL_SUMS = (("ops_serviced", SERVICES),)
 
 #: latency-histogram buckets: bit lengths of 0 .. 2**64 - 1 cycles
 _HIST_BUCKETS = 65
@@ -161,6 +179,8 @@ class PerfCounters:
         self.miss_kinds: Dict[Tuple[int, str, str], int] = defaultdict(int)
         self.line = _nested()       # line no -> register -> value
         self.link = _nested()       # (a, b) -> register -> value
+        # (src core, dst core) -> slot -> value (see PAIR_SLOTS)
+        self.pair: Dict[Tuple[int, int], List[int]] = {}
         self.global_: Dict[str, int] = defaultdict(int)
         self.latency_hist = [0] * _HIST_BUCKETS  # bucket -> deliveries
         # hw registers are reported relative to enable time: without the
@@ -203,6 +223,11 @@ class PerfCounters:
                     if name is not None and row[written]}
             if regs:
                 core[cid] = regs
+        for (src, _dst), row in self.pair.items():
+            if row[PAIR_SENT_WORDS]:
+                regs = core.setdefault(src, {})
+                regs["udn_words_sent"] = (regs.get("udn_words_sent", 0)
+                                          + row[PAIR_SENT_WORDS])
         for (cid, op, transition), v in self.miss_kinds.items():
             core.setdefault(cid, {})["miss." + op + "." + transition] = v
         glob = dict(self.global_)

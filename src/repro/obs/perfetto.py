@@ -11,7 +11,7 @@ Track layout (one traced machine = one "process"):
 
 * one thread track per core (``tid`` = core id) carrying coherence
   stalls, atomic round trips, receive waits, combining sessions and
-  served requests;
+  service spans;
 * a ``udn`` track for message deliveries;
 * one track per *used* mesh link (allocated in first-use order)
   carrying link occupancy spans;
@@ -101,9 +101,6 @@ def trace_events(event_log, num_cores: int, pid: int) -> List[Dict[str, Any]]:
     for r in rec["combiner.close"]:
         add(r, r.start, r.t - r.start, r.core, "combine", "combiner",
             {"ops": r.ops, "prim": r.prim})
-    for r in rec["server.req"]:
-        add(r, r.t, None, r.core, "req", "server",
-            {"client": r.client, "prim": r.prim})
     for r in rec["op.begin"]:
         add_flow(r, r.t, r.core, r.op, "s")
     for r in rec["op.end"]:

@@ -4,28 +4,26 @@ The paper's central claim is that routing synchronization over the
 on-chip network changes *where* cycles are spent on the mesh; every
 collector before this one was aspatial (per-core registers, per-link
 totals with no geometry).  :class:`SpatialAtlas` is a mesh-shaped view,
-computed when read, over state the hardware models already keep:
+computed when read, over the perf counter file
+(:mod:`repro.obs.counters`), which the hardware models write:
 
 * analytic traffic -- each message's XY route is charged to every
-  directed link it crosses (msgs + words), from per-(src, dst) send
-  totals the :class:`~repro.udn.udn.UdnFabric` counts inline;
+  directed link it crosses (msgs + words), from the sent totals of the
+  file's per-(src core, dst core) ``pair`` rows;
 * measured occupancy on the contended mesh -- busy cycles, queueing
-  cycles and packet counts per directed link, read from the perf
-  counter file's ``link`` registers;
-* per-tile delivery counts and latency, and the per-pair hop totals,
-  written inline by the fabric at each delivery;
+  cycles and packet counts per directed link, read from the file's
+  ``link`` registers;
+* per-tile delivery counts and latency, and the hop totals, from the
+  delivered totals of the ``pair`` rows;
 * per-sender-tile cycles blocked on a full destination buffer, summed
-  from the counter file's per-core ``backpressure_cycles``.
+  from the file's per-core ``backpressure_cycles``.
 
-The atlas subscribes to nothing on the event bus, and its hot path is
-priced like the fabric's own stats registers: it hands its
-accumulators to the fabric (``spatial_sends`` / ``spatial_delivers``),
-which counts inline -- one dict update, no Python call, ``None``-checked
-exactly like ``sim.obs`` so the disabled cost is one attribute test.
-Routes are expanded into links *lazily* at sampling ticks and at
-:meth:`summary` time, never per message: each (src core, dst core) pair
-resolves once to the ``_traffic`` rows of the links it crosses, and a
-flush adds its fresh totals straight to them.
+The atlas subscribes to nothing on the event bus and hooks into no
+model: it adds nothing to the hot path.  Routes are expanded into
+links *lazily* at sampling ticks and at :meth:`summary` time, never per
+message: each pair resolves once to the ``_traffic`` rows of the links
+it crosses, and a flush adds the sends since its pair's last-seen mark
+straight to them.
 
 With a :class:`~repro.obs.timeseries.Sampler` attached the atlas also
 publishes per-link and per-tile ring series (``spatial.link.a>b``,
@@ -42,7 +40,7 @@ link-acquire waits on the contended mesh, zero on the analytic one) and
 keeps no per-message state for either:
 
 * :attr:`~SpatialAtlas.hop_totals` -- the split summed over every
-  delivered message, derived from the fabric's per-pair delivery totals
+  delivered message, derived from the ``pair`` rows' delivery totals
   (whose ``queue`` is each contended packet's transit beyond the idle
   mesh's).  ``hops=True`` puts it in :meth:`~SpatialAtlas.summary`.
 * :meth:`~SpatialAtlas.hop_records` -- one record per message, read
@@ -67,7 +65,12 @@ from __future__ import annotations
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.noc.topology import Mesh
-from repro.obs.counters import BACKPRESSURE_CYCLES
+from repro.obs.counters import (
+    BACKPRESSURE_CYCLES,
+    PAIR_DELIVERED,
+    PAIR_SENT,
+    PAIR_SENT_WORDS,
+)
 
 __all__ = ["SpatialAtlas", "merge_spatial_summaries", "render_hotspots",
            "causal_link_flows"]
@@ -134,7 +137,8 @@ class SpatialAtlas:
     def __init__(self, machine, counters, *, hops: bool = False,
                  max_series: int = 160):
         self.mesh = machine.mesh
-        #: the machine's perf counter file (link and backpressure registers)
+        #: the machine's perf counter file (pair rows, link and
+        #: backpressure registers)
         self._counters = counters
         self.width = self.mesh.width
         self.height = self.mesh.height
@@ -144,23 +148,10 @@ class SpatialAtlas:
         self.record_hops = hops
         self.max_series = max_series
 
-        # -- hot-path accumulators (one inline dict update per event) ----
-        # (src_core, dst_core) -> [msgs, words] since the last flush;
-        # written inline by UdnFabric.send (installed below), mapped to
-        # node pairs and expanded into links at flush time only
-        self._fresh_pairs: Dict[Tuple[int, int], List[int]] = {}
-        # (src_core, dst_core) -> [msgs, words, latency, queue] of
-        # delivered messages; written by the fabric at each delivery,
-        # mapped to nodes at read time
-        self._delivered: Dict[Tuple[int, int], List[int]] = {}
-        # hand the fabric the accumulators (see module docs); a machine
-        # without hardware message passing simply has nothing to count
-        udn = machine.udn
-        if udn is not None:
-            udn.spatial_sends = self._fresh_pairs
-            udn.spatial_delivers = self._delivered
-
         # -- lazily expanded views ----------------------------------------
+        # (src_core, dst_core) -> its pair row's [msgs, words] sent at
+        # the last flush
+        self._sent_seen: Dict[Tuple[int, int], List[int]] = {}
         # directed link -> [msgs, words] of analytic (route-charged) traffic
         self._traffic: Dict[Tuple[int, int], List[int]] = {}
         self._route_cache: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
@@ -179,9 +170,6 @@ class SpatialAtlas:
         # link -> its flit_cycles register at the last recording tick
         self._busy_seen: Dict[Tuple[int, int], int] = {}
 
-        self.messages = 0
-        self.words = 0
-
     def _route_links(self, src: int, dst: int) -> Tuple[Tuple[int, int], ...]:
         links = self._route_cache.get((src, dst))
         if links is None:
@@ -197,7 +185,8 @@ class SpatialAtlas:
         the measured link waits, and skew the residual."""
         mesh, node_of = self.mesh, self._node_of
         messages = latency = queue = transit = eject = 0
-        for (sc, dc), (m, w, lat, q) in self._delivered.items():
+        for (sc, dc), row in self._counters.pair.items():
+            m, w, lat, q = row[PAIR_DELIVERED:]
             messages += m
             latency += lat
             queue += q
@@ -244,7 +233,7 @@ class SpatialAtlas:
 
     # -- lazy expansion -----------------------------------------------------
     def flush(self) -> Dict[Tuple[int, int], int]:
-        """Fold fresh send counters into the cumulative views.
+        """Charge the sends since the last flush to the links they cross.
 
         Returns the analytic word deltas per directed link -- what a
         recording tick puts into the per-link series on the analytic
@@ -252,23 +241,24 @@ class SpatialAtlas:
         run without a sampler pays exactly one flush at the end.
         """
         traffic_delta: Dict[Tuple[int, int], int] = {}
-        fresh = self._fresh_pairs
-        if fresh:
-            routes = self._pair_routes
-            messages = words = 0
-            for pair, (m, w) in fresh.items():
-                messages += m
-                words += w
-                route = routes.get(pair)
-                if route is None:
-                    route = routes[pair] = self._pair_route(*pair)
-                for link, row in route:
-                    row[0] += m
-                    row[1] += w
-                    traffic_delta[link] = traffic_delta.get(link, 0) + w
-            self.messages += messages
-            self.words += words
-            fresh.clear()
+        seen, routes = self._sent_seen, self._pair_routes
+        for pair, row in self._counters.pair.items():
+            last = seen.get(pair)
+            if last is None:
+                last = seen[pair] = [0, 0]
+            m = row[PAIR_SENT] - last[0]
+            if not m:
+                continue
+            w = row[PAIR_SENT_WORDS] - last[1]
+            last[0] += m
+            last[1] += w
+            route = routes.get(pair)
+            if route is None:
+                route = routes[pair] = self._pair_route(*pair)
+            for link, traffic in route:
+                traffic[0] += m
+                traffic[1] += w
+                traffic_delta[link] = traffic_delta.get(link, 0) + w
         return traffic_delta
 
     def _pair_route(self, sc: int, dc: int
@@ -382,11 +372,14 @@ class SpatialAtlas:
             if e[basis]:
                 tile(a)["out"] += e[basis]
         node_of = self._node_of
-        for (_src, core_id), (m, w, lat, _q) in self._delivered.items():
-            e = tile(node_of[core_id])
-            e["in_msgs"] += m
-            e["in_words"] += w
-            e["deliver_latency"] += lat
+        pairs = self._counters.pair
+        for (_src, core_id), row in pairs.items():
+            m, w, lat, _q = row[PAIR_DELIVERED:]
+            if m:
+                e = tile(node_of[core_id])
+                e["in_msgs"] += m
+                e["in_words"] += w
+                e["deliver_latency"] += lat
         for cid, row in enumerate(self._counters.core):
             if row[BACKPRESSURE_CYCLES]:
                 tile(node_of[cid])["backpressure"] += row[BACKPRESSURE_CYCLES]
@@ -395,8 +388,8 @@ class SpatialAtlas:
             "mesh": {"width": self.width, "height": self.height},
             "contended": self.contended,
             "basis": basis,
-            "messages": self.messages,
-            "words": self.words,
+            "messages": sum(row[PAIR_SENT] for row in pairs.values()),
+            "words": sum(row[PAIR_SENT_WORDS] for row in pairs.values()),
             "links": _with_shares({_link_key(a, b): e
                                    for (a, b), e in links.items()}, basis),
             "tiles": _with_shares(tiles, "out", key=int),

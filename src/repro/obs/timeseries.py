@@ -223,22 +223,6 @@ class Sampler:
         self._sources.append(_Source(name, kind, fn))
         return ts
 
-    def remove_source(self, name: str) -> bool:
-        """Stop sampling ``name``; returns whether a source was removed.
-
-        The already-recorded series is **kept** (it still appears in
-        summaries and dashboards -- history does not vanish because its
-        feed went away); only future ticks stop reading the source.
-        Removing a name that was never registered, was already removed,
-        or belongs to an adopted (externally-fed) series is a
-        documented no-op returning ``False`` -- teardown paths may call
-        this unconditionally.
-        """
-        kept = [s for s in self._sources if s.name != name]
-        removed = len(kept) != len(self._sources)
-        self._sources = kept
-        return removed
-
     def adopt(self, ts: TimeSeries) -> TimeSeries:
         """Track an externally-fed series (e.g. SLO burn rates) so it
         appears in summaries and dashboards alongside sampled ones."""

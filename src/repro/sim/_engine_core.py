@@ -628,12 +628,6 @@ class Simulator:
         self._sample_fn = fn
         self._sample_due = self.now - (self.now % every) + every
 
-    def clear_sample_hook(self) -> None:
-        """Remove the sample hook (restores the off-cost: one compare)."""
-        self._sample_every = 0
-        self._sample_fn = None
-        self._sample_due = _NO_CAP
-
     def _sample_tick(self, now: int) -> None:
         # out of line from run(): only entered when a sample is due
         self._current = None  # the hook runs between events

@@ -59,9 +59,15 @@ from repro.machine.core import Core
 from repro.noc.topology import Mesh
 from repro.obs.counters import (
     BACKPRESSURE_CYCLES,
+    PAIR_DELIVERED,
+    PAIR_DELIVERED_WORDS,
+    PAIR_LATENCY,
+    PAIR_QUEUE,
+    PAIR_SENT,
+    PAIR_SENT_WORDS,
+    PAIR_SLOTS,
     UDN_WAIT_CYCLES,
     UDN_WORDS_RECEIVED,
-    UDN_WORDS_SENT,
 )
 from repro.sim._engine_core import _HANDLED
 from repro.sim.engine import Event, Interrupt, Simulator, WaitTimer
@@ -188,22 +194,20 @@ class _Delivery:
         q = self.queue
         q.words.extend(self.payload)
         fabric.messages_delivered += 1
-        sp = fabric.spatial_delivers
-        if sp is not None:
-            # the atlas's delivery ledger (repro.obs.spatial)
-            latency = sim.now - self.sent_at
-            key = (self.src_core, self.dst_core)
-            e = sp.get(key)
-            if e is None:
-                sp[key] = [1, self.n_words, latency, 0]
-            else:
-                e[0] += 1
-                e[1] += self.n_words
-                e[2] += latency
         obs = sim.obs
         if obs is not None:
             latency = sim.now - self.sent_at
-            obs.counters.latency_hist[latency.bit_length()] += 1
+            counters = obs.counters
+            counters.latency_hist[latency.bit_length()] += 1
+            # the pair's row; a message sent before observability was
+            # enabled opens it here
+            key = (self.src_core, self.dst_core)
+            pair = counters.pair.get(key)
+            if pair is None:
+                pair = counters.pair[key] = [0] * len(PAIR_SLOTS)
+            pair[PAIR_DELIVERED] += 1
+            pair[PAIR_DELIVERED_WORDS] += self.n_words
+            pair[PAIR_LATENCY] += latency
             if "udn.deliver" in obs.wanted:
                 obs.emit("udn.deliver", self.dst_core, self.demux,
                          self.n_words, latency, self.msg_id)
@@ -215,8 +219,8 @@ class _Delivery:
     def _arrive(self, src_node: int, dst_node: int,
                 cycles: int) -> Generator[Any, Any, None]:
         """A contended packet's last step, once its ``cycles`` of mesh
-        transit are done: fault jitter, then delivery, then the atlas's
-        link-queueing share."""
+        transit are done: fault jitter, then delivery, then the pair's
+        link queueing: its transit beyond the idle mesh's."""
         fabric = self.fabric
         jitter = fabric.transit_jitter
         if jitter is not None:
@@ -224,10 +228,9 @@ class _Delivery:
             if extra:
                 yield extra
         self._send(None)
-        sp = fabric.spatial_delivers
-        if sp is not None:
-            # link queueing: the packet's transit beyond the idle mesh's
-            sp[(self.src_core, self.dst_core)][3] += (
+        obs = fabric.sim.obs
+        if obs is not None:
+            obs.counters.pair[(self.src_core, self.dst_core)][PAIR_QUEUE] += (
                 cycles - fabric.mesh.latency(src_node, dst_node, self.n_words))
 
 
@@ -280,17 +283,6 @@ class UdnFabric:
         #: the same stream -- the per-pair FIFO guarantee survives any
         #: policy (used only when ``sim.policy`` is installed).
         self._policy_last_arrival: Dict[Tuple[int, int, int], int] = {}
-        #: spatial-atlas hot-path hooks (see repro.obs.spatial): an
-        #: attached atlas's accumulators, keyed (src core, dst core), so
-        #: sends and deliveries ([msgs, words, latency, link queueing])
-        #: are counted inline -- one dict update, no Python call.  No
-        #: per-message row is kept: a message's hop-by-hop record is
-        #: read from a traced machine's event log
-        #: (:meth:`~repro.obs.spatial.SpatialAtlas.hop_records`).
-        #: ``None`` (the default) costs one is-None test per
-        #: send/deliver; never read back.
-        self.spatial_sends: Optional[Dict[Tuple[int, int], List[int]]] = None
-        self.spatial_delivers: Optional[Dict[Tuple[int, int], List[int]]] = None
 
     @property
     def backpressure_cycles(self) -> int:
@@ -423,23 +415,20 @@ class UdnFabric:
         msg_id = self._next_msg_id
         self._next_msg_id = msg_id + 1
         entry = _Delivery(self, queue, core.cid, dst_core_id, demux, msg_id, n)
-        sp = self.spatial_sends
-        if sp is not None:
-            e = sp.get((core.cid, dst_core_id))
-            if e is None:
-                sp[(core.cid, dst_core_id)] = [1, n]
-            else:
-                e[0] += 1
-                e[1] += n
         obs = sim.obs
         if obs is not None:
-            row = obs.counters.core[core.cid]
+            counters = obs.counters
             if blocked:
-                row[BACKPRESSURE_CYCLES] += blocked
-                obs.counters.global_["backpressure_events"] += 1
+                counters.core[core.cid][BACKPRESSURE_CYCLES] += blocked
+                counters.global_["backpressure_events"] += 1
                 if "udn.backpressure" in obs.wanted:
                     obs.emit("udn.backpressure", core.cid, blocked, dst_core_id, t0)
-            row[UDN_WORDS_SENT] += n
+            key = (core.cid, dst_core_id)
+            pair = counters.pair.get(key)
+            if pair is None:
+                pair = counters.pair[key] = [0] * len(PAIR_SLOTS)
+            pair[PAIR_SENT] += 1
+            pair[PAIR_SENT_WORDS] += n
             if "udn.send" in obs.wanted:
                 obs.emit("udn.send", core.cid, dst_tid, dst_core_id, n, msg_id)
         inject = self._send_base + self._send_per_word * n

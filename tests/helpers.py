@@ -140,10 +140,11 @@ def oracle_counters(ob):
     ``tests/counters_oracle.py`` rebuilds every register from bus
     events, independently of the hardware models' direct writes.
     """
+    from repro.obs.bus import KINDS
     from tests.counters_oracle import PerfCounters
 
     ref = PerfCounters(ob.machine)
-    ob.bus.subscribe(ref.on_event)
+    ob.bus.subscribe_kinds(sorted(KINDS), ref.on_event)
     return ref
 
 

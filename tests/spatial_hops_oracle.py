@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Tuple
 
 from repro.obs.bus import named
+from repro.obs.counters import PAIR_DELIVERED
 
 #: the kinds the ledger consumed from the bus
 KINDS = ("udn.send", "noc.link", "udn.deliver")
@@ -167,8 +168,9 @@ class BusOccupancy:
 
     def summary(self, atlas) -> Dict[str, Any]:
         """``atlas.summary()``'s ``links`` and ``tiles``, with occupancy
-        and backpressure from this oracle and the inline-counted
-        traffic and deliveries from ``atlas``."""
+        and backpressure from this oracle, the traffic from ``atlas``
+        and the deliveries from the perf counter file's pair rows (the
+        atlas's per-pair delivery ledger until they replaced it)."""
         from repro.obs.spatial import (
             _LINK_FIELDS,
             _TILE_FIELDS,
@@ -193,7 +195,10 @@ class BusOccupancy:
         src_basis = self._measured if self.contended else atlas._traffic
         for (a, b), vals in src_basis.items():
             tile(a)["out"] += vals[0] if self.contended else vals[1]
-        for (_src, core_id), (m, w, lat, _q) in atlas._delivered.items():
+        for (_src, core_id), row in atlas._counters.pair.items():
+            m, w, lat, _q = row[PAIR_DELIVERED:]
+            if not m:
+                continue  # a pair with sends only had no ledger entry
             e = tile(self._node_of[core_id])
             e["in_msgs"] += m
             e["in_words"] += w

@@ -50,12 +50,6 @@ def test_allocator_isolated_is_line_aligned_and_padded():
     assert nxt // 8 != iso // 8
 
 
-def test_alloc_line():
-    a = Allocator(line_words=8)
-    line = a.alloc_line()
-    assert line % 8 == 0
-
-
 def test_allocator_rejects_bad_sizes():
     a = Allocator()
     with pytest.raises(ValueError):

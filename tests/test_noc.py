@@ -58,12 +58,6 @@ def test_route_length_matches_hops():
             assert len(m.route(src, dst)) == m.hops(src, dst) + 1
 
 
-def test_nearest_prefers_low_id_on_tie():
-    m = Mesh(4, 4)
-    # nodes 1 and 4 are both 1 hop from node 0
-    assert m.nearest(0, [4, 1]) == 1
-
-
 def test_invalid_node_raises():
     m = Mesh(2, 2)
     with pytest.raises(ValueError):

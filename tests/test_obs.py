@@ -7,6 +7,7 @@ import pytest
 import repro.obs as obs
 from repro.core import CCSynch, HybComb, MPServer, OpTable
 from repro.machine import Machine, tile_gx
+from repro.obs.bus import KINDS
 from repro.obs.counters import latency_bucket, merge_counters
 from tests.helpers import assert_event_stalls_equal_hw, oracle_counters
 
@@ -108,7 +109,8 @@ def test_bus_emit_and_subscribe():
     m = Machine(tile_gx())
     ob = m.enable_observability()
     seen = []
-    ob.bus.subscribe(lambda t, kind, f: seen.append((t, kind, f)))
+    ob.bus.subscribe_kinds(sorted(KINDS),
+                           lambda t, kind, f: seen.append((t, kind, f)))
 
     def prog(ctx):
         yield from ctx.load(m.mem.alloc(1))
@@ -253,8 +255,9 @@ def test_counters_track_mpserver_run():
 
     snap = ob.counters.snapshot()
     total = n_clients * n_ops
-    assert snap["global"]["requests_served"] == total
-    assert snap["core"][0]["requests_served"] == total
+    assert snap["global"]["ops_serviced"] == total
+    assert snap["core"][0]["service_cycles"] > 0
+    assert "requests_served" not in snap["global"]
     # every request is a 3-word send + 1-word response
     sent = sum(c.get("udn_msgs_sent", 0) for c in snap["core"].values())
     assert sent == 2 * total
@@ -294,7 +297,7 @@ def test_counters_subscribe_to_nothing():
     m = Machine(tile_gx())
     ob = m.enable_observability()
     assert ob.bus.counters is ob.counters
-    assert ob.bus._subs == [] and ob.bus._kind_subs is None
+    assert ob.bus._kind_subs is None and ob.bus.wanted == frozenset()
 
 
 def test_counters_delta_and_merge():

@@ -122,7 +122,7 @@ def test_bus_hands_each_emit_a_fresh_dict():
     bus = EventBus(_Clock())
     log = EventLog()
     seen = []
-    bus.subscribe(lambda t, k, args: seen.append(args))
+    bus.subscribe_kinds(("op.begin",), lambda t, k, args: seen.append(args))
     bus.subscribe_kinds(("op.begin",), log.on_event)
     first = ev(0, "op.begin", op=1, core=0, tid=0, prim="x")
     second = ev(7, "op.begin", op=2, core=1, tid=1, prim="x")

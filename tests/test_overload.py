@@ -101,6 +101,7 @@ def test_saturated_failover_recovery_visible_in_trace(mp_capacity):
     import repro.obs as obs
     from repro.core import OpTable
     from repro.experiments.overload import _admission
+    from repro.obs.bus import KINDS
     from repro.faults import CrashThread, FaultInjector, FaultPlan
     from repro.objects import LockedCounter
     from repro.workload.openloop import (ArrivalSpec, OpenLoopSpec,
@@ -112,7 +113,7 @@ def test_saturated_failover_recovery_visible_in_trace(mp_capacity):
         from repro.machine import Machine, tile_gx
         machine = Machine(tile_gx())
         (ob,) = session.machines
-        ob.bus.subscribe(lambda t, k, f: kinds.add(k))
+        ob.bus.subscribe_kinds(sorted(KINDS), lambda t, k, f: kinds.add(k))
 
         prim, tids = build_approach("mp-server-ft", machine, OpTable(),
                                     NUM_CLIENTS, request_timeout=2_000)

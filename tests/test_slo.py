@@ -57,8 +57,8 @@ def test_bad_window_breaches_and_publishes_bus_event():
               burn_threshold=2.0, short_ticks=2, long_ticks=4)
     _m, ob = _machine_with((slo,))
     events = []
-    ob.bus.subscribe(lambda t, k, f: events.append((t, k, f))
-                     if k.startswith("slo.") else None)
+    ob.bus.subscribe_kinds(("slo.breach", "slo.recover"),
+                           lambda t, k, f: events.append((t, k, f)))
     # one all-bad window: burn = 1 / 0.5 = 2.0 in both windows
     _end_op(ob, 200, 0)      # sojourn 200 > target
     _tick(ob, 512)
@@ -101,8 +101,8 @@ def test_breach_then_recover_emits_both():
               burn_threshold=1.0, short_ticks=2, long_ticks=2)
     _m, ob = _machine_with((slo,))
     kinds = []
-    ob.bus.subscribe(lambda t, k, f: kinds.append(k)
-                     if k.startswith("slo.") else None)
+    ob.bus.subscribe_kinds(("slo.breach", "slo.recover"),
+                           lambda t, k, f: kinds.append(k))
     t = 0
     for _ in range(2):              # two bad windows -> breach
         t += 512

@@ -107,6 +107,13 @@ def test_register_duplicate_requires_replace():
     sampler.register("g", lambda: 2.0, replace=True)
     sampler.on_tick(10)
     assert sampler.series["g"].last_value == 2.0
+    # an adopted series takes its name for good
+    ts = sampler.adopt(TimeSeries("ext", kind="gauge", buckets=8,
+                                  bucket_cycles=10))
+    with pytest.raises(ValueError, match="already registered"):
+        sampler.adopt(TimeSeries("ext", kind="gauge", buckets=8,
+                                 bucket_cycles=10))
+    assert sampler.series["ext"] is ts
 
 
 def test_register_replace_discards_old_series():
@@ -121,34 +128,6 @@ def test_register_replace_discards_old_series():
     assert new.total() == 0.0  # history did not leak across replace
     sampler.on_tick(20)
     assert new.last_value == 2.0
-
-
-def test_remove_source_keeps_history_and_reports_removal():
-    sampler = Sampler(None, every=10)
-    sampler.register("g", lambda: 5.0)
-    sampler.on_tick(10)
-    assert sampler.remove_source("g") is True
-    # the recorded series survives for summaries and dashboards ...
-    assert sampler.series["g"].last_value == 5.0
-    assert "g" in sampler.dump()["series"]
-    # ... but future ticks stop reading the source
-    before = sampler.series["g"].points()
-    sampler.on_tick(20)
-    assert sampler.series["g"].points() == before
-    # removing again, or a never-registered name, is a documented no-op
-    assert sampler.remove_source("g") is False
-    assert sampler.remove_source("never") is False
-
-
-def test_remove_source_is_a_noop_for_adopted_series():
-    sampler = Sampler(None, every=10)
-    ts = sampler.adopt(TimeSeries("ext", kind="gauge", buckets=8,
-                                  bucket_cycles=10))
-    assert sampler.remove_source("ext") is False
-    assert sampler.series["ext"] is ts
-    with pytest.raises(ValueError, match="already registered"):
-        sampler.adopt(TimeSeries("ext", kind="gauge", buckets=8,
-                                 bucket_cycles=10))
 
 
 def test_sampler_subscribers_run_after_sources():
@@ -210,16 +189,6 @@ def test_engine_hook_fires_at_horizon_park():
     sim.run(until=500)   # horizon park well past the last event
     assert sim.now == 500
     assert ticks[-1] == 500
-
-
-def test_clear_sample_hook():
-    sim = Simulator()
-    ticks = []
-    sim.set_sample_hook(10, ticks.append)
-    sim.clear_sample_hook()
-    sim.spawn(_ticker(sim, 5, 100), name="t")
-    sim.run()
-    assert ticks == []
     with pytest.raises(ValueError):
         sim.set_sample_hook(0, ticks.append)
 
